@@ -53,7 +53,6 @@ from .polynomials import (
     format_rational,
     parse_integer,
     parse_rational,
-    rational,
 )
 from .sequences import SequenceTable
 from .series import (
@@ -106,7 +105,6 @@ __all__ = [
     "parse_polynomial",
     "parse_rational",
     "parse_recurrence",
-    "rational",
     "write_bfile",
     "__version__",
 ]

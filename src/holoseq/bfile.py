@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Union
 
+from .polynomials import _INTEGER_RE
 from .sequences import SequenceTable
 
 SEQUENCE_ID_RE = re.compile(r"A[0-9]{6,7}\Z")
@@ -85,12 +86,9 @@ def parse_bfile(text: Union[str, bytes], sequence_id: Optional[str] = None) -> B
             raise BFileFormatError(
                 f"expected '<index> <term>', got {line!r}", line_number
             )
-        try:
-            index, term = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise BFileFormatError(
-                f"non-integer field in {line!r}", line_number
-            ) from None
+        if not all(_INTEGER_RE.match(field) for field in fields):
+            raise BFileFormatError(f"non-integer field in {line!r}", line_number)
+        index, term = int(fields[0]), int(fields[1])
         if indices and index != indices[-1] + 1:
             raise BFileFormatError(
                 f"index {index} does not follow {indices[-1]}", line_number

@@ -13,14 +13,13 @@ from typing import Optional, Sequence
 
 from .bfile import (
     BFileDocument,
-    BFileFormatError,
     FetchError,
     fetch_bfile,
     format_bfile,
     load_bfile,
     write_bfile,
 )
-from .guessing import InsufficientTermsError, guess_recurrence
+from .guessing import guess_recurrence
 from .meixner import (
     A214615_INITIAL,
     A214615_RECURRENCE,
@@ -30,7 +29,6 @@ from .meixner import (
 )
 from .operators import RecurrenceOperator, VerifyReport
 from .parsing import (
-    OperatorSyntaxError,
     parse_differential_operator,
     parse_recurrence,
 )
@@ -318,6 +316,9 @@ _HANDLERS = {
     "fetch": cmd_fetch,
 }
 
+# Exit code by exception class, looked up along the raised error's MRO.
+_EXIT_CODES = {ArithmeticError: 1, ValueError: 2, FetchError: 3, OSError: 3}
+
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
@@ -328,24 +329,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return _HANDLERS[args.command](args)
-    except NonIntegerCoefficientError as error:
-        print(f"holoseq: {error}", file=sys.stderr)
-        return 1
-    except ArithmeticError as error:
-        print(f"holoseq: {error}", file=sys.stderr)
-        return 1
-    except (OperatorSyntaxError, BFileFormatError, InsufficientTermsError) as error:
-        print(f"holoseq: {error}", file=sys.stderr)
-        return 2
-    except FetchError as error:
-        print(f"holoseq: {error}", file=sys.stderr)
-        return 3
-    except OSError as error:
-        print(f"holoseq: {error}", file=sys.stderr)
-        return 3
-    except ValueError as error:
-        print(f"holoseq: {error}", file=sys.stderr)
-        return 2
+    except Exception as error:
+        for cls in type(error).__mro__:
+            if cls in _EXIT_CODES:
+                print(f"holoseq: {error}", file=sys.stderr)
+                return _EXIT_CODES[cls]
+        raise
 
 
 if __name__ == "__main__":

@@ -106,8 +106,9 @@ def guess_recurrence(
 
     Needs len(table) >= (max_order+1)(max_degree+1) + max_order + 1: the
     homogeneous system determines solutions only up to scale, so this means
-    two more equations than effective unknowns.  Candidates must re-verify
-    on the whole table; the result is sorted simplest-first by (order,
+    two more equations than effective unknowns.  A candidate of order k
+    claims n >= table.offset + k, the first index whose k predecessors are
+    all in the table, and must re-verify on the whole table; the result is sorted simplest-first by (order,
     degree, largest coefficient bit length) and may be empty.
     """
     r, d = max_order, max_degree
@@ -137,7 +138,8 @@ def guess_recurrence(
         )
         if polys[0].is_zero:
             continue
-        candidate = RecurrenceOperator.from_coefficients(polys)
+        order = max(k for k, p in enumerate(polys) if not p.is_zero)
+        candidate = RecurrenceOperator(polys, table.offset + order)
         if candidate.verify(table).passed:
             candidates.setdefault(candidate, None)
     return sorted(

@@ -170,7 +170,7 @@ class DifferentialOperator:
             if j > 0:
                 d = d.derivative()
             if not q.is_zero:
-                result = result + d.truncated(out_order).mul_polynomial(q)
+                result = result + Series.from_polynomial(q, out_order) * d.truncated(out_order)
         return result
 
     def to_recurrence(self) -> RecurrenceOperator:

@@ -34,25 +34,20 @@ def _normalize_minus(text: str) -> str:
     return text.replace("−", "-")
 
 
-def rational(numerator: RationalLike, denominator: RationalLike = 1) -> Fraction:
-    """Exact rational from numerator/denominator.
-
-    Always reduced to lowest terms with a positive denominator; a zero
-    denominator raises ZeroDivisionError.
-    """
-    return Fraction(numerator, denominator)
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" (decimal digits, optional sign) into a Fraction.
 
     Only integer and slash-fraction spellings are accepted; decimal points
-    and exponents are rejected so the text grammar stays exact.
+    and exponents are rejected so the text grammar stays exact.  Every
+    malformed spelling, a zero denominator included, raises ValueError.
     """
     cleaned = _normalize_minus(text).strip()
     if not _RATIONAL_RE.match(cleaned):
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(cleaned)
+    try:
+        return Fraction(cleaned)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational literal: {text!r}") from None
 
 
 def format_rational(value: RationalLike) -> str:

@@ -11,9 +11,10 @@ The two nontrivial constructions are ``exp`` and ``inverse_sqrt``:
 
 * ``exp(g)`` with g(0) = 0 solves h' = g'h coefficient by coefficient:
   (k+1) h_{k+1} = sum_{i=0..k} (i+1) g_{i+1} h_{k-i}, h_0 = 1.
-* ``inverse_sqrt(u)`` with u(0) = 1 runs Newton iteration
-  h <- h (3 - u h^2) / 2 starting from h = 1; each step doubles the number
-  of correct coefficients (valid mod t^(m+1) -> valid mod t^(2m+2)).  The
+* ``inverse_sqrt(u)`` with u(0) = 1 runs J. C. P. Miller's power
+  recurrence for h = u^alpha at alpha = -1/2 (Knuth, TAOCP vol. 2, 4.7):
+  n h_n = sum_{k=1..n} ((alpha+1) k - n) u_k h_{n-k}, h_0 = 1, which reads
+  2n h_n = sum_k (k - 2n) u_k h_{n-k} and costs O(N) per nonzero u_k.  The
   defining identity u h^2 = 1 is re-checked at full order before returning.
 """
 
@@ -35,7 +36,7 @@ class ConstantTermError(ValueError):
     """Constant term violates a precondition (division, exp, inverse sqrt)."""
 
 
-class NonIntegerCoefficientError(ValueError):
+class NonIntegerCoefficientError(ArithmeticError):
     """n! * c_n is not an integer, so the series is not an integer EGF."""
 
     def __init__(self, index: int, value: Fraction):
@@ -161,19 +162,6 @@ class Series:
             out.append(acc / b0)
         return Series(tuple(out))
 
-    def mul_polynomial(self, poly: Polynomial) -> Series:
-        """Multiply by a polynomial, staying at the same truncation order."""
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, p in enumerate(poly.coeffs):
-            if p == 0 or i > n:
-                continue
-            for j in range(n + 1 - i):
-                c = self.coeffs[j]
-                if c != 0:
-                    out[i + j] += p * c
-        return Series(tuple(out))
-
     def derivative(self) -> Series:
         """Formal d/dt; the truncation order drops by one."""
         if self.order < 1:
@@ -202,23 +190,20 @@ class Series:
         return Series(tuple(h))
 
     def inverse_sqrt(self) -> Series:
-        """u^(-1/2) for u with constant term 1, by quadratic Newton steps."""
+        """u^(-1/2) for u with constant term 1, by Miller's power recurrence."""
         if self.coeffs[0] != 1:
             raise ConstantTermError("inverse sqrt needs constant term 1")
-        target = self.order
+        u = [(k, c) for k, c in enumerate(self.coeffs) if k > 0 and c != 0]
         h = [Fraction(1)]
-        correct = 0
-        while correct < target:
-            step = min(2 * correct + 1, target)
-            hs = Series(tuple(h) + (Fraction(0),) * (step - correct))
-            u = self.truncated(step)
-            e = u * hs * hs
-            three = Series.from_polynomial(Polynomial.constant(3), step)
-            hs = hs * (three - e) * Fraction(1, 2)
-            h = list(hs.coeffs)
-            correct = step
+        for n in range(1, self.order + 1):
+            acc = Fraction(0)
+            for k, c in u:
+                if k > n:
+                    break
+                acc += (k - 2 * n) * c * h[n - k]
+            h.append(acc / (2 * n))
         result = Series(tuple(h))
-        if (self * result * result) != Series.one(target):
+        if (self * result * result) != Series.one(self.order):
             raise ArithmeticError("inverse sqrt fixed point check failed")
         return result
 

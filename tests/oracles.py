@@ -2,10 +2,10 @@
 
 Everything here deliberately avoids the code paths under test: series exp
 is computed from the power sum instead of the ODE method, inverse sqrt from
-generalized binomial coefficients instead of Newton iteration, nullspaces
-by plain Fraction Gauss-Jordan instead of fraction-free elimination, and
-EGF coefficient extraction by literally differentiating and shifting the
-series instead of the falling-factorial shift/weight rule.
+generalized binomial coefficients instead of Miller's power recurrence,
+nullspaces by plain Fraction Gauss-Jordan instead of fraction-free
+elimination, and EGF coefficient extraction by literally differentiating and
+shifting the series instead of the falling-factorial shift/weight rule.
 """
 
 from __future__ import annotations

@@ -49,6 +49,10 @@ def test_parse_malformed_lines():
         parse_bfile("zero 1\n")
     with pytest.raises(BFileFormatError):
         parse_bfile("0 1.5\n")
+    with pytest.raises(BFileFormatError, match="line 1"):
+        parse_bfile("0 1_000\n")
+    with pytest.raises(BFileFormatError, match="line 2"):
+        parse_bfile("0 1\n1 \uff12\n")
     with pytest.raises(BFileFormatError):
         parse_bfile("# only comments\n")
     with pytest.raises(BFileFormatError):

@@ -141,6 +141,11 @@ def test_series_non_integer_x0_terms_fail(capsys):
     assert "not an integer" in capsys.readouterr().err
 
 
+def test_series_zero_denominator_x0_is_usage_error(capsys):
+    assert main(["series", "--x0=1/0", "--to", "3"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
 def test_series_json_keeps_rationals(capsys):
     assert main(["series", "--x0", "1/2", "--to", "2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -98,6 +98,27 @@ def test_guess_factorials():
     assert [c.to_text() for c in candidates] == ["a(n) - n*a(n-1) = 0 for n >= 1"]
 
 
+def test_guess_at_offset_one():
+    terms = a214615_terms(20).terms
+    candidates = guess_recurrence(SequenceTable(1, terms[1:]), 2, 2)
+    assert [c.to_text() for c in candidates] == [
+        "a(n) - a(n-1) + (n-1)^2*a(n-2) = 0 for n >= 3"
+    ]
+    factorials = SequenceTable(1, tuple(factorial(n) for n in range(1, 10)))
+    assert [c.to_text() for c in guess_recurrence(factorials, 1, 1)] == [
+        "a(n) - n*a(n-1) = 0 for n >= 2"
+    ]
+
+
+def test_guess_at_offset_five():
+    table = SequenceTable(5, a214615_terms(40).terms[5:])
+    candidates = guess_recurrence(table, 2, 2)
+    assert [c.to_text() for c in candidates] == [
+        "a(n) - a(n-1) + (n-1)^2*a(n-2) = 0 for n >= 7"
+    ]
+    assert all(c.verify(table).n_first_checked == 7 for c in candidates)
+
+
 def test_guess_insufficient_terms_boundary():
     # order 2, degree 2 needs (2+1)(2+1) + 2 + 1 = 12 terms
     with pytest.raises(InsufficientTermsError):

@@ -166,15 +166,6 @@ def test_exp_chain_rule():
         assert e.derivative() == g.derivative() * e.truncated(order - 1)
 
 
-def test_mul_polynomial_agrees_with_series_mul():
-    rng = random.Random(13)
-    for _ in range(20):
-        order = rng.randint(0, 10)
-        f = rand_series(rng, order)
-        p = Polynomial(tuple(Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(0, 6))))
-        assert f.mul_polynomial(p) == f * Series.from_polynomial(p, order)
-
-
 def test_egf_terms():
     t = Series.from_polynomial(Polynomial((0, 1)), 6)
     assert t.exp().egf_terms() == SequenceTable(0, (1,) * 7)
