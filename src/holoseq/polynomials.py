@@ -34,6 +34,19 @@ def _normalize_minus(text: str) -> str:
     return text.replace("−", "-")
 
 
+def _as_fraction(value: RationalLike) -> Fraction:
+    """``value`` as a Fraction; anything but an int or a Fraction is a TypeError.
+
+    ``Fraction`` itself also accepts floats and decimal strings, which would
+    smuggle binary approximations (0.1 -> .../2^55) into exact arithmetic.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"expected an int or a Fraction, got {type(value).__name__} {value!r}")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" (decimal digits, optional sign) into a Fraction.
 
@@ -67,6 +80,7 @@ def parse_integer(text: str) -> int:
 class Polynomial:
     """Dense univariate polynomial; coeffs[k] multiplies x^k.
 
+    Coefficients must be ints or Fractions; anything else raises TypeError.
     Trailing zero coefficients are stripped on construction, so the zero
     polynomial is the empty tuple and equality is structural.
     """
@@ -74,14 +88,14 @@ class Polynomial:
     coeffs: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
-        cs = tuple(Fraction(c) for c in self.coeffs)
+        cs = tuple(_as_fraction(c) for c in self.coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
 
     @classmethod
     def constant(cls, value: RationalLike) -> Polynomial:
-        return cls((Fraction(value),))
+        return cls((value,))
 
     @classmethod
     def falling_factorial(cls, length: int) -> Polynomial:
@@ -153,7 +167,7 @@ class Polynomial:
     def shifted(self, offset: RationalLike) -> Polynomial:
         """p(x + offset), expanded."""
         out = Polynomial()
-        step = Polynomial((Fraction(offset), Fraction(1)))
+        step = Polynomial((offset, 1))
         for c in reversed(self.coeffs):
             out = out * step + Polynomial.constant(c)
         return out

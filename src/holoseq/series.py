@@ -1,16 +1,27 @@
 """Truncated power series with exact rational coefficients.
 
 A ``Series`` holds the coefficients of a formal power series modulo
-t^(order+1): exactly order+1 Fractions, nothing floating.  The truncation
-order is part of the value.  Binary operations require both operands to be
-truncated at the same order and raise ``OrderMismatchError`` otherwise;
-``derivative`` lowers the order by one and ``integral`` raises it by one, so
-callers re-truncate explicitly when they need aligned orders.
+t^(order+1): exactly order+1 Fractions, nothing floating (construction
+accepts only ints and Fractions).  The truncation order is part of the value.
+Binary operations require both operands to be truncated at the same order and
+raise ``OrderMismatchError`` otherwise; ``derivative`` lowers the order by one
+and ``integral`` raises it by one, so callers re-truncate explicitly when they
+need aligned orders.
 
-The two nontrivial constructions are ``exp`` and ``inverse_sqrt``:
+Fractions are only the stored form.  The three quadratic kernels bring their
+operands to integer numerators over one common denominator (one lcm and O(N)
+integer multiplies), run on plain ints with no gcd in the inner loop, and
+reduce each of the N+1 results once on the way out:
 
-* ``exp(g)`` with g(0) = 0 solves h' = g'h coefficient by coefficient:
-  (k+1) h_{k+1} = sum_{i=0..k} (i+1) g_{i+1} h_{k-i}, h_0 = 1.
+* ``a * b`` is one big-int multiply by Kronecker substitution: each operand is
+  packed into an int with one byte-aligned slot per coefficient, wide enough
+  for any product coefficient plus a sign bit, so CPython's Karatsuba does the
+  convolution (Harvey, J. Symb. Comp. 2009, for the technique).
+* ``a / b`` solves b q = a term by term over the nonzero coefficients of b
+  only, O(N * nnz b); dividing by a polynomial is linear in N.
+* ``exp(g)`` with g(0) = 0 solves h' = g'h in EGF-scaled integers: with
+  (i+1)! g_{i+1} = G_i / D, the integers H_k = k! D^k h_k satisfy
+  H_0 = 1, H_{k+1} = sum_{i=0..k} C(k,i) G_i D^i H_{k-i}, O(N^2).
 * ``inverse_sqrt(u)`` with u(0) = 1 runs J. C. P. Miller's power
   recurrence for h = u^alpha at alpha = -1/2 (Knuth, TAOCP vol. 2, 4.7):
   n h_n = sum_{k=1..n} ((alpha+1) k - n) u_k h_{n-k}, h_0 = 1, which reads
@@ -22,9 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from math import lcm
+from operator import add
+from typing import Iterable, Sequence, Union
 
-from .polynomials import Polynomial, RationalLike, format_rational
+from .polynomials import Polynomial, RationalLike, _as_fraction, format_rational
 from .sequences import SequenceTable
 
 
@@ -47,6 +60,43 @@ class NonIntegerCoefficientError(ArithmeticError):
         )
 
 
+def _over_common_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators n_k and the least d > 0 with coeffs[k] = n_k / d."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _kronecker_mul(a: list[int], b: list[int]) -> list[int]:
+    """The low len(a) coefficients of the integer polynomial product a * b.
+
+    Both lists have the same length L.  Every low product coefficient is at
+    most L * max|a| * max|b| in magnitude, so slots of that many bits plus a
+    sign bit, rounded up to whole bytes, hold them without overlap.  The
+    signed packed product is reduced mod 2^(slot * L), which drops the high
+    slots whatever their sign; adding half a slot to every low slot then makes
+    each one nonnegative, so the slots are read back without borrows.
+    """
+    length = len(a)
+    bound = max(map(abs, a)) * max(map(abs, b)) * length
+    if bound == 0:
+        return [0] * length
+    size = bound.bit_length() // 8 + 1
+    mask = (1 << (8 * size * length)) - 1
+    half = 1 << (8 * size - 1)
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * length, "little")
+    low = (((_pack(a, size) * _pack(b, size)) & mask) + bias) & mask
+    data = low.to_bytes(size * length, "little")
+    return [int.from_bytes(data[i : i + size], "little") - half for i in range(0, len(data), size)]
+
+
+def _pack(values: list[int], size: int) -> int:
+    """sum_k values[k] * 256^(size*k), for |values[k]| < 256^size."""
+    zero = bytes(size)
+    pos = b"".join(v.to_bytes(size, "little") if v > 0 else zero for v in values)
+    neg = b"".join((-v).to_bytes(size, "little") if v < 0 else zero for v in values)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
 @dataclass(frozen=True)
 class Series:
     """Coefficients c_0..c_N of a series truncated at order N = len - 1."""
@@ -54,7 +104,7 @@ class Series:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        cs = tuple(Fraction(c) for c in self.coeffs)
+        cs = tuple(_as_fraction(c) for c in self.coeffs)
         if not cs:
             raise ValueError("a truncated series needs at least the constant term")
         object.__setattr__(self, "coeffs", cs)
@@ -77,7 +127,7 @@ class Series:
 
     @classmethod
     def from_coefficients(cls, coeffs: Iterable[RationalLike]) -> Series:
-        return cls(tuple(Fraction(c) for c in coeffs))
+        return cls(tuple(coeffs))
 
     @property
     def order(self) -> int:
@@ -124,18 +174,19 @@ class Series:
         return Series(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: Union[Series, RationalLike]) -> Series:
+        """Product mod t^(N+1), by one big-int multiply (Kronecker substitution).
+
+        Cost: one lcm per operand, one multiply of two ints of about
+        N * (bits of both numerators + log2 N) bits, and N+1 gcds to reduce
+        the result.  A polynomial operand packs into a short int, which makes
+        the multiply linear in N.
+        """
         if isinstance(other, Series):
             self._require_same_order(other)
-            n = self.order
-            out = [Fraction(0)] * (n + 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b != 0:
-                        out[i + j] += a * b
-            return Series(tuple(out))
+            a, da = _over_common_denominator(self.coeffs)
+            b, db = _over_common_denominator(other.coeffs)
+            den = da * db
+            return Series(tuple(Fraction(c, den) for c in _kronecker_mul(a, b)))
         if isinstance(other, (int, Fraction)):
             return Series(tuple(c * other for c in self.coeffs))
         return NotImplemented
@@ -146,20 +197,33 @@ class Series:
         return NotImplemented
 
     def __truediv__(self, other: Series) -> Series:
-        """Series division; the divisor needs a nonzero constant term."""
+        """Series division; the divisor needs a nonzero constant term.
+
+        On numerators a/da and b/db the quotient is (db/da) * R_k / b_0^(k+1)
+        with R_k = a_k b_0^k - sum_i b_i b_0^(i-1) R_{k-i}, the sum running
+        over the nonzero b_i only: O(N * nnz b) integer operations.
+        """
         if not isinstance(other, Series):
             return NotImplemented
         self._require_same_order(other)
-        b0 = other.coeffs[0]
-        if b0 == 0:
+        if other.coeffs[0] == 0:
             raise ConstantTermError("division by a series with zero constant term")
-        n = self.order
-        out: list[Fraction] = []
-        for k in range(n + 1):
-            acc = self.coeffs[k]
-            for i in range(1, k + 1):
-                acc -= other.coeffs[i] * out[k - i]
-            out.append(acc / b0)
+        a, da = _over_common_denominator(self.coeffs)
+        b, db = _over_common_denominator(other.coeffs)
+        b0 = b[0]
+        terms = [(i, c * b0 ** (i - 1)) for i, c in enumerate(b) if i and c]
+        r: list[int] = []
+        out = []
+        power = 1
+        for k, ak in enumerate(a):
+            acc = ak * power
+            for i, c in terms:
+                if i > k:
+                    break
+                acc -= c * r[k - i]
+            r.append(acc)
+            power *= b0
+            out.append(Fraction(db * acc, da * power))
         return Series(tuple(out))
 
     def derivative(self) -> Series:
@@ -175,19 +239,38 @@ class Series:
         )
 
     def exp(self) -> Series:
-        """exp of a series with zero constant term, via h' = g'h."""
+        """exp of a series with zero constant term, via h' = g'h.
+
+        Runs on the integers H_k = k! D^k h_k of the module docstring: the
+        binomials come from one Pascal row updated per step, and the only gcd
+        per coefficient is the one that reduces H_k / (k! D^k).  O(N^2)
+        integer multiply-adds, skipping the zero coefficients of g.
+        """
         if self.coeffs[0] != 0:
             raise ConstantTermError("exp needs a zero constant term")
-        g = self.coeffs
-        h = [Fraction(1)]
+        scaled = []
+        factorial = 1
+        for i, c in enumerate(self.coeffs[1:], start=1):
+            factorial *= i
+            scaled.append(factorial * c)
+        gs, d = _over_common_denominator(scaled)
+        terms = [(i, g * d**i) for i, g in enumerate(gs) if g]
+        h = [1]
+        out = [Fraction(1)]
+        row = [1]
+        den = 1
         for k in range(self.order):
-            acc = Fraction(0)
-            for i in range(k + 1):
-                gi = g[i + 1]
-                if gi != 0:
-                    acc += (i + 1) * gi * h[k - i]
-            h.append(acc / (k + 1))
-        return Series(tuple(h))
+            if k:
+                row = [1, *map(add, row, row[1:]), 1]
+            acc = 0
+            for i, g in terms:
+                if i > k:
+                    break
+                acc += row[i] * g * h[k - i]
+            h.append(acc)
+            den *= (k + 1) * d
+            out.append(Fraction(acc, den))
+        return Series(tuple(out))
 
     def inverse_sqrt(self) -> Series:
         """u^(-1/2) for u with constant term 1, by Miller's power recurrence."""

@@ -55,6 +55,17 @@ def test_polynomial_strips_trailing_zeros():
     assert Polynomial((5,)).degree == 0
 
 
+def test_polynomial_rejects_floats_and_strings():
+    for bad in ((0.5,), ("1/2", 1), (1, 0.0)):
+        with pytest.raises(TypeError):
+            Polynomial(bad)
+    for bad in (0.5, "3"):
+        with pytest.raises(TypeError):
+            Polynomial.constant(bad)
+        with pytest.raises(TypeError):
+            X.shifted(bad)
+
+
 def test_polynomial_eval_examples():
     square = (X - Polynomial.constant(1)) ** 2
     assert square(3) == 4

@@ -31,12 +31,41 @@ def test_mul_example():
     assert (one_plus * one_minus).coeffs == (1, 0, -1, 0, 0)
 
 
+def test_mul_matches_naive_oracle_where_packing_can_fail():
+    rng = random.Random(2009)
+    big = [rng.getrandbits(4000) * rng.choice((-1, 1)) for _ in range(8)]
+    primes = [2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1, 2**521 - 1, 2**607 - 1]
+    cases = [
+        ((Fraction(3),), (Fraction(-2, 7),)),  # order 0
+        ((0,) * 6, tuple(range(1, 7))),  # zero operand
+        (tuple(range(1, 7)), (0,) * 6),
+        ((0,), (0,)),
+        (tuple(-k - 1 for k in range(7)), tuple(Fraction(-1, k + 2) for k in range(7))),
+        (tuple(1 if k % 2 else big[k] for k in range(8)), tuple(big[7 - k] if k % 3 else -1 for k in range(8))),
+        (tuple(Fraction(k + 1, p) for k, p in enumerate(primes)), tuple(Fraction(-1, p) for p in reversed(primes))),
+        # No truncated-away slot of these products is positive.
+        ((1, 1), (1, -1)),
+        ((1, 0, 0, 1), (1, 0, 0, -5)),
+        ((1, 2, 3, 4, 5), (5, -4, -30, -20, -100)),
+    ]
+    for a, b in cases:
+        got = Series.from_coefficients(a) * Series.from_coefficients(b)
+        assert got.coeffs == tuple(oracles.naive_mul([Fraction(x) for x in a], [Fraction(x) for x in b]))
+
+
 def test_div_geometric():
     one = Series.one(5)
     denom = Series.from_polynomial(Polynomial((1, 0, 1)), 5)
     inv = one / denom
     assert inv.coeffs == (1, 0, -1, 0, 1, 0)
     assert (inv * denom) == one
+    rng = random.Random(3)
+    a = rand_series(rng, 20)
+    for b in (
+        Series.from_polynomial(Polynomial((3, 0, 1)), 20),
+        rand_series(rng, 20, denominators=(1, 5, 7, 97)) + Series.one(20) * 10,
+    ):
+        assert (a / b) * b == a
 
 
 def test_order_mismatch_rejected():
@@ -83,9 +112,11 @@ def test_exp_requires_zero_constant_term():
 
 def test_exp_matches_power_sum_oracle():
     rng = random.Random(101)
-    for _ in range(25):
-        order = rng.randint(1, 12)
-        g = rand_series(rng, order)
+    arctan = (Series.one(11) / Series.from_polynomial(Polynomial((1, 0, 1)), 11)).integral()
+    cases = [rand_series(rng, rng.randint(1, 12)) for _ in range(25)]
+    cases += [rand_series(rng, rng.randint(1, 12), denominators=(1, 5, 7, 97)) for _ in range(10)]
+    cases.append(arctan * Fraction(-3, 5))
+    for g in cases:
         g = Series((Fraction(0),) + g.coeffs[1:])
         assert g.exp().coeffs == tuple(oracles.naive_exp(list(g.coeffs)))
 
@@ -178,6 +209,15 @@ def test_egf_terms_non_integer():
     with pytest.raises(NonIntegerCoefficientError) as info:
         bad.egf_terms()
     assert info.value.index == 1
+
+
+def test_construction_rejects_floats_and_strings():
+    for bad in ((0.1, 1), (1, "1/2"), (Fraction(1), 1.0)):
+        with pytest.raises(TypeError):
+            Series(bad)
+        with pytest.raises(TypeError):
+            Series.from_coefficients(bad)
+    assert Series((1, Fraction(1, 3))).coeffs == (Fraction(1), Fraction(1, 3))
 
 
 def test_series_text():
