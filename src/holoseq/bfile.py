@@ -12,7 +12,6 @@ import os
 import re
 import tempfile
 import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -136,9 +135,6 @@ def _cache_write(path: Path, text: str) -> None:
         raise
 
 
-_default_urlopen = urllib.request.urlopen
-
-
 def fetch_bfile(
     sequence_id: str,
     cache_dir: Optional[Union[str, Path]] = None,
@@ -160,9 +156,10 @@ def fetch_bfile(
     if cached_path.exists():
         return parse_bfile(cached_path.read_text(), sequence_id)
     url = _OEIS_URL.format(sid=sequence_id, digits=digits)
-    opener = urlopen if urlopen is not None else _default_urlopen
+    if urlopen is None:
+        from urllib.request import urlopen  # costs tens of ms; only a download needs it
     try:
-        with opener(url, timeout=timeout) as response:
+        with urlopen(url, timeout=timeout) as response:
             status = getattr(response, "status", 200)
             if status != 200:
                 raise HTTPStatusError(status, url)

@@ -7,6 +7,7 @@ counterexample), 2 usage or parse error, 3 I/O or network error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -37,7 +38,9 @@ from .sequences import SequenceTable
 from .series import NonIntegerCoefficientError
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; each subcommand sets its ``handler``."""
     parser = argparse.ArgumentParser(
         prog="holoseq",
         description="Exact tools for P-recursive integer sequences.",
@@ -45,12 +48,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("selfcheck", help="cross-check the built-in A214615 pipeline")
+    p.set_defaults(handler=cmd_selfcheck)
     p.add_argument("--max-n", type=int, default=500)
     p.add_argument("--series-order", type=int, default=100)
     p.add_argument("--against", metavar="BFILE", help="also check a local b-file")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("generate", help="unroll a recurrence into terms")
+    p.set_defaults(handler=cmd_generate)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--rec", metavar="TEXT")
     group.add_argument("--ode", metavar="TEXT")
@@ -60,6 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="check a recurrence against a b-file")
+    p.set_defaults(handler=cmd_verify)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--rec", metavar="TEXT")
     group.add_argument("--ode", metavar="TEXT")
@@ -67,22 +73,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("ode2rec", help="turn a differential operator into a recurrence")
+    p.set_defaults(handler=cmd_ode2rec)
     p.add_argument("operator", metavar="TEXT")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("guess", help="fit recurrences to the terms of a b-file")
+    p.set_defaults(handler=cmd_guess)
     p.add_argument("--bfile", required=True, metavar="PATH")
     p.add_argument("--max-order", type=int, default=2)
     p.add_argument("--max-degree", type=int, default=2)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("series", help="print the A214615-family EGF")
+    p.set_defaults(handler=cmd_series)
     p.add_argument("--x0", default="1", metavar="RATIONAL")
     p.add_argument("--to", type=int, default=11, metavar="N")
     p.add_argument("--text", action="store_true", help="print the series, not the terms")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("fetch", help="download (and cache) an OEIS b-file")
+    p.set_defaults(handler=cmd_fetch)
     p.add_argument("sequence_id", metavar="A-NUMBER")
     p.add_argument("--cache-dir", metavar="DIR")
     p.add_argument("--json", action="store_true")
@@ -306,16 +316,6 @@ def cmd_fetch(args: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "selfcheck": cmd_selfcheck,
-    "generate": cmd_generate,
-    "verify": cmd_verify,
-    "ode2rec": cmd_ode2rec,
-    "guess": cmd_guess,
-    "series": cmd_series,
-    "fetch": cmd_fetch,
-}
-
 # Exit code by exception class, looked up along the raised error's MRO.
 _EXIT_CODES = {ArithmeticError: 1, ValueError: 2, FetchError: 3, OSError: 3}
 
@@ -328,7 +328,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = exit_.code
         return code if isinstance(code, int) else 2
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except Exception as error:
         for cls in type(error).__mro__:
             if cls in _EXIT_CODES:

@@ -3,8 +3,9 @@
 The ansatz with order bound r and degree bound d has (r+1)(d+1) unknown
 integer coefficients c_{k,j} multiplying n^j a(n-k).  Every fully-in-table
 index n contributes one linear equation; the exact nullspace of that system
-is computed fraction-free (Bareiss elimination over integers after clearing
-denominators), so nothing is ever rounded.  Candidates are the nullspace
+is computed on ints only (Bareiss elimination after clearing denominators,
+then back substitution scaled by the last pivot, where every division is
+exact), so nothing is ever rounded.  Candidates are the nullspace
 basis vectors that have a nonzero leading polynomial p_0 and that re-verify
 against the full table; an empty result just means nothing was found at
 those bounds.
@@ -13,11 +14,10 @@ those bounds.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Sequence, Union
 
 from .operators import RecurrenceOperator
-from .polynomials import Polynomial
+from .polynomials import Polynomial, _primitive
 from .sequences import SequenceTable
 
 
@@ -25,25 +25,14 @@ class InsufficientTermsError(ValueError):
     """Too few terms to overdetermine the ansatz."""
 
 
-def _normalize_int_vector(values: Sequence[Fraction]) -> tuple[int, ...]:
-    denominators = [v.denominator for v in values]
-    scaled = [int(v * lcm(*denominators)) for v in values]
-    content = gcd(*scaled)
-    if content:
-        scaled = [v // content for v in scaled]
-    lead = next((v for v in scaled if v), 0)
-    if lead < 0:
-        scaled = [-v for v in scaled]
-    return tuple(scaled)
-
-
 def nullspace(matrix: Sequence[Sequence[Union[int, Fraction]]]) -> list[tuple[int, ...]]:
     """Basis of the right nullspace, as primitive integer vectors.
 
     Rows are cleared of denominators, reduced to row echelon form by
     fraction-free (Bareiss) elimination with row pivoting, and each free
-    column yields one basis vector by back substitution.  Vectors are
-    normalized to content 1 with a positive first nonzero entry.
+    column yields one basis vector by back substitution on ints (see the
+    comment there).  Vectors are normalized to content 1 with a positive
+    first nonzero entry.  Entries must be ints or Fractions (else TypeError).
     """
     if not matrix:
         raise ValueError("the matrix needs at least one row")
@@ -52,9 +41,7 @@ def nullspace(matrix: Sequence[Sequence[Union[int, Fraction]]]) -> list[tuple[in
     for row in matrix:
         if len(row) != ncols:
             raise ValueError("all matrix rows must have the same length")
-        fracs = [Fraction(x) for x in row]
-        scale = lcm(*[f.denominator for f in fracs])
-        rows.append([int(f * scale) for f in fracs])
+        rows.append(_primitive(row))
     nrows = len(rows)
     pivot_cols: list[int] = []
     pivot_row = 0
@@ -80,16 +67,16 @@ def nullspace(matrix: Sequence[Sequence[Union[int, Fraction]]]) -> list[tuple[in
     basis: list[tuple[int, ...]] = []
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     for free in free_cols:
-        solution = [Fraction(0)] * ncols
-        solution[free] = Fraction(1)
+        # x[free] = last pivot (+-the rank-r minor) makes x integral by Cramer: each // is exact.
+        solution = [0] * ncols
+        solution[free] = previous_pivot
         for i in reversed(range(len(pivot_cols))):
             col = pivot_cols[i]
-            acc = sum(
-                (rows[i][j] * solution[j] for j in range(col + 1, ncols)),
-                Fraction(0),
-            )
-            solution[col] = -acc / rows[i][col]
-        basis.append(_normalize_int_vector(solution))
+            acc = sum(rows[i][j] * solution[j] for j in range(col + 1, ncols))
+            solution[col] = -acc // rows[i][col]
+        vector = _primitive(solution)
+        sign = 1 if next(v for v in vector if v) > 0 else -1
+        basis.append(tuple(sign * v for v in vector))
     return basis
 
 
@@ -108,8 +95,9 @@ def guess_recurrence(
     homogeneous system determines solutions only up to scale, so this means
     two more equations than effective unknowns.  A candidate of order k
     claims n >= table.offset + k, the first index whose k predecessors are
-    all in the table, and must re-verify on the whole table; the result is sorted simplest-first by (order,
-    degree, largest coefficient bit length) and may be empty.
+    all in the table, and must re-verify on the whole table.  The result is
+    sorted simplest-first by (order, degree, largest coefficient bit length)
+    and may be empty.
     """
     r, d = max_order, max_degree
     if r < 0 or d < 0:
@@ -133,7 +121,7 @@ def guess_recurrence(
     candidates: dict[RecurrenceOperator, None] = {}
     for vector in nullspace(equations):
         polys = tuple(
-            Polynomial(tuple(Fraction(c) for c in vector[k * (d + 1) : (k + 1) * (d + 1)]))
+            Polynomial(vector[k * (d + 1) : (k + 1) * (d + 1)])
             for k in range(r + 1)
         )
         if polys[0].is_zero:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .operators import DifferentialOperator, RecurrenceOperator
-from .polynomials import Polynomial, RationalLike, X
+from .polynomials import Polynomial, RationalLike, X, _as_fraction
 from .sequences import SequenceTable
 from .series import Series
 
@@ -25,14 +25,15 @@ A214615_ID = "A214615"
 
 
 def meixner_eval(n: int, x: RationalLike) -> Fraction:
-    """M_n(x) by running the three-term recurrence forward."""
+    """M_n(x) by running the three-term recurrence forward; x is an int or a Fraction."""
     if n < 0:
         raise ValueError("polynomial index must be >= 0")
-    prev, cur = Fraction(1), Fraction(x)
+    x = _as_fraction(x)
+    prev, cur = Fraction(1), x
     if n == 0:
         return prev
     for k in range(1, n):
-        prev, cur = cur, Fraction(x) * cur - k * k * prev
+        prev, cur = cur, x * cur - k * k * prev
     return cur
 
 
@@ -47,7 +48,8 @@ def a214615_terms(n_max: int) -> SequenceTable:
 
 
 def build_egf(x0: RationalLike, order: int) -> Series:
-    """exp(x0 * arctan t) / sqrt(1 + t^2), truncated at ``order``."""
+    """exp(x0 * arctan t) / sqrt(1 + t^2) at ``order``; x0 is an int or a Fraction."""
+    x0 = _as_fraction(x0)
     if order < 0:
         raise ValueError("truncation order must be >= 0")
     if order == 0:
@@ -56,7 +58,7 @@ def build_egf(x0: RationalLike, order: int) -> Series:
     arctan = (
         Series.one(order - 1) / Series.from_polynomial(one_plus_t2, order - 1)
     ).integral()
-    exp_part = (arctan * Fraction(x0)).exp()
+    exp_part = (arctan * x0).exp()
     sqrt_part = Series.from_polynomial(one_plus_t2, order).inverse_sqrt()
     return exp_part * sqrt_part
 

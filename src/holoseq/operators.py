@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Mapping, Optional, Union
 
-from .polynomials import Polynomial, RationalLike, X, format_rational
+from .polynomials import Polynomial, RationalLike, X, _primitive, format_rational
 from .sequences import SequenceTable
 from .series import Series
 
@@ -241,14 +240,10 @@ class RecurrenceOperator:
             cs = cs[:-1]
         if not cs or cs[0].is_zero:
             raise ValueError("the coefficient p_0 of a(n) must be nonzero")
-        denominators = [c.denominator for p in cs for c in p.coeffs]
-        scale = Fraction(lcm(*denominators)) if denominators else Fraction(1)
-        numerators = [int(c * scale) for p in cs for c in p.coeffs if c != 0]
-        content = gcd(*numerators)
-        scale /= content
-        if cs[0].coeffs[-1] * scale < 0:
-            scale = -scale
-        object.__setattr__(self, "coeffs", tuple(p * scale for p in cs))
+        sign = 1 if cs[0].coeffs[-1] > 0 else -1
+        flat = iter(_primitive([c for p in cs for c in p.coeffs]))
+        canonical = tuple(Polynomial(tuple(sign * next(flat) for _ in p.coeffs)) for p in cs)
+        object.__setattr__(self, "coeffs", canonical)
 
     @classmethod
     def from_coefficients(
@@ -256,17 +251,9 @@ class RecurrenceOperator:
         coeffs: tuple[Polynomial, ...],
         n_min: Optional[int] = None,
     ) -> RecurrenceOperator:
-        """Build with n_min defaulting to the (trimmed) order."""
-        trimmed = list(coeffs)
-        while trimmed and (
-            trimmed[-1].is_zero
-            if isinstance(trimmed[-1], Polynomial)
-            else trimmed[-1] == 0
-        ):
-            trimmed.pop()
-        if n_min is None:
-            n_min = max(len(trimmed) - 1, 0)
-        return cls(tuple(trimmed), n_min)
+        """Build with n_min defaulting to the order of the canonical operator."""
+        operator = cls(tuple(coeffs), 0 if n_min is None else n_min)
+        return operator if n_min is not None else operator.with_n_min(operator.order)
 
     @classmethod
     def from_shift_weights(

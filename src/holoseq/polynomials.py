@@ -16,7 +16,8 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from math import gcd, lcm
+from typing import Iterable, Union
 
 # Sequence terms and b-file entries routinely run to thousands of decimal
 # digits; lift the interpreter's int<->str conversion cap high enough that
@@ -45,6 +46,20 @@ def _as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an int or a Fraction, got {type(value).__name__} {value!r}")
+
+
+def _over_common_denominator(values: Iterable[RationalLike]) -> tuple[list[int], int]:
+    """Integer numerators n_k and the least d > 0 with values[k] = n_k / d."""
+    fracs = [_as_fraction(v) for v in values]
+    den = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
+def _primitive(values: Iterable[RationalLike]) -> list[int]:
+    """The positive multiple of ``values`` that is integral with content 1 (zeros stay zero)."""
+    numerators, _ = _over_common_denominator(values)
+    content = gcd(*numerators)
+    return [v // content for v in numerators] if content else numerators
 
 
 def parse_rational(text: str) -> Fraction:

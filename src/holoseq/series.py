@@ -10,8 +10,9 @@ need aligned orders.
 
 Fractions are only the stored form.  The three quadratic kernels bring their
 operands to integer numerators over one common denominator (one lcm and O(N)
-integer multiplies), run on plain ints with no gcd in the inner loop, and
-reduce each of the N+1 results once on the way out:
+integer multiplies, in ``polynomials._over_common_denominator``), run on plain
+ints with no gcd in the inner loop, and reduce each of the N+1 results once on
+the way out:
 
 * ``a * b`` is one big-int multiply by Kronecker substitution: each operand is
   packed into an int with one byte-aligned slot per coefficient, wide enough
@@ -33,11 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import add
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
-from .polynomials import Polynomial, RationalLike, _as_fraction, format_rational
+from .polynomials import (
+    Polynomial, RationalLike, _as_fraction, _over_common_denominator, format_rational
+)
 from .sequences import SequenceTable
 
 
@@ -58,12 +60,6 @@ class NonIntegerCoefficientError(ArithmeticError):
         super().__init__(
             f"{index}! * c_{index} = {format_rational(value)} is not an integer"
         )
-
-
-def _over_common_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators n_k and the least d > 0 with coeffs[k] = n_k / d."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _kronecker_mul(a: list[int], b: list[int]) -> list[int]:

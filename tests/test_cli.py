@@ -197,13 +197,12 @@ def test_fetch_warm_cache(tmp_path, capsys):
 
 def test_fetch_network_failure_exit_code(tmp_path, monkeypatch, capsys):
     import urllib.error
-
-    import holoseq.bfile as bfile_module
+    import urllib.request
 
     def refuse(url, timeout):
         raise urllib.error.URLError("unreachable")
 
-    monkeypatch.setattr(bfile_module, "_default_urlopen", refuse)
+    monkeypatch.setattr(urllib.request, "urlopen", refuse)
     assert main(["fetch", "A000045", "--cache-dir", str(tmp_path)]) == 3
     assert "offline" in capsys.readouterr().err
 
@@ -245,3 +244,14 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == REC_TEXT
+
+
+def test_import_does_not_load_urllib_request():
+    # urllib.request is only needed for a download, and importing it costs tens of ms.
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, holoseq.cli; print('urllib.request' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

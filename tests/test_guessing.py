@@ -48,13 +48,23 @@ def test_nullspace_vectors_are_primitive_and_sign_normalized():
 
 def test_nullspace_matches_fraction_oracle_random():
     rng = random.Random(31415)
+    matrices = []
     for _ in range(40):
         nrows = rng.randint(1, 6)
         ncols = rng.randint(1, 6)
-        matrix = [
+        matrices.append([
             [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(ncols)]
             for _ in range(nrows)
-        ]
+        ])
+    # Rank-deficient integer products B*C (B is n x k, C is k x m, k < min(n, m)):
+    # the pivots are large minors, so back substitution divides by numbers far from +-1.
+    for _ in range(20):
+        n, m = rng.randint(2, 12), rng.randint(2, 12)
+        k = rng.randint(1, min(n, m) - 1)
+        b = [[rng.randint(-10**6, 10**6) for _ in range(k)] for _ in range(n)]
+        c = [[rng.randint(-10**6, 10**6) for _ in range(m)] for _ in range(k)]
+        matrices.append([[sum(b[i][t] * c[t][j] for t in range(k)) for j in range(m)] for i in range(n)])
+    for matrix in matrices:
         got = nullspace(matrix)
         expected = oracles.gauss_nullspace(matrix)
         assert len(got) == len(expected)
@@ -68,6 +78,11 @@ def test_nullspace_matches_fraction_oracle_random():
         for vector in got:
             for row in matrix:
                 assert sum(r * v for r, v in zip(row, vector)) == 0
+
+
+def test_nullspace_rejects_floats():
+    with pytest.raises(TypeError):
+        nullspace([[0.5, 1]])
 
 
 def test_nullspace_rejects_ragged_input():

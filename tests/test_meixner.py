@@ -90,3 +90,13 @@ def test_half_integer_x0_is_not_an_integer_sequence():
 def test_build_egf_rejects_negative_order():
     with pytest.raises(ValueError):
         build_egf(1, -1)
+
+
+def test_x0_must_be_int_or_fraction():
+    # Fraction(0.1) would smuggle a binary approximation into the EGF, and
+    # Fraction("1/2") would accept text that the exact grammar never parsed.
+    for order in (0, 2):
+        with pytest.raises(TypeError):
+            build_egf(0.1, order)
+    with pytest.raises(TypeError):
+        meixner_eval(2, "1/2")
