@@ -3,12 +3,15 @@
 The ansatz with order bound r and degree bound d has (r+1)(d+1) unknown
 integer coefficients c_{k,j} multiplying n^j a(n-k).  Every fully-in-table
 index n contributes one linear equation; the exact nullspace of that system
-is computed on ints only (Bareiss elimination after clearing denominators,
-then back substitution scaled by the last pivot, where every division is
-exact), so nothing is ever rounded.  Candidates are the nullspace
-basis vectors that have a nonzero leading polynomial p_0 and that re-verify
-against the full table; an empty result just means nothing was found at
-those bounds.
+is computed on ints only, so nothing is ever rounded.  The system is tall
+and its rank is at most its column count, so only its first ncols + 1 rows
+are eliminated (Bareiss elimination after clearing denominators, then back
+substitution scaled by the last pivot, where every division is exact); each
+remaining row is certified exactly against the resulting basis, and a row
+that fails sends the whole system through the same elimination.  Candidates
+are the nullspace basis vectors that have a nonzero leading polynomial p_0
+and that re-verify against the full table; an empty result just means
+nothing was found at those bounds.
 """
 
 from __future__ import annotations
@@ -28,11 +31,15 @@ class InsufficientTermsError(ValueError):
 def nullspace(matrix: Sequence[Sequence[Union[int, Fraction]]]) -> list[tuple[int, ...]]:
     """Basis of the right nullspace, as primitive integer vectors.
 
-    Rows are cleared of denominators, reduced to row echelon form by
-    fraction-free (Bareiss) elimination with row pivoting, and each free
-    column yields one basis vector by back substitution on ints (see the
-    comment there).  Vectors are normalized to content 1 with a positive
-    first nonzero entry.  Entries must be ints or Fractions (else TypeError).
+    Rows are cleared of denominators, and the first ncols + 1 of them (at
+    most ncols can be independent) are reduced to row echelon form by
+    fraction-free (Bareiss) elimination with row pivoting; each free column
+    yields one basis vector by back substitution on ints (see the comment
+    there).  Every remaining row is then certified exactly: its integer dot
+    product with every basis vector must be 0.  If one is not, the whole
+    matrix is eliminated instead.  Vectors are normalized to content 1 with
+    a positive first nonzero entry.  Entries must be ints or Fractions (else
+    TypeError), in every row.
     """
     if not matrix:
         raise ValueError("the matrix needs at least one row")
@@ -42,7 +49,18 @@ def nullspace(matrix: Sequence[Sequence[Union[int, Fraction]]]) -> list[tuple[in
         if len(row) != ncols:
             raise ValueError("all matrix rows must have the same length")
         rows.append(_primitive(row))
-    nrows = len(rows)
+    # The head's nullspace contains the matrix's and equals it once the rest is certified; the basis
+    # depends on that space alone (pivots at the first independent columns, x[free] = 1, primitive).
+    basis = _bareiss_nullspace([row[:] for row in rows[: ncols + 1]])
+    rest = rows[ncols + 1 :]
+    if all(sum(r * v for r, v in zip(row, vector)) == 0 for vector in basis for row in rest):
+        return basis
+    return _bareiss_nullspace(rows)
+
+
+def _bareiss_nullspace(rows: list[list[int]]) -> list[tuple[int, ...]]:
+    """``nullspace`` of the nonempty integer ``rows``, which it overwrites."""
+    nrows, ncols = len(rows), len(rows[0])
     pivot_cols: list[int] = []
     pivot_row = 0
     previous_pivot = 1

@@ -50,7 +50,8 @@ def _as_fraction(value: RationalLike) -> Fraction:
 
 def _over_common_denominator(values: Iterable[RationalLike]) -> tuple[list[int], int]:
     """Integer numerators n_k and the least d > 0 with values[k] = n_k / d."""
-    fracs = [_as_fraction(v) for v in values]
+    # ints already carry .numerator and .denominator
+    fracs = [v if isinstance(v, int) else _as_fraction(v) for v in values]
     den = lcm(*(f.denominator for f in fracs))
     return [f.numerator * (den // f.denominator) for f in fracs], den
 
@@ -117,10 +118,11 @@ class Polynomial:
         """x(x-1)...(x-length+1); the empty product (length 0) is 1."""
         if length < 0:
             raise ValueError("falling factorial length must be >= 0")
-        out = cls.constant(1)
+        coeffs = [1]
         for i in range(length):
-            out = out * cls((Fraction(-i), Fraction(1)))
-        return out
+            # multiply by (x - i): c_k <- c_{k-1} - i*c_k
+            coeffs = [a - i * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        return cls(tuple(coeffs))
 
     @property
     def degree(self) -> Union[int, float]:
@@ -180,12 +182,13 @@ class Polynomial:
         return out
 
     def shifted(self, offset: RationalLike) -> Polynomial:
-        """p(x + offset), expanded."""
-        out = Polynomial()
-        step = Polynomial((offset, 1))
-        for c in reversed(self.coeffs):
-            out = out * step + Polynomial.constant(c)
-        return out
+        """p(x + offset), expanded by the Taylor shift in place."""
+        a = _as_fraction(offset)
+        cs = list(self.coeffs)
+        for i in range(len(cs) - 1):
+            for j in range(len(cs) - 2, i - 1, -1):
+                cs[j] += a * cs[j + 1]
+        return Polynomial(tuple(cs))
 
     def to_text(self, var: str = "t", compact: bool = False) -> str:
         """Canonical ascending-power text, e.g. "1 - t" or "n^2 - 2*n + 1".

@@ -64,12 +64,31 @@ def test_nullspace_matches_fraction_oracle_random():
         b = [[rng.randint(-10**6, 10**6) for _ in range(k)] for _ in range(n)]
         c = [[rng.randint(-10**6, 10**6) for _ in range(m)] for _ in range(k)]
         matrices.append([[sum(b[i][t] * c[t][j] for t in range(k)) for j in range(m)] for i in range(n)])
+    # Tall matrices, more rows than the ncols + 1 that are eliminated: rank-deficient products
+    # are certified at once; one row repeated over the whole head forces the fallback.
+    def product(n, m, k):
+        b = [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 5))) for _ in range(k)] for _ in range(n)]
+        c = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(k)]
+        return [[sum(b[i][t] * c[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+
+    for _ in range(20):
+        m = rng.randint(1, 8)
+        matrices.append(product(rng.randint(m + 2, 3 * m + 4), m, rng.randint(1, m)))
+    for _ in range(20):
+        m = rng.randint(2, 8)
+        repeated = [rng.randint(1, 9)] + [Fraction(rng.randint(-9, 9), 3) for _ in range(m - 1)]
+        tail = product(rng.randint(1, 2 * m + 3), m, rng.randint(1, m))
+        matrices.append([repeated] * (m + 1) + tail)
     for matrix in matrices:
         got = nullspace(matrix)
         expected = oracles.gauss_nullspace(matrix)
         assert len(got) == len(expected)
-        # same subspace: every vector of each basis lies in the other's span
         got_lists = [[Fraction(x) for x in v] for v in got]
+        # the very same basis, vector by vector, up to scale
+        assert [oracles.normalize_direction(v) for v in got_lists] == [
+            oracles.normalize_direction(v) for v in expected
+        ]
+        # same subspace: every vector of each basis lies in the other's span
         for vector in got_lists:
             assert oracles.in_span(vector, expected)
         for vector in expected:
@@ -83,11 +102,15 @@ def test_nullspace_matches_fraction_oracle_random():
 def test_nullspace_rejects_floats():
     with pytest.raises(TypeError):
         nullspace([[0.5, 1]])
+    with pytest.raises(TypeError):  # below the ncols + 1 eliminated rows
+        nullspace([[1, 2], [3, 4], [5, 6], [0.5, 1]])
 
 
 def test_nullspace_rejects_ragged_input():
     with pytest.raises(ValueError):
         nullspace([[1, 2], [1]])
+    with pytest.raises(ValueError):  # below the ncols + 1 eliminated rows
+        nullspace([[1, 2], [3, 4], [5, 6], [1]])
     with pytest.raises(ValueError):
         nullspace([])
 

@@ -103,12 +103,23 @@ def test_polynomial_shift():
         c = rng.randint(-4, 4)
         at = rng.randint(-10, 10)
         assert p.shifted(c)(at) == p(at + c)
+    for _ in range(50):
+        p = Polynomial(tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(6)))
+        c = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+        at = Fraction(rng.randint(-10, 10), rng.randint(1, 3))
+        assert p.shifted(c)(at) == p(at + c)
+    assert Polynomial().shifted(Fraction(1, 3)).is_zero
+    assert Polynomial.constant(Fraction(-2, 7)).shifted(5) == Polynomial.constant(Fraction(-2, 7))
 
 
 def test_falling_factorial():
     assert Polynomial.falling_factorial(0) == Polynomial.constant(1)
     assert Polynomial.falling_factorial(1) == X
     assert Polynomial.falling_factorial(2) == X * (X - Polynomial.constant(1))
+    product = Polynomial.constant(1)
+    for length in range(9):
+        assert Polynomial.falling_factorial(length) == product
+        product = product * (X - Polynomial.constant(length))
     # vanishes on 0..length-1, the fact the extraction rule leans on
     for length in range(5):
         p = Polynomial.falling_factorial(length)
