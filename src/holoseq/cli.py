@@ -151,8 +151,10 @@ def _report_line(label: str, report: VerifyReport) -> tuple[str, bool]:
 def cmd_selfcheck(args: argparse.Namespace) -> int:
     max_n = args.max_n
     order = args.series_order
-    if max_n < 1 or order < 1:
-        raise ValueError("--max-n and --series-order must be >= 1")
+    if max_n < A214615_RECURRENCE.n_min or order < 1:
+        raise ValueError(
+            f"--max-n must be >= {A214615_RECURRENCE.n_min} and --series-order >= 1"
+        )
     table = a214615_terms(max_n)
     shown = ", ".join(str(v) for v in table.terms[:12])
     more = ", ..." if len(table) > 12 else ""

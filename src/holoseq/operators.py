@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
-from .polynomials import Polynomial, RationalLike, X, _primitive, format_rational
+from .polynomials import Polynomial, RationalLike, _primitive, format_rational
 from .sequences import SequenceTable
 from .series import Series
 
@@ -105,9 +105,20 @@ def _as_shifted_power(poly: Polynomial) -> Optional[tuple[Fraction, int, int]]:
     b = poly.coeffs[deg - 1] / (c * deg)
     if b.denominator != 1:
         return None
-    if poly == (X + Polynomial.constant(b)) ** deg * c:
+    # p = c*(x+b)^e exactly when p(x-b) is the monomial c*x^e
+    if poly.shifted(-b).coeffs[:-1] == (0,) * deg:
         return c, int(b), deg
     return None
+
+
+def _as_polynomials(
+    values: Iterable[Union[Polynomial, RationalLike]]
+) -> tuple[Polynomial, ...]:
+    """The values as Polynomials, constants lifted, trailing zeros trimmed."""
+    cs = [v if isinstance(v, Polynomial) else Polynomial.constant(v) for v in values]
+    while cs and cs[-1].is_zero:
+        cs.pop()
+    return tuple(cs)
 
 
 def _join_signed(parts: list[tuple[bool, str]]) -> str:
@@ -129,12 +140,7 @@ class DifferentialOperator:
     coeffs: tuple[Polynomial, ...]
 
     def __post_init__(self) -> None:
-        cs = tuple(
-            c if isinstance(c, Polynomial) else Polynomial.constant(c)
-            for c in self.coeffs
-        )
-        while cs and cs[-1].is_zero:
-            cs = cs[:-1]
+        cs = _as_polynomials(self.coeffs)
         if not cs:
             raise ValueError("the zero operator has no order; refusing to build it")
         object.__setattr__(self, "coeffs", cs)
@@ -232,12 +238,7 @@ class RecurrenceOperator:
     def __post_init__(self) -> None:
         if not isinstance(self.n_min, int):
             raise TypeError("n_min must be an int")
-        cs = tuple(
-            c if isinstance(c, Polynomial) else Polynomial.constant(c)
-            for c in self.coeffs
-        )
-        while cs and cs[-1].is_zero:
-            cs = cs[:-1]
+        cs = _as_polynomials(self.coeffs)
         if not cs or cs[0].is_zero:
             raise ValueError("the coefficient p_0 of a(n) must be nonzero")
         sign = 1 if cs[0].coeffs[-1] > 0 else -1
@@ -269,11 +270,8 @@ class RecurrenceOperator:
         smallest m at which no referenced index is negative for offset-0
         tables).
         """
-        polys = {
-            s: (w if isinstance(w, Polynomial) else Polynomial.constant(w))
-            for s, w in weights.items()
-        }
-        nonzero = {s: w for s, w in polys.items() if not w.is_zero}
+        # a zero weight trims to the empty tuple
+        nonzero = {s: p for s, w in weights.items() for p in _as_polynomials((w,))}
         if not nonzero:
             raise ValueError("all shift weights are zero; no recurrence to build")
         s_max, s_min = max(nonzero), min(nonzero)

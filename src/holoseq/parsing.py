@@ -10,9 +10,15 @@ grammars that differ only in their atoms:
 
 '*' may be omitted immediately before a(...) and D.  '/' is only allowed
 between integer literals.  A unicode minus is accepted anywhere '-' is.
-Products that would need commuting a polynomial across D (like "D*t") are
-rejected rather than silently reordered, and any product of two a(...)
-atoms is rejected as nonlinear.
+
+A parsed value maps (atom, power of the variable) to its coefficient.  The
+atom is j for D^j (0 for the plain part) in an operator, the shift s of
+a(n+s) (None for the plain part) in a recurrence, and None in a polynomial.
+Sums merge the maps; products convolve them, adding powers and adding atoms
+with None as the identity.  Each Polynomial is built once, at the end.
+D and t do not commute, so no factor right of D may contain t: "D*t" and
+"D*(t*D)" are rejected rather than silently reordered.  Any product of two
+a(...) atoms is rejected as nonlinear.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .operators import DifferentialOperator, RecurrenceOperator
-from .polynomials import Polynomial, X
+from .polynomials import Polynomial, RationalLike
 
 
 class OperatorSyntaxError(ValueError):
@@ -35,9 +41,7 @@ class OperatorSyntaxError(ValueError):
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z]\w*)|(?P<sym>>=|[-+*/^()=]))")
 
-# A parsed value is (polynomial part, {key: polynomial}) where the key is a
-# derivative order (ode mode) or an index shift s for a(n+s) (rec mode).
-_Value = tuple[Polynomial, dict[int, Polynomial]]
+_Value = dict[tuple[Optional[int], int], RationalLike]
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -64,6 +68,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 class _Parser:
     def __init__(self, text: str, mode: str, var: str):
         self.mode = mode
+        self.plain: Optional[int] = 0 if mode == "ode" else None
         self.var = var
         self.tokens = _tokenize(text)
         self.i = 0
@@ -89,42 +94,28 @@ class _Parser:
             raise OperatorSyntaxError(f"expected {value!r}, found {v or 'end'!r}", pos)
         self.i += 1
 
-    def _fail(self, message: str) -> OperatorSyntaxError:
-        _, _, pos = self._peek()
-        return OperatorSyntaxError(message, pos)
-
     # value algebra ------------------------------------------------------
 
     @staticmethod
-    def _const(c: Fraction) -> _Value:
-        return Polynomial.constant(c), {}
-
-    def _add(self, u: _Value, v: _Value, sign: int) -> _Value:
-        pu, tu = u
-        pv, tv = v
-        terms = dict(tu)
-        for key, w in tv.items():
-            terms[key] = terms.get(key, Polynomial()) + w * sign
-        return pu + pv * sign, terms
+    def _add(u: _Value, v: _Value, sign: int) -> _Value:
+        out = dict(u)
+        for key, c in v.items():
+            out[key] = out.get(key, 0) + sign * c
+        return out
 
     def _mul(self, u: _Value, v: _Value, pos: int) -> _Value:
-        pu, tu = u
-        pv, tv = v
-        if self.mode == "rec" and tu and tv:
+        if self.mode == "rec" and {s for s, _ in u} - {None} and {s for s, _ in v} - {None}:
             raise OperatorSyntaxError("nonlinear product of a(...) terms", pos)
-        if self.mode == "ode" and tu and pv.degree >= 1:
+        if self.mode == "ode" and any(j >= 1 for j, _ in u) and any(k >= 1 for _, k in v):
             raise OperatorSyntaxError(
                 "polynomial coefficients must be written to the left of D", pos
             )
-        terms: dict[int, Polynomial] = {}
-        for j, x in tv.items():
-            terms[j] = pu * x
-        for i, w in tu.items():
-            terms[i] = terms.get(i, Polynomial()) + w * pv
-            for j, x in tv.items():
-                key = i + j
-                terms[key] = terms.get(key, Polynomial()) + w * x
-        return pu * pv, terms
+        out: _Value = {}
+        for (a, i), x in u.items():
+            for (b, k), y in v.items():
+                key = (b if a is None else a if b is None else a + b, i + k)
+                out[key] = out.get(key, 0) + x * y
+        return out
 
     # grammar ------------------------------------------------------------
 
@@ -139,7 +130,7 @@ class _Parser:
                 break
         value = self.parse_term()
         if sign < 0:
-            value = self._add(self._const(Fraction(0)), value, -1)
+            value = self._add({}, value, -1)
         while True:
             if self._match("sym", "+"):
                 value = self._add(value, self.parse_term(), 1)
@@ -176,7 +167,7 @@ class _Parser:
                 raise OperatorSyntaxError("expected an integer exponent", epos)
             self._take()
             exponent = int(digits)
-            result = self._const(Fraction(1))
+            result: _Value = {(self.plain, 0): 1}
             for _ in range(exponent):
                 result = self._mul(result, value, pos)
             return result
@@ -192,17 +183,17 @@ class _Parser:
                     raise OperatorSyntaxError("expected an integer denominator", dpos)
                 if int(dtext) == 0:
                     raise OperatorSyntaxError("zero denominator", dpos)
-                return self._const(Fraction(numerator, int(dtext)))
-            return self._const(Fraction(numerator))
+                return {(self.plain, 0): Fraction(numerator, int(dtext))}
+            return {(self.plain, 0): numerator}
         if kind == "sym" and text == "(":
             value = self.parse_expression()
             self._expect("sym", ")")
             return value
         if kind == "name":
             if text == self.var:
-                return X, {}
+                return {(self.plain, 1): 1}
             if self.mode == "ode" and text == "D":
-                return Polynomial(), {1: Polynomial.constant(1)}
+                return {(1, 0): 1}
             if self.mode == "rec" and text == "a":
                 return self._parse_sequence_atom(pos)
             raise OperatorSyntaxError(f"unknown symbol {text!r}", pos)
@@ -225,7 +216,7 @@ class _Parser:
                 raise OperatorSyntaxError("expected an integer shift in a(...)", opos)
             shift = int(digits) if sym == "+" else -int(digits)
             self._expect("sym", ")")
-        return Polynomial(), {shift: Polynomial.constant(1)}
+        return {(shift, 0): 1}
 
     def parse_validity_clause(self) -> Optional[int]:
         if not self._match("name", "for"):
@@ -246,26 +237,34 @@ class _Parser:
             raise OperatorSyntaxError(f"unexpected trailing {text!r}", pos)
 
 
+def _polynomials(value: _Value) -> dict[Optional[int], Polynomial]:
+    """The nonzero polynomial coefficient of each atom in a parsed value."""
+    rows: dict[Optional[int], list[RationalLike]] = {}
+    for (atom, power), c in value.items():
+        row = rows.setdefault(atom, [])
+        row.extend([0] * (power + 1 - len(row)))
+        row[power] += c
+    polys = {atom: Polynomial(tuple(row)) for atom, row in rows.items()}
+    return {atom: p for atom, p in polys.items() if not p.is_zero}
+
+
 def parse_polynomial(text: str, var: str = "t") -> Polynomial:
     """Parse polynomial text like "1 - t + 0*t^2" into canonical form."""
     parser = _Parser(text, "poly", var)
-    poly, terms = parser.parse_expression()
+    value = parser.parse_expression()
     parser.expect_end()
-    assert not terms
-    return poly
+    return _polynomials(value).get(None, Polynomial())
 
 
 def parse_differential_operator(text: str) -> DifferentialOperator:
     """Parse operator text like "(1+t^2)*D - (1-t)"."""
     parser = _Parser(text, "ode", "t")
-    poly, terms = parser.parse_expression()
+    value = parser.parse_expression()
     parser.expect_end()
-    if not poly.is_zero:
-        terms[0] = terms.get(0, Polynomial()) + poly
+    terms = _polynomials(value)
     if not terms:
         raise OperatorSyntaxError("the zero operator has no order", 0)
-    top = max(terms)
-    coeffs = tuple(terms.get(j, Polynomial()) for j in range(top + 1))
+    coeffs = tuple(terms.get(j, Polynomial()) for j in range(max(terms) + 1))
     return DifferentialOperator(coeffs)
 
 
@@ -278,19 +277,17 @@ def parse_recurrence(text: str) -> RecurrenceOperator:
     Without a clause, the bound defaults to the recurrence order.
     """
     parser = _Parser(text, "rec", "n")
-    lhs = parser.parse_expression()
-    value = lhs
+    value = parser.parse_expression()
     if parser._match("sym", "="):
-        rhs = parser.parse_expression()
-        value = parser._add(lhs, rhs, -1)
+        value = parser._add(value, parser.parse_expression(), -1)
     valid_from = parser.parse_validity_clause()
     parser.expect_end()
-    poly, terms = value
-    nonzero = {s: w for s, w in terms.items() if not w.is_zero}
-    if not nonzero:
+    terms = _polynomials(value)
+    inhomogeneous = terms.pop(None, None)
+    if not terms:
         raise OperatorSyntaxError("no a(...) terms in recurrence", 0)
-    if not poly.is_zero:
+    if inhomogeneous is not None:
         raise OperatorSyntaxError(
             "inhomogeneous recurrences are not supported (nonzero polynomial part)", 0
         )
-    return RecurrenceOperator.from_shift_weights(nonzero, valid_from)
+    return RecurrenceOperator.from_shift_weights(terms, valid_from)

@@ -162,6 +162,12 @@ def test_selfcheck_small(capsys):
     assert "FAIL" not in out
 
 
+def test_selfcheck_max_n_below_first_checkable_index(capsys):
+    assert main(["selfcheck", "--max-n", "1", "--series-order", "12"]) == 2
+    assert "--max-n" in capsys.readouterr().err
+    assert main(["selfcheck", "--max-n", "2", "--series-order", "12"]) == 0
+
+
 def test_selfcheck_against_good_bfile(tmp_path, capsys):
     path = write_golden_bfile(tmp_path, n_max=30)
     assert main(

@@ -56,11 +56,18 @@ def test_parse_differential_operator_unicode_minus():
 
 
 def test_parse_differential_operator_rejects_d_times_t():
-    with pytest.raises(OperatorSyntaxError):
-        parse_differential_operator("D*t")
-    # constants commute, so this one is fine
+    for text in ["D*t", "D*(t*D)", "(t*D)^2", "(D+1)*(t*D)", "D^2*(t+D)"]:
+        with pytest.raises(OperatorSyntaxError):
+            parse_differential_operator(text)
+    # constants and D itself commute with D, so these are fine
     assert parse_differential_operator("D*2") == DifferentialOperator(
         (Polynomial(), Polynomial.constant(2))
+    )
+    assert parse_differential_operator("D*(2*D)") == DifferentialOperator(
+        (Polynomial(), Polynomial(), Polynomial.constant(2))
+    )
+    assert parse_differential_operator("(D)*(D+3)") == DifferentialOperator(
+        (Polynomial(), Polynomial.constant(3), ONE)
     )
 
 
