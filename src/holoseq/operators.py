@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .polynomials import Polynomial, RationalLike, _primitive, format_rational
 from .sequences import SequenceTable
@@ -298,23 +298,57 @@ class RecurrenceOperator:
         """The same relation with a different stated validity bound."""
         return RecurrenceOperator(self.coeffs, n_min)
 
-    def _int_rows(self) -> list[list[int]]:
-        return [[int(c) for c in p.coeffs] for p in self.coeffs]
+    def _steps(
+        self, terms: Sequence[int], offset: int, start: int, stop: int
+    ) -> Iterator[tuple[int, int, int]]:
+        """Yield (n, p_0(n), s(n)) for n = start..stop, s(n) = -sum_{k>=1} p_k(n) a(n-k).
 
-    @staticmethod
-    def _eval_int(row: list[int], n: int) -> int:
-        acc = 0
-        for c in reversed(row):
-            acc = acc * n + c
-        return acc
+        a(m) is terms[m - offset] and counts as zero below the offset.  The
+        list is read afresh at every step, so unroll may append a(n) before
+        asking for n + 1.  Each p_k(n) is integer Horner on the canonical
+        rows, the k >= 1 rows negated once here.  Zero values are skipped, a
+        value of +-1 adds or subtracts its term without a multiply, and the
+        sum starts at its first term, not at 0; no step divides.
+        """
+        lead = [int(c) for c in reversed(self.coeffs[0].coeffs)]
+        rows = [
+            (k, [-int(c) for c in reversed(p.coeffs)])
+            for k, p in enumerate(self.coeffs)
+            if k and not p.is_zero
+        ]
+        for n in range(start, stop + 1):
+            p0 = 0
+            for c in lead:
+                p0 = p0 * n + c
+            s = None
+            for k, row in rows:
+                m = n - k - offset
+                if m < 0:
+                    continue
+                v = 0
+                for c in row:
+                    v = v * n + c
+                if v == 0:
+                    continue
+                a = terms[m]
+                if s is None:
+                    s = a if v == 1 else -a if v == -1 else v * a
+                elif v == 1:
+                    s += a
+                elif v == -1:
+                    s -= a
+                else:
+                    s += v * a
+            yield n, p0, 0 if s is None else s
 
     def unroll(self, initial: SequenceTable, n_max: int) -> SequenceTable:
         """Extend the initial terms through index n_max by solving for a(n).
 
-        The first solved index offset + len(initial) must be >= n_min;
-        indices below the offset contribute zero.  Raises
-        SingularRecurrenceError where p_0 vanishes and NonIntegerTermError
-        when the solved value is not an integer.
+        Each step solves p_0(n) a(n) = s(n), the sum of ``_steps``: a(n) is
+        s(n) itself when p_0(n) = 1, else the exact quotient.  The first
+        solved index offset + len(initial) must be >= n_min; indices below
+        the offset contribute zero.  Raises SingularRecurrenceError where p_0
+        vanishes and NonIntegerTermError when s(n)/p_0(n) is not an integer.
         """
         if n_max < initial.offset:
             raise ValueError(f"n_max {n_max} is below the table offset {initial.offset}")
@@ -326,30 +360,26 @@ class RecurrenceOperator:
                 f"initial terms end at {initial.last_index} but the recurrence "
                 f"only holds for n >= {self.n_min}"
             )
-        rows = self._int_rows()
-        offset = initial.offset
         terms = list(initial.terms)
-        for n in range(start, n_max + 1):
-            lead = self._eval_int(rows[0], n)
+        for n, lead, s in self._steps(terms, initial.offset, start, n_max):
+            if lead == 1:
+                terms.append(s)
+                continue
             if lead == 0:
                 raise SingularRecurrenceError(n)
-            acc = 0
-            for k in range(1, self.order + 1):
-                m = n - k
-                if m < offset:
-                    continue
-                acc += self._eval_int(rows[k], n) * terms[m - offset]
-            quotient, remainder = divmod(-acc, lead)
+            quotient, remainder = divmod(s, lead)
             if remainder != 0:
-                raise NonIntegerTermError(n, Fraction(-acc, lead))
+                raise NonIntegerTermError(n, Fraction(s, lead))
             terms.append(quotient)
-        return SequenceTable(offset, tuple(terms))
+        return SequenceTable(initial.offset, tuple(terms))
 
     def verify(self, table: SequenceTable) -> VerifyReport:
         """Check the recurrence at every n from max(n_min, offset) up.
 
-        Indices below the offset count as zero.  Stops at the first nonzero
-        residual and reports it as (n, residual).
+        Compares p_0(n) a(n) with the sum s(n) of ``_steps``, counting
+        indices below the offset as zero.  Stops at the first mismatch and
+        reports it as (n, residual), the full residual
+        sum_{k>=0} p_k(n) a(n-k) = p_0(n) a(n) - s(n).
         """
         start = max(self.n_min, table.offset)
         end = table.last_index
@@ -357,19 +387,11 @@ class RecurrenceOperator:
             raise ValueError(
                 f"table ends at {end}, before the first checkable index {start}"
             )
-        rows = self._int_rows()
-        offset = table.offset
-        for n in range(start, end + 1):
-            residual = 0
-            for k in range(self.order + 1):
-                m = n - k
-                if m < offset:
-                    continue
-                coeff = self._eval_int(rows[k], n)
-                if coeff != 0:
-                    residual += coeff * table.terms[m - offset]
-            if residual != 0:
-                return VerifyReport(False, start, n, (n, residual))
+        terms = table.terms
+        for n, lead, s in self._steps(terms, table.offset, start, end):
+            a = terms[n - table.offset]
+            if (a if lead == 1 else lead * a) != s:
+                return VerifyReport(False, start, n, (n, lead * a - s))
         return VerifyReport(True, start, end, None)
 
     def to_text(self) -> str:

@@ -157,6 +157,19 @@ def test_guess_at_offset_five():
     assert all(c.verify(table).n_first_checked == 7 for c in candidates)
 
 
+def test_guess_rejects_a_fit_that_fails_only_below_the_equations():
+    # a(offset) = 5 breaks a(n) = 2*a(n-1) at n = offset + 1 alone.  At bounds
+    # (2, 0) the equations start at n = offset + 2, so their nullspace is that
+    # order-1 relation, and only the check below offset + 2 can reject it.
+    for offset in (0, 5):
+        table = SequenceTable(offset, (5,) + tuple(2**n for n in range(1, 9)))
+        rows = [[table.term(n - k) for k in range(3)] for n in range(offset + 2, table.last_index + 1)]
+        assert nullspace(rows) == [(1, -2, 0)]
+        doubling = RecurrenceOperator((Polynomial.constant(1), Polynomial.constant(-2)), offset + 1)
+        assert doubling.verify(table).first_failure == (offset + 1, -8)
+        assert guess_recurrence(table, 2, 0) == []
+
+
 def test_guess_insufficient_terms_boundary():
     # order 2, degree 2 needs (2+1)(2+1) + 2 + 1 = 12 terms
     with pytest.raises(InsufficientTermsError):
