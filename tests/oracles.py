@@ -4,14 +4,17 @@ Everything here deliberately avoids the code paths under test: series exp
 is computed from the power sum instead of the ODE method, inverse sqrt from
 generalized binomial coefficients instead of Miller's power recurrence,
 nullspaces by plain Fraction Gauss-Jordan instead of fraction-free
-elimination, and EGF coefficient extraction by literally differentiating and
-shifting the series instead of the falling-factorial shift/weight rule.
+elimination, EGF coefficient extraction by literally differentiating and
+shifting the series instead of the falling-factorial shift/weight rule, and
+recurrence unrolling and residuals by summing c_j n^j over Fractions instead
+of integer Horner.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from typing import Optional
 
 
 def naive_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -128,3 +131,50 @@ def in_span(vector: list[Fraction], basis: list[list[Fraction]]) -> bool:
         return all(x == 0 for x in vector)
     matrix = [list(b) for b in basis]
     return rank(matrix + [list(vector)]) == rank(matrix)
+
+
+def power_sum(coeffs: list[Fraction], n: int) -> Fraction:
+    """sum_j coeffs[j] * n^j, term by term (no Horner)."""
+    return sum((Fraction(c) * n**j for j, c in enumerate(coeffs)), Fraction(0))
+
+
+def recurrence_residual(rows: list[list[Fraction]], offset: int, terms: list[int], n: int) -> Fraction:
+    """sum_k p_k(n) a(n-k), with a(m) = terms[m - offset] and 0 below the offset."""
+    total = Fraction(0)
+    for k, row in enumerate(rows):
+        if n - k >= offset:
+            total += power_sum(row, n) * terms[n - k - offset]
+    return total
+
+
+def unroll_by_fractions(
+    rows: list[list[Fraction]], offset: int, initial: list[int], n_max: int
+) -> tuple[list[int], Optional[tuple]]:
+    """Terms through n_max, solving p_0(n) a(n) = -sum_{k>=1} p_k(n) a(n-k).
+
+    Returns (terms, None), or the terms so far and ("singular", n) where
+    p_0(n) = 0, or ("non-integer", n, value) where a(n) is not an integer.
+    """
+    terms = list(initial)
+    for n in range(offset + len(terms), n_max + 1):
+        lead = power_sum(rows[0], n)
+        if lead == 0:
+            return terms, ("singular", n)
+        # with a(n) set to 0 the residual is the sum over k >= 1 alone
+        value = -recurrence_residual(rows, offset, terms + [0], n) / lead
+        if value.denominator != 1:
+            return terms, ("non-integer", n, value)
+        terms.append(int(value))
+    return terms, None
+
+
+def verify_by_fractions(
+    rows: list[list[Fraction]], n_min: int, offset: int, terms: list[int]
+) -> tuple[bool, int, int, Optional[tuple[int, Fraction]]]:
+    """(passed, first n checked, last n checked, first (n, nonzero residual) or None)."""
+    start = max(n_min, offset)
+    for n in range(start, offset + len(terms)):
+        residual = recurrence_residual(rows, offset, terms, n)
+        if residual != 0:
+            return False, start, n, (n, residual)
+    return True, start, offset + len(terms) - 1, None

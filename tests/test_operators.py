@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -310,6 +311,83 @@ def test_unroll_then_verify_round_trip_random():
         initial = SequenceTable(0, tuple(rng.randint(-5, 5) for _ in range(rec.order)))
         table = rec.unroll(initial, 20)
         assert rec.verify(table).passed
+
+
+def _random_row(rng, near):
+    """Coefficients of a p_k(n); the linear and quadratic kinds take -1, 0 and 1 near ``near``."""
+    c = rng.randint(near - 2, near + 12)
+    return rng.choice((
+        [rng.choice((-1, 1))],
+        [rng.randint(-6, 6)],
+        [-c, 1],
+        [c, -1],
+        [c * c - 1, -2 * c, 1],
+        [rng.randint(-3, 3) for _ in range(3)],
+    ))
+
+
+def _is_composite(v):
+    v = abs(int(v))
+    return v > 3 and any(v % q == 0 for q in range(2, v))
+
+
+def test_unroll_and_verify_match_fraction_oracle_random():
+    rng = random.Random(20261018)
+    seen = Counter()
+    for _ in range(400):
+        offset = rng.choice((0, 1, 5))
+        order = rng.randint(1, 3)
+        n_min = rng.randint(offset - 3, offset + order)
+        initial = [rng.randint(-5, 5) for _ in range(max(1, n_min - offset) + rng.randint(0, 2))]
+        start = offset + len(initial)
+        n_max = start + rng.randint(0, 12)
+        rows = [[Fraction(c) for c in _random_row(rng, start)] for _ in range(order + 1)]
+        if not any(rows[0]):
+            rows[0] = [Fraction(1)]
+        rec = RecurrenceOperator(tuple(Polynomial(tuple(row)) for row in rows), n_min)
+
+        expected, failure = oracles.unroll_by_fractions(rows, offset, initial, n_max)
+        if failure is None:
+            assert rec.unroll(SequenceTable(offset, tuple(initial)), n_max).terms == tuple(expected)
+            seen["complete"] += 1
+        else:
+            error = SingularRecurrenceError if failure[0] == "singular" else NonIntegerTermError
+            with pytest.raises(error) as info:
+                rec.unroll(SequenceTable(offset, tuple(initial)), n_max)
+            assert info.value.n == failure[1]
+            if error is NonIntegerTermError:
+                assert info.value.value == failure[2]
+            seen[failure[0]] += 1
+        for n in range(start, offset + len(expected) + (failure is not None)):
+            lead = oracles.power_sum(rows[0], n)
+            if len(rows[0]) > 1:
+                seen["p_0 = +-1"] += abs(lead) == 1
+                seen["p_0 composite"] += _is_composite(lead)
+            for k in range(1, order + 1):
+                if n - k >= offset and oracles.power_sum(rows[k], n) in (-1, 0, 1):
+                    seen[f"p_k = {oracles.power_sum(rows[k], n)}"] += 1
+
+        canonical = [list(p.coeffs) for p in rec.coeffs]
+        first, last = max(n_min, offset), offset + len(expected) - 1
+        if last < first:
+            with pytest.raises(ValueError):
+                rec.verify(SequenceTable(offset, tuple(expected)))
+            continue
+        variants = [expected, [rng.randint(-9, 9) for _ in expected]]
+        for i in (first, last):
+            bad = list(expected)
+            bad[i - offset] += rng.choice((-1, 1)) * rng.randint(1, 5)
+            variants.append(bad)
+        for terms in variants:
+            want = oracles.verify_by_fractions(canonical, n_min, offset, terms)
+            report = rec.verify(SequenceTable(offset, tuple(terms)))
+            assert (report.passed, report.n_first_checked, report.n_last_checked, report.first_failure) == want
+            if want[3] is not None:
+                seen["fails at first"] += want[3][0] == first
+                seen["fails at last"] += want[3][0] == last > first
+    for case in ("complete", "singular", "non-integer", "p_0 = +-1", "p_0 composite",
+                 "p_k = -1", "p_k = 0", "p_k = 1", "fails at first", "fails at last"):
+        assert seen[case] > 0, case
 
 
 # --- extraction/verification consistency --------------------------------
