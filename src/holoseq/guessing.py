@@ -10,10 +10,9 @@ substitution scaled by the last pivot, where every division is exact); each
 remaining row is certified exactly against the resulting basis, and a row
 that fails sends the whole system through the same elimination.  Candidates
 are the nullspace basis vectors that have a nonzero leading polynomial p_0
-and that hold at every index of the table: the equations cover each
-n >= offset + r, so only a candidate of order below r is verified, and only
-on the indices below that; an empty result just means nothing was found at
-those bounds.
+and that hold on the whole table, where only the indices below offset + r
+need a ``verify`` (the equations cover the rest); an empty result just means
+nothing was found at those bounds.
 """
 
 from __future__ import annotations
@@ -115,9 +114,8 @@ def guess_recurrence(
     homogeneous system determines solutions only up to scale, so this means
     two more equations than effective unknowns.  A candidate of order k
     claims n >= table.offset + k, the first index whose k predecessors are
-    all in the table, and must hold there and at every later index: the
-    certified nullspace proves each n >= table.offset + max_order, and
-    ``verify`` checks the indices below it.  The result is
+    all in the table, and must hold on the whole table (verified below
+    table.offset + max_order, where the equations start).  The result is
     sorted simplest-first by (order, degree, largest coefficient bit length)
     and may be empty.
     """
@@ -150,7 +148,6 @@ def guess_recurrence(
             continue
         order = max(k for k, p in enumerate(polys) if not p.is_zero)
         candidate = RecurrenceOperator(polys, table.offset + order)
-        # The equations already give residual 0 at every n >= offset + r.
         if order == r or candidate.verify(table.prefix(table.offset + r - 1)).passed:
             candidates.setdefault(candidate, None)
     return sorted(

@@ -303,52 +303,36 @@ class RecurrenceOperator:
     ) -> Iterator[tuple[int, int, int]]:
         """Yield (n, p_0(n), s(n)) for n = start..stop, s(n) = -sum_{k>=1} p_k(n) a(n-k).
 
-        a(m) is terms[m - offset] and counts as zero below the offset.  The
-        list is read afresh at every step, so unroll may append a(n) before
-        asking for n + 1.  Each p_k(n) is integer Horner on the canonical
-        rows, the k >= 1 rows negated once here.  Zero values are skipped, a
-        value of +-1 adds or subtracts its term without a multiply, and the
-        sum starts at its first term, not at 0; no step divides.
+        a(m) = terms[m - offset], zero below the offset (unroll appends a(n) before n + 1).
+        Integer Horner on the canonical rows; zero values are skipped, +-1 needs no multiply.
         """
-        lead = [int(c) for c in reversed(self.coeffs[0].coeffs)]
-        rows = [
-            (k, [-int(c) for c in reversed(p.coeffs)])
-            for k, p in enumerate(self.coeffs)
-            if k and not p.is_zero
-        ]
+        lead, *rows = ([int(c) for c in reversed(p.coeffs)] for p in self.coeffs)
+        rows = [(k, [-c for c in row]) for k, row in enumerate(rows, 1) if row]
         for n in range(start, stop + 1):
             p0 = 0
             for c in lead:
                 p0 = p0 * n + c
             s = None
             for k, row in rows:
-                m = n - k - offset
-                if m < 0:
-                    continue
                 v = 0
                 for c in row:
                     v = v * n + c
-                if v == 0:
+                if v == 0 or n - k < offset:
                     continue
-                a = terms[m]
-                if s is None:
+                a = terms[n - k - offset]
+                if s is None:  # start at the first term, not at 0 + term
                     s = a if v == 1 else -a if v == -1 else v * a
-                elif v == 1:
-                    s += a
-                elif v == -1:
-                    s -= a
                 else:
-                    s += v * a
+                    s = s + a if v == 1 else s - a if v == -1 else s + v * a
             yield n, p0, 0 if s is None else s
 
     def unroll(self, initial: SequenceTable, n_max: int) -> SequenceTable:
-        """Extend the initial terms through index n_max by solving for a(n).
+        """Extend the initial terms through index n_max by solving p_0(n) a(n) = s(n).
 
-        Each step solves p_0(n) a(n) = s(n), the sum of ``_steps``: a(n) is
-        s(n) itself when p_0(n) = 1, else the exact quotient.  The first
-        solved index offset + len(initial) must be >= n_min; indices below
-        the offset contribute zero.  Raises SingularRecurrenceError where p_0
-        vanishes and NonIntegerTermError when s(n)/p_0(n) is not an integer.
+        s(n) comes from ``_steps``, and a(n) = s(n) outright when p_0(n) = 1.
+        The first solved index offset + len(initial) must be >= n_min; indices
+        below the offset contribute zero.  Raises SingularRecurrenceError where
+        p_0 vanishes and NonIntegerTermError when s(n)/p_0(n) is not an integer.
         """
         if n_max < initial.offset:
             raise ValueError(f"n_max {n_max} is below the table offset {initial.offset}")
@@ -362,34 +346,26 @@ class RecurrenceOperator:
             )
         terms = list(initial.terms)
         for n, lead, s in self._steps(terms, initial.offset, start, n_max):
-            if lead == 1:
-                terms.append(s)
-                continue
             if lead == 0:
                 raise SingularRecurrenceError(n)
-            quotient, remainder = divmod(s, lead)
+            quotient, remainder = (s, 0) if lead == 1 else divmod(s, lead)
             if remainder != 0:
                 raise NonIntegerTermError(n, Fraction(s, lead))
             terms.append(quotient)
         return SequenceTable(initial.offset, tuple(terms))
 
     def verify(self, table: SequenceTable) -> VerifyReport:
-        """Check the recurrence at every n from max(n_min, offset) up.
+        """Compare p_0(n) a(n) with s(n) of ``_steps`` at every n >= max(n_min, offset).
 
-        Compares p_0(n) a(n) with the sum s(n) of ``_steps``, counting
-        indices below the offset as zero.  Stops at the first mismatch and
-        reports it as (n, residual), the full residual
-        sum_{k>=0} p_k(n) a(n-k) = p_0(n) a(n) - s(n).
+        Indices below the offset count as zero.  Stops at the first mismatch and
+        reports (n, residual), the full residual p_0(n) a(n) - s(n).
         """
         start = max(self.n_min, table.offset)
         end = table.last_index
         if start > end:
-            raise ValueError(
-                f"table ends at {end}, before the first checkable index {start}"
-            )
-        terms = table.terms
-        for n, lead, s in self._steps(terms, table.offset, start, end):
-            a = terms[n - table.offset]
+            raise ValueError(f"table ends at {end}, before the first checkable index {start}")
+        for n, lead, s in self._steps(table.terms, table.offset, start, end):
+            a = table.terms[n - table.offset]
             if (a if lead == 1 else lead * a) != s:
                 return VerifyReport(False, start, n, (n, lead * a - s))
         return VerifyReport(True, start, end, None)

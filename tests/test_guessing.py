@@ -163,9 +163,11 @@ def test_guess_rejects_a_fit_that_fails_only_below_the_equations():
     # order-1 relation, and only the check below offset + 2 can reject it.
     for offset in (0, 5):
         table = SequenceTable(offset, (5,) + tuple(2**n for n in range(1, 9)))
-        rows = [[table.term(n - k) for k in range(3)] for n in range(offset + 2, table.last_index + 1)]
-        assert nullspace(rows) == [(1, -2, 0)]
-        doubling = RecurrenceOperator((Polynomial.constant(1), Polynomial.constant(-2)), offset + 1)
+        equations = range(offset + 2, table.last_index + 1)
+        assert nullspace([[table.term(n - k) for k in range(3)] for n in equations]) == [(1, -2, 0)]
+        doubling = RecurrenceOperator(
+            (Polynomial.constant(1), Polynomial.constant(-2)), offset + 1
+        )
         assert doubling.verify(table).first_failure == (offset + 1, -8)
         assert guess_recurrence(table, 2, 0) == []
 

@@ -348,7 +348,8 @@ def test_unroll_and_verify_match_fraction_oracle_random():
 
         expected, failure = oracles.unroll_by_fractions(rows, offset, initial, n_max)
         if failure is None:
-            assert rec.unroll(SequenceTable(offset, tuple(initial)), n_max).terms == tuple(expected)
+            table = rec.unroll(SequenceTable(offset, tuple(initial)), n_max)
+            assert table.terms == tuple(expected)
             seen["complete"] += 1
         else:
             error = SingularRecurrenceError if failure[0] == "singular" else NonIntegerTermError
@@ -381,7 +382,8 @@ def test_unroll_and_verify_match_fraction_oracle_random():
         for terms in variants:
             want = oracles.verify_by_fractions(canonical, n_min, offset, terms)
             report = rec.verify(SequenceTable(offset, tuple(terms)))
-            assert (report.passed, report.n_first_checked, report.n_last_checked, report.first_failure) == want
+            got = (report.passed, report.n_first_checked, report.n_last_checked, report.first_failure)
+            assert got == want
             if want[3] is not None:
                 seen["fails at first"] += want[3][0] == first
                 seen["fails at last"] += want[3][0] == last > first

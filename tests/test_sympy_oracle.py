@@ -48,7 +48,9 @@ def egf_residuals(qs, n0, terms):
     r = len(qs) - 1
     return [
         sum(
-            sum(c * n**j for j, c in enumerate(q)) * prod(range(n + i + 1, n + r + 1)) * terms[n + i]
+            sum(c * n**j for j, c in enumerate(q))
+            * prod(range(n + i + 1, n + r + 1))
+            * terms[n + i]
             for i, q in enumerate(qs)
         )
         for n in range(n0, len(terms) - r)
