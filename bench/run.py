@@ -58,15 +58,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     rows = []
     for n in SIZES:
         table = a214615_terms(n)
-        same = lambda result: result == table  # noqa: E731
         cases = {
-            "a214615_terms": (lambda: a214615_terms(n), same),
-            "unroll": (lambda: A214615_RECURRENCE.unroll(A214615_INITIAL, n), same),
-            "verify": (lambda: A214615_RECURRENCE.verify(table), lambda result: result.passed),
+            "a214615_terms": lambda: a214615_terms(n),
+            "unroll": lambda: A214615_RECURRENCE.unroll(A214615_INITIAL, n),
+            "verify": lambda: A214615_RECURRENCE.verify(table),
         }
-        for name, (call, correct) in cases.items():
+        for name, call in cases.items():
             runs = [timed(call) for _ in range(args.runs)]
-            if not all(correct(result) for result, _, _ in runs):
+            if not all(r.passed if name == "verify" else r == table for r, _, _ in runs):
                 raise SystemExit(f"bench: {name} at n = {n} disagrees with a214615_terms")
             rows.append({
                 "case": name,

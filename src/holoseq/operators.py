@@ -306,8 +306,8 @@ class RecurrenceOperator:
         a(m) = terms[m - offset], zero below the offset (unroll appends a(n) before n + 1).
         Integer Horner on the canonical rows; zero values are skipped, +-1 needs no multiply.
         """
-        lead, *rows = ([int(c) for c in reversed(p.coeffs)] for p in self.coeffs)
-        rows = [(k, [-c for c in row]) for k, row in enumerate(rows, 1) if row]
+        lead, *others = ([int(c) for c in reversed(p.coeffs)] for p in self.coeffs)
+        rows = [(k, [-c for c in row]) for k, row in enumerate(others, 1) if row]
         for n in range(start, stop + 1):
             p0 = 0
             for c in lead:
