@@ -2,19 +2,20 @@
 
 Run from the repository root:
 
-    python3 bench/run.py [--src DIR] [--label NAME] [--runs K]
+    python3 bench/run.py [--src DIR] [--label NAME]
 
 It times the direct loop ``a214615_terms``, ``RecurrenceOperator.unroll``
 from a(0), a(1) and ``RecurrenceOperator.verify`` of the direct table, at
-n = 10^4 and 2*10^4, and checks that the three agree.  Each case runs K
-times.  A row holds the median wall-clock seconds and the median reference
+n = 10^4 and 2*10^4, and checks that the three agree.  Each case runs RUNS
+(5) times.  A row holds the median wall-clock seconds and the median reference
 seconds: each run scaled by perfbench's REFERENCE_S over the faster of the
 reference-kernel runs just before and just after it, because this kind of
 shared host drifts in speed by up to half within seconds.  Each row also
 holds the largest term's bit length; the record holds the Python version
 and the CPU model.  ``--src`` names the directory holding the ``holoseq``
 package to measure (default: ``src`` of this checkout), so another checkout
-can be measured by the same script.  Only the standard library is used.
+can be measured by the same script; the script exits if ``holoseq`` is
+imported from anywhere else.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from holobench import REFERENCE_S, cpu_model, reference_seconds  # noqa: E402
 
 SIZES = (10_000, 20_000)
+RUNS = 5
 
 
 def timed(call: Callable[[], object]) -> tuple[object, float, float]:
@@ -48,12 +50,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--label", default="unroll_verify")
-    parser.add_argument("--runs", type=int, default=5)
     args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be >= 1")
     sys.path.insert(0, str(args.src.resolve()))
+    import holoseq
     from holoseq import A214615_INITIAL, A214615_RECURRENCE, a214615_terms
+    if Path(holoseq.__file__).resolve().parent != (args.src / "holoseq").resolve():
+        raise SystemExit(f"bench: imported holoseq from {holoseq.__file__}, not {args.src}")
 
     rows = []
     for n in SIZES:
@@ -64,13 +66,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             "verify": lambda: A214615_RECURRENCE.verify(table),
         }
         for name, call in cases.items():
-            runs = [timed(call) for _ in range(args.runs)]
+            runs = [timed(call) for _ in range(RUNS)]
             if not all(r.passed if name == "verify" else r == table for r, _, _ in runs):
                 raise SystemExit(f"bench: {name} at n = {n} disagrees with a214615_terms")
             rows.append({
                 "case": name,
                 "n": n,
-                "runs": args.runs,
+                "runs": RUNS,
                 "median_wall_s": round(statistics.median(wall for _, wall, _ in runs), 4),
                 "median_reference_s": round(statistics.median(ref for _, _, ref in runs), 4),
                 "max_term_bits": max(abs(v).bit_length() for v in table.terms),
