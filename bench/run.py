@@ -1,4 +1,4 @@
-"""Layer benchmark of A214615's three routes to its terms; writes bench/BENCH_<label>.json.
+"""Layer benchmark of A214615's terms, unroll, verify and guess; writes bench/BENCH_<label>.json.
 
 Run from the repository root:
 
@@ -6,16 +6,20 @@ Run from the repository root:
 
 It times the direct loop ``a214615_terms``, ``RecurrenceOperator.unroll``
 from a(0), a(1) and ``RecurrenceOperator.verify`` of the direct table, at
-n = 10^4 and 2*10^4, and checks that the three agree.  Each case runs RUNS
-(5) times.  A row holds the median wall-clock seconds and the median reference
-seconds: each run scaled by perfbench's REFERENCE_S over the faster of the
-reference-kernel runs just before and just after it, because this kind of
-shared host drifts in speed by up to half within seconds.  Each row also
-holds the largest term's bit length; the record holds the Python version
-and the CPU model.  ``--src`` names the directory holding the ``holoseq``
-package to measure (default: ``src`` of this checkout), so another checkout
-can be measured by the same script; the script exits if ``holoseq`` is
-imported from anywhere else.  Only the standard library is used.
+n = 10^4 and 2*10^4, and checks that the three agree.  It then times
+``guess_recurrence`` on the first 202 terms of A214615 and of the Motzkin
+numbers at r = d = 4, 8 and 12; such a row also holds the number of
+candidates, and every candidate must verify on the table.  Each case runs
+RUNS (5) times.  A row holds the median wall-clock seconds and the median
+reference seconds: each run scaled by perfbench's REFERENCE_S over the
+faster of the reference-kernel runs just before and just after it, because
+this kind of shared host drifts in speed by up to half within seconds.
+Each row also holds the largest term's bit length; the record holds the
+Python version and the CPU model.  The label defaults to ``layers``.
+``--src`` names the directory holding the ``holoseq`` package to measure
+(default: ``src`` of this checkout), so another checkout can be measured by
+the same script; the script exits if ``holoseq`` is imported from anywhere
+else.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -27,13 +31,16 @@ import statistics
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Hashable, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from holobench import REFERENCE_S, cpu_model, reference_seconds  # noqa: E402
 
 SIZES = (10_000, 20_000)
+GUESS_TERMS = 202
+GUESS_BOUNDS = (4, 8, 12)
+MOTZKIN = "(n+2)*a(n) - (2*n+1)*a(n-1) - 3*(n-1)*a(n-2) = 0"
 RUNS = 5
 
 
@@ -46,14 +53,54 @@ def timed(call: Callable[[], object]) -> tuple[object, float, float]:
     return result, wall, wall * REFERENCE_S / min(before, reference_seconds())
 
 
+def measure(
+    call: Callable[[], object], summary: Callable[[object], Hashable]
+) -> tuple[object, list[tuple[float, float]]]:
+    """The summary of RUNS calls' results, which must agree, and their (wall, reference) seconds.
+
+    Each result is dropped once summarised, so a 2*10^4-term table is not held five times over.
+    """
+    summaries, runs = set(), []
+    for _ in range(RUNS):
+        result, wall, ref = timed(call)
+        summaries.add(summary(result))
+        del result
+        runs.append((wall, ref))
+    if len(summaries) != 1:
+        raise SystemExit(f"bench: the {RUNS} runs of one case disagree")
+    return summaries.pop(), runs
+
+
+def row(case: str, n: int, runs: list, table, **extra: object) -> dict:
+    """One record row from the (wall, reference) seconds of a case's runs on ``table``."""
+    out = {
+        "case": case,
+        "n": n,
+        **extra,
+        "runs": RUNS,
+        "median_wall_s": round(statistics.median(wall for wall, _ in runs), 4),
+        "median_reference_s": round(statistics.median(ref for _, ref in runs), 4),
+        "max_term_bits": max(abs(v).bit_length() for v in table.terms),
+    }
+    print(json.dumps(out))
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--label", default="unroll_verify")
+    parser.add_argument("--label", default="layers")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     import holoseq
-    from holoseq import A214615_INITIAL, A214615_RECURRENCE, a214615_terms
+    from holoseq import (
+        A214615_INITIAL,
+        A214615_RECURRENCE,
+        SequenceTable,
+        a214615_terms,
+        guess_recurrence,
+        parse_recurrence,
+    )
     if Path(holoseq.__file__).resolve().parent != (args.src / "holoseq").resolve():
         raise SystemExit(f"bench: imported holoseq from {holoseq.__file__}, not {args.src}")
 
@@ -66,18 +113,21 @@ def main(argv: Optional[list[str]] = None) -> int:
             "verify": lambda: A214615_RECURRENCE.verify(table),
         }
         for name, call in cases.items():
-            runs = [timed(call) for _ in range(RUNS)]
-            if not all(r.passed if name == "verify" else r == table for r, _, _ in runs):
+            agrees, runs = measure(call, lambda r: r.passed if name == "verify" else r == table)
+            if not agrees:
                 raise SystemExit(f"bench: {name} at n = {n} disagrees with a214615_terms")
-            rows.append({
-                "case": name,
-                "n": n,
-                "runs": RUNS,
-                "median_wall_s": round(statistics.median(wall for _, wall, _ in runs), 4),
-                "median_reference_s": round(statistics.median(ref for _, _, ref in runs), 4),
-                "max_term_bits": max(abs(v).bit_length() for v in table.terms),
-            })
-            print(json.dumps(rows[-1]))
+            rows.append(row(name, n, runs, table))
+    guess_tables = {
+        "a214615": a214615_terms(GUESS_TERMS - 1),
+        "motzkin": parse_recurrence(MOTZKIN).unroll(SequenceTable(0, (1, 1)), GUESS_TERMS - 1),
+    }
+    for name, table in guess_tables.items():
+        for bound in GUESS_BOUNDS:
+            candidates, runs = measure(lambda: guess_recurrence(table, bound, bound), tuple)
+            if not all(c.verify(table).passed for c in candidates):
+                raise SystemExit(f"bench: a guess on {name} at r = d = {bound} fails on the table")
+            extra = {"bounds": [bound, bound], "candidates": len(candidates)}
+            rows.append(row(f"guess_{name}", GUESS_TERMS, runs, table, **extra))
     record = {
         "label": args.label,
         "python": platform.python_version(),

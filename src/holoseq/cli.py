@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("operator", metavar="TEXT")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("guess", help="fit recurrences to the terms of a b-file")
+    p = sub.add_parser("guess", help="fit the minimal recurrence to the terms of a b-file")
     p.set_defaults(handler=cmd_guess)
     p.add_argument("--bfile", required=True, metavar="PATH")
     p.add_argument("--max-order", type=int, default=2)

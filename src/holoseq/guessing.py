@@ -1,23 +1,15 @@
-"""Recurrence guessing: fit sum_k p_k(n) a(n-k) = 0 to a table of terms.
+"""Recurrence guessing: the minimal sum_k p_k(n) a(n-k) = 0 that fits a table of terms.
 
-The ansatz with order bound r and degree bound d has (r+1)(d+1) unknown
-integer coefficients c_{k,j} multiplying n^j a(n-k).  Every fully-in-table
-index n contributes one linear equation; the exact nullspace of that system
-is computed on ints only, so nothing is ever rounded.  The system is tall
-and its rank is at most its column count, so only its first ncols + 1 rows
-are eliminated (Bareiss elimination after clearing denominators, then back
-substitution scaled by the last pivot, where every division is exact); each
-remaining row is certified exactly against the resulting basis, and a row
-that fails sends the whole system through the same elimination.  Candidates
-are the nullspace basis vectors that have a nonzero leading polynomial p_0
-and that hold on the whole table, where only the indices below offset + r
-need a ``verify`` (the equations cover the rest); an empty result just means
-nothing was found at those bounds.
+``guess_recurrence`` tries the (order, degree) pairs within the bounds by their
+number of unknowns, each on its own exact linear system, and stops at the first
+pair with a fit.  ``nullspace`` solves such a system on ints only, so nothing is
+ever rounded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Sequence, Union
 
 from .operators import RecurrenceOperator
@@ -32,31 +24,35 @@ class InsufficientTermsError(ValueError):
 def nullspace(matrix: Sequence[Sequence[Union[int, Fraction]]]) -> list[tuple[int, ...]]:
     """Basis of the right nullspace, as primitive integer vectors.
 
-    Rows are cleared of denominators, and the first ncols + 1 of them (at
-    most ncols can be independent) are reduced to row echelon form by
-    fraction-free (Bareiss) elimination with row pivoting; each free column
-    yields one basis vector by back substitution on ints (see the comment
-    there).  Every remaining row is then certified exactly: its integer dot
-    product with every basis vector must be 0.  If one is not, the whole
-    matrix is eliminated instead.  Vectors are normalized to content 1 with
-    a positive first nonzero entry.  Entries must be ints or Fractions (else
-    TypeError), in every row.
+    Every row must have the same length and hold only ints and Fractions
+    (else ValueError or TypeError).  At most ncols rows can be independent,
+    so only the first ncols + 1 are cleared of denominators and reduced to
+    row echelon form by fraction-free (Bareiss) elimination with row
+    pivoting; each free column yields one basis vector by back substitution
+    on ints (see the comment there).  An empty basis is returned at once.
+    Otherwise every remaining row is cleared and certified exactly: its
+    integer dot product with every basis vector must be 0.  If one is not,
+    the whole matrix is eliminated instead.  Vectors are normalized to
+    content 1 with a positive first nonzero entry.
     """
     if not matrix:
         raise ValueError("the matrix needs at least one row")
     ncols = len(matrix[0])
-    rows: list[list[int]] = []
     for row in matrix:
         if len(row) != ncols:
             raise ValueError("all matrix rows must have the same length")
-        rows.append(_primitive(row))
+        if not all(isinstance(value, (int, Fraction)) for value in row):
+            raise TypeError("matrix entries must be ints or Fractions")
+    head = [_primitive(row) for row in matrix[: ncols + 1]]
     # The head's nullspace contains the matrix's and equals it once the rest is certified; the basis
     # depends on that space alone (pivots at the first independent columns, x[free] = 1, primitive).
-    basis = _bareiss_nullspace([row[:] for row in rows[: ncols + 1]])
-    rest = rows[ncols + 1 :]
+    basis = _bareiss_nullspace([row[:] for row in head])
+    if not basis:
+        return basis
+    rest = [_primitive(row) for row in matrix[ncols + 1 :]]
     if all(sum(r * v for r, v in zip(row, vector)) == 0 for vector in basis for row in rest):
         return basis
-    return _bareiss_nullspace(rows)
+    return _bareiss_nullspace(head + rest)
 
 
 def _bareiss_nullspace(rows: list[list[int]]) -> list[tuple[int, ...]]:
@@ -99,58 +95,52 @@ def _bareiss_nullspace(rows: list[list[int]]) -> list[tuple[int, ...]]:
     return basis
 
 
-def _max_bit_length(operator: RecurrenceOperator) -> int:
-    return max(
-        int(c).bit_length() for p in operator.coeffs for c in p.coeffs
-    )
-
-
 def guess_recurrence(
     table: SequenceTable, max_order: int, max_degree: int
 ) -> list[RecurrenceOperator]:
-    """All recurrences of order <= max_order, degree <= max_degree that fit.
+    """The minimal recurrences of order <= max_order and degree <= max_degree that fit.
 
     Needs len(table) >= (max_order+1)(max_degree+1) + max_order + 1: the
     homogeneous system determines solutions only up to scale, so this means
-    two more equations than effective unknowns.  A candidate of order k
-    claims n >= table.offset + k, the first index whose k predecessors are
-    all in the table, and must hold on the whole table (verified below
-    table.offset + max_order, where the equations start).  The result is
-    sorted simplest-first by (order, degree, largest coefficient bit length)
-    and may be empty.
+    two more equations than effective unknowns.  The pairs (r', d') within
+    the bounds are tried by increasing (r'+1)(d'+1), ties by increasing r',
+    and the result is the candidates of the first pair that has any: the
+    fit with the fewest unknowns, even when it has order 0, such as
+    n(n-1)*a(n) = 0 on a table that is zero from a(2) on.  It is normally a
+    single recurrence, and [] when no pair has a candidate.  A candidate of
+    order k claims n >= table.offset + k, the first index whose k
+    predecessors are all in the table, and must hold on the whole table
+    (verified below table.offset + r', where the pair's equations start).
     """
     r, d = max_order, max_degree
     if r < 0 or d < 0:
         raise ValueError("order and degree bounds must be >= 0")
-    unknowns = (r + 1) * (d + 1)
-    needed = unknowns + r + 1
+    needed = (r + 1) * (d + 1) + r + 1
     if len(table) < needed:
         raise InsufficientTermsError(
             f"need at least {needed} terms for order {r}, degree {d}; got {len(table)}"
         )
-    equations: list[list[int]] = []
-    for n in range(table.offset + r, table.last_index + 1):
-        row: list[int] = []
-        for k in range(r + 1):
-            a = table.term(n - k)
-            power = 1
-            for _ in range(d + 1):
-                row.append(power * a)
-                power *= n
-        equations.append(row)
-    candidates: dict[RecurrenceOperator, None] = {}
-    for vector in nullspace(equations):
-        polys = tuple(
-            Polynomial(vector[k * (d + 1) : (k + 1) * (d + 1)])
-            for k in range(r + 1)
-        )
-        if polys[0].is_zero:
-            continue
-        order = max(k for k, p in enumerate(polys) if not p.is_zero)
-        candidate = RecurrenceOperator(polys, table.offset + order)
-        if order == r or candidate.verify(table.prefix(table.offset + r - 1)).passed:
-            candidates.setdefault(candidate, None)
-    return sorted(
-        candidates,
-        key=lambda op: (op.order, op.degree, _max_bit_length(op)),
+    offset, terms = table.offset, table.terms
+    # entries[i][k][j] = n^j a(n-k) at n = offset + i, for k <= min(i, r) and j <= d
+    entries = []
+    for i, n in enumerate(range(offset, table.last_index + 1)):
+        powers = [n**j for j in range(d + 1)]
+        entries.append([[p * terms[i - k] for p in powers] for k in range(min(i, r) + 1)])
+    pairs = sorted(
+        product(range(r + 1), range(d + 1)), key=lambda p: ((p[0] + 1) * (p[1] + 1), p[0])
     )
+    for r1, d1 in pairs:
+        width = d1 + 1
+        equations = [[c for row in entry[: r1 + 1] for c in row[:width]] for entry in entries[r1:]]
+        candidates = []
+        for vector in nullspace(equations):
+            polys = tuple(Polynomial(vector[k * width : (k + 1) * width]) for k in range(r1 + 1))
+            if polys[0].is_zero:
+                continue
+            order = max(k for k, p in enumerate(polys) if not p.is_zero)
+            candidate = RecurrenceOperator(polys, offset + order)
+            if order == r1 or candidate.verify(table.prefix(offset + r1 - 1)).passed:
+                candidates.append(candidate)
+        if candidates:
+            return candidates
+    return []

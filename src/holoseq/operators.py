@@ -183,8 +183,9 @@ class DifferentialOperator:
 
         Expands every monomial c t^a D^b into its shift/weight pair,
         collects weights by shift, and reindexes so the recurrence reads
-        sum_k p_k(n) a(n-k) = 0.  The validity bound n_min is the recurrence
-        order: the smallest n at which no referenced index is negative.
+        sum_k p_k(n) a(n-k) = 0.  Extraction proves it for n >= 0 before reindexing,
+        so n_min = max(order, s_max): the order unless every monomial has b > a
+        (D^2 - D, which kills 5 + e^t, gives a(n) = a(n-1) only for n >= 2).
         """
         weights: dict[int, Polynomial] = {}
         for j, q in enumerate(self.coeffs):
@@ -193,7 +194,7 @@ class DifferentialOperator:
                     continue
                 shift, weight = egf_shift_weight(a_pow, j)
                 weights[shift] = weights.get(shift, Polynomial()) + weight * c
-        return RecurrenceOperator.from_shift_weights(weights)
+        return RecurrenceOperator.from_shift_weights(weights, max(0, -min(weights)))
 
     def to_text(self, var: str = "t") -> str:
         """Canonical text, highest derivative first: "(1+t^2)*D - (1-t)"."""

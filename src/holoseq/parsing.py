@@ -119,6 +119,16 @@ class _Parser:
 
     # grammar ------------------------------------------------------------
 
+    def parse_value(self) -> _Value:
+        """The expression less the one right of '=' (rec mode); too deep nesting is a syntax error."""
+        try:
+            value = self.parse_expression()
+            if self.mode == "rec" and self._match("sym", "="):
+                value = self._add(value, self.parse_expression(), -1)
+        except RecursionError:
+            raise OperatorSyntaxError("expression nested too deeply", self._peek()[2]) from None
+        return value
+
     def parse_expression(self) -> _Value:
         sign = 1
         while True:
@@ -251,7 +261,7 @@ def _polynomials(value: _Value) -> dict[Optional[int], Polynomial]:
 def parse_polynomial(text: str, var: str = "t") -> Polynomial:
     """Parse polynomial text like "1 - t + 0*t^2" into canonical form."""
     parser = _Parser(text, "poly", var)
-    value = parser.parse_expression()
+    value = parser.parse_value()
     parser.expect_end()
     return _polynomials(value).get(None, Polynomial())
 
@@ -259,7 +269,7 @@ def parse_polynomial(text: str, var: str = "t") -> Polynomial:
 def parse_differential_operator(text: str) -> DifferentialOperator:
     """Parse operator text like "(1+t^2)*D - (1-t)"."""
     parser = _Parser(text, "ode", "t")
-    value = parser.parse_expression()
+    value = parser.parse_value()
     parser.expect_end()
     terms = _polynomials(value)
     if not terms:
@@ -277,9 +287,7 @@ def parse_recurrence(text: str) -> RecurrenceOperator:
     Without a clause, the bound defaults to the recurrence order.
     """
     parser = _Parser(text, "rec", "n")
-    value = parser.parse_expression()
-    if parser._match("sym", "="):
-        value = parser._add(value, parser.parse_expression(), -1)
+    value = parser.parse_value()
     valid_from = parser.parse_validity_clause()
     parser.expect_end()
     terms = _polynomials(value)

@@ -7,7 +7,8 @@ nullspaces by plain Fraction Gauss-Jordan instead of fraction-free
 elimination, EGF coefficient extraction by literally differentiating and
 shifting the series instead of the falling-factorial shift/weight rule, and
 recurrence unrolling and residuals by summing c_j n^j over Fractions instead
-of integer Horner.
+of integer Horner, and minimal guessing from those Fraction nullspaces and
+residuals alone.
 """
 
 from __future__ import annotations
@@ -178,3 +179,36 @@ def verify_by_fractions(
         if residual != 0:
             return False, start, n, (n, residual)
     return True, start, offset + len(terms) - 1, None
+
+
+def minimal_fits(
+    terms: list[int], offset: int, r: int, d: int
+) -> list[tuple[list[list[Fraction]], int]]:
+    """(rows, n_min) of every fit of the first (order, degree) pair that has one.
+
+    Pairs go by the number of unknowns (order+1)(degree+1), then by order.  A
+    pair's fits are the Gauss-Jordan basis vectors of its system (one equation
+    per n >= offset + order) whose p_0 is nonzero and whose residual vanishes
+    at every n >= offset + (their own order) in the table.
+    """
+    for unknowns in range(1, (r + 1) * (d + 1) + 1):
+        for order in range(r + 1):
+            degree = unknowns // (order + 1) - 1
+            if unknowns % (order + 1) or degree > d:
+                continue
+            matrix = [
+                [Fraction(n) ** j * terms[n - k - offset] for k in range(order + 1) for j in range(degree + 1)]
+                for n in range(offset + order, offset + len(terms))
+            ]
+            fits = []
+            for vector in gauss_nullspace(matrix):
+                rows = [vector[k * (degree + 1) : (k + 1) * (degree + 1)] for k in range(order + 1)]
+                if not any(rows[0]):
+                    continue
+                rows = rows[: max(k for k, row in enumerate(rows) if any(row)) + 1]
+                start = offset + len(rows) - 1
+                if all(recurrence_residual(rows, offset, terms, n) == 0 for n in range(start, offset + len(terms))):
+                    fits.append((rows, start))
+            if fits:
+                return fits
+    return []

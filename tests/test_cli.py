@@ -162,6 +162,27 @@ def test_selfcheck_small(capsys):
     assert "FAIL" not in out
 
 
+def test_deeply_nested_text_is_a_usage_error(capsys):
+    assert main(["ode2rec", "(" * 300 + "D" + ")" * 300]) == 2
+    deep_rec = "(" * 300 + "a(n)" + ")" * 300 + " = a(n-1)"
+    assert main(["generate", "--rec", deep_rec, "--init", "1", "--to", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("nested too deeply") == 2 and "Traceback" not in err
+
+
+def test_ode2rec_claims_only_proved_indices(capsys):
+    assert main(["ode2rec", "D^2 - D"]) == 0
+    assert main(["ode2rec", "D"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "a(n) - a(n-1) = 0 for n >= 2",
+        "a(n) = 0 for n >= 1",
+    ]
+    # 5 + e^t: a(0) and a(1) are both initial terms now
+    assert main(["generate", "--ode", "D^2 - D", "--init", "6,1", "--to", "4"]) == 0
+    assert capsys.readouterr().out.split() == ["0", "6", "1", "1", "2", "1", "3", "1", "4", "1"]
+    assert main(["generate", "--ode", "D^2 - D", "--init", "6", "--to", "4"]) == 2
+
+
 def test_selfcheck_max_n_below_first_checkable_index(capsys):
     assert main(["selfcheck", "--max-n", "1", "--series-order", "12"]) == 2
     assert "--max-n" in capsys.readouterr().err

@@ -244,3 +244,82 @@ def test_guess_ordering_is_deterministic():
     assert first == second
     for earlier, later in zip(first, first[1:]):
         assert (earlier.order, earlier.degree) <= (later.order, later.degree)
+
+
+# --- minimal-first walk -------------------------------------------------
+
+
+def _first_order_table(offset, m, first, length):
+    """a(n) + (n - m)*a(n-1) = 0 from a(offset) = first: zero from a(m) on when m > offset."""
+    rec = RecurrenceOperator((ONE, Polynomial((-m, 1))), offset + 1)
+    return rec.unroll(SequenceTable(offset, (first,)), offset + length - 1)
+
+
+def test_guess_eventually_zero_sequence():
+    table = _first_order_table(0, 2, 1, 12)
+    assert table.terms[:4] == (1, 1, 0, 0)
+    assert [c.to_text() for c in guess_recurrence(table, 1, 1)] == [
+        "a(n) - (2-n)*a(n-1) = 0 for n >= 1"
+    ]
+    # n(n-1)*a(n) = 0 has 3 unknowns, fewer than the 4 of the order-1 fit
+    n_n_minus_1 = RecurrenceOperator((Polynomial((0, -1, 1)),), 0)
+    assert guess_recurrence(table, 2, 2) == [n_n_minus_1]
+    assert n_n_minus_1.verify(table).passed
+
+
+def test_guess_prefers_fewer_unknowns_over_lower_order():
+    # 1, 3, 6, 6, 0, 0, ...: the (1, 1) fit has 4 unknowns, n(n-1)(n-2)(n-3)*a(n) = 0 has 5
+    table = _first_order_table(0, 4, 1, 30)
+    assert table.terms[:6] == (1, 3, 6, 6, 0, 0)
+    assert [c.to_text() for c in guess_recurrence(table, 4, 4)] == [
+        "a(n) - (4-n)*a(n-1) = 0 for n >= 1"
+    ]
+
+
+def test_guess_at_large_bounds_returns_only_the_minimal_recurrence():
+    table = a214615_terms(201)
+    assert guess_recurrence(table, 12, 12) == [A214615_RECURRENCE.with_n_min(2)]
+
+
+def _direction(rows):
+    trimmed = [list(row) for row in rows]
+    for row in trimmed:
+        while row and row[-1] == 0:
+            row.pop()
+    lead = next(c for row in trimmed for c in row if c)
+    return tuple(tuple(Fraction(c) / lead for c in row) for row in trimmed)
+
+
+def test_guess_matches_minimal_fits_oracle():
+    rng = random.Random(8128)
+    cases = []  # (table, r, d)
+    for offset in (0, 1, 5):
+        for _ in range(35):  # unrolled random recurrences with p_0 = 1
+            order, degree = rng.randint(1, 2), rng.randint(0, 2)
+            rows = [ONE] + [
+                Polynomial(tuple(rng.randint(-3, 3) for _ in range(degree)) + (rng.choice((-2, -1, 1, 2)),))
+                for _ in range(order)
+            ]
+            r, d = rng.randint(order - 1, 3), rng.randint(max(degree - 1, 0), 3)
+            length = (r + 1) * (d + 1) + r + 1 + rng.randint(0, 4)
+            initial = SequenceTable(offset, tuple(rng.randint(-3, 3) for _ in range(order)))
+            cases.append((RecurrenceOperator(tuple(rows), offset + order).unroll(initial, offset + length - 1), r, d))
+        for _ in range(25):  # random short tables
+            r, d = rng.randint(0, 2), rng.randint(0, 2)
+            length = (r + 1) * (d + 1) + r + 1 + rng.randint(0, 3)
+            cases.append((SequenceTable(offset, tuple(rng.randint(-3, 3) for _ in range(length))), r, d))
+        for m in range(offset + 1, offset + 6):  # eventually zero
+            r, d = rng.randint(1, 3), rng.randint(1, 3)
+            length = (r + 1) * (d + 1) + r + 1 + rng.randint(0, 3)
+            cases.append((_first_order_table(offset, m, rng.choice((-2, 1, 3)), length), r, d))
+    cases.append((_first_order_table(0, 4, 1, 30), 4, 4))
+    assert len(cases) == 196
+    nonempty = 0
+    for table, r, d in cases:
+        got = guess_recurrence(table, r, d)
+        expected = oracles.minimal_fits(list(table.terms), table.offset, r, d)
+        assert [(_direction(p.coeffs for p in c.coeffs), c.n_min) for c in got] == [
+            (_direction(rows), n_min) for rows, n_min in expected
+        ], (table, r, d)
+        nonempty += bool(got)
+    assert nonempty >= 70  # the comparison is not vacuous

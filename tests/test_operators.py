@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -92,6 +93,27 @@ def test_extraction_first_order_exponential():
     rec = d_minus_1.to_recurrence()
     assert rec.to_text() == "a(n) - a(n-1) = 0 for n >= 1"
     assert rec.order_degree() == (1, 0)
+
+
+def test_extraction_claims_only_the_indices_it_proves():
+    # D^2 - D kills 5 + e^t, whose table 6, 1, 1, ... fails a(n) = a(n-1) at n = 1
+    five_plus_exp = Series(tuple(Fraction(1, factorial(n)) + (5 if n == 0 else 0) for n in range(13)))
+    d2_minus_d = DifferentialOperator((Polynomial(), -ONE, ONE))
+    assert d2_minus_d.apply(five_plus_exp).is_zero
+    rec = d2_minus_d.to_recurrence()
+    assert rec.to_text() == "a(n) - a(n-1) = 0 for n >= 2"
+    table = five_plus_exp.egf_terms()
+    assert table.terms[:3] == (6, 1, 1)
+    assert rec.verify(table).passed
+    assert rec.with_n_min(1).verify(table).first_failure == (1, -5)
+    # D kills every constant; 7, 0, 0, ... fails a(n) = 0 at n = 0
+    seven = Series((Fraction(7),) + (Fraction(0),) * 12)
+    d = DifferentialOperator((Polynomial(), ONE))
+    assert d.apply(seven).is_zero
+    rec = d.to_recurrence()
+    assert rec.to_text() == "a(n) = 0 for n >= 1"
+    assert rec.verify(seven.egf_terms()).passed
+    assert rec.with_n_min(0).verify(seven.egf_terms()).first_failure == (0, 7)
 
 
 def test_extraction_x0_3_cross_checked_by_unroll():

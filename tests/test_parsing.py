@@ -144,6 +144,24 @@ def test_parse_errors_carry_positions():
         parse_differential_operator("D ? 1")
 
 
+def test_deep_nesting_is_a_syntax_error():
+    for depth in (300, 5000):
+        for parse, text in (
+            (parse_polynomial, "t"),
+            (parse_differential_operator, "D"),
+            (parse_recurrence, "a(n)"),
+        ):
+            with pytest.raises(OperatorSyntaxError, match="nested too deeply") as info:
+                parse("(" * depth + text + ")" * depth)
+            assert 0 < info.value.position < depth
+        with pytest.raises(OperatorSyntaxError, match="nested too deeply") as info:
+            parse_recurrence("a(n) = " + "(" * depth + "a(n-1)" + ")" * depth)
+        assert 7 < info.value.position < depth + 7
+    assert parse_polynomial("(" * 50 + "1 - t" + ")" * 50) == Polynomial((1, -1))
+    assert parse_differential_operator("(" * 50 + "D" + ")" * 50) == DifferentialOperator((Polynomial(), ONE))
+    assert parse_recurrence("(" * 50 + "a(n)" + ")" * 50 + " = a(n-1)") == parse_recurrence("a(n) = a(n-1)")
+
+
 def test_parse_recurrence_requires_a_term():
     with pytest.raises(OperatorSyntaxError):
         parse_recurrence("n^2 - 1 = 0")
