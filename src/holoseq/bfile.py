@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from .polynomials import _INTEGER_RE
+from .polynomials import _INTEGER_RE, _lift_digit_cap
 from .sequences import SequenceTable
 
 SEQUENCE_ID_RE = re.compile(r"A[0-9]{6,7}\Z")
@@ -60,14 +60,13 @@ class BFileDocument:
             raise ValueError(f"not an OEIS sequence id: {self.sequence_id!r}")
 
 
-def parse_bfile(text: Union[str, bytes], sequence_id: Optional[str] = None) -> BFileDocument:
+@_lift_digit_cap
+def parse_bfile(text: str, sequence_id: Optional[str] = None) -> BFileDocument:
     """Parse b-file text; indices must be consecutive and ascending.
 
     A leading "# A000000" comment sets the document's sequence id unless an
     explicit one is passed in.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     found_id = sequence_id
     indices: list[int] = []
     terms: list[int] = []
@@ -99,6 +98,7 @@ def parse_bfile(text: Union[str, bytes], sequence_id: Optional[str] = None) -> B
     return BFileDocument(SequenceTable(indices[0], tuple(terms)), found_id)
 
 
+@_lift_digit_cap
 def format_bfile(document: BFileDocument) -> str:
     lines = []
     if document.sequence_id is not None:
@@ -107,8 +107,8 @@ def format_bfile(document: BFileDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_bfile(path: Union[str, Path], sequence_id: Optional[str] = None) -> BFileDocument:
-    return parse_bfile(Path(path).read_text(), sequence_id)
+def load_bfile(path: Union[str, Path]) -> BFileDocument:
+    return parse_bfile(Path(path).read_text())
 
 
 def write_bfile(document: BFileDocument, path: Union[str, Path]) -> None:

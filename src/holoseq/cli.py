@@ -33,7 +33,7 @@ from .parsing import (
     parse_differential_operator,
     parse_recurrence,
 )
-from .polynomials import parse_integer, parse_rational
+from .polynomials import _lift_digit_cap, parse_integer, parse_rational
 from .sequences import SequenceTable
 from .series import NonIntegerCoefficientError
 
@@ -46,57 +46,51 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact tools for P-recursive integer sequences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    rec_or_ode = argparse.ArgumentParser(add_help=False)
+    group = rec_or_ode.add_mutually_exclusive_group(required=True)
+    group.add_argument("--rec", metavar="TEXT")
+    group.add_argument("--ode", metavar="TEXT")
 
     p = sub.add_parser("selfcheck", help="cross-check the built-in A214615 pipeline")
     p.set_defaults(handler=cmd_selfcheck)
     p.add_argument("--max-n", type=int, default=500)
     p.add_argument("--series-order", type=int, default=100)
     p.add_argument("--against", metavar="BFILE", help="also check a local b-file")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("generate", help="unroll a recurrence into terms")
+    p = sub.add_parser("generate", parents=[rec_or_ode], help="unroll a recurrence into terms")
     p.set_defaults(handler=cmd_generate)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--rec", metavar="TEXT")
-    group.add_argument("--ode", metavar="TEXT")
     p.add_argument("--init", required=True, metavar="CSV", help="initial terms, comma separated")
     p.add_argument("--to", type=int, required=True, metavar="N")
     p.add_argument("--bfile", metavar="PATH", help="write a b-file instead of stdout")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("verify", help="check a recurrence against a b-file")
+    p = sub.add_parser("verify", parents=[rec_or_ode], help="check a recurrence against a b-file")
     p.set_defaults(handler=cmd_verify)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--rec", metavar="TEXT")
-    group.add_argument("--ode", metavar="TEXT")
     p.add_argument("--bfile", required=True, metavar="PATH")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("ode2rec", help="turn a differential operator into a recurrence")
     p.set_defaults(handler=cmd_ode2rec)
     p.add_argument("operator", metavar="TEXT")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("guess", help="fit the minimal recurrence to the terms of a b-file")
     p.set_defaults(handler=cmd_guess)
     p.add_argument("--bfile", required=True, metavar="PATH")
     p.add_argument("--max-order", type=int, default=2)
     p.add_argument("--max-degree", type=int, default=2)
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("series", help="print the A214615-family EGF")
     p.set_defaults(handler=cmd_series)
     p.add_argument("--x0", default="1", metavar="RATIONAL")
     p.add_argument("--to", type=int, default=11, metavar="N")
     p.add_argument("--text", action="store_true", help="print the series, not the terms")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("fetch", help="download (and cache) an OEIS b-file")
     p.set_defaults(handler=cmd_fetch)
     p.add_argument("sequence_id", metavar="A-NUMBER")
     p.add_argument("--cache-dir", metavar="DIR")
-    p.add_argument("--json", action="store_true")
 
+    # Last in every subcommand, after its own options, as usage and help list it.
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -139,13 +133,13 @@ def _terms_json(table: SequenceTable) -> list[list[str]]:
     return [[str(n), str(value)] for n, value in table.items()]
 
 
-def _report_line(label: str, report: VerifyReport) -> tuple[str, bool]:
-    if report.passed:
+def _report_line(label: str, report: VerifyReport) -> str:
+    if report.first_failure is None:
         detail = f"holds for n = {report.n_first_checked}..{report.n_last_checked}: PASS"
     else:
-        n, residual = report.first_failure or (0, 0)
+        n, residual = report.first_failure
         detail = f"first failure at n = {n} (residual {residual}): FAIL"
-    return f"{label} {detail}", report.passed
+    return f"{label} {detail}"
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
@@ -156,75 +150,54 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
             f"--max-n must be >= {A214615_RECURRENCE.n_min} and --series-order >= 1"
         )
     table = a214615_terms(max_n)
-    shown = ", ".join(str(v) for v in table.terms[:12])
-    more = ", ..." if len(table) > 12 else ""
-    results: dict[str, bool] = {}
-    lines: list[str] = [f"terms a(0..{min(max_n, 11)}): {shown}{more}"]
+    checks: list[tuple[str, str, bool]] = []  # (name, text line, passed)
 
     report = A214615_RECURRENCE.verify(table)
-    line, ok = _report_line(
-        f"recurrence check: {A214615_RECURRENCE.to_text()}", report
-    )
-    lines.append(line)
-    results["recurrence"] = ok
+    line = _report_line(f"recurrence check: {A214615_RECURRENCE.to_text()}", report)
+    checks.append(("recurrence", line, report.passed))
 
-    unrolled = A214615_RECURRENCE.unroll(A214615_INITIAL, max_n)
-    ok = unrolled == table
-    lines.append(
-        f"unroll cross-check: direct terms == recurrence unroll for n <= {max_n}: "
-        + ("PASS" if ok else "FAIL")
-    )
-    results["unroll"] = ok
+    ok = A214615_RECURRENCE.unroll(A214615_INITIAL, max_n) == table
+    line = f"unroll cross-check: direct terms == recurrence unroll for n <= {max_n}: "
+    checks.append(("unroll", line + ("PASS" if ok else "FAIL"), ok))
 
     operator = egf_annihilator(1)
     egf = build_egf(1, order)
-    residual = operator.apply(egf)
-    ok = residual.is_zero
-    lines.append(
-        f"ODE check: {operator.to_text()} annihilates the EGF through t^{order - 1}: "
-        + ("PASS" if ok else "FAIL")
-    )
-    results["ode"] = ok
+    ok = operator.apply(egf).is_zero
+    line = f"ODE check: {operator.to_text()} annihilates the EGF through t^{order - 1}: "
+    checks.append(("ode", line + ("PASS" if ok else "FAIL"), ok))
 
-    egf_table = egf.egf_terms()
     overlap = min(max_n, order)
-    ok = egf_table.prefix(overlap) == table.prefix(overlap)
-    lines.append(
-        f"EGF terms check: n! * [t^n] EGF == a(n) for n <= {overlap}: "
-        + ("PASS" if ok else "FAIL")
-    )
-    results["egf_terms"] = ok
+    ok = egf.egf_terms().prefix(overlap) == table.prefix(overlap)
+    line = f"EGF terms check: n! * [t^n] EGF == a(n) for n <= {overlap}: "
+    checks.append(("egf_terms", line + ("PASS" if ok else "FAIL"), ok))
 
     against_report = None
     if args.against:
         entries = load_bfile(args.against).entries
         if entries.offset != 0:
-            lines.append(
-                f"b-file check: {args.against} starts at index {entries.offset}, "
-                "expected 0: FAIL"
-            )
-            results["against"] = False
+            line = f"b-file check: {args.against} starts at index {entries.offset}, expected 0: FAIL"
+            checks.append(("against", line, False))
         else:
             against_report = A214615_RECURRENCE.verify(entries)
             hi = min(entries.last_index, max_n)
-            terms_match = entries.prefix(hi) == table.prefix(hi)
-            if not terms_match:
-                lines.append(
-                    f"b-file check: {args.against} terms differ from computed a(n): FAIL"
-                )
+            if entries.prefix(hi) != table.prefix(hi):
+                line = f"b-file check: {args.against} terms differ from computed a(n): FAIL"
+                checks.append(("against", line, False))
             else:
-                line, _ = _report_line(f"b-file check: {args.against}", against_report)
-                lines.append(line)
-            results["against"] = against_report.passed and terms_match
+                line = _report_line(f"b-file check: {args.against}", against_report)
+                checks.append(("against", line, against_report.passed))
 
-    passed = all(results.values())
+    passed = all(ok for _, _, ok in checks)
     if args.json:
-        payload = {"passed": passed, "checks": results}
+        payload = {"passed": passed, "checks": {name: ok for name, _, ok in checks}}
         if against_report is not None:
             payload["against_report"] = _report_json(against_report)
         print(json.dumps(payload, indent=2))
     else:
-        for line in lines:
+        shown = ", ".join(str(v) for v in table.terms[:12])
+        more = ", ..." if len(table) > 12 else ""
+        print(f"terms a(0..{min(max_n, 11)}): {shown}{more}")
+        for _, line, _ in checks:
             print(line)
     return 0 if passed else 1
 
@@ -249,8 +222,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps({"recurrence": rec.to_text(), **_report_json(report)}, indent=2))
     else:
-        line, _ = _report_line(f"verify: {rec.to_text()}", report)
-        print(line)
+        print(_report_line(f"verify: {rec.to_text()}", report))
     return 0 if report.passed else 1
 
 
@@ -322,6 +294,7 @@ def cmd_fetch(args: argparse.Namespace) -> int:
 _EXIT_CODES = {ArithmeticError: 1, ValueError: 2, FetchError: 3, OSError: 3}
 
 
+@_lift_digit_cap
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:

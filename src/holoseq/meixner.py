@@ -71,7 +71,7 @@ def egf_annihilator(x0: RationalLike) -> DifferentialOperator:
 
 
 #: a(n) - a(n-1) + (n-1)^2 a(n-2) = 0 for n >= 2.
-A214615_RECURRENCE = RecurrenceOperator.from_coefficients(
+A214615_RECURRENCE = RecurrenceOperator(
     (
         Polynomial.constant(1),
         Polynomial.constant(-1),

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .polynomials import Polynomial, RationalLike, _primitive, format_rational
+from .polynomials import (
+    Polynomial, RationalLike, _join_signed, _lift_digit_cap, _primitive, format_rational
+)
 from .sequences import SequenceTable
 from .series import Series
 
@@ -42,6 +44,7 @@ class SingularRecurrenceError(ArithmeticError):
 class NonIntegerTermError(ArithmeticError):
     """The solved term is not an integer, so the table cannot be extended."""
 
+    @_lift_digit_cap
     def __init__(self, n: int, value: Fraction):
         self.n = n
         self.value = value
@@ -67,7 +70,7 @@ def _trailer_product(
 
     Recognizes constants and shifted powers c*(var+b)^e with integer b so
     that coefficients print as "(n-1)^2" rather than "(1-2*n+n^2)"; anything
-    else falls back to a compact parenthesized polynomial.
+    else falls back to the parenthesized polynomial with its spaces dropped.
     """
     if poly.degree <= 0:
         c = poly.coeffs[0] if poly.coeffs else Fraction(0)
@@ -89,7 +92,7 @@ def _trailer_product(
         return c < 0, text
     lowest = next(c for c in poly.coeffs if c != 0)
     negative = lowest < 0
-    body = (-poly if negative else poly).to_text(var, compact=True)
+    body = (-poly if negative else poly).to_text(var).replace(" ", "")
     text = f"({body})"
     if trailer:
         text = f"{text}*{trailer}"
@@ -119,14 +122,6 @@ def _as_polynomials(
     while cs and cs[-1].is_zero:
         cs.pop()
     return tuple(cs)
-
-
-def _join_signed(parts: list[tuple[bool, str]]) -> str:
-    negative, text = parts[0]
-    out = ("-" if negative else "") + text
-    for negative, text in parts[1:]:
-        out += (" - " if negative else " + ") + text
-    return out
 
 
 @dataclass(frozen=True)
@@ -196,7 +191,7 @@ class DifferentialOperator:
                 weights[shift] = weights.get(shift, Polynomial()) + weight * c
         return RecurrenceOperator.from_shift_weights(weights, max(0, -min(weights)))
 
-    def to_text(self, var: str = "t") -> str:
+    def to_text(self) -> str:
         """Canonical text, highest derivative first: "(1+t^2)*D - (1-t)"."""
         parts: list[tuple[bool, str]] = []
         for j in range(self.order, -1, -1):
@@ -204,7 +199,7 @@ class DifferentialOperator:
             if q.is_zero:
                 continue
             trailer = "" if j == 0 else ("D" if j == 1 else f"D^{j}")
-            parts.append(_trailer_product(q, var, trailer))
+            parts.append(_trailer_product(q, "t", trailer))
         return _join_signed(parts)
 
 
@@ -214,13 +209,15 @@ class VerifyReport:
 
     The scan runs n = max(n_min, offset) upward and stops at the first
     failure, so n_last_checked is the last index actually evaluated.
-    passed is True exactly when first_failure is None.
     """
 
-    passed: bool
     n_first_checked: int
     n_last_checked: int
     first_failure: Optional[tuple[int, int]]
+
+    @property
+    def passed(self) -> bool:
+        return self.first_failure is None
 
 
 @dataclass(frozen=True)
@@ -246,16 +243,6 @@ class RecurrenceOperator:
         flat = iter(_primitive([c for p in cs for c in p.coeffs]))
         canonical = tuple(Polynomial(tuple(sign * next(flat) for _ in p.coeffs)) for p in cs)
         object.__setattr__(self, "coeffs", canonical)
-
-    @classmethod
-    def from_coefficients(
-        cls,
-        coeffs: tuple[Polynomial, ...],
-        n_min: Optional[int] = None,
-    ) -> RecurrenceOperator:
-        """Build with n_min defaulting to the order of the canonical operator."""
-        operator = cls(tuple(coeffs), 0 if n_min is None else n_min)
-        return operator if n_min is not None else operator.with_n_min(operator.order)
 
     @classmethod
     def from_shift_weights(
@@ -291,9 +278,6 @@ class RecurrenceOperator:
     @property
     def degree(self) -> int:
         return max(p.degree for p in self.coeffs if not p.is_zero)
-
-    def order_degree(self) -> tuple[int, int]:
-        return self.order, self.degree
 
     def with_n_min(self, n_min: int) -> RecurrenceOperator:
         """The same relation with a different stated validity bound."""
@@ -368,8 +352,8 @@ class RecurrenceOperator:
         for n, lead, s in self._steps(table.terms, table.offset, start, end):
             a = table.terms[n - table.offset]
             if (a if lead == 1 else lead * a) != s:
-                return VerifyReport(False, start, n, (n, lead * a - s))
-        return VerifyReport(True, start, end, None)
+                return VerifyReport(start, n, (n, lead * a - s))
+        return VerifyReport(start, end, None)
 
     def to_text(self) -> str:
         """Canonical text: "a(n) - a(n-1) + (n-1)^2*a(n-2) = 0 for n >= 2"."""

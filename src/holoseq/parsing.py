@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .operators import DifferentialOperator, RecurrenceOperator
-from .polynomials import Polynomial, RationalLike
+from .polynomials import Polynomial, RationalLike, _lift_digit_cap
 
 
 class OperatorSyntaxError(ValueError):
@@ -39,7 +39,9 @@ class OperatorSyntaxError(ValueError):
         super().__init__(f"{message} (at position {position})")
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z]\w*)|(?P<sym>>=|[-+*/^()=]))")
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z]\w*)|(?P<sym>>=|[-+*/^()=])|(?P<bad>\S))"
+)
 
 _Value = dict[tuple[Optional[int], int], RationalLike]
 
@@ -47,20 +49,11 @@ _Value = dict[tuple[Optional[int], int], RationalLike]
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     source = text.replace("−", "-")
     tokens: list[tuple[str, str, int]] = []
-    pos = 0
-    while pos < len(source):
-        match = _TOKEN_RE.match(source, pos)
-        if match is None or match.end() == match.start():
-            stripped = source[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(source) - len(stripped)
-            raise OperatorSyntaxError(
-                f"unexpected character {source[bad_at]!r}", bad_at
-            )
+    for match in _TOKEN_RE.finditer(source):
         kind = str(match.lastgroup)
-        tokens.append((kind, match.group(kind), match.start(kind)))
-        pos = match.end()
+        if kind == "bad":
+            raise OperatorSyntaxError(f"unexpected character {match[kind]!r}", match.start(kind))
+        tokens.append((kind, match[kind], match.start(kind)))
     tokens.append(("end", "", len(source)))
     return tokens
 
@@ -258,6 +251,7 @@ def _polynomials(value: _Value) -> dict[Optional[int], Polynomial]:
     return {atom: p for atom, p in polys.items() if not p.is_zero}
 
 
+@_lift_digit_cap
 def parse_polynomial(text: str, var: str = "t") -> Polynomial:
     """Parse polynomial text like "1 - t + 0*t^2" into canonical form."""
     parser = _Parser(text, "poly", var)
@@ -266,6 +260,7 @@ def parse_polynomial(text: str, var: str = "t") -> Polynomial:
     return _polynomials(value).get(None, Polynomial())
 
 
+@_lift_digit_cap
 def parse_differential_operator(text: str) -> DifferentialOperator:
     """Parse operator text like "(1+t^2)*D - (1-t)"."""
     parser = _Parser(text, "ode", "t")
@@ -278,6 +273,7 @@ def parse_differential_operator(text: str) -> DifferentialOperator:
     return DifferentialOperator(coeffs)
 
 
+@_lift_digit_cap
 def parse_recurrence(text: str) -> RecurrenceOperator:
     """Parse recurrence text into canonical form.
 

@@ -12,23 +12,51 @@ falling-factorial weights that connect the two.
 
 from __future__ import annotations
 
+import functools
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Union
-
-# Sequence terms and b-file entries routinely run to thousands of decimal
-# digits; lift the interpreter's int<->str conversion cap high enough that
-# parsing and printing them is never the thing that fails.
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 2_000_000))
+from typing import Callable, Iterable, Union
 
 RationalLike = Union[int, Fraction]
 
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
+
+# Sequence terms and b-file entries routinely run to thousands of decimal digits.
+_DIGIT_CAP = 2_000_000
+
+
+def _lift_digit_cap(func: Callable) -> Callable:
+    """Run ``func`` with the interpreter's int<->str digit cap at >= 2,000,000, then restore it.
+
+    Only the entry points that parse or print whole terms are wrapped, so
+    importing holoseq changes no interpreter-wide state.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the cap
+        return func
+
+    @functools.wraps(func)
+    def lifted(*args, **kwargs):
+        limit = sys.get_int_max_str_digits()
+        if 0 < limit < _DIGIT_CAP:
+            sys.set_int_max_str_digits(_DIGIT_CAP)
+        try:
+            return func(*args, **kwargs)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    return lifted
+
+
+def _join_signed(parts: list[tuple[bool, str]]) -> str:
+    """Join (is_negative, unsigned_text) pairs as canonical text: "-a + b - c"."""
+    (negative, text), *rest = parts
+    return ("-" if negative else "") + text + "".join(
+        (" - " if negative else " + ") + text for negative, text in rest
+    )
 
 
 def _normalize_minus(text: str) -> str:
@@ -63,6 +91,7 @@ def _primitive(values: Iterable[RationalLike]) -> list[int]:
     return [v // content for v in numerators] if content else numerators
 
 
+@_lift_digit_cap
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" (decimal digits, optional sign) into a Fraction.
 
@@ -84,6 +113,7 @@ def format_rational(value: RationalLike) -> str:
     return str(Fraction(value))
 
 
+@_lift_digit_cap
 def parse_integer(text: str) -> int:
     """Parse a decimal integer literal (optional sign, digits only)."""
     cleaned = _normalize_minus(text).strip()
@@ -190,15 +220,11 @@ class Polynomial:
                 cs[j] += a * cs[j + 1]
         return Polynomial(tuple(cs))
 
-    def to_text(self, var: str = "t", compact: bool = False) -> str:
-        """Canonical ascending-power text, e.g. "1 - t" or "n^2 - 2*n + 1".
-
-        compact=True drops the spaces around + and - (used when a polynomial
-        is printed inside operator parentheses).
-        """
+    def to_text(self, var: str = "t") -> str:
+        """Canonical ascending-power text, e.g. "1 - t" or "n^2 - 2*n + 1"."""
         if self.is_zero:
             return "0"
-        parts: list[str] = []
+        parts: list[tuple[bool, str]] = []
         for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
@@ -208,13 +234,8 @@ class Polynomial:
             else:
                 head = "" if mag == 1 else f"{format_rational(mag)}*"
                 body = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
-            parts.append(("-" if c < 0 else "+") + body)
-        first = parts[0]
-        text = first[1:] if first[0] == "+" else "-" + first[1:]
-        sep_plus, sep_minus = ("+", "-") if compact else (" + ", " - ")
-        for piece in parts[1:]:
-            text += (sep_plus if piece[0] == "+" else sep_minus) + piece[1:]
-        return text
+            parts.append((c < 0, body))
+        return _join_signed(parts)
 
 
 #: The identity polynomial x, for building coefficients like (x - 1)^2.

@@ -35,10 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Union
+from typing import Union
 
 from .polynomials import (
-    Polynomial, RationalLike, _as_fraction, _over_common_denominator, format_rational
+    Polynomial, RationalLike, _as_fraction, _join_signed, _lift_digit_cap, _over_common_denominator,
+    format_rational,
 )
 from .sequences import SequenceTable
 
@@ -54,6 +55,7 @@ class ConstantTermError(ValueError):
 class NonIntegerCoefficientError(ArithmeticError):
     """n! * c_n is not an integer, so the series is not an integer EGF."""
 
+    @_lift_digit_cap
     def __init__(self, index: int, value: Fraction):
         self.index = index
         self.value = value
@@ -120,10 +122,6 @@ class Series:
         for k, c in enumerate(poly.coeffs[: order + 1]):
             cs[k] = c
         return cls(tuple(cs))
-
-    @classmethod
-    def from_coefficients(cls, coeffs: Iterable[RationalLike]) -> Series:
-        return cls(tuple(coeffs))
 
     @property
     def order(self) -> int:
@@ -303,13 +301,9 @@ class Series:
             terms.append(int(value))
         return SequenceTable(0, tuple(terms))
 
-    def to_text(self, var: str = "t") -> str:
+    def to_text(self) -> str:
         """Canonical text, e.g. "1 + 1*t + 0*t^2 - 2/3*t^3 + O(t^4)"."""
-        parts = [format_rational(self.coeffs[0])]
-        for k in range(1, self.order + 1):
-            c = self.coeffs[k]
-            sign = "-" if c < 0 else "+"
-            body = f"{format_rational(abs(c))}*{var}" if k == 1 else f"{format_rational(abs(c))}*{var}^{k}"
-            parts.append(f"{sign} {body}")
-        parts.append(f"+ O({var}^{self.order + 1})")
-        return " ".join(parts)
+        powers = ["", "*t"] + [f"*t^{k}" for k in range(2, self.order + 1)]
+        parts = [(c < 0, format_rational(abs(c)) + power) for c, power in zip(self.coeffs, powers)]
+        parts.append((False, f"O(t^{self.order + 1})"))
+        return _join_signed(parts)

@@ -1,4 +1,5 @@
 import random
+import sys
 import urllib.error
 
 import pytest
@@ -67,8 +68,15 @@ def test_parse_big_integers_and_negative_offset():
     assert doc.entries.term(0) == -big
 
 
-def test_parse_accepts_bytes_and_crlf():
-    doc = parse_bfile(b"0 1\r\n1 2\r\n")
+def test_5000_digit_terms_round_trip_under_the_default_cap(default_digit_cap):
+    big = 10**4999 + 7
+    doc = BFileDocument(SequenceTable(0, (big, -big)), "A214615")
+    assert parse_bfile(format_bfile(doc)) == doc
+    assert sys.get_int_max_str_digits() == default_digit_cap
+
+
+def test_parse_accepts_crlf():
+    doc = parse_bfile("0 1\r\n1 2\r\n")
     assert doc.entries == SequenceTable(0, (1, 2))
 
 

@@ -215,7 +215,8 @@ def test_guess_round_trip_recovers_known_recurrences():
             Polynomial(tuple(Fraction(rng.randint(-3, 3)) for _ in range(degree + 1)))
             for _ in range(order)
         ]
-        rec = RecurrenceOperator.from_coefficients(tuple(coeffs))
+        rec = RecurrenceOperator(tuple(coeffs), 0)
+        rec = rec.with_n_min(rec.order)
         if rec.order == 0:
             continue
         initial = SequenceTable(0, tuple(rng.randint(-3, 3) for _ in range(rec.order)))

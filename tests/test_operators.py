@@ -92,7 +92,7 @@ def test_extraction_first_order_exponential():
     d_minus_1 = DifferentialOperator((Polynomial.constant(-1), ONE))
     rec = d_minus_1.to_recurrence()
     assert rec.to_text() == "a(n) - a(n-1) = 0 for n >= 1"
-    assert rec.order_degree() == (1, 0)
+    assert (rec.order, rec.degree) == (1, 0)
 
 
 def test_extraction_claims_only_the_indices_it_proves():
@@ -209,10 +209,10 @@ def test_trailing_zero_polynomials_trimmed():
     assert rec.order == 1
 
 
-def test_order_degree_examples():
-    assert A214615_RECURRENCE.order_degree() == (2, 2)
+def test_order_and_degree_examples():
+    assert (A214615_RECURRENCE.order, A214615_RECURRENCE.degree) == (2, 2)
     constant = RecurrenceOperator((ONE, -ONE), 1)
-    assert constant.order_degree() == (1, 0)
+    assert (constant.order, constant.degree) == (1, 0)
 
 
 # --- unroll ------------------------------------------------------------
@@ -261,6 +261,14 @@ def test_unroll_non_integer_term():
         rec.unroll(SequenceTable(0, (1,)), 3)
     assert info.value.n == 1
     assert info.value.value == Fraction(1, 2)
+
+
+def test_unroll_non_integer_5000_digit_term_is_typed(default_digit_cap):
+    halving = RecurrenceOperator((Polynomial.constant(2), -ONE), 1)
+    odd = 10**4999 + 1
+    with pytest.raises(NonIntegerTermError) as info:
+        halving.unroll(SequenceTable(0, (odd,)), 1)
+    assert (info.value.n, info.value.value) == (1, Fraction(odd, 2))
 
 
 def test_unroll_bad_target():
@@ -327,7 +335,8 @@ def test_unroll_then_verify_round_trip_random():
             coeffs.append(
                 Polynomial(tuple(Fraction(rng.randint(-3, 3)) for _ in range(degree + 1)))
             )
-        rec = RecurrenceOperator.from_coefficients(tuple(coeffs))
+        rec = RecurrenceOperator(tuple(coeffs), 0)
+        rec = rec.with_n_min(rec.order)
         if rec.order == 0:
             continue
         initial = SequenceTable(0, tuple(rng.randint(-5, 5) for _ in range(rec.order)))

@@ -185,6 +185,7 @@ def test_round_trip_corpus():
         DifferentialOperator((Polynomial.constant(-1), ONE)),
         DifferentialOperator((ONE, Polynomial(), Polynomial((0, 0, 1)))),
         DifferentialOperator((Polynomial((0, 1)), Polynomial((2, 0, 0, -5)))),
+        DifferentialOperator((ONE, Polynomial((-1, 2, -3)))),  # -(1-2*t+3*t^2)*D + 1
     ]
     for operator in operators:
         assert parse_differential_operator(operator.to_text()) == operator
