@@ -9,12 +9,17 @@ from a(0), a(1) and ``RecurrenceOperator.verify`` of the direct table, at
 n = 10^4 and 2*10^4, and checks that the three agree.  It then times
 ``guess_recurrence`` on the first 202 terms of A214615 and of the Motzkin
 numbers at r = d = 4, 8 and 12; such a row also holds the number of
-candidates, and every candidate must verify on the table.  Each case runs
-RUNS (5) times.  A row holds the median wall-clock seconds and the median
-reference seconds: each run scaled by perfbench's REFERENCE_S over the
-faster of the reference-kernel runs just before and just after it, because
-this kind of shared host drifts in speed by up to half within seconds.
-Each row also holds the largest term's bit length; the record holds the
+candidates, and every candidate must verify on the table.  Last, it runs
+``holoseq selfcheck --max-n N --series-order 20`` at N = 5000 and 15000, each
+run in a fresh interpreter, one after another, and times the whole child
+process; such a row also holds the median of the children's own peak
+resident memory in MiB (Linux's VmHWM), and every run must pass with the
+same output.  Each case runs RUNS (5) times.  A row holds the median
+wall-clock seconds and the median reference seconds: each run scaled by
+perfbench's REFERENCE_S over the faster of the reference-kernel runs just
+before and just after it, because this kind of shared host drifts in speed
+by up to half within seconds.  The rows of the direct, unroll, verify and
+guess cases also hold the largest term's bit length; the record holds the
 Python version and the CPU model.  The label defaults to ``layers``.
 ``--src`` names the directory holding the ``holoseq`` package to measure
 (default: ``src`` of this checkout), so another checkout can be measured by
@@ -28,6 +33,7 @@ import argparse
 import json
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -41,7 +47,23 @@ SIZES = (10_000, 20_000)
 GUESS_TERMS = 202
 GUESS_BOUNDS = (4, 8, 12)
 MOTZKIN = "(n+2)*a(n) - (2*n+1)*a(n-1) - 3*(n-1)*a(n-2) = 0"
+SELFCHECK_SIZES = (5_000, 15_000)
+SELFCHECK_ORDER = 20
 RUNS = 5
+
+# One CLI call in a fresh interpreter: argv is (src dir, CLI arguments...).  The command's
+# stdout is left as is; stderr ends with [exit code, holoseq.cli's file, peak RSS in KiB].
+# The peak is Linux's VmHWM, the high-water mark of this address space alone: ru_maxrss
+# would also count the spawning process's peak, which exec carries over on Linux.
+CHILD = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import holoseq.cli
+code = holoseq.cli.main(sys.argv[2:])
+with open("/proc/self/status") as status:
+    peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps([code, holoseq.cli.__file__, peak]), file=sys.stderr)
+"""
 
 
 def timed(call: Callable[[], object]) -> tuple[object, float, float]:
@@ -71,8 +93,25 @@ def measure(
     return summaries.pop(), runs
 
 
-def row(case: str, n: int, runs: list, table, **extra: object) -> dict:
-    """One record row from the (wall, reference) seconds of a case's runs on ``table``."""
+def selfcheck(src: Path, n: int, peaks: list[float]) -> str:
+    """stdout of one passing ``selfcheck --max-n n`` in a child; appends its peak RSS in MiB to peaks."""
+    argv = ["selfcheck", "--max-n", str(n), "--series-order", str(SELFCHECK_ORDER)]
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, str(src.resolve()), *argv], capture_output=True, text=True
+    )
+    if done.returncode != 0:
+        raise SystemExit(f"bench: the selfcheck child failed:\n{done.stderr}")
+    code, imported, peak_kib = json.loads(done.stderr.splitlines()[-1])
+    if Path(imported).resolve().parent != (src / "holoseq").resolve():
+        raise SystemExit(f"bench: the selfcheck child imported holoseq from {imported}, not {src}")
+    if code != 0:
+        raise SystemExit(f"bench: selfcheck --max-n {n} exited {code}:\n{done.stdout}")
+    peaks.append(peak_kib / 1024)
+    return done.stdout
+
+
+def row(case: str, n: int, runs: list, table=None, **extra: object) -> dict:
+    """One record row from the (wall, reference) seconds of a case's runs on ``table``, if any."""
     out = {
         "case": case,
         "n": n,
@@ -80,8 +119,9 @@ def row(case: str, n: int, runs: list, table, **extra: object) -> dict:
         "runs": RUNS,
         "median_wall_s": round(statistics.median(wall for wall, _ in runs), 4),
         "median_reference_s": round(statistics.median(ref for _, ref in runs), 4),
-        "max_term_bits": max(abs(v).bit_length() for v in table.terms),
     }
+    if table is not None:
+        out["max_term_bits"] = max(abs(v).bit_length() for v in table.terms)
     print(json.dumps(out))
     return out
 
@@ -128,6 +168,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise SystemExit(f"bench: a guess on {name} at r = d = {bound} fails on the table")
             extra = {"bounds": [bound, bound], "candidates": len(candidates)}
             rows.append(row(f"guess_{name}", GUESS_TERMS, runs, table, **extra))
+    for n in SELFCHECK_SIZES:
+        peaks: list[float] = []
+        _, runs = measure(lambda: selfcheck(args.src, n, peaks), str)
+        extra = {"series_order": SELFCHECK_ORDER, "peak_rss_mib": round(statistics.median(peaks), 1)}
+        rows.append(row("selfcheck", n, runs, **extra))
     record = {
         "label": args.label,
         "python": platform.python_version(),

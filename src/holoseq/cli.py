@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import islice
 from typing import Optional, Sequence
 
 from .bfile import (
@@ -24,7 +25,7 @@ from .guessing import guess_recurrence
 from .meixner import (
     A214615_INITIAL,
     A214615_RECURRENCE,
-    a214615_terms,
+    _a214615_direct,
     build_egf,
     egf_annihilator,
 )
@@ -142,50 +143,76 @@ def _report_line(label: str, report: VerifyReport) -> str:
     return f"{label} {detail}"
 
 
+# Terms per window of selfcheck's walk, which holds about one window at a time; at least 3,
+# so that the first window reaches the recurrence's n_min = 2.
+_SELFCHECK_WINDOW = 256
+
+
 def cmd_selfcheck(args: argparse.Namespace) -> int:
+    rec = A214615_RECURRENCE
     max_n = args.max_n
     order = args.series_order
-    if max_n < A214615_RECURRENCE.n_min or order < 1:
-        raise ValueError(
-            f"--max-n must be >= {A214615_RECURRENCE.n_min} and --series-order >= 1"
-        )
-    table = a214615_terms(max_n)
-    checks: list[tuple[str, str, bool]] = []  # (name, text line, passed)
-
-    report = A214615_RECURRENCE.verify(table)
-    line = _report_line(f"recurrence check: {A214615_RECURRENCE.to_text()}", report)
-    checks.append(("recurrence", line, report.passed))
-
-    ok = A214615_RECURRENCE.unroll(A214615_INITIAL, max_n) == table
-    line = f"unroll cross-check: direct terms == recurrence unroll for n <= {max_n}: "
-    checks.append(("unroll", line + ("PASS" if ok else "FAIL"), ok))
-
+    if max_n < rec.n_min or order < 1:
+        raise ValueError(f"--max-n must be >= {rec.n_min} and --series-order >= 1")
     operator = egf_annihilator(1)
     egf = build_egf(1, order)
+    overlap = min(max_n, order)
+    # name -> (reference terms from index 0, the last index they are compared at)
+    prefixes = {"egf_terms": (egf.egf_terms().terms, overlap)}
+    entries = against_report = None
+    if args.against:
+        entries = load_bfile(args.against).entries
+        if entries.offset == 0:
+            against_report = rec.verify(entries)
+            prefixes["against"] = (entries.terms, min(entries.last_index, max_n))
+
+    # Walk 0..max_n one window at a time, so only a window of terms is ever held.  A window
+    # table starts ``rec.order`` terms early: each check at n needs at most a(n - rec.order).
+    direct = _a214615_direct()
+    head: tuple[int, ...] = ()
+    carried: tuple[int, ...] = ()
+    unrolled = A214615_INITIAL
+    unroll_ok = True
+    agrees = dict.fromkeys(prefixes, True)
+    report = VerifyReport(rec.n_min, rec.n_min, None)  # n_first_checked of the whole table
+    for lo in range(0, max_n + 1, _SELFCHECK_WINDOW):
+        hi = min(lo + _SELFCHECK_WINDOW - 1, max_n)
+        new = tuple(islice(direct, hi - lo + 1))
+        head += new[: 12 - len(head)]
+        window = SequenceTable(lo - len(carried), carried + new)
+        carried = window.terms[-rec.order :]
+        if report.passed:
+            part = rec.with_n_min(max(rec.n_min, lo)).verify(window)
+            report = VerifyReport(report.n_first_checked, part.n_last_checked, part.first_failure)
+        unrolled = rec.unroll(unrolled, hi)
+        unroll_ok = unroll_ok and unrolled.terms[-len(new) :] == new
+        unrolled = SequenceTable(hi - rec.order + 1, unrolled.terms[-rec.order :])
+        for name, (terms, end) in prefixes.items():
+            if lo <= end:
+                k = min(hi, end) - lo + 1
+                agrees[name] = agrees[name] and terms[lo : lo + k] == new[:k]
+
+    checks: list[tuple[str, str, bool]] = []  # (name, text line, passed)
+    line = _report_line(f"recurrence check: {rec.to_text()}", report)
+    checks.append(("recurrence", line, report.passed))
+    line = f"unroll cross-check: direct terms == recurrence unroll for n <= {max_n}: "
+    checks.append(("unroll", line + ("PASS" if unroll_ok else "FAIL"), unroll_ok))
     ok = operator.apply(egf).is_zero
     line = f"ODE check: {operator.to_text()} annihilates the EGF through t^{order - 1}: "
     checks.append(("ode", line + ("PASS" if ok else "FAIL"), ok))
-
-    overlap = min(max_n, order)
-    ok = egf.egf_terms().prefix(overlap) == table.prefix(overlap)
+    ok = agrees["egf_terms"]
     line = f"EGF terms check: n! * [t^n] EGF == a(n) for n <= {overlap}: "
     checks.append(("egf_terms", line + ("PASS" if ok else "FAIL"), ok))
-
-    against_report = None
-    if args.against:
-        entries = load_bfile(args.against).entries
-        if entries.offset != 0:
+    if entries is not None:
+        if against_report is None:
             line = f"b-file check: {args.against} starts at index {entries.offset}, expected 0: FAIL"
             checks.append(("against", line, False))
+        elif not agrees["against"]:
+            line = f"b-file check: {args.against} terms differ from computed a(n): FAIL"
+            checks.append(("against", line, False))
         else:
-            against_report = A214615_RECURRENCE.verify(entries)
-            hi = min(entries.last_index, max_n)
-            if entries.prefix(hi) != table.prefix(hi):
-                line = f"b-file check: {args.against} terms differ from computed a(n): FAIL"
-                checks.append(("against", line, False))
-            else:
-                line = _report_line(f"b-file check: {args.against}", against_report)
-                checks.append(("against", line, against_report.passed))
+            line = _report_line(f"b-file check: {args.against}", against_report)
+            checks.append(("against", line, against_report.passed))
 
     passed = all(ok for _, _, ok in checks)
     if args.json:
@@ -194,8 +221,8 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
             payload["against_report"] = _report_json(against_report)
         print(json.dumps(payload, indent=2))
     else:
-        shown = ", ".join(str(v) for v in table.terms[:12])
-        more = ", ..." if len(table) > 12 else ""
+        shown = ", ".join(str(v) for v in head)
+        more = ", ..." if max_n >= 12 else ""
         print(f"terms a(0..{min(max_n, 11)}): {shown}{more}")
         for _, line, _ in checks:
             print(line)

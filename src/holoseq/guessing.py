@@ -121,17 +121,22 @@ def guess_recurrence(
             f"need at least {needed} terms for order {r}, degree {d}; got {len(table)}"
         )
     offset, terms = table.offset, table.terms
-    # entries[i][k][j] = n^j a(n-k) at n = offset + i, for k <= min(i, r) and j <= d
-    entries = []
-    for i, n in enumerate(range(offset, table.last_index + 1)):
-        powers = [n**j for j in range(d + 1)]
-        entries.append([[p * terms[i - k] for p in powers] for k in range(min(i, r) + 1)])
     pairs = sorted(
         product(range(r + 1), range(d + 1)), key=lambda p: ((p[0] + 1) * (p[1] + 1), p[0])
     )
+    # columns[k, j] lists n^j a(n-k) for n = offset + k .. last index; each is built, from
+    # column (k, j - 1), when the first pair that needs it is visited
+    columns: dict[tuple[int, int], list[int]] = {}
     for r1, d1 in pairs:
+        unknowns = [(k, j) for k in range(r1 + 1) for j in range(d1 + 1)]
+        for k, j in unknowns:
+            if (k, j) not in columns:
+                ns = range(offset + k, table.last_index + 1)
+                columns[k, j] = (
+                    [n * v for n, v in zip(ns, columns[k, j - 1])] if j else list(terms[: len(ns)])
+                )
         width = d1 + 1
-        equations = [[c for row in entry[: r1 + 1] for c in row[:width]] for entry in entries[r1:]]
+        equations = list(zip(*(columns[k, j][r1 - k :] for k, j in unknowns)))
         candidates = []
         for vector in nullspace(equations):
             polys = tuple(Polynomial(vector[k * width : (k + 1) * width]) for k in range(r1 + 1))

@@ -15,6 +15,8 @@ unrolling) stay independent and cross-checkable.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count, islice
+from typing import Iterator
 
 from .operators import DifferentialOperator, RecurrenceOperator
 from .polynomials import Polynomial, RationalLike, X, _as_fraction
@@ -37,14 +39,20 @@ def meixner_eval(n: int, x: RationalLike) -> Fraction:
     return cur
 
 
+def _a214615_direct() -> Iterator[int]:
+    """a(0), a(1), ... for a(n) = M_n(1), via a(n+1) = a(n) - n^2 a(n-1); holds two terms."""
+    prev, cur = 1, 1
+    yield prev
+    for n in count(1):
+        yield cur
+        prev, cur = cur, cur - n * n * prev
+
+
 def a214615_terms(n_max: int) -> SequenceTable:
-    """a(0..n_max) for a(n) = M_n(1), via a(n+1) = a(n) - n^2 a(n-1)."""
+    """a(0..n_max) for a(n) = M_n(1), the first n_max + 1 terms of ``_a214615_direct``."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    terms = [1, 1]
-    for n in range(1, n_max):
-        terms.append(terms[n] - n * n * terms[n - 1])
-    return SequenceTable(0, tuple(terms[: n_max + 1]))
+    return SequenceTable(0, tuple(islice(_a214615_direct(), n_max + 1)))
 
 
 def build_egf(x0: RationalLike, order: int) -> Series:

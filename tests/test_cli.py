@@ -1,12 +1,23 @@
 import json
 import subprocess
 import sys
+from itertools import islice
+from pathlib import Path
 
 import pytest
 
+import holoseq
 from holoseq.bfile import BFileDocument, format_bfile, write_bfile
+from holoseq.cli import _SELFCHECK_WINDOW as W
 from holoseq.cli import main
-from holoseq.meixner import a214615_terms
+from holoseq.meixner import (
+    A214615_INITIAL,
+    A214615_RECURRENCE,
+    _a214615_direct,
+    a214615_terms,
+    build_egf,
+    egf_annihilator,
+)
 
 GOLDEN_12 = (1, 1, 0, -4, -4, 60, 160, -2000, -9840, 118160, 915200, -10900800)
 REC_TEXT = "a(n) - a(n-1) + (n-1)^2*a(n-2) = 0 for n >= 2"
@@ -212,6 +223,138 @@ def test_selfcheck_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is True
     assert set(payload["checks"]) == {"recurrence", "unroll", "ode", "egf_terms"}
+
+
+def selfcheck_reference(table, order, against=None, as_json=False):
+    """selfcheck's stdout and exit code computed from whole tables.
+
+    ``table`` stands for the direct terms a(0..max_n); ``against`` is a b-file's entries.
+    """
+    rec, max_n = A214615_RECURRENCE, table.last_index
+
+    def report_line(label, report):
+        if report.first_failure is None:
+            return f"{label} holds for n = {report.n_first_checked}..{report.n_last_checked}: PASS"
+        n, residual = report.first_failure
+        return f"{label} first failure at n = {n} (residual {residual}): FAIL"
+
+    def verdict(ok):
+        return "PASS" if ok else "FAIL"
+
+    report = rec.verify(table)
+    checks = [("recurrence", report_line(f"recurrence check: {rec.to_text()}", report), report.passed)]
+    ok = rec.unroll(A214615_INITIAL, max_n) == table
+    line = f"unroll cross-check: direct terms == recurrence unroll for n <= {max_n}: {verdict(ok)}"
+    checks.append(("unroll", line, ok))
+    egf = build_egf(1, order)
+    ok = egf_annihilator(1).apply(egf).is_zero
+    line = f"ODE check: (1+t^2)*D - (1-t) annihilates the EGF through t^{order - 1}: {verdict(ok)}"
+    checks.append(("ode", line, ok))
+    overlap = min(max_n, order)
+    ok = egf.egf_terms().prefix(overlap) == table.prefix(overlap)
+    line = f"EGF terms check: n! * [t^n] EGF == a(n) for n <= {overlap}: {verdict(ok)}"
+    checks.append(("egf_terms", line, ok))
+    against_report = None
+    if against is not None:
+        path, entries = against
+        against_report = rec.verify(entries)
+        hi = min(entries.last_index, max_n)
+        if entries.prefix(hi) != table.prefix(hi):
+            checks.append(("against", f"b-file check: {path} terms differ from computed a(n): FAIL", False))
+        else:
+            line = report_line(f"b-file check: {path}", against_report)
+            checks.append(("against", line, against_report.passed))
+    passed = all(ok for _, _, ok in checks)
+    if as_json:
+        payload = {"passed": passed, "checks": {name: ok for name, _, ok in checks}}
+        if against_report is not None:
+            failure = against_report.first_failure
+            payload["against_report"] = {
+                "passed": against_report.passed,
+                "n_first_checked": against_report.n_first_checked,
+                "n_last_checked": against_report.n_last_checked,
+                "first_failure": None if failure is None else {"n": failure[0], "residual": str(failure[1])},
+            }
+        out = json.dumps(payload, indent=2) + "\n"
+    else:
+        more = ", ..." if max_n >= 12 else ""
+        head = ", ".join(str(v) for v in table.terms[:12])
+        out = f"terms a(0..{min(max_n, 11)}): {head}{more}\n" + "".join(line + "\n" for _, line, _ in checks)
+    return out, 0 if passed else 1
+
+
+def run_selfcheck(capsys, max_n, order, *extra):
+    argv = ["selfcheck", "--max-n", str(max_n), "--series-order", str(order), *extra]
+    code = main(argv)
+    return capsys.readouterr().out, code
+
+
+@pytest.mark.parametrize("max_n", [2, W - 1, W, W + 1, 2 * W + 1])
+def test_selfcheck_windows_match_whole_table_reference(capsys, max_n):
+    table = a214615_terms(max_n)
+    for order in (13, W, W + 1):
+        for as_json in (False, True):
+            got = run_selfcheck(capsys, max_n, order, *(["--json"] if as_json else []))
+            assert got == selfcheck_reference(table, order, as_json=as_json)
+
+
+@pytest.mark.parametrize("at", [1, 20, W - 1, W, W + 1])
+def test_selfcheck_catches_a_corrupted_direct_term(capsys, monkeypatch, at):
+    max_n, order = 2 * W + 1, 20
+    table = a214615_terms(max_n)
+    table = table.replaced(at, table.term(at) + 1)
+    monkeypatch.setattr("holoseq.cli._a214615_direct", lambda: iter(table.terms))
+    out, code = run_selfcheck(capsys, max_n, order)
+    assert (out, code) == selfcheck_reference(table, order)
+    assert code == 1
+    n, residual = A214615_RECURRENCE.verify(table).first_failure
+    assert f"recurrence check: {REC_TEXT} first failure at n = {n} (residual {residual}): FAIL" in out
+    assert f"unroll cross-check: direct terms == recurrence unroll for n <= {max_n}: FAIL" in out
+    egf_line = f"EGF terms check: n! * [t^n] EGF == a(n) for n <= {order}: "
+    assert egf_line + ("FAIL" if at <= order else "PASS") in out
+    assert run_selfcheck(capsys, max_n, order, "--json") == selfcheck_reference(table, order, as_json=True)
+
+
+def test_selfcheck_against_corrupted_past_the_first_window(tmp_path, capsys):
+    max_n, at = 2 * W + 1, W + 5
+    table = a214615_terms(max_n)
+    entries = a214615_terms(max_n + 10).replaced(at, 7)
+    path = tmp_path / "corrupt.txt"
+    write_bfile(BFileDocument(entries), path)
+    out, code = run_selfcheck(capsys, max_n, 20, "--against", str(path))
+    assert code == 1
+    assert f"b-file check: {path} terms differ from computed a(n): FAIL" in out
+    assert (out, code) == selfcheck_reference(table, 20, (path, entries))
+    json_out = run_selfcheck(capsys, max_n, 20, "--against", str(path), "--json")
+    assert json_out == selfcheck_reference(table, 20, (path, entries), as_json=True)
+
+
+# Runs one CLI call in this interpreter and prints its peak resident memory in KiB.  That is
+# VmHWM, the high-water mark of this address space: on Linux ru_maxrss also counts the peak
+# of the process that spawned it, because exec carries it over.
+PEAK_CHILD = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+from holoseq.cli import main
+assert main(sys.argv[2:]) == 0
+with open("/proc/self/status") as status:
+    print(next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux's /proc/self/status")
+def test_selfcheck_memory_is_bounded_by_a_window():
+    src = str(Path(holoseq.__file__).resolve().parent.parent)
+
+    def peak_kib(max_n):
+        argv = ["selfcheck", "--max-n", str(max_n), "--series-order", "20"]
+        child = [sys.executable, "-c", PEAK_CHILD, src, *argv]
+        done = subprocess.run(child, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return int(done.stdout.split()[-1])
+
+    table_kib = sum(map(sys.getsizeof, islice(_a214615_direct(), 10_001))) / 1024
+    assert peak_kib(10_000) < peak_kib(2) + table_kib / 2
 
 
 def test_fetch_warm_cache(tmp_path, capsys):
