@@ -8,8 +8,10 @@ It times the direct loop ``a214615_terms``, ``RecurrenceOperator.unroll``
 from a(0), a(1) and ``RecurrenceOperator.verify`` of the direct table, at
 n = 10^4 and 2*10^4, and checks that the three agree.  It then times
 ``guess_recurrence`` on the first 202 terms of A214615 and of the Motzkin
-numbers at r = d = 4, 8 and 12; such a row also holds the number of
-candidates, and every candidate must verify on the table.  Last, it runs
+numbers at r = d = 4, 8 and 12, and on the first 202 Bell numbers, which fit
+no recurrence, at r = d = 4, 6 and 8; such a row also holds the number of
+candidates, every candidate must verify on the table, and the Bell rows must
+have none.  Last, it runs
 ``holoseq selfcheck --max-n N --series-order 20`` at N = 5000 and 15000, each
 run in a fresh interpreter, one after another, and times the whole child
 process; such a row also holds the median of the children's own peak
@@ -46,6 +48,7 @@ from holobench import REFERENCE_S, cpu_model, reference_seconds  # noqa: E402
 SIZES = (10_000, 20_000)
 GUESS_TERMS = 202
 GUESS_BOUNDS = (4, 8, 12)
+BELL_BOUNDS = (4, 6, 8)
 MOTZKIN = "(n+2)*a(n) - (2*n+1)*a(n-1) - 3*(n-1)*a(n-2) = 0"
 SELFCHECK_SIZES = (5_000, 15_000)
 SELFCHECK_ORDER = 20
@@ -64,6 +67,17 @@ with open("/proc/self/status") as status:
     peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 print(json.dumps([code, holoseq.cli.__file__, peak]), file=sys.stderr)
 """
+
+
+def bell_numbers(count: int) -> tuple[int, ...]:
+    """The first ``count`` Bell numbers, by the Bell triangle."""
+    row, out = [1], [1]
+    while len(out) < count:
+        row = [row[-1]] + row
+        for i in range(1, len(row)):
+            row[i] += row[i - 1]
+        out.append(row[0])
+    return tuple(out)
 
 
 def timed(call: Callable[[], object]) -> tuple[object, float, float]:
@@ -158,14 +172,20 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise SystemExit(f"bench: {name} at n = {n} disagrees with a214615_terms")
             rows.append(row(name, n, runs, table))
     guess_tables = {
-        "a214615": a214615_terms(GUESS_TERMS - 1),
-        "motzkin": parse_recurrence(MOTZKIN).unroll(SequenceTable(0, (1, 1)), GUESS_TERMS - 1),
+        "a214615": (a214615_terms(GUESS_TERMS - 1), GUESS_BOUNDS),
+        "motzkin": (
+            parse_recurrence(MOTZKIN).unroll(SequenceTable(0, (1, 1)), GUESS_TERMS - 1),
+            GUESS_BOUNDS,
+        ),
+        "bell": (SequenceTable(0, bell_numbers(GUESS_TERMS)), BELL_BOUNDS),
     }
-    for name, table in guess_tables.items():
-        for bound in GUESS_BOUNDS:
+    for name, (table, bounds) in guess_tables.items():
+        for bound in bounds:
             candidates, runs = measure(lambda: guess_recurrence(table, bound, bound), tuple)
             if not all(c.verify(table).passed for c in candidates):
                 raise SystemExit(f"bench: a guess on {name} at r = d = {bound} fails on the table")
+            if name == "bell" and candidates:
+                raise SystemExit(f"bench: a guess on the Bell numbers at r = d = {bound} fits")
             extra = {"bounds": [bound, bound], "candidates": len(candidates)}
             rows.append(row(f"guess_{name}", GUESS_TERMS, runs, table, **extra))
     for n in SELFCHECK_SIZES:

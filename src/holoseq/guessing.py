@@ -2,19 +2,29 @@
 
 ``guess_recurrence`` tries the (order, degree) pairs within the bounds by their
 number of unknowns, each on its own exact linear system, and stops at the first
-pair with a fit.  ``nullspace`` solves such a system on ints only, so nothing is
-ever rounded.
+pair with a fit.  Before any exact work, a pair's first ncols + 1 equations
+(ncols unknowns) are reduced modulo one fixed prime p: an integer matrix's rank
+mod p is at most its rank over the rationals, so a pair whose equations have
+full column rank mod p has no fit, and is skipped.  Only the other pairs, the
+one that fits and any where p is unlucky, reach ``nullspace``, which solves the
+pair's exact system on ints only, so nothing is ever rounded and no result
+depends on p.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from itertools import product
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .operators import RecurrenceOperator
 from .polynomials import Polynomial, _primitive
 from .sequences import SequenceTable
+
+
+# The modular filter's prime, 2^61 - 1: an unlucky one only costs an exact solve.
+_PRIME = (1 << 61) - 1
 
 
 class InsufficientTermsError(ValueError):
@@ -30,10 +40,11 @@ def nullspace(matrix: Sequence[Sequence[Union[int, Fraction]]]) -> list[tuple[in
     row echelon form by fraction-free (Bareiss) elimination with row
     pivoting; each free column yields one basis vector by back substitution
     on ints (see the comment there).  An empty basis is returned at once.
-    Otherwise every remaining row is cleared and certified exactly: its
-    integer dot product with every basis vector must be 0.  If one is not,
-    the whole matrix is eliminated instead.  Vectors are normalized to
-    content 1 with a positive first nonzero entry.
+    Otherwise every remaining row is certified exactly as given: its dot
+    product with every basis vector must be 0, which a row's content and
+    denominators cannot change.  If one is not, the whole matrix is cleared
+    and eliminated instead.  Vectors are normalized to content 1 with a
+    positive first nonzero entry.
     """
     if not matrix:
         raise ValueError("the matrix needs at least one row")
@@ -49,10 +60,10 @@ def nullspace(matrix: Sequence[Sequence[Union[int, Fraction]]]) -> list[tuple[in
     basis = _bareiss_nullspace([row[:] for row in head])
     if not basis:
         return basis
-    rest = [_primitive(row) for row in matrix[ncols + 1 :]]
+    rest = matrix[ncols + 1 :]
     if all(sum(r * v for r, v in zip(row, vector)) == 0 for vector in basis for row in rest):
         return basis
-    return _bareiss_nullspace(head + rest)
+    return _bareiss_nullspace(head + [_primitive(row) for row in rest])
 
 
 def _bareiss_nullspace(rows: list[list[int]]) -> list[tuple[int, ...]]:
@@ -95,6 +106,35 @@ def _bareiss_nullspace(rows: list[list[int]]) -> list[tuple[int, ...]]:
     return basis
 
 
+def _full_column_rank_mod_p(rows: Iterable[Sequence[int]], ncols: int) -> bool:
+    """Whether the integer ``rows`` have rank ``ncols`` modulo ``_PRIME``.
+
+    Each row is reduced against the pivot rows found so far, in the order of
+    their pivot columns, and the walk stops as soon as ``ncols`` pivots are
+    found; rows that reduce to zero, leading ones included, are skipped.
+    Full rank mod p implies full rank over the rationals, so the rows then
+    have no nonzero rational nullspace; False proves nothing.
+    """
+    pivots: dict[int, list[int]] = {}  # pivot column -> its row from there on, led by a 1
+    columns: list[int] = []
+    for values in rows:
+        row = list(values)  # reduced once, after all of its subtractions
+        for col in columns:
+            factor = row[col] % _PRIME
+            if factor:
+                row[col:] = [a - factor * b for a, b in zip(row[col:], pivots[col])]
+        row = [v % _PRIME for v in row]
+        lead = next((col for col, v in enumerate(row) if v), None)
+        if lead is None:
+            continue
+        inverse = pow(row[lead], -1, _PRIME)
+        pivots[lead] = [v * inverse % _PRIME for v in row[lead:]]
+        insort(columns, lead)
+        if len(columns) == ncols:
+            return True
+    return False
+
+
 def guess_recurrence(
     table: SequenceTable, max_order: int, max_degree: int
 ) -> list[RecurrenceOperator]:
@@ -124,11 +164,26 @@ def guess_recurrence(
     pairs = sorted(
         product(range(r + 1), range(d + 1)), key=lambda p: ((p[0] + 1) * (p[1] + 1), p[0])
     )
-    # columns[k, j] lists n^j a(n-k) for n = offset + k .. last index; each is built, from
-    # column (k, j - 1), when the first pair that needs it is visited
+    # columns[k, j] and residues[k, j] list n^j a(n-k) and its residue mod _PRIME for
+    # n = offset + k .. last index.  Each is built from column (k, j - 1) when the first pair
+    # that needs it is visited, the exact one only once the residues fail to rule a pair out.
     columns: dict[tuple[int, int], list[int]] = {}
+    residues: dict[tuple[int, int], list[int]] = {}
+    reduced = [v % _PRIME for v in terms]
     for r1, d1 in pairs:
         unknowns = [(k, j) for k in range(r1 + 1) for j in range(d1 + 1)]
+        ncols = len(unknowns)
+        for k, j in unknowns:
+            if (k, j) not in residues:
+                ns = range(offset + k, table.last_index + 1)
+                residues[k, j] = (
+                    [n * v % _PRIME for n, v in zip(ns, residues[k, j - 1])]
+                    if j
+                    else reduced[: len(ns)]
+                )
+        head = zip(*(residues[k, j][r1 - k : r1 - k + ncols + 1] for k, j in unknowns))
+        if _full_column_rank_mod_p(head, ncols):
+            continue
         for k, j in unknowns:
             if (k, j) not in columns:
                 ns = range(offset + k, table.last_index + 1)

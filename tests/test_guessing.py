@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from holoseq import guessing
 from holoseq.guessing import InsufficientTermsError, guess_recurrence, nullspace
 from holoseq.meixner import A214615_RECURRENCE, a214615_terms, build_egf, egf_annihilator
 from holoseq.operators import RecurrenceOperator
@@ -324,3 +325,77 @@ def test_guess_matches_minimal_fits_oracle():
         ], (table, r, d)
         nonempty += bool(got)
     assert nonempty >= 70  # the comparison is not vacuous
+
+
+# --- modular filter -----------------------------------------------------
+
+P = guessing._PRIME
+
+
+def _bell(count):
+    """The first ``count`` Bell numbers, by the Bell triangle: P-recursive at no bounds."""
+    row, out = [1], [1]
+    while len(out) < count:
+        row = [row[-1]] + row
+        for i in range(1, len(row)):
+            row[i] = row[i - 1] + row[i]
+        out.append(row[0])
+    return SequenceTable(0, tuple(out))
+
+
+def _count_exact_calls(monkeypatch):
+    calls = []
+
+    def counted(matrix):
+        calls.append(len(matrix[0]))
+        return nullspace(matrix)
+
+    monkeypatch.setattr(guessing, "nullspace", counted)
+    return calls
+
+
+def test_guess_calls_the_exact_nullspace_only_where_the_residues_allow(monkeypatch):
+    calls = _count_exact_calls(monkeypatch)
+    assert guess_recurrence(a214615_terms(201), 12, 12) == [A214615_RECURRENCE.with_n_min(2)]
+    assert calls == [9]  # the (2, 2) pair alone
+    calls.clear()
+    assert guess_recurrence(_bell(202), 6, 6) == []
+    assert calls == []
+
+
+def test_guess_where_every_term_is_zero_mod_p_takes_the_exact_path(monkeypatch):
+    # Every equation is 0 mod p, so no pair is ruled out and each one is solved exactly.
+    calls = _count_exact_calls(monkeypatch)
+    bell = _bell(202)
+    assert bell.terms[:10] == (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147)
+    assert guess_recurrence(SequenceTable(0, tuple(P * v for v in bell.terms)), 4, 4) == []
+    assert len(calls) == 25
+    calls.clear()
+    scaled = SequenceTable(0, tuple(P * v for v in a214615_terms(201).terms))
+    assert guess_recurrence(scaled, 12, 12) == [A214615_RECURRENCE.with_n_min(2)]
+    assert calls[-1] == 9 and len(calls) > 1
+
+
+def test_full_column_rank_mod_p_implies_an_empty_rational_nullspace():
+    rng = random.Random(20261018)
+    full = scaled_full = 0
+    for trial in range(400):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 6)
+        matrix = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
+        if trial % 4 == 1:  # every entry a multiple of p: rank 0 mod p
+            matrix = [[P * v for v in row] for row in matrix]
+        elif trial % 4 == 2:  # one row a multiple of p
+            matrix[rng.randrange(nrows)] = [P * v for v in matrix[0]]
+        elif trial % 4 == 3:  # entries far beyond p
+            matrix = [[v * P**2 + rng.randint(-3, 3) for v in row] for row in matrix]
+        got = guessing._full_column_rank_mod_p(matrix, ncols)
+        assert not (got and trial % 4 == 1)
+        if got:
+            assert oracles.gauss_nullspace(matrix) == []
+            full += 1
+            scaled_full += trial % 4 != 0
+    assert full >= 100 and scaled_full >= 30  # the implication is not vacuous
+    # rank 2 over the rationals, 1 mod p: the filter proves nothing, the exact path decides
+    unlucky = [[1, 1], [1, P + 1], [2, P + 2]]
+    assert not guessing._full_column_rank_mod_p(unlucky, 2)
+    assert oracles.gauss_nullspace(unlucky) == [] == nullspace(unlucky)
