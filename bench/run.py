@@ -4,39 +4,42 @@ Run from the repository root:
 
     python3 bench/run.py [--src DIR] [--label NAME]
 
-It times the direct loop ``a214615_terms``, ``RecurrenceOperator.unroll``
-from a(0), a(1) and ``RecurrenceOperator.verify`` of the direct table, at
-n = 10^4 and 2*10^4, and checks that the three agree.  It then times
+It times the direct loop ``a214615_terms``, ``RecurrenceOperator.unroll`` from
+a(0), a(1) and ``RecurrenceOperator.verify`` of the direct table, at n = 10^4
+and 2*10^4, and checks that the three agree.  It then times
 ``guess_recurrence`` on the first 202 terms of A214615 and of the Motzkin
 numbers at r = d = 4, 8 and 12, and on the first 202 Bell numbers, which fit
 no recurrence, at r = d = 4, 6 and 8; such a row also holds the number of
 candidates, every candidate must verify on the table, and the Bell rows must
-have none.  Last, it runs
-``holoseq selfcheck --max-n N --series-order 20`` at N = 5000 and 15000, each
+have none.  Last, it runs ``holoseq selfcheck --max-n N --series-order 20`` at
+N = 5000 and 15000, then ``holoseq generate --bfile`` of the first N terms of
+A214615 and ``holoseq verify --bfile`` of that file at N = 300 and 5000, each
 run in a fresh interpreter, one after another, and times the whole child
-process; such a row also holds the median of the children's own peak
-resident memory in MiB (Linux's VmHWM), and every run must pass with the
-same output.  Each case runs RUNS (5) times.  A row holds the median
-wall-clock seconds and the median reference seconds: each run scaled by
-perfbench's REFERENCE_S over the faster of the reference-kernel runs just
-before and just after it, because this kind of shared host drifts in speed
-by up to half within seconds.  The rows of the direct, unroll, verify and
-guess cases also hold the largest term's bit length; the record holds the
-Python version and the CPU model.  The label defaults to ``layers``.
-``--src`` names the directory holding the ``holoseq`` package to measure
-(default: ``src`` of this checkout), so another checkout can be measured by
-the same script; the script exits if ``holoseq`` is imported from anywhere
-else.  Only the standard library is used.
+process; such a row also holds the median of the children's own peak resident
+memory in MiB (Linux's VmHWM), every run must pass with the same output, and
+every ``generate`` run must write the same bytes.  Each case runs RUNS (5)
+times.  A row holds the median wall-clock seconds and the median reference
+seconds: each run scaled by perfbench's REFERENCE_S over the faster of the
+reference-kernel runs just before and just after it, because this kind of
+shared host drifts in speed by up to half within seconds.  The rows of the
+direct, unroll, verify and guess cases also hold the largest term's bit
+length; the record holds the Python version and the CPU model.  The label
+defaults to ``layers``.  ``--src`` names the directory holding the ``holoseq``
+package to measure (default: ``src`` of this checkout), so another checkout
+can be measured by the same script; the script exits if ``holoseq`` is
+imported from anywhere else.  Only the standard library is used.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import Callable, Hashable, Optional
@@ -52,6 +55,7 @@ BELL_BOUNDS = (4, 6, 8)
 MOTZKIN = "(n+2)*a(n) - (2*n+1)*a(n-1) - 3*(n-1)*a(n-2) = 0"
 SELFCHECK_SIZES = (5_000, 15_000)
 SELFCHECK_ORDER = 20
+BFILE_SIZES = (300, 5_000)
 RUNS = 5
 
 # One CLI call in a fresh interpreter: argv is (src dir, CLI arguments...).  The command's
@@ -107,19 +111,18 @@ def measure(
     return summaries.pop(), runs
 
 
-def selfcheck(src: Path, n: int, peaks: list[float]) -> str:
-    """stdout of one passing ``selfcheck --max-n n`` in a child; appends its peak RSS in MiB to peaks."""
-    argv = ["selfcheck", "--max-n", str(n), "--series-order", str(SELFCHECK_ORDER)]
+def cli_child(src: Path, argv: list[str], peaks: list[float]) -> str:
+    """stdout of one ``holoseq argv`` that exits 0 in a child; appends its peak RSS in MiB to peaks."""
     done = subprocess.run(
         [sys.executable, "-c", CHILD, str(src.resolve()), *argv], capture_output=True, text=True
     )
     if done.returncode != 0:
-        raise SystemExit(f"bench: the selfcheck child failed:\n{done.stderr}")
+        raise SystemExit(f"bench: the {argv[0]} child failed:\n{done.stderr}")
     code, imported, peak_kib = json.loads(done.stderr.splitlines()[-1])
     if Path(imported).resolve().parent != (src / "holoseq").resolve():
-        raise SystemExit(f"bench: the selfcheck child imported holoseq from {imported}, not {src}")
+        raise SystemExit(f"bench: the {argv[0]} child imported holoseq from {imported}, not {src}")
     if code != 0:
-        raise SystemExit(f"bench: selfcheck --max-n {n} exited {code}:\n{done.stdout}")
+        raise SystemExit(f"bench: holoseq {' '.join(argv)} exited {code}:\n{done.stdout}")
     peaks.append(peak_kib / 1024)
     return done.stdout
 
@@ -190,9 +193,27 @@ def main(argv: Optional[list[str]] = None) -> int:
             rows.append(row(f"guess_{name}", GUESS_TERMS, runs, table, **extra))
     for n in SELFCHECK_SIZES:
         peaks: list[float] = []
-        _, runs = measure(lambda: selfcheck(args.src, n, peaks), str)
+        argv = ["selfcheck", "--max-n", str(n), "--series-order", str(SELFCHECK_ORDER)]
+        _, runs = measure(lambda: cli_child(args.src, argv, peaks), str)
         extra = {"series_order": SELFCHECK_ORDER, "peak_rss_mib": round(statistics.median(peaks), 1)}
         rows.append(row("selfcheck", n, runs, **extra))
+    with tempfile.TemporaryDirectory() as work:
+        for n in BFILE_SIZES:
+            path = Path(work) / f"b{n}.txt"
+            rec = A214615_RECURRENCE.to_text()
+            cases = {
+                "generate_bfile": (
+                    ["generate", "--rec", rec, "--init", "1,1", "--to", str(n - 1), "--bfile", str(path)],
+                    lambda: hashlib.sha256(path.read_bytes()).hexdigest(),
+                ),
+                "verify_bfile": (["verify", "--rec", rec, "--bfile", str(path)], lambda: ""),
+            }
+            for name, (argv, written) in cases.items():
+                peaks = []
+                _, runs = measure(lambda: cli_child(args.src, argv, peaks) + written(), str)
+                peak = round(statistics.median(peaks), 1)
+                extra = {"bfile_bytes": path.stat().st_size, "peak_rss_mib": peak}
+                rows.append(row(name, n, runs, **extra))
     record = {
         "label": args.label,
         "python": platform.python_version(),

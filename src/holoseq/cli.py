@@ -10,15 +10,16 @@ import argparse
 import functools
 import json
 import sys
-from itertools import islice
+from itertools import chain, islice
 from typing import Optional, Sequence
 
 from .bfile import (
     BFileDocument,
     FetchError,
+    _bfile_lines,
     fetch_bfile,
-    format_bfile,
     load_bfile,
+    read_bfile,
     write_bfile,
 )
 from .guessing import guess_recurrence
@@ -35,7 +36,7 @@ from .parsing import (
     parse_recurrence,
 )
 from .polynomials import _lift_digit_cap, parse_integer, parse_rational
-from .sequences import SequenceTable
+from .sequences import SequenceTable, windows
 from .series import NonIntegerCoefficientError
 
 
@@ -125,11 +126,6 @@ def _recurrence_json(rec: RecurrenceOperator) -> dict:
     }
 
 
-def _print_terms(table: SequenceTable) -> None:
-    for n, value in table.items():
-        print(f"{n} {value}")
-
-
 def _terms_json(table: SequenceTable) -> list[list[str]]:
     return [[str(n), str(value)] for n, value in table.items()]
 
@@ -143,54 +139,53 @@ def _report_line(label: str, report: VerifyReport) -> str:
     return f"{label} {detail}"
 
 
-# Terms per window of selfcheck's walk, which holds about one window at a time; at least 3,
-# so that the first window reaches the recurrence's n_min = 2.
-_SELFCHECK_WINDOW = 256
+def _check_against(path: str, max_n: int) -> tuple[tuple[str, str, bool], Optional[VerifyReport]]:
+    """selfcheck's b-file check, and the whole file's report if it starts at index 0.
+
+    The file is read to its end in any case, and its terms up to max_n are compared with a
+    fresh pass of the direct terms.
+    """
+    rec, label, entries = A214615_RECURRENCE, f"b-file check: {path}", read_bfile(path)
+    offset, first = next(entries)
+    if offset != 0:
+        for _ in entries:  # a malformed line further on is still an error
+            pass
+        return ("against", f"{label} starts at index {offset}, expected 0: FAIL", False), None
+    direct, agrees = _a214615_direct(), True
+
+    def compared():
+        nonlocal agrees
+        for n, value in chain([(offset, first)], entries):
+            agrees = agrees and (n > max_n or value == next(direct))
+            yield n, value
+
+    report = rec.verify_windows(windows(compared(), rec.order))
+    if not agrees:
+        return ("against", f"{label} terms differ from computed a(n): FAIL", False), report
+    return ("against", _report_line(label, report), report.passed), report
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
-    rec = A214615_RECURRENCE
-    max_n = args.max_n
-    order = args.series_order
+    rec, max_n, order = A214615_RECURRENCE, args.max_n, args.series_order
     if max_n < rec.n_min or order < 1:
         raise ValueError(f"--max-n must be >= {rec.n_min} and --series-order >= 1")
-    operator = egf_annihilator(1)
-    egf = build_egf(1, order)
+    against, against_report = _check_against(args.against, max_n) if args.against else (None, None)
+    operator, egf = egf_annihilator(1), build_egf(1, order)
     overlap = min(max_n, order)
-    # name -> (reference terms from index 0, the last index they are compared at)
-    prefixes = {"egf_terms": (egf.egf_terms().terms, overlap)}
-    entries = against_report = None
-    if args.against:
-        entries = load_bfile(args.against).entries
-        if entries.offset == 0:
-            against_report = rec.verify(entries)
-            prefixes["against"] = (entries.terms, min(entries.last_index, max_n))
+    prefix = tuple(islice(_a214615_direct(), max(overlap, 11) + 1))
+    unrolled, unroll_ok = A214615_INITIAL, True
 
-    # Walk 0..max_n one window at a time, so only a window of terms is ever held.  A window
-    # table starts ``rec.order`` terms early: each check at n needs at most a(n - rec.order).
-    direct = _a214615_direct()
-    head: tuple[int, ...] = ()
-    carried: tuple[int, ...] = ()
-    unrolled = A214615_INITIAL
-    unroll_ok = True
-    agrees = dict.fromkeys(prefixes, True)
-    report = VerifyReport(rec.n_min, rec.n_min, None)  # n_first_checked of the whole table
-    for lo in range(0, max_n + 1, _SELFCHECK_WINDOW):
-        hi = min(lo + _SELFCHECK_WINDOW - 1, max_n)
-        new = tuple(islice(direct, hi - lo + 1))
-        head += new[: 12 - len(head)]
-        window = SequenceTable(lo - len(carried), carried + new)
-        carried = window.terms[-rec.order :]
-        if report.passed:
-            part = rec.with_n_min(max(rec.n_min, lo)).verify(window)
-            report = VerifyReport(report.n_first_checked, part.n_last_checked, part.first_failure)
-        unrolled = rec.unroll(unrolled, hi)
-        unroll_ok = unroll_ok and unrolled.terms[-len(new) :] == new
-        unrolled = SequenceTable(hi - rec.order + 1, unrolled.terms[-rec.order :])
-        for name, (terms, end) in prefixes.items():
-            if lo <= end:
-                k = min(hi, end) - lo + 1
-                agrees[name] = agrees[name] and terms[lo : lo + k] == new[:k]
+    def unroll_compared(tables):  # the recurrence unrolled alongside, one window at a time
+        nonlocal unrolled, unroll_ok
+        for table in tables:
+            unrolled = rec.unroll(unrolled, table.last_index)
+            unroll_ok = unroll_ok and unrolled == table
+            unrolled = SequenceTable(table.last_index + 1 - rec.order, unrolled.terms[-rec.order :])
+            yield table
+            del table
+
+    direct = windows(enumerate(islice(_a214615_direct(), max_n + 1)), rec.order)
+    report = rec.verify_windows(unroll_compared(direct))
 
     checks: list[tuple[str, str, bool]] = []  # (name, text line, passed)
     line = _report_line(f"recurrence check: {rec.to_text()}", report)
@@ -200,19 +195,11 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     ok = operator.apply(egf).is_zero
     line = f"ODE check: {operator.to_text()} annihilates the EGF through t^{order - 1}: "
     checks.append(("ode", line + ("PASS" if ok else "FAIL"), ok))
-    ok = agrees["egf_terms"]
+    ok = egf.egf_terms().terms[: overlap + 1] == prefix[: overlap + 1]
     line = f"EGF terms check: n! * [t^n] EGF == a(n) for n <= {overlap}: "
     checks.append(("egf_terms", line + ("PASS" if ok else "FAIL"), ok))
-    if entries is not None:
-        if against_report is None:
-            line = f"b-file check: {args.against} starts at index {entries.offset}, expected 0: FAIL"
-            checks.append(("against", line, False))
-        elif not agrees["against"]:
-            line = f"b-file check: {args.against} terms differ from computed a(n): FAIL"
-            checks.append(("against", line, False))
-        else:
-            line = _report_line(f"b-file check: {args.against}", against_report)
-            checks.append(("against", line, against_report.passed))
+    if against is not None:
+        checks.append(against)
 
     passed = all(ok for _, _, ok in checks)
     if args.json:
@@ -221,7 +208,7 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
             payload["against_report"] = _report_json(against_report)
         print(json.dumps(payload, indent=2))
     else:
-        shown = ", ".join(str(v) for v in head)
+        shown = ", ".join(str(v) for v in prefix[: min(max_n, 11) + 1])
         more = ", ..." if max_n >= 12 else ""
         print(f"terms a(0..{min(max_n, 11)}): {shown}{more}")
         for _, line, _ in checks:
@@ -238,14 +225,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     elif args.json:
         print(json.dumps({"recurrence": rec.to_text(), "terms": _terms_json(table)}, indent=2))
     else:
-        _print_terms(table)
+        sys.stdout.writelines(_bfile_lines(BFileDocument(table)))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     rec = _parse_rec_argument(args.rec, args.ode)
-    document = load_bfile(args.bfile)
-    report = rec.verify(document.entries)
+    report = rec.verify_windows(windows(read_bfile(args.bfile), rec.order))
     if args.json:
         print(json.dumps({"recurrence": rec.to_text(), **_report_json(report)}, indent=2))
     else:
@@ -299,7 +285,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     elif args.text:
         print(egf.to_text())
     else:
-        _print_terms(egf.egf_terms())
+        sys.stdout.writelines(_bfile_lines(BFileDocument(egf.egf_terms())))
     return 0
 
 
@@ -313,7 +299,7 @@ def cmd_fetch(args: argparse.Namespace) -> int:
             )
         )
     else:
-        sys.stdout.write(format_bfile(document))
+        sys.stdout.writelines(_bfile_lines(document))
     return 0
 
 

@@ -355,6 +355,26 @@ class RecurrenceOperator:
                 return VerifyReport(start, n, (n, lead * a - s))
         return VerifyReport(start, end, None)
 
+    def verify_windows(self, tables: Iterable[SequenceTable]) -> VerifyReport:
+        """``verify`` of the whole table that ``windows(entries, self.order)`` cut into ``tables``.
+
+        Each index is checked on the first table that holds it, through the ``order`` terms
+        that table carries before it.  Every table is read, also after a failure, so that a
+        b-file reader checks its input to the end.
+        """
+        start = end = report = None
+        for table in tables:
+            start = max(self.n_min, table.offset if end is None else end + 1)
+            end = table.last_index
+            if start <= end and (report is None or report.passed):
+                part = self.with_n_min(start).verify(table)
+                first = start if report is None else report.n_first_checked
+                report = VerifyReport(first, part.n_last_checked, part.first_failure)
+            del table  # hold no table while the next one is read
+        if report is None:  # then start is the whole table's max(n_min, offset)
+            raise ValueError(f"table ends at {end}, before the first checkable index {start}")
+        return report
+
     def to_text(self) -> str:
         """Canonical text: "a(n) - a(n-1) + (n-1)^2*a(n-2) = 0 for n >= 2"."""
         parts: list[tuple[bool, str]] = []

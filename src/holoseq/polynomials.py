@@ -32,8 +32,9 @@ _DIGIT_CAP = 2_000_000
 def _lift_digit_cap(func: Callable) -> Callable:
     """Run ``func`` with the interpreter's int<->str digit cap at >= 2,000,000, then restore it.
 
-    Only the entry points that parse or print whole terms are wrapped, so
-    importing holoseq changes no interpreter-wide state.
+    Only the entry points that parse or print whole terms are wrapped, so importing holoseq
+    changes no interpreter-wide state.  Wrap no generator function: its body runs after the
+    call has returned.
     """
     if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the cap
         return func

@@ -1,9 +1,13 @@
-"""Integer sequence tables: contiguous terms starting at an offset."""
+"""Integer sequence tables: contiguous terms starting at an offset, whole or in windows."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import islice
+from typing import Iterable, Iterator
+
+# New terms per table of ``windows``; a walk holds about one window at a time.
+_WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -59,3 +63,16 @@ class SequenceTable:
             )
         i = n - self.offset
         return SequenceTable(self.offset, self.terms[:i] + (value,) + self.terms[i + 1 :])
+
+
+def windows(entries: Iterable[tuple[int, int]], carry: int) -> Iterator[SequenceTable]:
+    """Tables of the consecutive (n, a(n)) ``entries``, _WINDOW (256) new terms each but the
+    last, each led by the ``carry`` terms before its new ones (all of them, if fewer)."""
+    entries = iter(entries)
+    carried: tuple[int, ...] = ()
+    for n, value in entries:
+        new = (value, *(term for _, term in islice(entries, _WINDOW - 1)))
+        table = SequenceTable(n - len(carried), carried + new)
+        carried = table.terms[max(0, len(table) - carry) :]
+        yield table
+        del new, table  # hold no window while the next one is read

@@ -8,7 +8,8 @@ import pytest
 
 import holoseq
 from holoseq.bfile import BFileDocument, format_bfile, write_bfile
-from holoseq.cli import _SELFCHECK_WINDOW as W
+from holoseq.sequences import _WINDOW as W
+from holoseq.sequences import SequenceTable
 from holoseq.cli import main
 from holoseq.meixner import (
     A214615_INITIAL,
@@ -329,6 +330,17 @@ def test_selfcheck_against_corrupted_past_the_first_window(tmp_path, capsys):
     assert json_out == selfcheck_reference(table, 20, (path, entries), as_json=True)
 
 
+def test_selfcheck_against_compares_terms_only_up_to_max_n(tmp_path, capsys):
+    max_n = W + 44
+    entries = a214615_terms(2 * W + 50).replaced(2 * W, 1)
+    path = tmp_path / "corrupt.txt"
+    write_bfile(BFileDocument(entries), path)
+    out, code = run_selfcheck(capsys, max_n, 20, "--against", str(path))
+    assert code == 1
+    assert f"b-file check: {path} first failure at n = {2 * W}" in out
+    assert (out, code) == selfcheck_reference(a214615_terms(max_n), 20, (path, entries))
+
+
 # Runs one CLI call in this interpreter and prints its peak resident memory in KiB.  That is
 # VmHWM, the high-water mark of this address space: on Linux ru_maxrss also counts the peak
 # of the process that spawned it, because exec carries it over.
@@ -342,19 +354,66 @@ with open("/proc/self/status") as status:
 """
 
 
+def peak_kib(*argv):
+    """The peak resident memory in KiB of ``holoseq argv``, run in a fresh interpreter."""
+    src = str(Path(holoseq.__file__).resolve().parent.parent)
+    child = [sys.executable, "-c", PEAK_CHILD, src, *argv]
+    done = subprocess.run(child, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout.split()[-1])
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux's /proc/self/status")
 def test_selfcheck_memory_is_bounded_by_a_window():
-    src = str(Path(holoseq.__file__).resolve().parent.parent)
-
-    def peak_kib(max_n):
-        argv = ["selfcheck", "--max-n", str(max_n), "--series-order", "20"]
-        child = [sys.executable, "-c", PEAK_CHILD, src, *argv]
-        done = subprocess.run(child, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        return int(done.stdout.split()[-1])
+    def selfcheck_kib(max_n):
+        return peak_kib("selfcheck", "--max-n", str(max_n), "--series-order", "20")
 
     table_kib = sum(map(sys.getsizeof, islice(_a214615_direct(), 10_001))) / 1024
-    assert peak_kib(10_000) < peak_kib(2) + table_kib / 2
+    assert selfcheck_kib(10_000) < selfcheck_kib(2) + table_kib / 2
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux's /proc/self/status")
+def test_bfile_write_and_verify_memory_is_bounded_by_a_window(tmp_path):
+    """generate --bfile holds the table but never its text; verify --bfile holds neither."""
+    peaks = {}
+    for n_max in (2, 2499):
+        path = str(tmp_path / f"b{n_max}.txt")
+        peaks["generate", n_max] = peak_kib("generate", "--rec", REC_TEXT, "--init", "1,1",
+                                            "--to", str(n_max), "--bfile", path)
+        peaks["verify", n_max] = peak_kib("verify", "--rec", REC_TEXT, "--bfile", path)
+    text_kib = (tmp_path / "b2499.txt").stat().st_size / 1024
+    table_kib = sum(map(sys.getsizeof, islice(_a214615_direct(), 2500))) / 1024
+    assert peaks["generate", 2499] < peaks["generate", 2] + table_kib + text_kib / 2
+    assert peaks["verify", 2499] < peaks["verify", 2] + text_kib / 2
+
+
+def test_verify_reads_past_a_failure_to_a_malformed_line(tmp_path, capsys):
+    path = write_golden_bfile(tmp_path, n_max=700)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[5] = "5 61\n"
+    lines[650] = "650 x1\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    assert main(["verify", "--rec", REC_TEXT, "--bfile", str(path)]) == 2
+    assert capsys.readouterr().err == "holoseq: line 651: non-integer field in '650 x1'\n"
+    lines[650] = "650 0\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    assert main(["verify", "--rec", REC_TEXT, "--bfile", str(path)]) == 1
+    assert "first failure at n = 5 (residual 1): FAIL" in capsys.readouterr().out
+
+
+def test_selfcheck_against_reads_an_offset_bfile_to_its_end(tmp_path, capsys):
+    path = tmp_path / "b.txt"
+    write_bfile(BFileDocument(SequenceTable(1, a214615_terms(600).terms)), path)
+    argv = ["selfcheck", "--max-n", "20", "--series-order", "12", "--against", str(path)]
+    assert main(argv) == 1
+    assert f"b-file check: {path} starts at index 1, expected 0: FAIL" in capsys.readouterr().out
+    with path.open("a", encoding="utf-8") as stream:
+        stream.write("700 1\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "holoseq: line 602: index 700 does not follow 601\n"
+    write_bfile(BFileDocument(a214615_terms(1)), path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "holoseq: table ends at 1, before the first checkable index 2\n"
 
 
 def test_fetch_warm_cache(tmp_path, capsys):
