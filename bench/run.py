@@ -1,4 +1,4 @@
-"""Layer benchmark of A214615's terms, unroll, verify and guess; writes bench/BENCH_<label>.json.
+"""Layer benchmark of A214615's terms, unroll, verify, guess and EGF series; writes bench/BENCH_<label>.json.
 
 Run from the repository root:
 
@@ -11,15 +11,22 @@ and 2*10^4, and checks that the three agree.  It then times
 numbers at r = d = 4, 8 and 12, and on the first 202 Bell numbers, which fit
 no recurrence, at r = d = 4, 6 and 8; such a row also holds the number of
 candidates, every candidate must verify on the table, and the Bell rows must
-have none.  Last, it runs ``holoseq selfcheck --max-n N --series-order 20`` at
-N = 5000 and 15000, then ``holoseq generate --bfile`` of the first N terms of
-A214615 and ``holoseq verify --bfile`` of that file at N = 300 and 5000, each
-run in a fresh interpreter, one after another, and times the whole child
-process; such a row also holds the median of the children's own peak resident
-memory in MiB (Linux's VmHWM), every run must pass with the same output, and
-every ``generate`` run must write the same bytes.  Each case runs RUNS (5)
-times.  A row holds the median wall-clock seconds and the median reference
-seconds: each run scaled by perfbench's REFERENCE_S over the faster of the
+have none.  Next it times the pieces of ``build_egf(1, N)`` and the whole, at
+N = 250, 400 and 800: ``Series.exp`` of arctan t, ``Series.inverse_sqrt`` of
+1 + t^2, the ``Series`` product of those two, and ``build_egf`` itself; that
+product must equal ``build_egf(1, N)``, whose EGF terms must equal the direct
+ones, and such a row also holds the result's largest numerator or denominator
+bit length.  Last, it runs ``holoseq selfcheck --max-n N --series-order 20`` at
+N = 5000 and 15000, ``holoseq series --to N`` at N = 250, 400 and 800, whose
+output must be the b-file lines of the direct terms, then
+``holoseq generate --bfile`` of the first N terms of A214615 and
+``holoseq verify --bfile`` of that file at N = 300 and 5000, each run in a
+fresh interpreter, one after another, and times the whole child process; such
+a row also holds the median of the children's own peak resident memory in MiB
+(Linux's VmHWM), every run must pass with the same output, and every
+``generate`` run must write the same bytes.  Each case runs RUNS (5) times.  A
+row holds the median wall-clock seconds and the median reference seconds:
+each run scaled by perfbench's REFERENCE_S over the faster of the
 reference-kernel runs just before and just after it, because this kind of
 shared host drifts in speed by up to half within seconds.  The rows of the
 direct, unroll, verify and guess cases also hold the largest term's bit
@@ -55,6 +62,7 @@ BELL_BOUNDS = (4, 6, 8)
 MOTZKIN = "(n+2)*a(n) - (2*n+1)*a(n-1) - 3*(n-1)*a(n-2) = 0"
 SELFCHECK_SIZES = (5_000, 15_000)
 SELFCHECK_ORDER = 20
+SERIES_SIZES = (250, 400, 800)
 BFILE_SIZES = (300, 5_000)
 RUNS = 5
 
@@ -153,8 +161,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     from holoseq import (
         A214615_INITIAL,
         A214615_RECURRENCE,
+        Polynomial,
         SequenceTable,
+        Series,
         a214615_terms,
+        build_egf,
         guess_recurrence,
         parse_recurrence,
     )
@@ -191,12 +202,39 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise SystemExit(f"bench: a guess on the Bell numbers at r = d = {bound} fits")
             extra = {"bounds": [bound, bound], "candidates": len(candidates)}
             rows.append(row(f"guess_{name}", GUESS_TERMS, runs, table, **extra))
+    for n in SERIES_SIZES:
+        one_plus_t2 = Polynomial((1, 0, 1))
+        arctan = (Series.one(n - 1) / Series.from_polynomial(one_plus_t2, n - 1)).integral()
+        u = Series.from_polynomial(one_plus_t2, n)
+        exp_part, sqrt_part = arctan.exp(), u.inverse_sqrt()
+        egf = build_egf(1, n)
+        if exp_part * sqrt_part != egf or egf.egf_terms() != a214615_terms(n):
+            raise SystemExit(f"bench: build_egf(1, {n}) disagrees with its parts or with a214615_terms")
+        cases = {
+            "series_exp": (arctan.exp, exp_part),
+            "series_inverse_sqrt": (u.inverse_sqrt, sqrt_part),
+            "series_mul": (lambda: exp_part * sqrt_part, egf),
+            "build_egf": (lambda: build_egf(1, n), egf),
+        }
+        for name, (call, expected) in cases.items():
+            agrees, runs = measure(call, lambda r: r == expected)
+            if not agrees:
+                raise SystemExit(f"bench: {name} at N = {n} disagrees with its untimed result")
+            bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in expected.coeffs)
+            rows.append(row(name, n, runs, max_coeff_bits=bits))
     for n in SELFCHECK_SIZES:
         peaks: list[float] = []
         argv = ["selfcheck", "--max-n", str(n), "--series-order", str(SELFCHECK_ORDER)]
         _, runs = measure(lambda: cli_child(args.src, argv, peaks), str)
         extra = {"series_order": SELFCHECK_ORDER, "peak_rss_mib": round(statistics.median(peaks), 1)}
         rows.append(row("selfcheck", n, runs, **extra))
+    for n in SERIES_SIZES:
+        peaks = []
+        lines = "".join(f"{i} {v}\n" for i, v in enumerate(a214615_terms(n).terms))
+        printed, runs = measure(lambda: cli_child(args.src, ["series", "--to", str(n)], peaks), str)
+        if printed != lines:
+            raise SystemExit(f"bench: holoseq series --to {n} does not print the direct terms")
+        rows.append(row("series", n, runs, peak_rss_mib=round(statistics.median(peaks), 1)))
     with tempfile.TemporaryDirectory() as work:
         for n in BFILE_SIZES:
             path = Path(work) / f"b{n}.txt"

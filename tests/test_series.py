@@ -1,16 +1,22 @@
+import decimal
 import random
+import sys
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from holoseq import series as series_module
+from holoseq.meixner import build_egf, egf_annihilator, meixner_eval
 from holoseq.polynomials import Polynomial
 from holoseq.sequences import SequenceTable
 from holoseq.series import (
+    _DECIMAL_MIN_BITS,
     ConstantTermError,
     NonIntegerCoefficientError,
     OrderMismatchError,
     Series,
+    _kronecker_mul,
 )
 
 import oracles
@@ -51,6 +57,142 @@ def test_mul_matches_naive_oracle_where_packing_can_fail():
     for a, b in cases:
         got = Series(a) * Series(b)
         assert got.coeffs == tuple(oracles.naive_mul([Fraction(x) for x in a], [Fraction(x) for x in b]))
+
+
+LARGE_PRIMES = (2**61 - 1, 2**89 - 1, 10**9 + 7, 2**127 - 1)
+
+
+def spy_packings(monkeypatch) -> list[str]:
+    """Record, in order, which packing each ``_kronecker_mul`` call takes."""
+    used: list[str] = []
+    for name in ("_binary_mul", "_decimal_mul"):
+        real = getattr(series_module, name)
+        monkeypatch.setattr(series_module, name, lambda *args, real=real, name=name: used.append(name) or real(*args))
+    return used
+
+
+def signed(rng, bits, signs):
+    """A random integer of exactly ``bits`` bits with a sign drawn from ``signs``."""
+    return rng.choice(signs) * ((1 << (bits - 1)) | rng.getrandbits(bits - 1))
+
+
+def shorter_packed_bits(a, b):
+    """The shorter operand's packed size, which picks the packing, from its definition."""
+    la, lb = (len(v) - next(i for i, x in enumerate(reversed(v)) if x) for v in (a, b))
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(la, lb)
+    return min(la, lb) * (bound.bit_length() + 1)
+
+
+def assert_kronecker_matches_naive(a, b):
+    assert _kronecker_mul(list(a), list(b)) == oracles.naive_mul(list(a), list(b))
+
+
+def test_kronecker_mul_just_below_and_above_the_crossover(monkeypatch):
+    used = spy_packings(monkeypatch)
+    rng = random.Random(151)
+    length = 60
+    for signs in ((-1, 1), (1,), (-1,)):
+        shapes = {}
+        for bits in range(780, 900):
+            a = [signed(rng, bits, signs) for _ in range(length)]
+            b = [signed(rng, bits, signs) for _ in range(length)]
+            side = shorter_packed_bits(a, b) >= _DECIMAL_MIN_BITS
+            shapes.setdefault(side, []).append((a, b))
+        below, above = shapes[False][-1], shapes[True][0]
+        assert shorter_packed_bits(*above) - shorter_packed_bits(*below) < 1000
+        used.clear()
+        assert_kronecker_matches_naive(*below)
+        assert_kronecker_matches_naive(*above)
+        assert used == ["_binary_mul", "_decimal_mul"]
+
+
+def test_kronecker_mul_zero_operands_and_zero_coefficients(monkeypatch):
+    used = spy_packings(monkeypatch)
+    rng = random.Random(31)
+    length = 50
+    dense = [signed(rng, 2100, (-1, 1)) for _ in range(length)]
+    holes = [x if k % 3 else 0 for k, x in enumerate(dense)]
+    low_half = dense[: length // 2] + [0] * (length - length // 2)
+    cases = [
+        ([0] * length, dense),
+        (dense, [0] * length),
+        ([0] * length, [0] * length),
+        ([0], [0]),
+        ([-7] + [0] * (length - 1), dense),  # trims to one coefficient
+        (holes, dense),
+        (low_half, dense),
+        (low_half, list(reversed(low_half))),
+        (dense, [0, 0, 0, 1] + [0] * (length - 4)),
+    ]
+    for a, b in cases:
+        assert_kronecker_matches_naive(a, b)
+    assert used == ["_binary_mul", "_decimal_mul", "_decimal_mul", "_decimal_mul", "_binary_mul"]
+
+
+def test_kronecker_mul_with_negative_truncated_slots(monkeypatch):
+    used = spy_packings(monkeypatch)
+    rng = random.Random(7)
+    for length, bits in ((20, 3000), (6, 40)):
+        big = signed(rng, bits, (1,))
+        ones = [1] * (length - 1)
+        cases = [
+            # only the truncated top slot is nonzero above the low ones, and it is -big^2
+            ([1] + [0] * (length - 2) + [big], [1] + [0] * (length - 2) + [-big]),
+            # every truncated slot negative, and so is the whole packed product
+            ([1] + ones[1:] + [big], [-1] + ones[1:] + [-big]),
+            ([-big] * length, [big] * length),
+            ([signed(rng, bits, (-1, 1)) for _ in range(length)], [-big] * length),
+        ]
+        for a, b in cases:
+            assert_kronecker_matches_naive(a, b)
+    assert used == ["_decimal_mul"] * 4 + ["_binary_mul"] * 4
+
+
+def test_kronecker_mul_when_a_coefficient_reaches_the_bound(monkeypatch):
+    # With every coefficient equal, c_(L-1) = L * max|a| * max|b|: the slot must hold the bound
+    # itself.  The bounds 5 * 10^(2m) and about 10^(2m+1) put a 5 and a 9 in the leading digit,
+    # and the range of m walks them across the digit counts that the slot width, estimated from
+    # the bit length, can meet.
+    used = spy_packings(monkeypatch)
+    for length, sizes in ((10, range(3, 40)), (40, range(380, 400))):
+        for m in sizes:
+            nines, fives = 10**m - 1, 5 * 10**m // length
+            for a, b in ((nines, nines), (-nines, nines), (fives, 10**m), (-fives, 10**m)):
+                assert_kronecker_matches_naive([a] * length, [b] * length)
+    assert used == ["_binary_mul"] * 4 * 37 + ["_decimal_mul"] * 4 * 20
+
+
+def test_kronecker_mul_past_4300_digits_under_the_default_cap(default_digit_cap, monkeypatch):
+    used = spy_packings(monkeypatch)
+    rng = random.Random(4300)
+    a = [signed(rng, 15_000, (-1, 1)) for _ in range(6)]
+    b = [signed(rng, 15_000, (-1, 1)) for _ in range(6)]
+    assert_kronecker_matches_naive(a, b)
+    assert used == ["_decimal_mul"]
+    fa, fb = Series(tuple(Fraction(x, 3) for x in a)), Series(tuple(Fraction(1, x) for x in b))
+    assert (fa * fb).coeffs == tuple(oracles.naive_mul(list(fa.coeffs), list(fb.coeffs)))
+    assert sys.get_int_max_str_digits() == default_digit_cap
+
+
+def test_products_ignore_a_hostile_thread_context():
+    rng = random.Random(3)
+    cases = [
+        ([signed(rng, 2000, (-1, 1)) for _ in range(40)], [signed(rng, 2000, (-1, 1)) for _ in range(40)]),
+        ([signed(rng, 2000, (1,)) for _ in range(40)], [signed(rng, 2000, (-1,)) for _ in range(40)]),
+    ]
+    with decimal.localcontext() as hostile:
+        hostile.prec = 3
+        hostile.clear_traps()
+        hostile.clear_flags()
+        before = repr(hostile)
+        for a, b in cases:
+            assert shorter_packed_bits(a, b) >= _DECIMAL_MIN_BITS
+            assert_kronecker_matches_naive(a, b)
+        assert (Series(tuple(cases[0][0])) * Series(tuple(cases[0][1]))).coeffs == tuple(
+            oracles.naive_mul(*cases[0])
+        )
+        assert repr(decimal.getcontext()) == before
+        assert decimal.getcontext() is hostile
 
 
 def test_div_geometric():
@@ -148,6 +290,55 @@ def test_inverse_sqrt_random_oracle():
         got = u.inverse_sqrt()
         assert got.coeffs == tuple(oracles.naive_inverse_sqrt(list(u.coeffs)))
         assert (u * got * got) == Series.one(order)
+
+
+def rand_sparse_series(rng, order, denominators, zero_constant):
+    """A series with a few nonzero coefficients at random places, over ``denominators``."""
+    coeffs = [Fraction(0)] * (order + 1)
+    for k in rng.sample(range(1, order + 1), min(order, 3)):
+        coeffs[k] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**12), rng.choice(denominators))
+    coeffs[0] = Fraction(0 if zero_constant else 1)
+    return Series(tuple(coeffs))
+
+
+def random_kernel_inputs(seed, zero_constant):
+    """Dense and sparse series of orders 0, 1, 2 and up to 10, over large-prime denominators."""
+    rng = random.Random(seed)
+    head = Fraction(0 if zero_constant else 1)
+    out = []
+    for order in (0, 1, 2, 0, 1, 2, 5, 10):
+        dense = rand_series(rng, order, bound=10**9, denominators=(1, 3) + LARGE_PRIMES)
+        out.append(Series((head,) + dense.coeffs[1:]))
+    for order in (1, 2, 6, 10, 10):
+        out.append(rand_sparse_series(rng, order, (1, 7) + LARGE_PRIMES, zero_constant))
+    return out
+
+
+def test_exp_matches_oracle_on_dense_and_sparse_series_with_large_denominators():
+    for g in random_kernel_inputs(1009, zero_constant=True):
+        assert g.exp().coeffs == tuple(oracles.naive_exp(list(g.coeffs))), g
+
+
+def test_exp_of_arctan_times_x0_with_a_large_denominator():
+    arctan = (Series.one(11) / Series.from_polynomial(Polynomial((1, 0, 1)), 11)).integral()
+    for x0 in (Fraction(3, 2**61 - 1), Fraction(-(10**20 + 1), 10**30 + 57), Fraction(2**89 - 1, 2**64)):
+        g = arctan * x0
+        assert g.exp().coeffs == tuple(oracles.naive_exp(list(g.coeffs)))
+        egf = build_egf(x0, 30)
+        assert egf_annihilator(x0).apply(egf).is_zero
+        assert all(factorial(n) * egf.coefficient(n) == meixner_eval(n, x0) for n in range(31))
+
+
+def test_inverse_sqrt_matches_oracle_on_dense_and_sparse_series_with_large_denominators():
+    for u in random_kernel_inputs(2027, zero_constant=False):
+        assert u.inverse_sqrt().coeffs == tuple(oracles.naive_inverse_sqrt(list(u.coeffs))), u
+
+
+def test_inverse_sqrt_check_catches_a_wrong_recurrence(monkeypatch):
+    u = Series((1, Fraction(2, 3), 0, Fraction(-5, 7), 1))
+    monkeypatch.setattr(series_module, "perm", lambda n, k: factorial(n) // factorial(n - k) + 1)
+    with pytest.raises(ArithmeticError, match="fixed point"):
+        u.inverse_sqrt()
 
 
 def test_inverse_sqrt_requires_unit_constant_term():
