@@ -1,0 +1,117 @@
+"""Check that two holoseq source trees give the same CLI output on the benchmark's workloads.
+
+Run from the repository root:
+
+    python3 bench/same_output.py PARENT_SRC CHANGE_SRC
+
+Each argument is a directory holding a ``holoseq`` package, such as ``src`` of
+two checkouts.  Each tree runs in its own child interpreter, one after the
+other.  The child builds the four workloads of ``perfbench/workloads.py``
+(egf_build, terms_long, guess_fit and many_small) for seeds 1, 2 and 3 with
+``workloads.build``, in a fresh work directory, and runs every task in order
+through ``holoseq.cli.main(argv)`` in-process.  Per task it hashes the argv,
+the exit code, stdout, stderr and, for ``generate --bfile``, the bytes of the
+b-file written, with the work directory's path masked in all of them; a task
+that raises is hashed by its exception's type and message.  The child exits
+if ``holoseq`` is imported from anywhere but its tree.
+
+The script prints how many tasks were compared and exits 0 when every hash
+agrees; otherwise it names the first task whose output differs and exits 1.
+Exit code 2 means a child failed, or a tree was refused.  Only perfbench's
+workload builder is imported; nothing under ``perfbench/`` is changed.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from typing import Optional
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("egf_build", "terms_long", "guess_fit", "many_small")
+SEEDS = (1, 2, 3)
+MASK = "<work>"
+
+
+def task_digest(cli, argv: list[str], work: Path) -> str:
+    """sha256 of one task's masked argv, exit code, stdout, stderr and written b-file."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code: object = cli.main(argv)
+        except Exception as error:  # a crash is an outcome to compare, not the end of the run
+            code = f"{type(error).__name__}: {error}"
+    written: Optional[str] = None
+    if argv[0] == "generate" and "--bfile" in argv:
+        path = Path(argv[argv.index("--bfile") + 1])
+        written = "absent"
+        if path.exists():
+            data = path.read_bytes().replace(str(work).encode(), MASK.encode())
+            written = hashlib.sha256(data).hexdigest()
+    record = [argv, code, out.getvalue(), err.getvalue(), written]
+    text = json.dumps(record).replace(json.dumps(str(work))[1:-1], MASK)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def child(src: Path) -> None:
+    """Print [name, digest] per task of every workload and seed, with holoseq from ``src``."""
+    sys.path.insert(0, str(src))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import holoseq.cli as cli
+    import workloads
+
+    if Path(cli.__file__).resolve().parent != src / "holoseq":
+        raise SystemExit(f"same_output: imported holoseq from {cli.__file__}, not {src}")
+    results = []
+    with tempfile.TemporaryDirectory(prefix="same_output_") as scratch:
+        for name in WORKLOADS:
+            for seed in SEEDS:
+                work = Path(scratch) / f"{name}_{seed}"
+                for i, task in enumerate(workloads.build(name, seed, work).tasks):
+                    argv = list(task.argv)
+                    shown = " ".join(argv).replace(str(work), MASK)
+                    results.append([f"{name} seed {seed} task {i}: holoseq {shown}",
+                                    task_digest(cli, argv, work)])
+    print(json.dumps(results))
+
+
+def run_tree(src: Path) -> list[list[str]]:
+    result = subprocess.run(
+        [sys.executable, "-I", str(Path(__file__).resolve()), "--child", str(src)],
+        capture_output=True, text=True, cwd=ROOT,
+    )
+    if result.returncode != 0:
+        print(f"same_output: the run on {src} failed:\n{result.stderr}", file=sys.stderr)
+        raise SystemExit(2)
+    return json.loads(result.stdout)
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) == 2 and args[0] == "--child":
+        child(Path(args[1]).resolve())
+        return 0
+    if len(args) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    parent, change = (run_tree(Path(arg).resolve()) for arg in args)
+    if [name for name, _ in parent] != [name for name, _ in change]:
+        print("same_output: the two trees ran different task lists", file=sys.stderr)
+        return 1
+    for (name, before), (_, after) in zip(parent, change):
+        if before != after:
+            print(f"same_output: output differs at {name}")
+            return 1
+    print(f"same_output: identical over {len(parent)} tasks "
+          f"({', '.join(WORKLOADS)}; seeds {', '.join(map(str, SEEDS))})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

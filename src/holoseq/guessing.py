@@ -8,13 +8,17 @@ mod p is at most its rank over the rationals, so a pair whose equations have
 full column rank mod p has no fit, and is skipped.  Only the other pairs, the
 one that fits and any where p is unlucky, reach ``nullspace``, which solves the
 pair's exact system on ints only, so nothing is ever rounded and no result
-depends on p.
+depends on p.  Each residue column n^j a(n-k) mod p is built once per call,
+from column (k, j - 1), and shared by every pair; a pair that reaches
+``nullspace`` builds its own exact columns, for its equations' indices only,
+and none is kept for the next pair.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from typing import Iterable, Sequence, Union
 
@@ -160,40 +164,35 @@ def guess_recurrence(
         raise InsufficientTermsError(
             f"need at least {needed} terms for order {r}, degree {d}; got {len(table)}"
         )
-    offset, terms = table.offset, table.terms
+    offset, terms, last = table.offset, table.terms, table.last_index
     pairs = sorted(
         product(range(r + 1), range(d + 1)), key=lambda p: ((p[0] + 1) * (p[1] + 1), p[0])
     )
-    # columns[k, j] and residues[k, j] list n^j a(n-k) and its residue mod _PRIME for
-    # n = offset + k .. last index.  Each is built from column (k, j - 1) when the first pair
-    # that needs it is visited, the exact one only once the residues fail to rule a pair out.
-    columns: dict[tuple[int, int], list[int]] = {}
-    residues: dict[tuple[int, int], list[int]] = {}
     reduced = [v % _PRIME for v in terms]
+
+    @cache
+    def residues(k: int, j: int) -> list[int]:
+        """n^j a(n-k) mod _PRIME for n = offset + k .. last, from column (k, j - 1)."""
+        if not j:
+            return reduced[: len(terms) - k]
+        return [n * v % _PRIME for n, v in zip(range(offset + k, last + 1), residues(k, j - 1))]
+
     for r1, d1 in pairs:
         unknowns = [(k, j) for k in range(r1 + 1) for j in range(d1 + 1)]
         ncols = len(unknowns)
-        for k, j in unknowns:
-            if (k, j) not in residues:
-                ns = range(offset + k, table.last_index + 1)
-                residues[k, j] = (
-                    [n * v % _PRIME for n, v in zip(ns, residues[k, j - 1])]
-                    if j
-                    else reduced[: len(ns)]
-                )
-        head = zip(*(residues[k, j][r1 - k : r1 - k + ncols + 1] for k, j in unknowns))
+        head = zip(*(residues(k, j)[r1 - k : r1 - k + ncols + 1] for k, j in unknowns))
         if _full_column_rank_mod_p(head, ncols):
             continue
-        for k, j in unknowns:
-            if (k, j) not in columns:
-                ns = range(offset + k, table.last_index + 1)
-                columns[k, j] = (
-                    [n * v for n, v in zip(ns, columns[k, j - 1])] if j else list(terms[: len(ns)])
-                )
+        # The pair's exact columns n^j a(n-k), n = offset + r1 .. last, in the order of unknowns.
+        ns = range(offset + r1, last + 1)
+        columns = []
+        for k in range(r1 + 1):
+            columns.append(list(terms[r1 - k : len(terms) - k]))
+            for _ in range(d1):
+                columns.append([n * v for n, v in zip(ns, columns[-1])])
         width = d1 + 1
-        equations = list(zip(*(columns[k, j][r1 - k :] for k, j in unknowns)))
         candidates = []
-        for vector in nullspace(equations):
+        for vector in nullspace(list(zip(*columns))):
             polys = tuple(Polynomial(vector[k * width : (k + 1) * width]) for k in range(r1 + 1))
             if polys[0].is_zero:
                 continue

@@ -372,6 +372,8 @@ class RecurrenceOperator:
                 report = VerifyReport(first, part.n_last_checked, part.first_failure)
             del table  # hold no table while the next one is read
         if report is None:  # then start is the whole table's max(n_min, offset)
+            if end is None:
+                SequenceTable(0, ())  # no table at all: the empty table's ValueError
             raise ValueError(f"table ends at {end}, before the first checkable index {start}")
         return report
 

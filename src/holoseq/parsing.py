@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .operators import DifferentialOperator, RecurrenceOperator
-from .polynomials import Polynomial, RationalLike, _lift_digit_cap
+from .polynomials import Polynomial, RationalLike, _lift_digit_cap, _normalize_minus
 
 
 class OperatorSyntaxError(ValueError):
@@ -47,7 +47,7 @@ _Value = dict[tuple[Optional[int], int], RationalLike]
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    source = text.replace("−", "-")
+    source = _normalize_minus(text)
     tokens: list[tuple[str, str, int]] = []
     for match in _TOKEN_RE.finditer(source):
         kind = str(match.lastgroup)

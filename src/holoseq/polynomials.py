@@ -18,9 +18,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, TypeVar, Union
 
 RationalLike = Union[int, Fraction]
+_Coefficients = TypeVar("_Coefficients", list[int], tuple[Fraction, ...])
 
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
@@ -80,11 +81,20 @@ def _as_fraction(value: RationalLike) -> Fraction:
 
 
 def _over_common_denominator(values: Iterable[RationalLike]) -> tuple[list[int], int]:
-    """Integer numerators n_k and the least d > 0 with values[k] = n_k / d."""
-    # ints already carry .numerator and .denominator
-    fracs = [v if isinstance(v, int) else _as_fraction(v) for v in values]
-    den = lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs], den
+    """Integer numerators n_k and the least d > 0 with values[k] = n_k / d.
+
+    The callers pass ints and Fractions that ``Series``, ``Polynomial`` or ``nullspace``
+    already checked when they were stored, so none is checked again here."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _without_trailing_zeros(values: _Coefficients) -> _Coefficients:
+    end = len(values)
+    while end and not values[end - 1]:
+        end -= 1
+    return values[:end]
 
 
 def _primitive(values: Iterable[RationalLike]) -> list[int]:
@@ -138,9 +148,7 @@ class Polynomial:
 
     def __post_init__(self) -> None:
         cs = tuple(_as_fraction(c) for c in self.coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "coeffs", _without_trailing_zeros(cs))
 
     @classmethod
     def constant(cls, value: RationalLike) -> Polynomial:

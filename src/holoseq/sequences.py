@@ -57,10 +57,7 @@ class SequenceTable:
 
     def replaced(self, n: int, value: int) -> SequenceTable:
         """A copy with a(n) overwritten (handy for fault-injection checks)."""
-        if not self.has(n):
-            raise IndexError(
-                f"index {n} outside table range {self.offset}..{self.last_index}"
-            )
+        self.term(n)  # the IndexError outside the table
         i = n - self.offset
         return SequenceTable(self.offset, self.terms[:i] + (value,) + self.terms[i + 1 :])
 

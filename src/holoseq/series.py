@@ -49,7 +49,7 @@ from typing import Union
 
 from .polynomials import (
     Polynomial, RationalLike, _as_fraction, _join_signed, _lift_digit_cap, _over_common_denominator,
-    format_rational,
+    _without_trailing_zeros, format_rational,
 )
 from .sequences import SequenceTable
 
@@ -102,13 +102,6 @@ def _kronecker_mul(a: list[int], b: list[int]) -> list[int]:
     if shorter * (bound.bit_length() + 1) < _DECIMAL_MIN_BITS:
         return _binary_mul(a, b, length, bound)
     return _decimal_mul(a, b, length, bound)
-
-
-def _without_trailing_zeros(values: list[int]) -> list[int]:
-    end = len(values)
-    while end and not values[end - 1]:
-        end -= 1
-    return values[:end]
 
 
 def _binary_mul(a: list[int], b: list[int], length: int, bound: int) -> list[int]:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from itertools import islice
 from pathlib import Path
 
@@ -44,6 +45,13 @@ def test_ode2rec_json(capsys):
     assert payload["degree"] == 2
     assert payload["n_min"] == 2
     assert payload["coefficients"] == [["1"], ["-1"], ["1", "-2", "1"]]
+
+
+def test_ode2rec_with_a_long_zero_coefficient(capsys):
+    start = time.perf_counter()
+    assert main(["ode2rec", "D + 0*t^100000"]) == 0
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().out.strip() == "a(n) = 0 for n >= 1"
 
 
 def test_generate_terms(capsys):

@@ -376,6 +376,44 @@ def test_guess_where_every_term_is_zero_mod_p_takes_the_exact_path(monkeypatch):
     assert calls[-1] == 9 and len(calls) > 1
 
 
+def _motzkin(count):
+    """(n+2) a(n) = (2n+1) a(n-1) + 3(n-1) a(n-2), from a(0) = a(1) = 1."""
+    out = [1, 1]
+    for n in range(2, count):
+        out.append(((2 * n + 1) * out[-1] + 3 * (n - 1) * out[-2]) // (n + 2))
+    return SequenceTable(0, tuple(out))
+
+
+def test_guess_hands_nullspace_the_naive_rows_of_the_solved_pair(monkeypatch):
+    # Each matrix must be n^j a(n-k) over k <= r', j <= d', for n = offset + r' .. last:
+    # r' is read off the row count, d' off the column count.
+    def checked(matrix):
+        r1 = len(table) - len(matrix)
+        d1 = len(matrix[0]) // (r1 + 1) - 1
+        naive = [
+            tuple(n**j * table.term(n - k) for k in range(r1 + 1) for j in range(d1 + 1))
+            for n in range(table.offset + r1, table.last_index + 1)
+        ]
+        assert [tuple(row) for row in matrix] == naive, (r1, d1)
+        pairs.append((r1, d1))
+        return nullspace(matrix)
+
+    monkeypatch.setattr(guessing, "nullspace", checked)
+    scaled_bell = SequenceTable(0, tuple(P * v for v in _bell(60).terms))
+    cases = [
+        (SequenceTable(1, a214615_terms(60).terms[1:]), 4, 4,
+         ["a(n) - a(n-1) + (n-1)^2*a(n-2) = 0 for n >= 3"]),
+        (_motzkin(60), 3, 3, ["(2+n)*a(n) - (1+2*n)*a(n-1) + (3-3*n)*a(n-2) = 0 for n >= 2"]),
+        (scaled_bell, 3, 3, []),
+    ]
+    for table, r, d, expected in cases:  # ``checked`` reads table and pairs from here
+        pairs = []
+        assert [c.to_text() for c in guess_recurrence(table, r, d)] == expected
+        assert pairs
+        if table is scaled_bell:
+            assert len(pairs) == 16  # every pair reaches the exact path
+
+
 def test_full_column_rank_mod_p_implies_an_empty_rational_nullspace():
     rng = random.Random(20261018)
     full = scaled_full = 0

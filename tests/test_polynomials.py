@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,12 @@ def test_polynomial_strips_trailing_zeros():
     assert Polynomial((0, 0)).is_zero
     assert Polynomial(()).degree == float("-inf")
     assert Polynomial((5,)).degree == 0
+
+
+def test_trailing_zeros_are_stripped_in_linear_time():
+    start = time.perf_counter()
+    assert Polynomial((1,) + (0,) * 200_000).coeffs == (Fraction(1),)
+    assert time.perf_counter() - start < 1
 
 
 def test_polynomial_rejects_floats_and_strings():

@@ -140,3 +140,8 @@ def test_a_malformed_line_after_a_failure_is_still_an_error(tmp_path):
     path.write_text("".join(lines), encoding="utf-8")
     with pytest.raises(BFileFormatError, match="line 651: non-integer field"):
         A214615_RECURRENCE.verify_windows(windows(read_bfile(path), 2))
+
+
+def test_an_empty_walk_is_an_empty_table():
+    with pytest.raises(ValueError, match="a sequence table needs at least one term"):
+        A214615_RECURRENCE.verify_windows(windows(iter(()), 2))
