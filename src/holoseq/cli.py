@@ -11,7 +11,7 @@ import functools
 import json
 import sys
 from itertools import chain, islice
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .bfile import (
     BFileDocument,
@@ -36,7 +36,7 @@ from .parsing import (
     parse_recurrence,
 )
 from .polynomials import _lift_digit_cap, parse_integer, parse_rational
-from .sequences import SequenceTable, windows
+from .sequences import SequenceTable
 from .series import NonIntegerCoefficientError
 
 
@@ -139,6 +139,17 @@ def _report_line(label: str, report: VerifyReport) -> str:
     return f"{label} {detail}"
 
 
+def _compared(
+    entries: Iterable[tuple[int, int]], reference: Iterator[tuple[int, int]], differ: list
+) -> Iterator[tuple[int, int]]:
+    """The ``entries``, each compared on the way with the next of ``reference``, if any is left;
+    the first that differs is appended to ``differ``."""
+    for entry in entries:
+        if entry != next(reference, entry) and not differ:
+            differ.append(entry)
+        yield entry
+
+
 def _check_against(path: str, max_n: int) -> tuple[tuple[str, str, bool], Optional[VerifyReport]]:
     """selfcheck's b-file check, and the whole file's report if it starts at index 0.
 
@@ -151,16 +162,10 @@ def _check_against(path: str, max_n: int) -> tuple[tuple[str, str, bool], Option
         for _ in entries:  # a malformed line further on is still an error
             pass
         return ("against", f"{label} starts at index {offset}, expected 0: FAIL", False), None
-    direct, agrees = _a214615_direct(), True
-
-    def compared():
-        nonlocal agrees
-        for n, value in chain([(offset, first)], entries):
-            agrees = agrees and (n > max_n or value == next(direct))
-            yield n, value
-
-    report = rec.verify_windows(windows(compared(), rec.order))
-    if not agrees:
+    differ: list = []
+    direct = enumerate(islice(_a214615_direct(), max_n + 1))
+    report = rec._verify_entries(_compared(chain([(offset, first)], entries), direct, differ))
+    if differ:
         return ("against", f"{label} terms differ from computed a(n): FAIL", False), report
     return ("against", _report_line(label, report), report.passed), report
 
@@ -173,19 +178,11 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     operator, egf = egf_annihilator(1), build_egf(1, order)
     overlap = min(max_n, order)
     prefix = tuple(islice(_a214615_direct(), max(overlap, 11) + 1))
-    unrolled, unroll_ok = A214615_INITIAL, True
-
-    def unroll_compared(tables):  # the recurrence unrolled alongside, one window at a time
-        nonlocal unrolled, unroll_ok
-        for table in tables:
-            unrolled = rec.unroll(unrolled, table.last_index)
-            unroll_ok = unroll_ok and unrolled == table
-            unrolled = SequenceTable(table.last_index + 1 - rec.order, unrolled.terms[-rec.order :])
-            yield table
-            del table
-
-    direct = windows(enumerate(islice(_a214615_direct(), max_n + 1)), rec.order)
-    report = rec.verify_windows(unroll_compared(direct))
+    differ: list = []
+    direct = enumerate(islice(_a214615_direct(), max_n + 1))
+    unrolled = chain(A214615_INITIAL.items(), rec._unrolled(A214615_INITIAL))  # in step with direct
+    report = rec._verify_entries(_compared(direct, unrolled, differ))
+    unroll_ok = not differ
 
     checks: list[tuple[str, str, bool]] = []  # (name, text line, passed)
     line = _report_line(f"recurrence check: {rec.to_text()}", report)
@@ -231,7 +228,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     rec = _parse_rec_argument(args.rec, args.ode)
-    report = rec.verify_windows(windows(read_bfile(args.bfile), rec.order))
+    report = rec._verify_entries(read_bfile(args.bfile))
     if args.json:
         print(json.dumps({"recurrence": rec.to_text(), **_report_json(report)}, indent=2))
     else:

@@ -22,8 +22,10 @@ relation (differing only in the stated validity bound) can be checked.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, count, islice
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .polynomials import (
@@ -283,17 +285,17 @@ class RecurrenceOperator:
         """The same relation with a different stated validity bound."""
         return RecurrenceOperator(self.coeffs, n_min)
 
-    def _steps(
-        self, terms: Sequence[int], offset: int, start: int, stop: int
-    ) -> Iterator[tuple[int, int, int]]:
-        """Yield (n, p_0(n), s(n)) for n = start..stop, s(n) = -sum_{k>=1} p_k(n) a(n-k).
+    def _steps(self, before: Sequence[int], start: int) -> Iterator[tuple[int, int, int]]:
+        """Yield (n, p_0(n), s(n)) for n = start, start + 1, ..., s(n) = -sum_{k>=1} p_k(n) a(n-k).
 
-        a(m) = terms[m - offset], zero below the offset (unroll appends a(n) before n + 1).
-        Integer Horner on the canonical rows; zero values are skipped, +-1 needs no multiply.
+        a(n-k) is ``before[-k]`` when n is reached, so the caller appends a(n) to ``before``
+        between steps; a term that ``before`` does not reach (k > len(before)) is zero, as
+        below a table's offset.  Integer Horner on the canonical rows; zero values are
+        skipped, +-1 needs no multiply.
         """
         lead, *others = ([int(c) for c in reversed(p.coeffs)] for p in self.coeffs)
         rows = [(k, [-c for c in row]) for k, row in enumerate(others, 1) if row]
-        for n in range(start, stop + 1):
+        for n in count(start):
             p0 = 0
             for c in lead:
                 p0 = p0 * n + c
@@ -302,80 +304,82 @@ class RecurrenceOperator:
                 v = 0
                 for c in row:
                     v = v * n + c
-                if v == 0 or n - k < offset:
+                if v == 0 or k > len(before):
                     continue
-                a = terms[n - k - offset]
+                a = before[-k]
                 if s is None:  # start at the first term, not at 0 + term
                     s = a if v == 1 else -a if v == -1 else v * a
                 else:
                     s = s + a if v == 1 else s - a if v == -1 else s + v * a
             yield n, p0, 0 if s is None else s
 
-    def unroll(self, initial: SequenceTable, n_max: int) -> SequenceTable:
-        """Extend the initial terms through index n_max by solving p_0(n) a(n) = s(n).
-
-        s(n) comes from ``_steps``, and a(n) = s(n) outright when p_0(n) = 1.
-        The first solved index offset + len(initial) must be >= n_min; indices
-        below the offset contribute zero.  Raises SingularRecurrenceError where
-        p_0 vanishes and NonIntegerTermError when s(n)/p_0(n) is not an integer.
-        """
-        if n_max < initial.offset:
-            raise ValueError(f"n_max {n_max} is below the table offset {initial.offset}")
-        if n_max <= initial.last_index:
-            return initial.prefix(n_max)
-        start = initial.last_index + 1
-        if start < self.n_min:
-            raise ValueError(
-                f"initial terms end at {initial.last_index} but the recurrence "
-                f"only holds for n >= {self.n_min}"
-            )
-        terms = list(initial.terms)
-        for n, lead, s in self._steps(terms, initial.offset, start, n_max):
+    def _unrolled(self, initial: SequenceTable) -> Iterator[tuple[int, int]]:
+        """(n, a(n)) for n past ``initial`` without end, holding ``order`` terms; see ``unroll``."""
+        before = deque(initial.terms, maxlen=self.order)
+        for n, lead, s in self._steps(before, initial.last_index + 1):
             if lead == 0:
                 raise SingularRecurrenceError(n)
             quotient, remainder = (s, 0) if lead == 1 else divmod(s, lead)
             if remainder != 0:
                 raise NonIntegerTermError(n, Fraction(s, lead))
-            terms.append(quotient)
-        return SequenceTable(initial.offset, tuple(terms))
+            before.append(quotient)
+            yield n, quotient
 
-    def verify(self, table: SequenceTable) -> VerifyReport:
+    def unroll(self, initial: SequenceTable, n_max: int) -> SequenceTable:
+        """Extend the initial terms through index n_max by solving p_0(n) a(n) = s(n).
+
+        The terms come from ``_unrolled``, with s(n) from ``_steps`` and a(n) = s(n) outright
+        when p_0(n) = 1.  The first solved index offset + len(initial) must be >= n_min;
+        indices below the offset contribute zero.  Raises SingularRecurrenceError where p_0
+        vanishes and NonIntegerTermError when s(n)/p_0(n) is not an integer.
+        """
+        if n_max < initial.offset:
+            raise ValueError(f"n_max {n_max} is below the table offset {initial.offset}")
+        if n_max <= initial.last_index:
+            return initial.prefix(n_max)
+        if initial.last_index + 1 < self.n_min:
+            raise ValueError(
+                f"initial terms end at {initial.last_index} but the recurrence "
+                f"only holds for n >= {self.n_min}"
+            )
+        solved = islice(self._unrolled(initial), n_max - initial.last_index)
+        return SequenceTable(initial.offset, initial.terms + tuple(a for _, a in solved))
+
+    def verify(self, entries: Union[SequenceTable, Iterable[tuple[int, int]]]) -> VerifyReport:
         """Compare p_0(n) a(n) with s(n) of ``_steps`` at every n >= max(n_min, offset).
 
-        Indices below the offset count as zero.  Stops at the first mismatch and
-        reports (n, residual), the full residual p_0(n) a(n) - s(n).
+        ``entries`` is a table, or consecutive (n, a(n)) pairs with the first at the offset;
+        the walk holds ``order`` terms, and raises ValueError at an index that does not
+        follow the one before it.  Indices below the offset count as zero.  Checks stop at
+        the first mismatch, reported as (n, residual), the full residual p_0(n) a(n) - s(n),
+        but every entry is read, so that a b-file reader checks its input to the end.
         """
-        start = max(self.n_min, table.offset)
-        end = table.last_index
-        if start > end:
-            raise ValueError(f"table ends at {end}, before the first checkable index {start}")
-        for n, lead, s in self._steps(table.terms, table.offset, start, end):
-            a = table.terms[n - table.offset]
-            if (a if lead == 1 else lead * a) != s:
-                return VerifyReport(start, n, (n, lead * a - s))
-        return VerifyReport(start, end, None)
+        return self._verify_entries(entries.items() if isinstance(entries, SequenceTable) else entries)
 
-    def verify_windows(self, tables: Iterable[SequenceTable]) -> VerifyReport:
-        """``verify`` of the whole table that ``windows(entries, self.order)`` cut into ``tables``.
-
-        Each index is checked on the first table that holds it, through the ``order`` terms
-        that table carries before it.  Every table is read, also after a failure, so that a
-        b-file reader checks its input to the end.
-        """
-        start = end = report = None
-        for table in tables:
-            start = max(self.n_min, table.offset if end is None else end + 1)
-            end = table.last_index
-            if start <= end and (report is None or report.passed):
-                part = self.with_n_min(start).verify(table)
-                first = start if report is None else report.n_first_checked
-                report = VerifyReport(first, part.n_last_checked, part.first_failure)
-            del table  # hold no table while the next one is read
-        if report is None:  # then start is the whole table's max(n_min, offset)
-            if end is None:
-                SequenceTable(0, ())  # no table at all: the empty table's ValueError
-            raise ValueError(f"table ends at {end}, before the first checkable index {start}")
-        return report
+    def _verify_entries(self, entries: Iterable[tuple[int, int]]) -> VerifyReport:
+        """``verify`` of (n, a(n)) entries.  The CLI streams through this name: perfbench's
+        by-name probe of ``verify`` reads the ``terms`` of its argument."""
+        entries = iter(entries)
+        offset, _ = first = next(entries, (None, None))
+        if offset is None:
+            raise ValueError("a sequence table needs at least one term")
+        start, last, failure = max(self.n_min, offset), offset - 1, None
+        before: deque[int] = deque(maxlen=self.order)
+        steps = self._steps(before, start)
+        for n, a in chain([first], entries):
+            if n != last + 1:
+                raise ValueError(f"index {n} does not follow {last}")
+            if not isinstance(a, int):
+                raise TypeError(f"sequence terms must be ints, got {a!r}")
+            last = n
+            if n >= start and failure is None:
+                _, lead, s = next(steps)
+                if (a if lead == 1 else lead * a) != s:
+                    failure = (n, lead * a - s)
+            before.append(a)
+        if last < start:
+            raise ValueError(f"table ends at {last}, before the first checkable index {start}")
+        return VerifyReport(start, last if failure is None else failure[0], failure)
 
     def to_text(self) -> str:
         """Canonical text: "a(n) - a(n-1) + (n-1)^2*a(n-2) = 0 for n >= 2"."""

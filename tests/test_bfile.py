@@ -24,7 +24,7 @@ from holoseq.bfile import (
 )
 from holoseq.meixner import a214615_terms
 from holoseq.parsing import parse_recurrence
-from holoseq.sequences import SequenceTable, windows
+from holoseq.sequences import SequenceTable
 
 
 def test_parse_simple():
@@ -83,7 +83,7 @@ def test_5000_digit_terms_round_trip_under_the_default_cap(default_digit_cap, tm
     write_bfile(doc, path)
     assert load_bfile(path) == doc
     rec = parse_recurrence("a(n) + a(n-1) = 0 for n >= 1")
-    report = rec.verify_windows(windows(read_bfile(path), rec.order))
+    report = rec.verify(read_bfile(path))
     assert report.passed and report.n_last_checked == 2
     assert sys.get_int_max_str_digits() == default_digit_cap
 

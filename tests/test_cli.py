@@ -9,7 +9,6 @@ import pytest
 
 import holoseq
 from holoseq.bfile import BFileDocument, format_bfile, write_bfile
-from holoseq.sequences import _WINDOW as W
 from holoseq.sequences import SequenceTable
 from holoseq.cli import main
 from holoseq.meixner import (
@@ -298,18 +297,18 @@ def run_selfcheck(capsys, max_n, order, *extra):
     return capsys.readouterr().out, code
 
 
-@pytest.mark.parametrize("max_n", [2, W - 1, W, W + 1, 2 * W + 1])
+@pytest.mark.parametrize("max_n", [2, 255, 256, 257, 513])
 def test_selfcheck_windows_match_whole_table_reference(capsys, max_n):
     table = a214615_terms(max_n)
-    for order in (13, W, W + 1):
+    for order in (13, 256, 257):
         for as_json in (False, True):
             got = run_selfcheck(capsys, max_n, order, *(["--json"] if as_json else []))
             assert got == selfcheck_reference(table, order, as_json=as_json)
 
 
-@pytest.mark.parametrize("at", [1, 20, W - 1, W, W + 1])
+@pytest.mark.parametrize("at", [1, 20, 255, 256, 257])
 def test_selfcheck_catches_a_corrupted_direct_term(capsys, monkeypatch, at):
-    max_n, order = 2 * W + 1, 20
+    max_n, order = 513, 20
     table = a214615_terms(max_n)
     table = table.replaced(at, table.term(at) + 1)
     monkeypatch.setattr("holoseq.cli._a214615_direct", lambda: iter(table.terms))
@@ -325,7 +324,7 @@ def test_selfcheck_catches_a_corrupted_direct_term(capsys, monkeypatch, at):
 
 
 def test_selfcheck_against_corrupted_past_the_first_window(tmp_path, capsys):
-    max_n, at = 2 * W + 1, W + 5
+    max_n, at = 513, 261
     table = a214615_terms(max_n)
     entries = a214615_terms(max_n + 10).replaced(at, 7)
     path = tmp_path / "corrupt.txt"
@@ -339,13 +338,13 @@ def test_selfcheck_against_corrupted_past_the_first_window(tmp_path, capsys):
 
 
 def test_selfcheck_against_compares_terms_only_up_to_max_n(tmp_path, capsys):
-    max_n = W + 44
-    entries = a214615_terms(2 * W + 50).replaced(2 * W, 1)
+    max_n = 300
+    entries = a214615_terms(562).replaced(512, 1)
     path = tmp_path / "corrupt.txt"
     write_bfile(BFileDocument(entries), path)
     out, code = run_selfcheck(capsys, max_n, 20, "--against", str(path))
     assert code == 1
-    assert f"b-file check: {path} first failure at n = {2 * W}" in out
+    assert f"b-file check: {path} first failure at n = 512" in out
     assert (out, code) == selfcheck_reference(a214615_terms(max_n), 20, (path, entries))
 
 
@@ -372,12 +371,14 @@ def peak_kib(*argv):
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux's /proc/self/status")
-def test_selfcheck_memory_is_bounded_by_a_window():
+def test_selfcheck_memory_is_bounded_by_order_terms():
+    """The walk holds the order (2) terms before n, so the peak barely grows with --max-n:
+    by far less than the 256-term windows it once held (about 8 MiB at 10^4 terms)."""
     def selfcheck_kib(max_n):
         return peak_kib("selfcheck", "--max-n", str(max_n), "--series-order", "20")
 
     table_kib = sum(map(sys.getsizeof, islice(_a214615_direct(), 10_001))) / 1024
-    assert selfcheck_kib(10_000) < selfcheck_kib(2) + table_kib / 2
+    assert selfcheck_kib(10_000) < selfcheck_kib(2) + table_kib / 32
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux's /proc/self/status")
