@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 bench/run.py [--src DIR] [--label NAME]
+    python3 bench/run.py [--src DIR] [--parent DIR] [--label NAME]
 
 It times the direct loop ``a214615_terms``, ``RecurrenceOperator.unroll`` from
 a(0), a(1) and ``RecurrenceOperator.verify`` of the direct table, at n = 10^4
@@ -34,7 +34,12 @@ length; the record holds the Python version and the CPU model.  The label
 defaults to ``layers``.  ``--src`` names the directory holding the ``holoseq``
 package to measure (default: ``src`` of this checkout), so another checkout
 can be measured by the same script; the script exits if ``holoseq`` is
-imported from anywhere else.  Only the standard library is used.
+imported from anywhere else.  ``--parent`` names a second such directory, the
+tree to compare with: then only the fresh-interpreter rows (selfcheck, series,
+generate_bfile, verify_bfile) run, each case's runs alternate between the two
+trees run by run, so that host drift falls on both alike, both trees must
+give the same output and write the same bytes, and the parent's rows go to
+bench/BENCH_<label>_parent.json.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -81,6 +86,15 @@ print(json.dumps([code, holoseq.cli.__file__, peak]), file=sys.stderr)
 """
 
 
+def a214615(n: int) -> tuple[int, ...]:
+    """a(0..n) of A214615, by a(k+1) = a(k) - k^2 a(k-1) with a(0) = a(1) = 1."""
+    out = [1, 1]
+    while len(out) <= n:
+        k = len(out) - 1
+        out.append(out[k] - k * k * out[k - 1])
+    return tuple(out[: n + 1])
+
+
 def bell_numbers(count: int) -> tuple[int, ...]:
     """The first ``count`` Bell numbers, by the Bell triangle."""
     row, out = [1], [1]
@@ -102,21 +116,35 @@ def timed(call: Callable[[], object]) -> tuple[object, float, float]:
 
 
 def measure(
-    call: Callable[[], object], summary: Callable[[object], Hashable]
-) -> tuple[object, list[tuple[float, float]]]:
-    """The summary of RUNS calls' results, which must agree, and their (wall, reference) seconds.
+    calls: list[Callable[[], object]], summary: Callable[[object], Hashable]
+) -> tuple[object, list[list[tuple[float, float]]]]:
+    """The summary of RUNS results of each call, which must all agree, and each call's
+    (wall, reference) seconds; the calls take turns, run by run.
 
     Each result is dropped once summarised, so a 2*10^4-term table is not held five times over.
     """
-    summaries, runs = set(), []
+    summaries, runs = set(), [[] for _ in calls]
     for _ in range(RUNS):
-        result, wall, ref = timed(call)
-        summaries.add(summary(result))
-        del result
-        runs.append((wall, ref))
+        for call, call_runs in zip(calls, runs):
+            result, wall, ref = timed(call)
+            summaries.add(summary(result))
+            del result
+            call_runs.append((wall, ref))
     if len(summaries) != 1:
-        raise SystemExit(f"bench: the {RUNS} runs of one case disagree")
+        raise SystemExit("bench: the runs of one case disagree")
     return summaries.pop(), runs
+
+
+def cli_case(
+    trees: list[Path], argv: list[str], written: Callable[[], str] = lambda: ""
+) -> tuple[str, list[tuple[list, float]]]:
+    """The stdout and ``written()`` of ``holoseq argv`` in RUNS fresh interpreters per tree,
+    which must all agree, and per tree its runs and their median peak RSS in MiB."""
+    peaks: list[list[float]] = [[] for _ in trees]
+    calls = [lambda tree=tree, peak=peak: cli_child(tree, argv, peak) + written()
+             for tree, peak in zip(trees, peaks)]
+    printed, runs = measure(calls, str)
+    return printed, [(tree_runs, round(statistics.median(peak), 1)) for tree_runs, peak in zip(runs, peaks)]
 
 
 def cli_child(src: Path, argv: list[str], peaks: list[float]) -> str:
@@ -151,12 +179,9 @@ def row(case: str, n: int, runs: list, table=None, **extra: object) -> dict:
     return out
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--label", default="layers")
-    args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
+def layer_rows(src: Path, rows: list[dict]) -> None:
+    """Append the in-process rows, timed on the holoseq in ``src``, to ``rows``."""
+    sys.path.insert(0, str(src.resolve()))
     import holoseq
     from holoseq import (
         A214615_INITIAL,
@@ -169,10 +194,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         guess_recurrence,
         parse_recurrence,
     )
-    if Path(holoseq.__file__).resolve().parent != (args.src / "holoseq").resolve():
-        raise SystemExit(f"bench: imported holoseq from {holoseq.__file__}, not {args.src}")
+    if Path(holoseq.__file__).resolve().parent != (src / "holoseq").resolve():
+        raise SystemExit(f"bench: imported holoseq from {holoseq.__file__}, not {src}")
 
-    rows = []
     for n in SIZES:
         table = a214615_terms(n)
         cases = {
@@ -181,7 +205,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             "verify": lambda: A214615_RECURRENCE.verify(table),
         }
         for name, call in cases.items():
-            agrees, runs = measure(call, lambda r: r.passed if name == "verify" else r == table)
+            agrees, (runs,) = measure([call], lambda r: r.passed if name == "verify" else r == table)
             if not agrees:
                 raise SystemExit(f"bench: {name} at n = {n} disagrees with a214615_terms")
             rows.append(row(name, n, runs, table))
@@ -195,7 +219,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     }
     for name, (table, bounds) in guess_tables.items():
         for bound in bounds:
-            candidates, runs = measure(lambda: guess_recurrence(table, bound, bound), tuple)
+            candidates, (runs,) = measure([lambda: guess_recurrence(table, bound, bound)], tuple)
             if not all(c.verify(table).passed for c in candidates):
                 raise SystemExit(f"bench: a guess on {name} at r = d = {bound} fails on the table")
             if name == "bell" and candidates:
@@ -217,28 +241,38 @@ def main(argv: Optional[list[str]] = None) -> int:
             "build_egf": (lambda: build_egf(1, n), egf),
         }
         for name, (call, expected) in cases.items():
-            agrees, runs = measure(call, lambda r: r == expected)
+            agrees, (runs,) = measure([call], lambda r: r == expected)
             if not agrees:
                 raise SystemExit(f"bench: {name} at N = {n} disagrees with its untimed result")
             bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in expected.coeffs)
             rows.append(row(name, n, runs, max_coeff_bits=bits))
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--parent", type=Path)
+    parser.add_argument("--label", default="layers")
+    args = parser.parse_args(argv)
+    trees = [args.src] if args.parent is None else [args.parent, args.src]
+    rows: list[list[dict]] = [[] for _ in trees]
+    if args.parent is None:
+        layer_rows(args.src, rows[-1])
     for n in SELFCHECK_SIZES:
-        peaks: list[float] = []
         argv = ["selfcheck", "--max-n", str(n), "--series-order", str(SELFCHECK_ORDER)]
-        _, runs = measure(lambda: cli_child(args.src, argv, peaks), str)
-        extra = {"series_order": SELFCHECK_ORDER, "peak_rss_mib": round(statistics.median(peaks), 1)}
-        rows.append(row("selfcheck", n, runs, **extra))
+        _, results = cli_case(trees, argv)
+        for tree_rows, (runs, peak) in zip(rows, results):
+            tree_rows.append(row("selfcheck", n, runs, series_order=SELFCHECK_ORDER, peak_rss_mib=peak))
     for n in SERIES_SIZES:
-        peaks = []
-        lines = "".join(f"{i} {v}\n" for i, v in enumerate(a214615_terms(n).terms))
-        printed, runs = measure(lambda: cli_child(args.src, ["series", "--to", str(n)], peaks), str)
-        if printed != lines:
+        printed, results = cli_case(trees, ["series", "--to", str(n)])
+        if printed != "".join(f"{i} {v}\n" for i, v in enumerate(a214615(n))):
             raise SystemExit(f"bench: holoseq series --to {n} does not print the direct terms")
-        rows.append(row("series", n, runs, peak_rss_mib=round(statistics.median(peaks), 1)))
+        for tree_rows, (runs, peak) in zip(rows, results):
+            tree_rows.append(row("series", n, runs, peak_rss_mib=peak))
     with tempfile.TemporaryDirectory() as work:
         for n in BFILE_SIZES:
             path = Path(work) / f"b{n}.txt"
-            rec = A214615_RECURRENCE.to_text()
+            rec = "a(n) - a(n-1) + (n-1)^2*a(n-2) = 0 for n >= 2"
             cases = {
                 "generate_bfile": (
                     ["generate", "--rec", rec, "--init", "1,1", "--to", str(n - 1), "--bfile", str(path)],
@@ -247,20 +281,15 @@ def main(argv: Optional[list[str]] = None) -> int:
                 "verify_bfile": (["verify", "--rec", rec, "--bfile", str(path)], lambda: ""),
             }
             for name, (argv, written) in cases.items():
-                peaks = []
-                _, runs = measure(lambda: cli_child(args.src, argv, peaks) + written(), str)
-                peak = round(statistics.median(peaks), 1)
-                extra = {"bfile_bytes": path.stat().st_size, "peak_rss_mib": peak}
-                rows.append(row(name, n, runs, **extra))
-    record = {
-        "label": args.label,
-        "python": platform.python_version(),
-        "cpu": cpu_model(),
-        "rows": rows,
-    }
-    out = Path(__file__).resolve().parent / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps(record, indent=1) + "\n")
-    print(f"wrote {out.relative_to(ROOT)}")
+                _, results = cli_case(trees, argv, written)
+                for tree_rows, (runs, peak) in zip(rows, results):
+                    tree_rows.append(row(name, n, runs, bfile_bytes=path.stat().st_size, peak_rss_mib=peak))
+    labels = [args.label] if args.parent is None else [f"{args.label}_parent", args.label]
+    for label, tree_rows in zip(labels, rows):
+        record = {"label": label, "python": platform.python_version(), "cpu": cpu_model(), "rows": tree_rows}
+        out = Path(__file__).resolve().parent / f"BENCH_{label}.json"
+        out.write_text(json.dumps(record, indent=1) + "\n")
+        print(f"wrote {out.relative_to(ROOT)}")
     return 0
 
 

@@ -9,11 +9,16 @@ two checkouts.  Each tree runs in its own child interpreter, one after the
 other.  The child builds the four workloads of ``perfbench/workloads.py``
 (egf_build, terms_long, guess_fit and many_small) for seeds 1, 2 and 3 with
 ``workloads.build``, in a fresh work directory, and runs every task in order
-through ``holoseq.cli.main(argv)`` in-process.  Per task it hashes the argv,
-the exit code, stdout, stderr and, for ``generate --bfile``, the bytes of the
-b-file written, with the work directory's path masked in all of them; a task
-that raises is hashed by its exception's type and message.  The child exits
-if ``holoseq`` is imported from anywhere but its tree.
+through ``holoseq.cli.main(argv)`` in-process.  Then it runs the tasks of
+``error_tasks``: each fails with one of the CLI's exit codes 1, 2 or 3, or
+prints a term that a Decimal product makes -0, and a failing ``generate
+--bfile`` targets a file that exists beforehand.  Per task it hashes the argv,
+the exit code, stdout, stderr and, for a task with ``--bfile``, the bytes of
+that file as the task leaves it (or "absent"), with the work directory's path
+masked in all of them; so a failed write that leaves its target other than it
+was shows as a difference.  A task that raises is hashed by its exception's
+type and message.  The child exits if ``holoseq`` is imported from anywhere
+but its tree.
 
 The script prints how many tasks were compared and exits 0 when every hash
 agrees; otherwise it names the first task whose output differs and exits 1.
@@ -40,7 +45,7 @@ MASK = "<work>"
 
 
 def task_digest(cli, argv: list[str], work: Path) -> str:
-    """sha256 of one task's masked argv, exit code, stdout, stderr and written b-file."""
+    """sha256 of one task's masked argv, exit code, stdout, stderr and ``--bfile`` file."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -48,7 +53,7 @@ def task_digest(cli, argv: list[str], work: Path) -> str:
         except Exception as error:  # a crash is an outcome to compare, not the end of the run
             code = f"{type(error).__name__}: {error}"
     written: Optional[str] = None
-    if argv[0] == "generate" and "--bfile" in argv:
+    if "--bfile" in argv:
         path = Path(argv[argv.index("--bfile") + 1])
         written = "absent"
         if path.exists():
@@ -57,6 +62,31 @@ def task_digest(cli, argv: list[str], work: Path) -> str:
     record = [argv, code, out.getvalue(), err.getvalue(), written]
     text = json.dumps(record).replace(json.dumps(str(work))[1:-1], MASK)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def error_tasks(work: Path) -> list[list[str]]:
+    """CLI calls that fail with each exit code, or print a -0 product, with their files in ``work``."""
+    work.mkdir(parents=True)
+    malformed, target = work / "malformed.txt", work / "existing.txt"
+    malformed.write_text("# A214615\n0 1\n1 1\n2 0\n3 x-4\n4 -4\n", encoding="utf-8")
+    target.write_text("0 1\n1 2\n", encoding="utf-8")
+    a214615 = "a(n) - a(n-1) + (n-1)^2*a(n-2) = 0 for n >= 2"
+    sevenths = ["--rec", "7*a(n) - n*a(n-1) = 0 for n >= 1", "--init", str(7**100)]
+    singular = ["--rec", "(n-40)*a(n) - (n-40)*a(n-1) = 0", "--init", "7"]
+    negative_zero = ["--rec", "a(n) + n*a(n-1) = 0", "--init", "0", "--to", "5"]
+    return [
+        ["verify", "--rec", a214615, "--bfile", str(malformed)],  # exit 2
+        ["generate", *sevenths, "--to", "200", "--bfile", str(target)],  # exit 1 at a(120)
+        ["generate", *singular, "--to", "100", "--bfile", str(target)],  # exit 1 at a(40)
+        ["generate", *sevenths, "--to", "200"],
+        ["generate", *singular, "--to", "100", "--json"],
+        ["series", "--x0", "1/3", "--to", "8"],  # exit 1: 1! * c_1 = 1/3
+        ["verify", "--rec", a214615, "--bfile", str(work / "missing.txt")],  # exit 3
+        ["generate", *negative_zero, "--bfile", str(work / "missing" / "b.txt")],  # exit 3
+        ["generate", *negative_zero],
+        ["generate", *negative_zero, "--json"],
+        ["generate", *negative_zero, "--bfile", str(work / "zeros.txt")],
+    ]
 
 
 def child(src: Path) -> None:
@@ -78,6 +108,10 @@ def child(src: Path) -> None:
                     shown = " ".join(argv).replace(str(work), MASK)
                     results.append([f"{name} seed {seed} task {i}: holoseq {shown}",
                                     task_digest(cli, argv, work)])
+        work = Path(scratch) / "errors"
+        for i, argv in enumerate(error_tasks(work)):
+            shown = " ".join(argv).replace(str(work), MASK)
+            results.append([f"error task {i}: holoseq {shown}", task_digest(cli, argv, work)])
     print(json.dumps(results))
 
 
@@ -109,7 +143,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"same_output: output differs at {name}")
             return 1
     print(f"same_output: identical over {len(parent)} tasks "
-          f"({', '.join(WORKLOADS)}; seeds {', '.join(map(str, SEEDS))})")
+          f"({', '.join(WORKLOADS)}; seeds {', '.join(map(str, SEEDS))}; error tasks)")
     return 0
 
 

@@ -3,14 +3,15 @@
 A b-file is plain text: one "<index> <term>" pair per line, consecutive
 ascending indices, with '#' comment lines and blank lines ignored.  The
 writer emits a "# A214615" style header comment so that a document's
-sequence id survives a round trip through text.
+sequence id survives a round trip through text.  Terms are ints, except where
+the CLI reads them as integer ``decimal.Decimal``s (``BFileReader``'s
+``_term``), which skips CPython's quadratic str -> int conversion.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import tempfile
 import urllib.error
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,11 +68,14 @@ class BFileReader:
     into lines, numbered from the start of the whole text.  Each piece is checked whole when
     the reading gets to it: a malformed line, a gap in the indices or a text without data
     lines raises BFileFormatError.  ``sequence_id``, unless given, becomes the first
-    "# A000000" comment read.
+    "# A000000" comment read.  Each term is ``_term`` of its checked field: an int, or, for
+    the CLI's ``verify``, a ``decimal.Decimal``.
     """
 
-    def __init__(self, pieces: Iterable[str], sequence_id: Optional[str] = None):
-        self.pieces, self.sequence_id = pieces, sequence_id
+    def __init__(
+        self, pieces: Iterable[str], sequence_id: Optional[str] = None, _term: Callable = int
+    ):
+        self.pieces, self.sequence_id, self._term = pieces, sequence_id, _term
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         line_number, last, newlines = 0, None, 0
@@ -102,7 +106,7 @@ class BFileReader:
                 raise BFileFormatError(f"expected '<index> <term>', got {line!r}", line_number)
             if not (_INTEGER_RE.match(fields[0]) and _INTEGER_RE.match(fields[1])):
                 raise BFileFormatError(f"non-integer field in {line!r}", line_number)
-            index, term = int(fields[0]), int(fields[1])
+            index, term = int(fields[0]), self._term(fields[1])
             if last is not None and index != last + 1:
                 raise BFileFormatError(f"index {index} does not follow {last}", line_number)
             last = index
@@ -142,23 +146,26 @@ def load_bfile(path: Union[str, Path]) -> BFileDocument:
     return BFileReader(_pieces(path)).document()
 
 
-def _bfile_lines(document: BFileDocument) -> Iterator[str]:
-    """The lines of the document's b-file text, each with its newline; under the caller's cap."""
-    if document.sequence_id is not None:
-        yield f"# {document.sequence_id}\n"
-    for n, value in document.entries.items():
-        yield f"{n} {value}\n"
+def _bfile_lines(
+    entries: Iterable[tuple[int, object]], sequence_id: Optional[str] = None
+) -> Iterator[str]:
+    """The lines of b-file text, each with its newline, of the (n, a(n)) ``entries`` under a
+    "# A000000" line of the ``sequence_id``, if any; under the caller's cap."""
+    if sequence_id is not None:
+        yield f"# {sequence_id}\n"
+    for n, value in entries:
+        yield f"{n} {value!s}\n"
 
 
 @_lift_digit_cap
 def format_bfile(document: BFileDocument) -> str:
-    return "".join(_bfile_lines(document))
+    return "".join(_bfile_lines(document.entries.items(), document.sequence_id))
 
 
 @_lift_digit_cap
 def write_bfile(document: BFileDocument, path: Union[str, Path]) -> None:
     with open(path, "w", encoding="utf-8") as stream:
-        stream.writelines(_bfile_lines(document))
+        stream.writelines(_bfile_lines(document.entries.items(), document.sequence_id))
 
 
 def default_cache_dir() -> Path:
@@ -168,16 +175,22 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "holoseq"
 
 
-def _cache_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".part")
+def _write_replacing(path: Union[str, Path], lines: Iterable[str]) -> None:
+    """Write ``lines`` to a new "<path>.<pid>.part" beside ``path``, then move it onto ``path``.
+
+    If anything fails on the way, the part file is removed and ``path`` is left as it was.
+    """
+    part = Path(f"{path}.{os.getpid()}.part")
     try:
-        with os.fdopen(handle, "w", encoding="utf-8") as stream:
-            stream.write(text)
-        os.replace(temp_name, path)
+        stream = open(part, "x", encoding="utf-8")  # mode "x": never another writer's part file
+    except OSError as error:  # name the target, as opening the target itself would
+        raise type(error)(error.errno, error.strerror, str(path)) from None
+    try:
+        with stream:
+            stream.writelines(lines)
+        os.replace(part, path)
     except BaseException:
-        if os.path.exists(temp_name):
-            os.unlink(temp_name)
+        part.unlink()
         raise
 
 
@@ -221,5 +234,6 @@ def fetch_bfile(
             f"cannot reach {url} ({error}); use a local b-file to work offline"
         ) from error
     document = parse_bfile(text, sequence_id)
-    _cache_write(cached_path, text)
+    cache.mkdir(parents=True, exist_ok=True)
+    _write_replacing(cached_path, [text])
     return document

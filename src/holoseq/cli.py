@@ -10,17 +10,19 @@ import argparse
 import functools
 import json
 import sys
+from decimal import Decimal
 from itertools import chain, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .bfile import (
-    BFileDocument,
+    BFileReader,
     FetchError,
     _bfile_lines,
+    _pieces,
+    _write_replacing,
     fetch_bfile,
     load_bfile,
     read_bfile,
-    write_bfile,
 )
 from .guessing import guess_recurrence
 from .meixner import (
@@ -180,7 +182,8 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     prefix = tuple(islice(_a214615_direct(), max(overlap, 11) + 1))
     differ: list = []
     direct = enumerate(islice(_a214615_direct(), max_n + 1))
-    unrolled = chain(A214615_INITIAL.items(), rec._unrolled(A214615_INITIAL))  # in step with direct
+    solved = rec._unrolled(A214615_INITIAL.terms, len(A214615_INITIAL))
+    unrolled = chain(A214615_INITIAL.items(), solved)  # in step with direct
     report = rec._verify_entries(_compared(direct, unrolled, differ))
     unroll_ok = not differ
 
@@ -214,21 +217,26 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    """The initial terms, then the solved ones as Decimals, which print without an int -> str."""
     rec = _parse_rec_argument(args.rec, args.ode)
-    initial = tuple(parse_integer(piece) for piece in args.init.split(","))
-    table = rec.unroll(SequenceTable(0, initial), args.to)
+    initial = SequenceTable(0, tuple(parse_integer(piece) for piece in args.init.split(",")))
+    head = rec.unroll(initial, min(args.to, initial.last_index))  # or unroll's error for --to < 0
+    solved = rec._unrolled(map(Decimal, initial.terms), len(initial))
+    entries = chain(head.items(), islice(solved, max(args.to - initial.last_index, 0)))
+    lines = _bfile_lines((n, a or 0) for n, a in entries)  # or 0: a Decimal product can be -0
     if args.bfile:
-        write_bfile(BFileDocument(table), args.bfile)
+        _write_replacing(args.bfile, lines)
     elif args.json:
-        print(json.dumps({"recurrence": rec.to_text(), "terms": _terms_json(table)}, indent=2))
+        terms = [line.split() for line in lines]
+        print(json.dumps({"recurrence": rec.to_text(), "terms": terms}, indent=2))
     else:
-        sys.stdout.writelines(_bfile_lines(BFileDocument(table)))
+        sys.stdout.writelines(list(lines))  # all or nothing, as with the other two sinks
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     rec = _parse_rec_argument(args.rec, args.ode)
-    report = rec._verify_entries(read_bfile(args.bfile))
+    report = rec._verify_entries(BFileReader(_pieces(args.bfile), _term=Decimal))
     if args.json:
         print(json.dumps({"recurrence": rec.to_text(), **_report_json(report)}, indent=2))
     else:
@@ -282,7 +290,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     elif args.text:
         print(egf.to_text())
     else:
-        sys.stdout.writelines(_bfile_lines(BFileDocument(egf.egf_terms())))
+        sys.stdout.writelines(_bfile_lines(egf.egf_terms().items()))
     return 0
 
 
@@ -296,7 +304,7 @@ def cmd_fetch(args: argparse.Namespace) -> int:
             )
         )
     else:
-        sys.stdout.writelines(_bfile_lines(document))
+        sys.stdout.writelines(_bfile_lines(document.entries.items(), document.sequence_id))
     return 0
 
 

@@ -18,12 +18,19 @@ convention is sound for extracted recurrences because any term reaching below
 index 0 carries a falling-factorial weight that vanishes there; recurrence
 verification honors the same convention so that shifted variants of the same
 relation (differing only in the stated validity bound) can be checked.
+
+Sequence terms are ints.  The one walk behind ``unroll`` and ``verify`` also
+takes integer ``decimal.Decimal`` terms (exponent 0), as the CLI reads and
+writes b-files, since it only adds, multiplies, divides with remainder and
+compares them; they are exact only in an exact context (``_EXACT`` in
+``polynomials``), which ``verify`` and the CLI enter.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, count, islice
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -313,15 +320,22 @@ class RecurrenceOperator:
                     s = s + a if v == 1 else s - a if v == -1 else s + v * a
             yield n, p0, 0 if s is None else s
 
-    def _unrolled(self, initial: SequenceTable) -> Iterator[tuple[int, int]]:
-        """(n, a(n)) for n past ``initial`` without end, holding ``order`` terms; see ``unroll``."""
-        before = deque(initial.terms, maxlen=self.order)
-        for n, lead, s in self._steps(before, initial.last_index + 1):
+    def _unrolled(self, initial: Iterable[int], start: int) -> Iterator[tuple[int, int]]:
+        """(n, a(n)) for n >= start without end, after the ``initial`` terms that end at start - 1;
+        holds ``order`` terms; see ``unroll``.  Raises ValueError on the first step if start is
+        below n_min."""
+        if start < self.n_min:
+            raise ValueError(
+                f"initial terms end at {start - 1} but the recurrence "
+                f"only holds for n >= {self.n_min}"
+            )
+        before = deque(initial, maxlen=self.order)
+        for n, lead, s in self._steps(before, start):
             if lead == 0:
                 raise SingularRecurrenceError(n)
             quotient, remainder = (s, 0) if lead == 1 else divmod(s, lead)
             if remainder != 0:
-                raise NonIntegerTermError(n, Fraction(s, lead))
+                raise NonIntegerTermError(n, Fraction(int(s), lead))
             before.append(quotient)
             yield n, quotient
 
@@ -337,12 +351,8 @@ class RecurrenceOperator:
             raise ValueError(f"n_max {n_max} is below the table offset {initial.offset}")
         if n_max <= initial.last_index:
             return initial.prefix(n_max)
-        if initial.last_index + 1 < self.n_min:
-            raise ValueError(
-                f"initial terms end at {initial.last_index} but the recurrence "
-                f"only holds for n >= {self.n_min}"
-            )
-        solved = islice(self._unrolled(initial), n_max - initial.last_index)
+        start = initial.last_index + 1
+        solved = islice(self._unrolled(initial.terms, start), n_max + 1 - start)
         return SequenceTable(initial.offset, initial.terms + tuple(a for _, a in solved))
 
     def verify(self, entries: Union[SequenceTable, Iterable[tuple[int, int]]]) -> VerifyReport:
@@ -356,6 +366,7 @@ class RecurrenceOperator:
         """
         return self._verify_entries(entries.items() if isinstance(entries, SequenceTable) else entries)
 
+    @_lift_digit_cap
     def _verify_entries(self, entries: Iterable[tuple[int, int]]) -> VerifyReport:
         """``verify`` of (n, a(n)) entries.  The CLI streams through this name: perfbench's
         by-name probe of ``verify`` reads the ``terms`` of its argument."""
@@ -369,7 +380,7 @@ class RecurrenceOperator:
         for n, a in chain([first], entries):
             if n != last + 1:
                 raise ValueError(f"index {n} does not follow {last}")
-            if not isinstance(a, int):
+            if not (isinstance(a, int) or isinstance(a, Decimal) and a.same_quantum(1)):
                 raise TypeError(f"sequence terms must be ints, got {a!r}")
             last = n
             if n >= start and failure is None:

@@ -12,6 +12,7 @@ falling-factorial weights that connect the two.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import re
 import sys
@@ -29,28 +30,39 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
 # Sequence terms and b-file entries routinely run to thousands of decimal digits.
 _DIGIT_CAP = 2_000_000
 
+# Exact decimal arithmetic: integer Decimals of any length, and an error instead of any rounding.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow,
+           decimal.DivisionByZero],
+)
+
 
 def _lift_digit_cap(func: Callable) -> Callable:
-    """Run ``func`` with the interpreter's int<->str digit cap at >= 2,000,000, then restore it.
+    """Run ``func`` with the int<->str digit cap at >= 2,000,000 and in a copy of ``_EXACT``.
 
-    Only these are wrapped, so importing holoseq changes no interpreter-wide state: the CLI's
+    On return the interpreter's cap and the thread's decimal context are what they were, so
+    importing holoseq changes no interpreter-wide state.  Only these are wrapped: the CLI's
     ``main``, the b-file reader (per piece), ``format_bfile`` and ``write_bfile``, the text
-    parsers, the two non-integer errors, and ``series._decimal_mul``, whose base-10 packing
-    puts each coefficient of a long product through ``str`` and reads each back with ``int``.
+    parsers, the two non-integer errors, ``RecurrenceOperator._verify_entries``, whose walk
+    the CLI runs on Decimal terms, and ``series._decimal_mul``, whose base-10 packing puts
+    each coefficient of a long product through ``str`` and reads each back with ``int``.
     Wrap no generator function: its body runs after the call has returned.
     """
-    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the cap
-        return func
 
     @functools.wraps(func)
     def lifted(*args, **kwargs):
-        limit = sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
         if 0 < limit < _DIGIT_CAP:
             sys.set_int_max_str_digits(_DIGIT_CAP)
         try:
-            return func(*args, **kwargs)
+            with decimal.localcontext(_EXACT):
+                return func(*args, **kwargs)
         finally:
-            sys.set_int_max_str_digits(limit)
+            if limit:
+                sys.set_int_max_str_digits(limit)
 
     return lifted
 

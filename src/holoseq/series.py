@@ -48,8 +48,8 @@ from math import factorial, perm
 from typing import Union
 
 from .polynomials import (
-    Polynomial, RationalLike, _as_fraction, _join_signed, _lift_digit_cap, _over_common_denominator,
-    _without_trailing_zeros, format_rational,
+    _EXACT, Polynomial, RationalLike, _as_fraction, _join_signed, _lift_digit_cap,
+    _over_common_denominator, _without_trailing_zeros, format_rational,
 )
 from .sequences import SequenceTable
 
@@ -138,33 +138,28 @@ def _decimal_mul(a: list[int], b: list[int], length: int, bound: int) -> list[in
     product has la + lb - 1 slots, so 10^(width * max(la + lb - 1, length)) exceeds it in
     magnitude.  Adding that power and half to each of the low ``length`` slots makes the
     number positive and each low slot hold c_k + half in (0, 10^width), so the low slots are
-    read back from its string without borrows.  Every operation is a method of one private
-    context that traps Inexact and Rounded, so the thread's decimal context is neither used
-    nor changed.
+    read back from its string without borrows.  Every operation is a method of the library's
+    one exact context, ``polynomials._EXACT``, which traps Inexact and Rounded, so the
+    thread's decimal context is neither used nor changed.
     """
-    context = decimal.Context(
-        prec=decimal.MAX_PREC,
-        Emax=decimal.MAX_EMAX,
-        traps=[decimal.InvalidOperation, decimal.Overflow, decimal.Inexact, decimal.Rounded],
-    )
     width = bound.bit_length() * 30103 // 100000 + 2  # log10(2) < 0.30103
-    product = context.multiply(_pack10(a, width, context), _pack10(b, width, context))
+    product = _EXACT.multiply(_pack10(a, width), _pack10(b, width))
     half = "5" + "0" * (width - 1)
     high = "1" + "0" * (width * max(len(a) + len(b) - 1 - length, 0))
-    total = context.add(product, context.create_decimal(high + half * length))
+    total = _EXACT.add(product, _EXACT.create_decimal(high + half * length))
     del product
-    digits = context.to_sci_string(total)[-width * length :]
+    digits = _EXACT.to_sci_string(total)[-width * length :]
     del total
     offset = int(half)
     return [int(digits[i - width : i]) - offset for i in range(len(digits), 0, -width)]
 
 
-def _pack10(values: list[int], width: int, context: decimal.Context) -> decimal.Decimal:
+def _pack10(values: list[int], width: int) -> decimal.Decimal:
     """sum_k values[k] * 10^(width*k) as a Decimal, for |values[k]| < 10^width."""
     zeros = "0" * width
     pos = "".join(str(v).zfill(width) if v > 0 else zeros for v in reversed(values))
     neg = "".join(str(-v).zfill(width) if v < 0 else zeros for v in reversed(values))
-    return context.subtract(context.create_decimal(pos), context.create_decimal(neg))
+    return _EXACT.subtract(_EXACT.create_decimal(pos), _EXACT.create_decimal(neg))
 
 
 @dataclass(frozen=True)

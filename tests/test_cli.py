@@ -1,4 +1,6 @@
+import decimal
 import json
+import random
 import subprocess
 import sys
 import time
@@ -11,6 +13,9 @@ import holoseq
 from holoseq.bfile import BFileDocument, format_bfile, write_bfile
 from holoseq.sequences import SequenceTable
 from holoseq.cli import main
+from holoseq.operators import RecurrenceOperator
+from holoseq.parsing import parse_recurrence
+from holoseq.polynomials import Polynomial
 from holoseq.meixner import (
     A214615_INITIAL,
     A214615_RECURRENCE,
@@ -23,6 +28,16 @@ from holoseq.meixner import (
 GOLDEN_12 = (1, 1, 0, -4, -4, 60, 160, -2000, -9840, 118160, 915200, -10900800)
 REC_TEXT = "a(n) - a(n-1) + (n-1)^2*a(n-2) = 0 for n >= 2"
 ODE_TEXT = "(1+t^2)*D - (1-t)"
+
+
+@pytest.fixture(autouse=True)
+def caller_decimal_context():
+    """Every test here runs main; the thread's decimal context must come back as it was."""
+    context = decimal.getcontext()
+    before = repr(context)
+    yield
+    assert decimal.getcontext() is context
+    assert repr(context) == before
 
 
 def write_golden_bfile(tmp_path, n_max=11, sid=None):
@@ -92,6 +107,97 @@ def test_generate_non_integer_term_is_math_failure(capsys):
     code = main(["generate", "--rec", "2*a(n) - a(n-1) = 0", "--init", "1", "--to", "4"])
     assert code == 1
     assert "not an integer" in capsys.readouterr().err
+
+
+NEGATIVE_ZERO = ["generate", "--rec", "a(n) + n*a(n-1) = 0", "--init", "0", "--to", "5"]
+
+
+def test_a_negative_zero_product_prints_as_zero(tmp_path, capsys):
+    # -n * 0 is Decimal("-0") for n >= 2.
+    zeros = "".join(f"{n} 0\n" for n in range(6))
+    assert main(NEGATIVE_ZERO) == 0
+    assert capsys.readouterr().out == zeros
+    assert main([*NEGATIVE_ZERO, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["terms"] == [[str(n), "0"] for n in range(6)]
+    path = tmp_path / "zeros.txt"
+    assert main([*NEGATIVE_ZERO, "--bfile", str(path)]) == 0
+    assert path.read_text(encoding="utf-8") == zeros
+
+
+def random_recurrence(rng):
+    """A recurrence whose p_0 is not constant and has no root at n >= 1, and every p_k a multiple
+    of p_0, so that every term is an integer and every step divides by p_0(n)."""
+    lead = Polynomial.constant(rng.choice([-3, -2, -1, 1, 2, 3]))
+    for _ in range(rng.randint(1, 2)):
+        lead = lead * Polynomial((rng.randint(0, 5), 1))
+    tails = [lead * Polynomial(tuple(rng.randint(-4, 4) for _ in range(rng.randint(0, 2))))
+             for _ in range(rng.randint(0, 3))]
+    return RecurrenceOperator((lead, *tails), len(tails))
+
+
+def test_generate_bfile_equals_format_of_unroll_on_random_recurrences(tmp_path, capsys):
+    rng = random.Random(16)
+    path, orders = tmp_path / "b.txt", set()
+    for _ in range(50):
+        rec = random_recurrence(rng)
+        orders.add(rec.order)
+        initial = SequenceTable(0, tuple(rng.randint(-9, 9) for _ in range(max(rec.n_min, 1))))
+        to = rng.randint(0, 80)
+        argv = ["generate", "--rec", rec.to_text(), f"--init={','.join(map(str, initial.terms))}"]
+        assert main([*argv, "--to", str(to), "--bfile", str(path)]) == 0, rec.to_text()
+        expected = format_bfile(BFileDocument(rec.unroll(initial, to)))
+        assert path.read_bytes() == expected.encode(), rec.to_text()
+        assert rec.coeffs[0] != Polynomial.constant(1)
+    assert [p.name for p in tmp_path.iterdir()] == ["b.txt"]
+    assert orders == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize(
+    "text, init, err",
+    [
+        ("2*a(n) - a(n-1) = 0", "1", "a(1) = 1/2 is not an integer"),
+        ("7*a(n) - n*a(n-1) = 0 for n >= 1", str(7**100), None),  # a(120), 180 digits over 7
+        ("(n-40)*a(n) - (n-40)*a(n-1) = 0", "7", "leading coefficient p_0(40) = 0; cannot solve for a(40)"),
+        (REC_TEXT, "1", "initial terms end at 0 but the recurrence only holds for n >= 2"),
+    ],
+    ids=["non-integer", "non-integer-long", "singular", "too-few-initial-terms"],
+)
+def test_a_failed_generate_leaves_every_sink_as_it_was(tmp_path, capsys, text, init, err):
+    """The error reads as the int unroll's, nothing is printed, and no file is written or changed."""
+    with pytest.raises((ArithmeticError, ValueError)) as raised:
+        parse_recurrence(text).unroll(SequenceTable(0, (int(init),)), 200)
+    assert err is None or str(raised.value) == err
+    code = 2 if isinstance(raised.value, ValueError) else 1
+    existing = tmp_path / "existing.txt"
+    existing.write_bytes(b"# A000001\n0 5\n")
+    for sink in ([], ["--json"], ["--bfile", str(existing)], ["--bfile", str(tmp_path / "new.txt")]):
+        assert main(["generate", "--rec", text, "--init", init, "--to", "200", *sink]) == code
+        assert capsys.readouterr() == ("", f"holoseq: {raised.value}\n")
+    assert existing.read_bytes() == b"# A000001\n0 5\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["existing.txt"]
+
+
+def test_generate_into_a_missing_directory_names_the_target(tmp_path, capsys):
+    target = tmp_path / "missing" / "b.txt"
+    argv = ["generate", "--rec", REC_TEXT, "--init", "1,1", "--to", "5", "--bfile", str(target)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"holoseq: [Errno 2] No such file or directory: '{target}'\n"
+
+
+def test_verify_is_exact_under_a_loose_caller_context(tmp_path, capsys):
+    path = write_golden_bfile(tmp_path, n_max=2499)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    n, term = lines[2000].split()
+    lines[2000] = f"{n} {term[:-1]}{(int(term[-1]) + 1) % 10}\n"
+    corrupted = tmp_path / "corrupted.txt"
+    corrupted.write_text("".join(lines), encoding="utf-8")
+    with decimal.localcontext(decimal.Context(prec=5, traps=[])) as caller:  # rounds, traps nothing
+        assert main(["verify", "--rec", REC_TEXT, "--bfile", str(path)]) == 0
+        assert "holds for n = 2..2499: PASS" in capsys.readouterr().out
+        assert main(["verify", "--rec", REC_TEXT, "--bfile", str(corrupted)]) == 1
+        assert "first failure at n = 2000 (residual " in capsys.readouterr().out
+        assert decimal.getcontext() is caller and caller.prec == 5
+        assert not any(caller.flags.values())
 
 
 def test_verify_pass(tmp_path, capsys):
@@ -383,7 +489,7 @@ def test_selfcheck_memory_is_bounded_by_order_terms():
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux's /proc/self/status")
 def test_bfile_write_and_verify_memory_is_bounded_by_a_window(tmp_path):
-    """generate --bfile holds the table but never its text; verify --bfile holds neither."""
+    """generate --bfile and verify --bfile hold neither the table nor its text."""
     peaks = {}
     for n_max in (2, 2499):
         path = str(tmp_path / f"b{n_max}.txt")
@@ -391,8 +497,7 @@ def test_bfile_write_and_verify_memory_is_bounded_by_a_window(tmp_path):
                                             "--to", str(n_max), "--bfile", path)
         peaks["verify", n_max] = peak_kib("verify", "--rec", REC_TEXT, "--bfile", path)
     text_kib = (tmp_path / "b2499.txt").stat().st_size / 1024
-    table_kib = sum(map(sys.getsizeof, islice(_a214615_direct(), 2500))) / 1024
-    assert peaks["generate", 2499] < peaks["generate", 2] + table_kib + text_kib / 2
+    assert peaks["generate", 2499] < peaks["generate", 2] + text_kib / 2
     assert peaks["verify", 2499] < peaks["verify", 2] + text_kib / 2
 
 

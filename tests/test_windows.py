@@ -5,7 +5,9 @@ independent Fraction oracle: every report and error must equal what
 ``oracles.verify_by_fractions`` gives on the whole table.
 """
 
+import decimal
 import random
+from decimal import Decimal
 
 import oracles
 import pytest
@@ -124,6 +126,25 @@ def test_entries_must_be_consecutive(indices, message):
 def test_entries_must_be_ints():
     with pytest.raises(TypeError, match="sequence terms must be ints, got 1.0"):
         A214615_RECURRENCE.verify([(0, 1), (1, 1.0)])
+
+
+@pytest.mark.parametrize("term", ["1.5", "1E+1", "NaN", "Infinity"])
+def test_decimal_entries_must_be_integers(term):
+    with pytest.raises(TypeError, match=r"sequence terms must be ints, got Decimal\("):
+        A214615_RECURRENCE.verify([(0, Decimal(1)), (1, Decimal(term))])
+
+
+@pytest.mark.parametrize("at", [None, 0, 2, 300, 600])
+def test_integer_decimal_entries_take_the_int_walk_in_any_caller_context(at):
+    table = a214615_terms(600)
+    if at is not None:
+        table = table.replaced(at, table.term(at) + 1)
+    entries = [(n, Decimal(str(value))) for n, value in table.items()]
+    with decimal.localcontext(decimal.Context(prec=5, traps=[])) as caller:
+        got = A214615_RECURRENCE.verify(entries)
+        assert decimal.getcontext() is caller and not any(caller.flags.values())
+    assert got == A214615_RECURRENCE.verify(table) == expected(A214615_RECURRENCE, table)
+    assert got.passed == (at is None)
 
 
 def test_every_window_is_read_after_a_failure():
