@@ -9,8 +9,8 @@ a(0), a(1) and ``RecurrenceOperator.verify`` of the direct table, at n = 10^4
 and 2*10^4, and checks that the three agree.  It then times
 ``guess_recurrence`` on the first 202 terms of A214615 and of the Motzkin
 numbers at r = d = 4, 8 and 12, and on the first 202 Bell numbers, which fit
-no recurrence, at r = d = 4, 6 and 8; such a row also holds the number of
-candidates, every candidate must verify on the table, and the Bell rows must
+no recurrence, at r = d = 4, 6, 8, 10 and 12; such a row also holds the number
+of candidates, every candidate must verify on the table, and the Bell rows must
 have none.  Next it times the pieces of ``build_egf(1, N)`` and the whole, at
 N = 250, 400 and 800: ``Series.exp`` of arctan t, ``Series.inverse_sqrt`` of
 1 + t^2, the ``Series`` product of those two, and ``build_egf`` itself; that
@@ -63,7 +63,7 @@ from holobench import REFERENCE_S, cpu_model, reference_seconds  # noqa: E402
 SIZES = (10_000, 20_000)
 GUESS_TERMS = 202
 GUESS_BOUNDS = (4, 8, 12)
-BELL_BOUNDS = (4, 6, 8)
+BELL_BOUNDS = (4, 6, 8, 10, 12)
 MOTZKIN = "(n+2)*a(n) - (2*n+1)*a(n-1) - 3*(n-1)*a(n-2) = 0"
 SELFCHECK_SIZES = (5_000, 15_000)
 SELFCHECK_ORDER = 20

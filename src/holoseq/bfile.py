@@ -164,8 +164,8 @@ def format_bfile(document: BFileDocument) -> str:
 
 @_lift_digit_cap
 def write_bfile(document: BFileDocument, path: Union[str, Path]) -> None:
-    with open(path, "w", encoding="utf-8") as stream:
-        stream.writelines(_bfile_lines(document.entries.items(), document.sequence_id))
+    """Write ``document``'s b-file text to ``path`` through ``_write_replacing``."""
+    _write_replacing(path, _bfile_lines(document.entries.items(), document.sequence_id))
 
 
 def default_cache_dir() -> Path:
@@ -176,11 +176,21 @@ def default_cache_dir() -> Path:
 
 
 def _write_replacing(path: Union[str, Path], lines: Iterable[str]) -> None:
-    """Write ``lines`` to a new "<path>.<pid>.part" beside ``path``, then move it onto ``path``.
+    """Write ``lines`` to ``path``, all or nothing: the one way b-file text is written.
 
-    If anything fails on the way, the part file is removed and ``path`` is left as it was.
+    Where ``path`` resolves to something that exists and is not a regular file, such as a
+    pipe or a device, the lines are all made first and then written through it.  Otherwise
+    they go to a new "<target>.<pid>.part" beside the resolved target, which is then moved
+    onto it, so a symlink stays a link; if anything fails on the way, the part file is
+    removed and the target is left as it was.  Errors name ``path`` as given.
     """
-    part = Path(f"{path}.{os.getpid()}.part")
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        lines = list(lines)
+        with open(path, "w", encoding="utf-8") as stream:
+            stream.writelines(lines)
+        return
+    part = Path(f"{target}.{os.getpid()}.part")
     try:
         stream = open(part, "x", encoding="utf-8")  # mode "x": never another writer's part file
     except OSError as error:  # name the target, as opening the target itself would
@@ -188,7 +198,7 @@ def _write_replacing(path: Union[str, Path], lines: Iterable[str]) -> None:
     try:
         with stream:
             stream.writelines(lines)
-        os.replace(part, path)
+        os.replace(part, target)
     except BaseException:
         part.unlink()
         raise
@@ -225,13 +235,10 @@ def fetch_bfile(
             text = response.read().decode("utf-8")
     except urllib.error.HTTPError as error:
         raise HTTPStatusError(error.code, url) from error
-    except urllib.error.URLError as error:
+    except OSError as error:  # a URLError too, which carries the underlying reason
+        reason = error.reason if isinstance(error, urllib.error.URLError) else error
         raise NetworkUnavailableError(
-            f"cannot reach {url} ({error.reason}); use a local b-file to work offline"
-        ) from error
-    except OSError as error:
-        raise NetworkUnavailableError(
-            f"cannot reach {url} ({error}); use a local b-file to work offline"
+            f"cannot reach {url} ({reason}); use a local b-file to work offline"
         ) from error
     document = parse_bfile(text, sequence_id)
     cache.mkdir(parents=True, exist_ok=True)

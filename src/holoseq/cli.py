@@ -22,7 +22,6 @@ from .bfile import (
     _write_replacing,
     fetch_bfile,
     load_bfile,
-    read_bfile,
 )
 from .guessing import guess_recurrence
 from .meixner import (
@@ -155,17 +154,18 @@ def _compared(
 def _check_against(path: str, max_n: int) -> tuple[tuple[str, str, bool], Optional[VerifyReport]]:
     """selfcheck's b-file check, and the whole file's report if it starts at index 0.
 
-    The file is read to its end in any case, and its terms up to max_n are compared with a
-    fresh pass of the direct terms.
+    The file is read to its end in any case, as Decimal terms like ``verify``'s, and its
+    terms up to max_n are compared with a fresh pass of the direct terms, stepped in Decimal.
     """
-    rec, label, entries = A214615_RECURRENCE, f"b-file check: {path}", read_bfile(path)
+    entries = iter(BFileReader(_pieces(path), _term=Decimal))
+    rec, label = A214615_RECURRENCE, f"b-file check: {path}"
     offset, first = next(entries)
     if offset != 0:
         for _ in entries:  # a malformed line further on is still an error
             pass
         return ("against", f"{label} starts at index {offset}, expected 0: FAIL", False), None
     differ: list = []
-    direct = enumerate(islice(_a214615_direct(), max_n + 1))
+    direct = enumerate(islice(_a214615_direct(Decimal(1)), max_n + 1))
     report = rec._verify_entries(_compared(chain([(offset, first)], entries), direct, differ))
     if differ:
         return ("against", f"{label} terms differ from computed a(n): FAIL", False), report

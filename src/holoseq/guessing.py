@@ -8,17 +8,15 @@ mod p is at most its rank over the rationals, so a pair whose equations have
 full column rank mod p has no fit, and is skipped.  Only the other pairs, the
 one that fits and any where p is unlucky, reach ``nullspace``, which solves the
 pair's exact system on ints only, so nothing is ever rounded and no result
-depends on p.  Each residue column n^j a(n-k) mod p is built once per call,
-from column (k, j - 1), and shared by every pair; a pair that reaches
-``nullspace`` builds its own exact columns, for its equations' indices only,
-and none is kept for the next pair.
+depends on p.  The filter and ``nullspace`` read the same exact rows, the
+filter only a pair's first ncols + 1; a pair's rows are built when it is
+tried, and none is kept for the next pair.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from functools import cache
 from itertools import product
 from typing import Iterable, Sequence, Union
 
@@ -164,35 +162,27 @@ def guess_recurrence(
         raise InsufficientTermsError(
             f"need at least {needed} terms for order {r}, degree {d}; got {len(table)}"
         )
-    offset, terms, last = table.offset, table.terms, table.last_index
+    offset, terms = table.offset, table.terms
     pairs = sorted(
         product(range(r + 1), range(d + 1)), key=lambda p: ((p[0] + 1) * (p[1] + 1), p[0])
     )
-    reduced = [v % _PRIME for v in terms]
 
-    @cache
-    def residues(k: int, j: int) -> list[int]:
-        """n^j a(n-k) mod _PRIME for n = offset + k .. last, from column (k, j - 1)."""
-        if not j:
-            return reduced[: len(terms) - k]
-        return [n * v % _PRIME for n, v in zip(range(offset + k, last + 1), residues(k, j - 1))]
+    def equations(r1: int, d1: int, count: int) -> list[list[int]]:
+        """The first ``count`` rows [n^j a(n-k) for k <= r1 for j <= d1], in the order of the
+        unknowns, for n = offset + r1, offset + r1 + 1, ... up to the table's last index."""
+        rows = []
+        for i in range(r1, min(r1 + count, len(terms))):
+            powers = [(offset + i) ** j for j in range(d1 + 1)]
+            rows.append([terms[i - k] * power for k in range(r1 + 1) for power in powers])
+        return rows
 
     for r1, d1 in pairs:
-        unknowns = [(k, j) for k in range(r1 + 1) for j in range(d1 + 1)]
-        ncols = len(unknowns)
-        head = zip(*(residues(k, j)[r1 - k : r1 - k + ncols + 1] for k, j in unknowns))
-        if _full_column_rank_mod_p(head, ncols):
+        ncols = (r1 + 1) * (d1 + 1)
+        if _full_column_rank_mod_p(equations(r1, d1, ncols + 1), ncols):
             continue
-        # The pair's exact columns n^j a(n-k), n = offset + r1 .. last, in the order of unknowns.
-        ns = range(offset + r1, last + 1)
-        columns = []
-        for k in range(r1 + 1):
-            columns.append(list(terms[r1 - k : len(terms) - k]))
-            for _ in range(d1):
-                columns.append([n * v for n, v in zip(ns, columns[-1])])
         width = d1 + 1
         candidates = []
-        for vector in nullspace(list(zip(*columns))):
+        for vector in nullspace(equations(r1, d1, len(terms))):
             polys = tuple(Polynomial(vector[k * width : (k + 1) * width]) for k in range(r1 + 1))
             if polys[0].is_zero:
                 continue

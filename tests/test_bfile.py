@@ -130,6 +130,20 @@ def test_write_bfile_writes_the_format_bfile_text(tmp_path):
     assert list(read_bfile(path)) == list(doc.entries.items())
 
 
+def test_a_failed_write_bfile_leaves_the_target_as_it_was(tmp_path, monkeypatch):
+    def failing_lines(entries, sequence_id=None):
+        yield "0 1\n"
+        raise RuntimeError("no second line")
+
+    path = tmp_path / "b.txt"
+    path.write_bytes(b"# A000001\n0 5\n")
+    monkeypatch.setattr("holoseq.bfile._bfile_lines", failing_lines)
+    with pytest.raises(RuntimeError, match="no second line"):
+        write_bfile(BFileDocument(a214615_terms(5)), path)
+    assert path.read_bytes() == b"# A000001\n0 5\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["b.txt"]  # no part file left
+
+
 @pytest.mark.parametrize("sep", ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
 def test_load_matches_parse_of_the_whole_text_at_every_line_break(tmp_path, sep):
     """str.splitlines breaks lines at each of these, so the streamed reader must too."""
@@ -294,12 +308,17 @@ def test_fetch_http_error(tmp_path):
 
 
 def test_fetch_network_error_mentions_offline_path(tmp_path):
-    def fake_urlopen(url, timeout):
-        raise urllib.error.URLError("no route to host")
+    url = "https://oeis.org/A000001/b000001.txt"
+    for error, reason in [
+        (urllib.error.URLError("no route to host"), "no route to host"),
+        (TimeoutError("timed out"), "timed out"),
+    ]:
+        def fake_urlopen(url, timeout):
+            raise error
 
-    with pytest.raises(NetworkUnavailableError) as info:
-        fetch_bfile("A000001", cache_dir=tmp_path, urlopen=fake_urlopen)
-    assert "offline" in str(info.value)
+        with pytest.raises(NetworkUnavailableError) as info:
+            fetch_bfile("A000001", cache_dir=tmp_path, urlopen=fake_urlopen)
+        assert str(info.value) == f"cannot reach {url} ({reason}); use a local b-file to work offline"
 
 
 def test_fetch_parse_failure_does_not_poison_cache(tmp_path):

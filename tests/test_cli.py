@@ -1,8 +1,11 @@
 import decimal
 import json
+import os
 import random
+import stat
 import subprocess
 import sys
+import threading
 import time
 from itertools import islice
 from pathlib import Path
@@ -182,6 +185,30 @@ def test_generate_into_a_missing_directory_names_the_target(tmp_path, capsys):
     argv = ["generate", "--rec", REC_TEXT, "--init", "1,1", "--to", "5", "--bfile", str(target)]
     assert main(argv) == 3
     assert capsys.readouterr().err == f"holoseq: [Errno 2] No such file or directory: '{target}'\n"
+    assert main([*argv[:-1], str(tmp_path)]) == 3
+    assert capsys.readouterr().err == f"holoseq: [Errno 21] Is a directory: '{tmp_path}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_writes_through_a_pipe_and_leaves_a_symlink_a_link(tmp_path, capsys):
+    expected = "".join(f"{n} {a}\n" for n, a in enumerate(GOLDEN_12[:6])).encode()
+    argv = ["generate", "--rec", REC_TEXT, "--init", "1,1", "--to", "5", "--bfile"]
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main([*argv, str(fifo)]) == 0
+    reader.join(timeout=30)  # a pipe replaced by a file never gets a writer
+    assert not reader.is_alive() and received == [expected]
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    real, link = tmp_path / "real.txt", tmp_path / "link.txt"
+    real.write_bytes(b"0 5\n")
+    link.symlink_to(real)
+    assert main([*argv, str(link)]) == 0
+    assert link.is_symlink() and real.read_bytes() == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "link.txt", "real.txt"]
+    assert capsys.readouterr() == ("", "")
 
 
 def test_verify_is_exact_under_a_loose_caller_context(tmp_path, capsys):

@@ -385,33 +385,55 @@ def _motzkin(count):
 
 
 def test_guess_hands_nullspace_the_naive_rows_of_the_solved_pair(monkeypatch):
-    # Each matrix must be n^j a(n-k) over k <= r', j <= d', for n = offset + r' .. last:
-    # r' is read off the row count, d' off the column count.
+    # Each pair (r', d') is filtered on the rows n^j a(n-k) over k <= r', j <= d', for
+    # n = offset + r' .. offset + r' + ncols, in the documented pair order; the pair that
+    # passes gets the same rows for n = offset + r' .. last.  r' and d' of a nullspace
+    # matrix are read off its row and column counts.
+    def naive(r1, d1, count):
+        ns = range(table.offset + r1, table.last_index + 1)[:count]
+        return [
+            tuple(n**j * table.term(n - k) for k in range(r1 + 1) for j in range(d1 + 1))
+            for n in ns
+        ]
+
+    def filtered(rows, ncols):
+        r1, d1 = untried.pop(0)
+        rows = [tuple(row) for row in rows]
+        assert ncols == (r1 + 1) * (d1 + 1) and rows == naive(r1, d1, ncols + 1), (r1, d1)
+        filtered_pairs.append((r1, d1))
+        return full_column_rank_mod_p(rows, ncols)
+
     def checked(matrix):
         r1 = len(table) - len(matrix)
         d1 = len(matrix[0]) // (r1 + 1) - 1
-        naive = [
-            tuple(n**j * table.term(n - k) for k in range(r1 + 1) for j in range(d1 + 1))
-            for n in range(table.offset + r1, table.last_index + 1)
-        ]
-        assert [tuple(row) for row in matrix] == naive, (r1, d1)
+        assert (r1, d1) == filtered_pairs[-1]
+        assert [tuple(row) for row in matrix] == naive(r1, d1, len(matrix)), (r1, d1)
         pairs.append((r1, d1))
         return nullspace(matrix)
 
+    full_column_rank_mod_p = guessing._full_column_rank_mod_p
+    monkeypatch.setattr(guessing, "_full_column_rank_mod_p", filtered)
     monkeypatch.setattr(guessing, "nullspace", checked)
-    scaled_bell = SequenceTable(0, tuple(P * v for v in _bell(60).terms))
+    motzkin = _motzkin(60)
+    scaled_bell = SequenceTable(-2, tuple(P * v for v in _bell(60).terms))
     cases = [
         (SequenceTable(1, a214615_terms(60).terms[1:]), 4, 4,
          ["a(n) - a(n-1) + (n-1)^2*a(n-2) = 0 for n >= 3"]),
-        (_motzkin(60), 3, 3, ["(2+n)*a(n) - (1+2*n)*a(n-1) + (3-3*n)*a(n-2) = 0 for n >= 2"]),
+        (motzkin, 3, 3, ["(2+n)*a(n) - (1+2*n)*a(n-1) + (3-3*n)*a(n-2) = 0 for n >= 2"]),
+        (SequenceTable(-2, motzkin.terms), 3, 3,
+         ["(4+n)*a(n) - (5+2*n)*a(n-1) - (3+3*n)*a(n-2) = 0 for n >= 0"]),
         (scaled_bell, 3, 3, []),
     ]
-    for table, r, d, expected in cases:  # ``checked`` reads table and pairs from here
-        pairs = []
+    for table, r, d, expected in cases:  # the spies read table and the pair lists from here
+        untried = sorted(
+            ((k, j) for k in range(r + 1) for j in range(d + 1)),
+            key=lambda pair: ((pair[0] + 1) * (pair[1] + 1), pair[0]),
+        )
+        filtered_pairs, pairs = [], []
         assert [c.to_text() for c in guess_recurrence(table, r, d)] == expected
-        assert pairs
+        assert pairs and filtered_pairs
         if table is scaled_bell:
-            assert len(pairs) == 16  # every pair reaches the exact path
+            assert len(pairs) == len(filtered_pairs) == 16  # every pair reaches the exact path
 
 
 def test_full_column_rank_mod_p_implies_an_empty_rational_nullspace():
