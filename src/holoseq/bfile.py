@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import re
+import shutil
 import urllib.error
 from dataclasses import dataclass
 from pathlib import Path
@@ -180,9 +181,11 @@ def _write_replacing(path: Union[str, Path], lines: Iterable[str]) -> None:
 
     Where ``path`` resolves to something that exists and is not a regular file, such as a
     pipe or a device, the lines are all made first and then written through it.  Otherwise
-    they go to a new "<target>.<pid>.part" beside the resolved target, which is then moved
-    onto it, so a symlink stays a link; if anything fails on the way, the part file is
-    removed and the target is left as it was.  Errors name ``path`` as given.
+    they go to a new "<target>.<pid>.part" beside the resolved target, which takes an
+    existing target's permission bits and is then moved onto it, so a symlink stays a link;
+    if anything fails on the way, the part file is removed and the target is left as it was.
+    The move makes a new file, so other hard links to the old target keep the old text.
+    Errors name ``path`` as given.
     """
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
@@ -198,6 +201,8 @@ def _write_replacing(path: Union[str, Path], lines: Iterable[str]) -> None:
     try:
         with stream:
             stream.writelines(lines)
+        if os.path.isfile(target):
+            shutil.copymode(target, part)
         os.replace(part, target)
     except BaseException:
         part.unlink()

@@ -83,7 +83,7 @@ def _trailer_product(
     """
     if poly.degree <= 0:
         c = poly.coeffs[0] if poly.coeffs else Fraction(0)
-        mag = format_rational(abs(c))
+        mag = str(abs(c))
         if not trailer:
             return c < 0, mag
         return c < 0, trailer if abs(c) == 1 else f"{mag}*{trailer}"
@@ -95,7 +95,7 @@ def _trailer_product(
         else:
             inner = f"{var}+{b}" if b > 0 else f"{var}-{-b}"
             base = f"({inner})" if e == 1 else f"({inner})^{e}"
-        text = base if abs(c) == 1 else f"{format_rational(abs(c))}*{base}"
+        text = base if abs(c) == 1 else f"{abs(c)}*{base}"
         if trailer:
             text = f"{text}*{trailer}"
         return c < 0, text
@@ -200,6 +200,7 @@ class DifferentialOperator:
                 weights[shift] = weights.get(shift, Polynomial()) + weight * c
         return RecurrenceOperator.from_shift_weights(weights, max(0, -min(weights)))
 
+    @_lift_digit_cap
     def to_text(self) -> str:
         """Canonical text, highest derivative first: "(1+t^2)*D - (1-t)"."""
         parts: list[tuple[bool, str]] = []
@@ -392,6 +393,7 @@ class RecurrenceOperator:
             raise ValueError(f"table ends at {last}, before the first checkable index {start}")
         return VerifyReport(start, last if failure is None else failure[0], failure)
 
+    @_lift_digit_cap
     def to_text(self) -> str:
         """Canonical text: "a(n) - a(n-1) + (n-1)^2*a(n-2) = 0 for n >= 2"."""
         parts: list[tuple[bool, str]] = []

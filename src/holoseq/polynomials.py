@@ -46,9 +46,12 @@ def _lift_digit_cap(func: Callable) -> Callable:
     On return the interpreter's cap and the thread's decimal context are what they were, so
     importing holoseq changes no interpreter-wide state.  Only these are wrapped: the CLI's
     ``main``, the b-file reader (per piece), ``format_bfile`` and ``write_bfile``, the text
-    parsers, the two non-integer errors, ``RecurrenceOperator._verify_entries``, whose walk
-    the CLI runs on Decimal terms, and ``series._decimal_mul``, whose base-10 packing puts
-    each coefficient of a long product through ``str`` and reads each back with ``int``.
+    parsers, ``format_rational`` and the four ``to_text`` methods (``Polynomial``, ``Series``
+    and the two operators, which format each coefficient with ``str`` so that the cap is
+    lifted once per text), the two non-integer errors, ``RecurrenceOperator._verify_entries``,
+    whose walk the CLI runs on Decimal terms, and ``series._decimal_mul``, whose base-10
+    packing puts each coefficient of a long product through ``str`` and reads each back with
+    ``int``.
     Wrap no generator function: its body runs after the call has returned.
     """
 
@@ -93,10 +96,11 @@ def _as_fraction(value: RationalLike) -> Fraction:
 
 
 def _over_common_denominator(values: Iterable[RationalLike]) -> tuple[list[int], int]:
-    """Integer numerators n_k and the least d > 0 with values[k] = n_k / d.
+    """Integer numerators n_k and the least d > 0 with values[k] = n_k / d; gcd(d, *n_k) = 1.
 
-    The callers pass ints and Fractions that ``Series``, ``Polynomial`` or ``nullspace``
-    already checked when they were stored, so none is checked again here."""
+    The callers pass ints and Fractions already checked: by ``_as_fraction`` in the ``Series``
+    constructor, or by ``Polynomial`` or ``nullspace`` when they were stored, so none is
+    checked again here."""
     values = list(values)
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
@@ -133,6 +137,7 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in rational literal: {text!r}") from None
 
 
+@_lift_digit_cap
 def format_rational(value: RationalLike) -> str:
     """Canonical text: "p/q" in lowest terms, or "p" when q == 1."""
     return str(Fraction(value))
@@ -243,6 +248,7 @@ class Polynomial:
                 cs[j] += a * cs[j + 1]
         return Polynomial(tuple(cs))
 
+    @_lift_digit_cap
     def to_text(self, var: str = "t") -> str:
         """Canonical ascending-power text, e.g. "1 - t" or "n^2 - 2*n + 1"."""
         if self.is_zero:
@@ -253,9 +259,9 @@ class Polynomial:
                 continue
             mag = abs(c)
             if k == 0:
-                body = format_rational(mag)
+                body = str(mag)
             else:
-                head = "" if mag == 1 else f"{format_rational(mag)}*"
+                head = "" if mag == 1 else f"{mag}*"
                 body = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
             parts.append((c < 0, body))
         return _join_signed(parts)

@@ -1,18 +1,19 @@
 """Truncated power series with exact rational coefficients.
 
 A ``Series`` holds the coefficients of a formal power series modulo
-t^(order+1): exactly order+1 Fractions, nothing floating (construction
+t^(order+1): exactly order+1 rationals, nothing floating (construction
 accepts only ints and Fractions).  The truncation order is part of the value.
 Binary operations require both operands to be truncated at the same order and
 raise ``OrderMismatchError`` otherwise; ``derivative`` lowers the order by one
 and ``integral`` raises it by one, so callers re-truncate explicitly when they
 need aligned orders.
 
-Fractions are only the stored form.  The three quadratic kernels bring their
-operands to integer numerators over one common denominator (one lcm and O(N)
-integer multiplies, in ``polynomials._over_common_denominator``), run on plain
-ints with no gcd in the inner loop, and reduce each of the N+1 results once on
-the way out:
+A series is stored as the kernels use it: integer numerators over one positive
+denominator, in lowest terms (the gcd of the denominator and all numerators is
+1), so equal series have equal fields.  ``coeffs`` builds the Fractions only
+when asked.  Each kernel reads the numerators, runs on plain ints with no gcd
+in the inner loop, and hands its integer results and their one denominator to
+the constructor, which reduces them by one gcd:
 
 * ``a * b`` is one big-integer multiply by Kronecker substitution (Harvey,
   J. Symb. Comp. 2009, for the technique): each operand is packed into one
@@ -25,11 +26,14 @@ the way out:
 * ``a / b`` solves b q = a term by term over the nonzero coefficients of b
   only, O(N * nnz b); dividing by a polynomial is linear in N.
 * ``exp(g)`` with g(0) = 0 solves h' = g'h on scaled integers: with
-  g'_i = E_i / d and one q = N! d^N, the integers P_k = q h_k satisfy
-  P_0 = q, (k+1) d P_{k+1} = sum_{i=0..k} E_i P_{k-i}.  The division is
-  exact, since the denominator of h_k divides k! d^k.  O(N^2) multiplies,
-  each of a P_k by one E_i; for ``build_egf`` every E_i is +-num(x0), so each
-  is a big integer times a small one.
+  i g_i = E_i / d, the coefficients of t g'(t) over their own least
+  denominator d, and one q = N! d^N, the integers P_k = q h_k satisfy
+  P_0 = q, k d P_k = sum_{i=1..k} E_i P_{k-i}.  The division is exact, since
+  the denominator of h_k divides k! d^k.  O(N^2) multiplies, each of a P_k by
+  one E_i; for ``build_egf`` every E_i is +-num(x0) and d = den(x0), so each
+  is a big integer times a small one.  (The denominator of g itself would do,
+  but for g = x0 arctan t it is lcm(1, 3, ..., 2N-1), and q would be vastly
+  larger.)
 * ``inverse_sqrt(u)`` with u(0) = 1 runs J. C. P. Miller's power
   recurrence for h = u^alpha at alpha = -1/2 (Knuth, TAOCP vol. 2, 4.7):
   n h_n = sum_{k=1..n} ((alpha+1) k - n) u_k h_{n-k}, h_0 = 1, which reads
@@ -44,8 +48,8 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, perm
-from typing import Union
+from math import factorial, gcd, lcm, perm
+from typing import Iterable, Sequence, Union
 
 from .polynomials import (
     _EXACT, Polynomial, RationalLike, _as_fraction, _join_signed, _lift_digit_cap,
@@ -83,10 +87,10 @@ class NonIntegerCoefficientError(ArithmeticError):
 _DECIMAL_MIN_BITS = 100_000
 
 
-def _kronecker_mul(a: list[int], b: list[int]) -> list[int]:
+def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The low len(a) coefficients of the integer polynomial product a * b.
 
-    Both lists have the same length L.  Trailing zero coefficients are dropped first, so a
+    Both have the same length L.  Trailing zero coefficients are dropped first, so a
     polynomial operand packs short.  Every product coefficient is at most
     bound = min(la, lb) * max|a| * max|b| in magnitude (la, lb the trimmed lengths), so slots
     wide enough for 2 * bound hold them without overlap, and the packed product is one big
@@ -104,7 +108,7 @@ def _kronecker_mul(a: list[int], b: list[int]) -> list[int]:
     return _decimal_mul(a, b, length, bound)
 
 
-def _binary_mul(a: list[int], b: list[int], length: int, bound: int) -> list[int]:
+def _binary_mul(a: Sequence[int], b: Sequence[int], length: int, bound: int) -> list[int]:
     """``_kronecker_mul`` with a byte-aligned slot of bound's bits and a sign bit per coefficient.
 
     The signed packed product is reduced mod 2^(slot * length), which drops the high slots
@@ -120,7 +124,7 @@ def _binary_mul(a: list[int], b: list[int], length: int, bound: int) -> list[int
     return [int.from_bytes(data[i : i + size], "little") - half for i in range(0, len(data), size)]
 
 
-def _pack(values: list[int], size: int) -> int:
+def _pack(values: Sequence[int], size: int) -> int:
     """sum_k values[k] * 256^(size*k), for |values[k]| < 256^size."""
     zero = bytes(size)
     pos = b"".join(v.to_bytes(size, "little") if v > 0 else zero for v in values)
@@ -129,7 +133,7 @@ def _pack(values: list[int], size: int) -> int:
 
 
 @_lift_digit_cap
-def _decimal_mul(a: list[int], b: list[int], length: int, bound: int) -> list[int]:
+def _decimal_mul(a: Sequence[int], b: Sequence[int], length: int, bound: int) -> list[int]:
     """``_kronecker_mul`` with one slot of ``width`` decimal digits per coefficient, on libmpdec.
 
     Coefficients go through ``str`` into the slots, and each operand becomes one Decimal, so
@@ -154,7 +158,7 @@ def _decimal_mul(a: list[int], b: list[int], length: int, bound: int) -> list[in
     return [int(digits[i - width : i]) - offset for i in range(len(digits), 0, -width)]
 
 
-def _pack10(values: list[int], width: int) -> decimal.Decimal:
+def _pack10(values: Sequence[int], width: int) -> decimal.Decimal:
     """sum_k values[k] * 10^(width*k) as a Decimal, for |values[k]| < 10^width."""
     zeros = "0" * width
     pos = "".join(str(v).zfill(width) if v > 0 else zeros for v in reversed(values))
@@ -162,46 +166,59 @@ def _pack10(values: list[int], width: int) -> decimal.Decimal:
     return _EXACT.subtract(_EXACT.create_decimal(pos), _EXACT.create_decimal(neg))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Series:
-    """Coefficients c_0..c_N of a series truncated at order N = len - 1."""
+    """Coefficients c_0..c_N of a series truncated at order N = len - 1.
 
-    coeffs: tuple[Fraction, ...]
+    Stored as integer numerators over one denominator, c_k = _nums[k] / _den, with _den > 0
+    and gcd(_den, *_nums) = 1, so equal series have equal fields.  ``Series(coeffs)`` takes
+    ints and Fractions; the kernels pass integer numerators and their private ``_den``.
+    """
 
-    def __post_init__(self) -> None:
-        cs = tuple(_as_fraction(c) for c in self.coeffs)
-        if not cs:
+    _nums: tuple[int, ...]
+    _den: int
+
+    def __init__(self, coeffs: Iterable[RationalLike], _den: int = 1) -> None:
+        nums = tuple(coeffs)
+        if not all(type(c) is int for c in nums):
+            nums, den = _over_common_denominator(map(_as_fraction, nums))
+            _den *= den
+        if not nums:
             raise ValueError("a truncated series needs at least the constant term")
-        object.__setattr__(self, "coeffs", cs)
+        content = gcd(_den, *nums) if _den > 0 else -gcd(_den, *nums)
+        object.__setattr__(self, "_nums", tuple(v // content for v in nums))
+        object.__setattr__(self, "_den", _den // content)
 
     @classmethod
     def zero(cls, order: int) -> Series:
-        return cls((Fraction(0),) * (order + 1))
+        return cls((0,) * (order + 1))
 
     @classmethod
     def one(cls, order: int) -> Series:
-        return cls((Fraction(1),) + (Fraction(0),) * order)
+        return cls((1,) + (0,) * order)
 
     @classmethod
     def from_polynomial(cls, poly: Polynomial, order: int) -> Series:
         """The polynomial read mod t^(order+1); high-degree terms drop off."""
-        cs = [Fraction(0)] * (order + 1)
-        for k, c in enumerate(poly.coeffs[: order + 1]):
-            cs[k] = c
-        return cls(tuple(cs))
+        return cls((poly.coeffs + (0,) * (order + 1))[: order + 1])
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """c_0..c_N as Fractions, built on each call."""
+        return tuple(Fraction(v, self._den) for v in self._nums)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._nums)
 
     def coefficient(self, k: int) -> Fraction:
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient index {k} outside truncation order {self.order}")
-        return self.coeffs[k]
+        return Fraction(self._nums[k], self._den)
 
     def truncated(self, order: int) -> Series:
         """Drop coefficients above ``order``; never extends."""
@@ -211,7 +228,7 @@ class Series:
             )
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        return Series(self.coeffs[: order + 1])
+        return Series(self._nums[: order + 1], self._den)
 
     def _require_same_order(self, other: Series) -> None:
         if self.order != other.order:
@@ -223,33 +240,30 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         self._require_same_order(other)
-        return Series(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        return Series([a * sa + b * sb for a, b in zip(self._nums, other._nums)], den)
 
     def __neg__(self) -> Series:
-        return Series(tuple(-c for c in self.coeffs))
+        return Series([-v for v in self._nums], self._den)
 
     def __sub__(self, other: Series) -> Series:
         if not isinstance(other, Series):
             return NotImplemented
-        self._require_same_order(other)
-        return Series(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + (-other)
 
     def __mul__(self, other: Union[Series, RationalLike]) -> Series:
         """Product mod t^(N+1), by one big-number multiply (Kronecker substitution).
 
-        Cost: one lcm per operand, one multiply of two numbers of about
-        N * (bits of both numerators + log2 N) bits (an int, or a Decimal
-        from about 10^5 bits on), and N+1 gcds to reduce the result.  A
-        polynomial operand packs short, which makes the multiply linear in N.
+        Cost: one multiply of two numbers of about N * (bits of both numerators + log2 N)
+        bits (an int, or a Decimal from about 10^5 bits on), and one gcd chain to reduce the
+        result.  A polynomial operand packs short, which makes the multiply linear in N.
         """
         if isinstance(other, Series):
             self._require_same_order(other)
-            a, da = _over_common_denominator(self.coeffs)
-            b, db = _over_common_denominator(other.coeffs)
-            den = da * db
-            return Series(tuple(Fraction(c, den) for c in _kronecker_mul(a, b)))
+            return Series(_kronecker_mul(self._nums, other._nums), self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            return Series(tuple(c * other for c in self.coeffs))
+            return Series([v * other.numerator for v in self._nums], self._den * other.denominator)
         return NotImplemented
 
     def __rmul__(self, other: RationalLike) -> Series:
@@ -260,92 +274,87 @@ class Series:
     def __truediv__(self, other: Series) -> Series:
         """Series division; the divisor needs a nonzero constant term.
 
-        On numerators a/da and b/db the quotient is (db/da) * R_k / b_0^(k+1)
-        with R_k = a_k b_0^k - sum_i b_i b_0^(i-1) R_{k-i}, the sum running
-        over the nonzero b_i only: O(N * nnz b) integer operations.
+        On numerators a/da and b/db the quotient's numerators over da * b_0^(N+1) are
+        the integers S_k = (db a_k b_0^(N+1) - sum_i b_i S_{k-i}) / b_0, an exact
+        division, with the sum running over the nonzero b_i only: O(N * nnz b)
+        integer operations.
         """
         if not isinstance(other, Series):
             return NotImplemented
         self._require_same_order(other)
-        if other.coeffs[0] == 0:
+        b = other._nums
+        if b[0] == 0:
             raise ConstantTermError("division by a series with zero constant term")
-        a, da = _over_common_denominator(self.coeffs)
-        b, db = _over_common_denominator(other.coeffs)
-        b0 = b[0]
-        terms = [(i, c * b0 ** (i - 1)) for i, c in enumerate(b) if i and c]
-        r: list[int] = []
-        out = []
-        power = 1
-        for k, ak in enumerate(a):
-            acc = ak * power
+        top = b[0] ** (self.order + 1)
+        terms = [(i, c) for i, c in enumerate(b) if i and c]
+        s: list[int] = []
+        for k, ak in enumerate(self._nums):
+            acc = other._den * ak * top
             for i, c in terms:
                 if i > k:
                     break
-                acc -= c * r[k - i]
-            r.append(acc)
-            power *= b0
-            out.append(Fraction(db * acc, da * power))
-        return Series(tuple(out))
+                acc -= c * s[k - i]
+            s.append(acc // b[0])
+        return Series(s, self._den * top)
 
     def derivative(self) -> Series:
         """Formal d/dt; the truncation order drops by one."""
         if self.order < 1:
             raise ValueError("derivative needs truncation order >= 1")
-        return Series(tuple((k + 1) * self.coeffs[k + 1] for k in range(self.order)))
+        return Series([k * v for k, v in enumerate(self._nums) if k], self._den)
 
     def integral(self) -> Series:
         """Formal antiderivative with constant term 0; order rises by one."""
-        return Series(
-            (Fraction(0),) + tuple(c / (k + 1) for k, c in enumerate(self.coeffs))
-        )
+        scale = lcm(*range(1, self.order + 2))
+        nums = [v * (scale // (k + 1)) for k, v in enumerate(self._nums)]
+        return Series([0] + nums, self._den * scale)
 
     def exp(self) -> Series:
         """exp of a series with zero constant term, via h' = g'h.
 
-        Runs on the integers P_k = q h_k of the module docstring, with one q = N! d^N:
-        (k+1) d P_{k+1} = sum_i E_i P_{k-i}, an exact division.  O(N^2) multiplies of a
-        P_k by an E_i, skipping the zero coefficients of g'; the only gcd per coefficient is
-        the one that reduces P_k / q.
+        Runs on the integers P_k = q h_k of the module docstring, with one q = N! d^N and d
+        the denominator of t g'(t) reduced on its own: k d P_k = sum_i E_i P_{k-i}, an exact
+        division, where E_i / d is the coefficient of t^i in t g'(t).  O(N^2) multiplies of
+        a P_k by an E_i, skipping the zero coefficients of g'.
         """
-        if self.coeffs[0] != 0:
+        if self._nums[0] != 0:
             raise ConstantTermError("exp needs a zero constant term")
-        es, d = _over_common_denominator(k * c for k, c in enumerate(self.coeffs) if k)
-        terms = [(i, e) for i, e in enumerate(es) if e]
-        q = factorial(self.order) * d**self.order
-        p = [q]
-        for k in range(self.order):
+        t_dg = Series([k * v for k, v in enumerate(self._nums)], self._den)
+        d = t_dg._den
+        terms = [(i, e) for i, e in enumerate(t_dg._nums) if e]
+        p = [factorial(self.order) * d**self.order]  # P_0 = q
+        for k in range(1, self.order + 1):
             acc = 0
             for i, e in terms:
                 if i > k:
                     break
                 acc += e * p[k - i]
-            p.append(acc // ((k + 1) * d))
-        return Series(tuple(Fraction(v, q) for v in p))
+            p.append(acc // (k * d))
+        return Series(p, p[0])
 
     def inverse_sqrt(self) -> Series:
         """u^(-1/2) for u with constant term 1, by Miller's power recurrence.
 
-        Runs on the integers H_n = 2^n n! D^n h_n of the module docstring; only the
-        outputs become Fractions.
+        Runs on the integers H_n = 2^n n! D^n h_n of the module docstring, and puts them over
+        one denominator 2^N N! D^N as the numerators H_n (2D)^(N-n) N!/n!.
         """
-        if self.coeffs[0] != 1:
+        us, d, order = self._nums, self._den, self.order
+        if us[0] != d:
             raise ConstantTermError("inverse sqrt needs constant term 1")
-        us, d = _over_common_denominator(self.coeffs)
         terms = [(k, u * (2 * d) ** (k - 1)) for k, u in enumerate(us) if k and u]
-        h = [1]
-        out = [Fraction(1)]
-        den = 1
-        for n in range(1, self.order + 1):
+        h, nums = [1], [factorial(order) * (2 * d) ** order]
+        scale = nums[0]
+        for n in range(1, order + 1):
             acc = 0
             for k, c in terms:
                 if k > n:
                     break
                 acc += (k - 2 * n) * c * perm(n - 1, k - 1) * h[n - k]
             h.append(acc)
-            den *= 2 * n * d
-            out.append(Fraction(acc, den))
-        result = Series(tuple(out))
-        if (self * result * result) != Series.one(self.order):
+            scale //= 2 * n * d
+            nums.append(acc * scale)
+        result = Series(nums, nums[0])
+        if (self * result * result) != Series.one(order):
             raise ArithmeticError("inverse sqrt fixed point check failed")
         return result
 
@@ -357,18 +366,19 @@ class Series:
         """
         terms: list[int] = []
         factorial = 1
-        for n, c in enumerate(self.coeffs):
+        for n, v in enumerate(self._nums):
             if n > 0:
                 factorial *= n
-            value = factorial * c
-            if value.denominator != 1:
-                raise NonIntegerCoefficientError(n, value)
-            terms.append(int(value))
+            term, rest = divmod(factorial * v, self._den)
+            if rest:
+                raise NonIntegerCoefficientError(n, Fraction(factorial * v, self._den))
+            terms.append(term)
         return SequenceTable(0, tuple(terms))
 
+    @_lift_digit_cap
     def to_text(self) -> str:
         """Canonical text, e.g. "1 + 1*t + 0*t^2 - 2/3*t^3 + O(t^4)"."""
         powers = ["", "*t"] + [f"*t^{k}" for k in range(2, self.order + 1)]
-        parts = [(c < 0, format_rational(abs(c)) + power) for c, power in zip(self.coeffs, powers)]
+        parts = [(c < 0, str(abs(c)) + power) for c, power in zip(self.coeffs, powers)]
         parts.append((False, f"O(t^{self.order + 1})"))
         return _join_signed(parts)

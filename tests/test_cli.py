@@ -211,6 +211,21 @@ def test_generate_writes_through_a_pipe_and_leaves_a_symlink_a_link(tmp_path, ca
     assert capsys.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize("mode", [0o600, 0o640], ids=oct)
+def test_generate_and_write_bfile_keep_the_target_mode(tmp_path, capsys, mode):
+    doc = BFileDocument(a214615_terms(5))
+    by_cli, by_library = tmp_path / "cli.txt", tmp_path / "library.txt"
+    for path in (by_cli, by_library):
+        path.write_bytes(b"0 5\n")
+        path.chmod(mode)
+    argv = ["generate", "--rec", REC_TEXT, "--init", "1,1", "--to", "5", "--bfile", str(by_cli)]
+    assert main(argv) == 0
+    write_bfile(doc, by_library)
+    for path in (by_cli, by_library):
+        assert path.read_text() == format_bfile(doc)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+
+
 def test_verify_is_exact_under_a_loose_caller_context(tmp_path, capsys):
     path = write_golden_bfile(tmp_path, n_max=2499)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)

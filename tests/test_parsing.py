@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ from holoseq.parsing import (
     parse_polynomial,
     parse_recurrence,
 )
-from holoseq.polynomials import Polynomial, X
+from holoseq.polynomials import Polynomial, X, format_rational
+from holoseq.series import Series
 
 ONE = Polynomial.constant(1)
 
@@ -189,3 +191,20 @@ def test_round_trip_corpus():
     ]
     for operator in operators:
         assert parse_differential_operator(operator.to_text()) == operator
+
+
+def test_texts_of_5000_digit_numbers_under_the_default_cap(default_digit_cap):
+    big, digits = 10**5000, "1" + "0" * 5000
+    p = Polynomial((big, 0, -3))
+    r = RecurrenceOperator((Polynomial((big,)), Polynomial((1, 1))), 1)
+    d = DifferentialOperator((Polynomial((big,)), Polynomial((0, 1))))
+    texts = [
+        p.to_text(), r.to_text(), d.to_text(), Series((Fraction(big, 3),)).to_text(),
+        format_rational(big), format_rational(Fraction(-1, big)),
+    ]
+    assert all(digits in text for text in texts)
+    assert texts[3] == f"{digits}/3 + O(t^1)" and texts[5] == f"-1/{digits}"
+    assert parse_polynomial(p.to_text()) == p
+    assert parse_recurrence(r.to_text()) == r
+    assert parse_differential_operator(d.to_text()) == d
+    assert sys.get_int_max_str_digits() == default_digit_cap

@@ -2,7 +2,7 @@ import decimal
 import random
 import sys
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -413,3 +413,74 @@ def test_series_text():
     s = Series((1, 1, 0, Fraction(-2, 3)))
     assert s.to_text() == "1 + 1*t + 0*t^2 - 2/3*t^3 + O(t^4)"
     assert Series.one(0).to_text() == "1 + O(t^1)"
+
+
+def fields(s):
+    return s._nums, s._den
+
+
+def test_series_holds_integer_numerators_over_one_positive_denominator_in_lowest_terms():
+    assert fields(Series((Fraction(1, 2), Fraction(1, 3)))) == ((3, 2), 6)
+    assert fields(Series((4, -6, Fraction(8, 2)))) == ((4, -6, 4), 1)
+    f = Series((Fraction(1, 6), Fraction(-5, 6), 0))
+    for zero in (Series.zero(2), f - f, f * Series.zero(2), Series((Fraction(0, 7), 0, 0))):
+        assert fields(zero) == ((0, 0, 0), 1)
+    assert fields(Series((Fraction(2, 3), Fraction(1, 3))).truncated(0)) == ((2,), 3)
+    assert fields(Series((Fraction(1, 3), Fraction(1, 2))).truncated(0)) == ((1,), 3)
+    with pytest.raises(TypeError):
+        Series((decimal.Decimal(1), 0))
+    with pytest.raises(ValueError):
+        Series(())
+
+
+def naive_div(a, b):
+    """q with q * b = a mod t^len(a), coefficient by coefficient in Fractions."""
+    q = []
+    for k, ak in enumerate(a):
+        q.append((ak - sum(b[i] * q[k - i] for i in range(1, k + 1))) / b[0])
+    return q
+
+
+def assert_fields_of_oracle(got, oracle):
+    expected = Series(tuple(oracle))
+    assert expected._den > 0 and gcd(expected._den, *expected._nums) == 1
+    assert fields(got) == fields(expected) and hash(got) == hash(expected)
+
+
+def test_division_by_a_negative_constant_term_keeps_the_denominator_positive():
+    a = Series((1, Fraction(2, 3), 0, -5, Fraction(1, 4)))
+    for b0 in (-1, -3, Fraction(-2, 7)):
+        b = Series((b0, 1, 0, Fraction(1, 2), 0))
+        q = a / b
+        assert q._den > 0
+        assert_fields_of_oracle(q, naive_div(list(a.coeffs), list(b.coeffs)))
+
+
+def test_kernel_results_have_the_fields_of_the_series_of_their_oracle_fractions():
+    for g in random_kernel_inputs(1009, zero_constant=True):
+        assert_fields_of_oracle(g.exp(), oracles.naive_exp(list(g.coeffs)))
+        if g.order:
+            assert_fields_of_oracle(g.derivative(), oracles.naive_derivative(list(g.coeffs)))
+        assert_fields_of_oracle(g.integral(), [0] + [c / (k + 1) for k, c in enumerate(g.coeffs)])
+    units = random_kernel_inputs(2027, zero_constant=False)
+    for u in units:
+        assert_fields_of_oracle(u.inverse_sqrt(), oracles.naive_inverse_sqrt(list(u.coeffs)))
+    rng = random.Random(2718)
+    for a in units:
+        b = rng.choice([u for u in units if u.order == a.order])
+        b = b * rng.choice((1, -1, Fraction(-3, 7), 10**12 + 39))
+        fa, fb = list(a.coeffs), list(b.coeffs)
+        assert_fields_of_oracle(a * b, oracles.naive_mul(fa, fb))
+        assert_fields_of_oracle(a / b, naive_div(fa, fb))
+        assert_fields_of_oracle(a + b, [x + y for x, y in zip(fa, fb)])
+        assert_fields_of_oracle(a - b, [x - y for x, y in zip(fa, fb)])
+
+
+def test_build_egf_equals_the_series_of_its_oracle_fractions_in_fields_and_hash():
+    order = 30
+    arctan = [Fraction((-1) ** (k // 2), k) if k % 2 else Fraction(0) for k in range(order + 1)]
+    u = [Fraction(1), Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 2)
+    oracle = oracles.naive_mul(oracles.naive_exp(arctan), oracles.naive_inverse_sqrt(u))
+    egf = build_egf(1, order)
+    assert_fields_of_oracle(egf, oracle)
+    assert egf.coeffs == tuple(oracle)
