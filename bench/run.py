@@ -39,12 +39,15 @@ tree to compare with: then only the fresh-interpreter rows (selfcheck, series,
 generate_bfile, verify_bfile) run, each case's runs alternate between the two
 trees run by run, so that host drift falls on both alike, both trees must
 give the same output and write the same bytes, and the parent's rows go to
-bench/BENCH_<label>_parent.json.  Only the standard library is used.
+bench/BENCH_<label>_parent.json.  Each tree is byte-compiled before any run, so
+that a tree copied without ``__pycache__`` is not timed compiling itself.  Only
+the standard library is used.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import hashlib
 import json
 import platform
@@ -255,6 +258,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--label", default="layers")
     args = parser.parse_args(argv)
     trees = [args.src] if args.parent is None else [args.parent, args.src]
+    for tree in trees:  # so that no child compiles the package from source
+        if not compileall.compile_dir(tree, quiet=1):
+            raise SystemExit(f"bench: {tree} does not byte-compile")
     rows: list[list[dict]] = [[] for _ in trees]
     if args.parent is None:
         layer_rows(args.src, rows[-1])

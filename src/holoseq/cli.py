@@ -37,7 +37,6 @@ from .parsing import (
     parse_recurrence,
 )
 from .polynomials import _lift_digit_cap, parse_integer, parse_rational
-from .sequences import SequenceTable
 from .series import NonIntegerCoefficientError
 
 
@@ -127,10 +126,6 @@ def _recurrence_json(rec: RecurrenceOperator) -> dict:
     }
 
 
-def _terms_json(table: SequenceTable) -> list[list[str]]:
-    return [[str(n), str(value)] for n, value in table.items()]
-
-
 def _report_line(label: str, report: VerifyReport) -> str:
     if report.first_failure is None:
         detail = f"holds for n = {report.n_first_checked}..{report.n_last_checked}: PASS"
@@ -182,8 +177,7 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     prefix = tuple(islice(_a214615_direct(), max(overlap, 11) + 1))
     differ: list = []
     direct = enumerate(islice(_a214615_direct(), max_n + 1))
-    solved = rec._unrolled(A214615_INITIAL.terms, len(A214615_INITIAL))
-    unrolled = chain(A214615_INITIAL.items(), solved)  # in step with direct
+    unrolled = rec._unrolled(A214615_INITIAL.terms, A214615_INITIAL.offset)  # in step with direct
     report = rec._verify_entries(_compared(direct, unrolled, differ))
     unroll_ok = not differ
 
@@ -217,12 +211,12 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    """The initial terms, then the solved ones as Decimals, which print without an int -> str."""
+    """The terms from index 0 as Decimals, which print without an int -> str."""
     rec = _parse_rec_argument(args.rec, args.ode)
-    initial = SequenceTable(0, tuple(parse_integer(piece) for piece in args.init.split(",")))
-    head = rec.unroll(initial, min(args.to, initial.last_index))  # or unroll's error for --to < 0
-    solved = rec._unrolled(map(Decimal, initial.terms), len(initial))
-    entries = chain(head.items(), islice(solved, max(args.to - initial.last_index, 0)))
+    initial = [Decimal(parse_integer(piece)) for piece in args.init.split(",")]
+    if args.to < 0:
+        raise ValueError(f"n_max {args.to} is below the table offset 0")
+    entries = islice(rec._unrolled(initial, 0), args.to + 1)
     lines = _bfile_lines((n, a or 0) for n, a in entries)  # or 0: a Decimal product can be -0
     if args.bfile:
         _write_replacing(args.bfile, lines)
@@ -283,7 +277,7 @@ def cmd_series(args: argparse.Namespace) -> int:
             "coefficients": [str(c) for c in egf.coeffs],
         }
         try:
-            payload["terms"] = _terms_json(egf.egf_terms())
+            payload["terms"] = [line.split() for line in _bfile_lines(egf.egf_terms().items())]
         except NonIntegerCoefficientError:
             payload["terms"] = None
         print(json.dumps(payload, indent=2))
@@ -297,12 +291,8 @@ def cmd_series(args: argparse.Namespace) -> int:
 def cmd_fetch(args: argparse.Namespace) -> int:
     document = fetch_bfile(args.sequence_id, cache_dir=args.cache_dir)
     if args.json:
-        print(
-            json.dumps(
-                {"sequence_id": document.sequence_id, "terms": _terms_json(document.entries)},
-                indent=2,
-            )
-        )
+        terms = [line.split() for line in _bfile_lines(document.entries.items())]
+        print(json.dumps({"sequence_id": document.sequence_id, "terms": terms}, indent=2))
     else:
         sys.stdout.writelines(_bfile_lines(document.entries.items(), document.sequence_id))
     return 0

@@ -53,7 +53,6 @@ class SingularRecurrenceError(ArithmeticError):
 class NonIntegerTermError(ArithmeticError):
     """The solved term is not an integer, so the table cannot be extended."""
 
-    @_lift_digit_cap
     def __init__(self, n: int, value: Fraction):
         self.n = n
         self.value = value
@@ -321,16 +320,21 @@ class RecurrenceOperator:
                     s = s + a if v == 1 else s - a if v == -1 else s + v * a
             yield n, p0, 0 if s is None else s
 
-    def _unrolled(self, initial: Iterable[int], start: int) -> Iterator[tuple[int, int]]:
-        """(n, a(n)) for n >= start without end, after the ``initial`` terms that end at start - 1;
-        holds ``order`` terms; see ``unroll``.  Raises ValueError on the first step if start is
-        below n_min."""
+    def _unrolled(self, initial: Iterable[int], offset: int) -> Iterator[tuple[int, int]]:
+        """(n, a(n)) for n >= offset without end: the ``initial`` terms, then the solved ones;
+        holds ``order`` terms; see ``unroll``.  Raises ValueError on reaching the first index
+        to solve if it is below n_min."""
+        before: deque[int] = deque(maxlen=self.order)
+        start = offset
+        for a in initial:
+            yield start, a
+            before.append(a)
+            start += 1
         if start < self.n_min:
             raise ValueError(
                 f"initial terms end at {start - 1} but the recurrence "
                 f"only holds for n >= {self.n_min}"
             )
-        before = deque(initial, maxlen=self.order)
         for n, lead, s in self._steps(before, start):
             if lead == 0:
                 raise SingularRecurrenceError(n)
@@ -341,20 +345,18 @@ class RecurrenceOperator:
             yield n, quotient
 
     def unroll(self, initial: SequenceTable, n_max: int) -> SequenceTable:
-        """Extend the initial terms through index n_max by solving p_0(n) a(n) = s(n).
+        """The initial terms extended through index n_max by solving p_0(n) a(n) = s(n).
 
-        The terms come from ``_unrolled``, with s(n) from ``_steps`` and a(n) = s(n) outright
-        when p_0(n) = 1.  The first solved index offset + len(initial) must be >= n_min;
-        indices below the offset contribute zero.  Raises SingularRecurrenceError where p_0
-        vanishes and NonIntegerTermError when s(n)/p_0(n) is not an integer.
+        The table is the first n_max + 1 - offset entries of ``_unrolled``, with s(n) from
+        ``_steps`` and a(n) = s(n) outright when p_0(n) = 1.  The first solved index
+        offset + len(initial) must be >= n_min; indices below the offset contribute zero.
+        Raises SingularRecurrenceError where p_0 vanishes and NonIntegerTermError when
+        s(n)/p_0(n) is not an integer.
         """
         if n_max < initial.offset:
             raise ValueError(f"n_max {n_max} is below the table offset {initial.offset}")
-        if n_max <= initial.last_index:
-            return initial.prefix(n_max)
-        start = initial.last_index + 1
-        solved = islice(self._unrolled(initial.terms, start), n_max + 1 - start)
-        return SequenceTable(initial.offset, initial.terms + tuple(a for _, a in solved))
+        entries = islice(self._unrolled(initial.terms, initial.offset), n_max + 1 - initial.offset)
+        return SequenceTable(initial.offset, tuple(a for _, a in entries))
 
     def verify(self, entries: Union[SequenceTable, Iterable[tuple[int, int]]]) -> VerifyReport:
         """Compare p_0(n) a(n) with s(n) of ``_steps`` at every n >= max(n_min, offset).

@@ -40,7 +40,7 @@ class OperatorSyntaxError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z]\w*)|(?P<sym>>=|[-+*/^()=])|(?P<bad>\S))"
+    r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z]\w*)|(?P<sym>>=|[-+*/^()=])|(?P<bad>\S))"
 )
 
 _Value = dict[tuple[Optional[int], int], RationalLike]

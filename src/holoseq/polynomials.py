@@ -16,6 +16,7 @@ import decimal
 import functools
 import re
 import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -29,6 +30,9 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
 
 # Sequence terms and b-file entries routinely run to thousands of decimal digits.
 _DIGIT_CAP = 2_000_000
+# Calls inside the lifted cap, in any thread, and the cap the first of them found.
+_cap_lock = threading.Lock()
+_cap_calls = _cap_found = 0
 
 # Exact decimal arithmetic: integer Decimals of any length, and an error instead of any rounding.
 _EXACT = decimal.Context(
@@ -43,29 +47,36 @@ _EXACT = decimal.Context(
 def _lift_digit_cap(func: Callable) -> Callable:
     """Run ``func`` with the int<->str digit cap at >= 2,000,000 and in a copy of ``_EXACT``.
 
-    On return the interpreter's cap and the thread's decimal context are what they were, so
+    The first call in lifts the interpreter's cap and the last call out, in whichever thread,
+    puts back the cap the first found, so overlapping calls from threads never leave it
+    lifted; the decimal context is the thread's own, and each call restores it.  So
     importing holoseq changes no interpreter-wide state.  Only these are wrapped: the CLI's
     ``main``, the b-file reader (per piece), ``format_bfile`` and ``write_bfile``, the text
     parsers, ``format_rational`` and the four ``to_text`` methods (``Polynomial``, ``Series``
     and the two operators, which format each coefficient with ``str`` so that the cap is
-    lifted once per text), the two non-integer errors, ``RecurrenceOperator._verify_entries``,
-    whose walk the CLI runs on Decimal terms, and ``series._decimal_mul``, whose base-10
-    packing puts each coefficient of a long product through ``str`` and reads each back with
-    ``int``.
+    lifted once per text), ``RecurrenceOperator._verify_entries``, whose walk the CLI runs on
+    Decimal terms, and ``series._decimal_mul``, whose base-10 packing puts each coefficient of
+    a long product through ``str`` and reads each back with ``int``.
     Wrap no generator function: its body runs after the call has returned.
     """
 
     @functools.wraps(func)
     def lifted(*args, **kwargs):
-        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-        if 0 < limit < _DIGIT_CAP:
-            sys.set_int_max_str_digits(_DIGIT_CAP)
+        global _cap_calls, _cap_found
+        with _cap_lock:
+            if _cap_calls == 0:
+                _cap_found = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+                if 0 < _cap_found < _DIGIT_CAP:
+                    sys.set_int_max_str_digits(_DIGIT_CAP)
+            _cap_calls += 1
         try:
             with decimal.localcontext(_EXACT):
                 return func(*args, **kwargs)
         finally:
-            if limit:
-                sys.set_int_max_str_digits(limit)
+            with _cap_lock:
+                _cap_calls -= 1
+                if _cap_calls == 0 and _cap_found:
+                    sys.set_int_max_str_digits(_cap_found)
 
     return lifted
 

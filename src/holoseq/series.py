@@ -69,7 +69,6 @@ class ConstantTermError(ValueError):
 class NonIntegerCoefficientError(ArithmeticError):
     """n! * c_n is not an integer, so the series is not an integer EGF."""
 
-    @_lift_digit_cap
     def __init__(self, index: int, value: Fraction):
         self.index = index
         self.value = value

@@ -180,6 +180,40 @@ def test_a_failed_generate_leaves_every_sink_as_it_was(tmp_path, capsys, text, i
     assert [p.name for p in tmp_path.iterdir()] == ["existing.txt"]
 
 
+HOLDS_FROM_5 = "a(n) - a(n-1) = 0 for n >= 5"
+
+
+@pytest.mark.parametrize(
+    "text, init, to, code, expected",
+    [
+        (REC_TEXT, "1,1", "-1", 2, "n_max -1 is below the table offset 0"),
+        (HOLDS_FROM_5, "3,1,4", "0", 0, "0 3\n"),
+        (HOLDS_FROM_5, "3,1,4", "2", 0, "0 3\n1 1\n2 4\n"),
+        (HOLDS_FROM_5, "3,1,4", "3", 2, "initial terms end at 2 but the recurrence only holds for n >= 5"),
+        ("2*a(n) - a(n-1) = 0", "4", "5", 1, "a(3) = 1/2 is not an integer"),
+    ],
+    ids=["to-below-0", "first-term", "all-initial-terms", "n-min-past-the-initial-terms",
+         "failure-after-solved-terms"],
+)
+def test_generate_streams_the_initial_terms_then_the_solved_ones_to_every_sink(
+    tmp_path, capsys, text, init, to, code, expected
+):
+    """Each sink gets the lines printed, or on an error nothing, and the target stays as it was."""
+    target, old = tmp_path / "b.txt", "# A000001\n0 5\n"
+    terms = [line.split() for line in expected.splitlines()]
+    for sink in ([], ["--json"], ["--bfile", str(target)]):
+        target.write_text(old)
+        assert main(["generate", "--rec", text, "--init", init, "--to", to, *sink]) == code
+        out, err = capsys.readouterr()
+        if code != 0:
+            assert (out, err, target.read_text()) == ("", f"holoseq: {expected}\n", old)
+        elif sink == ["--json"]:
+            assert (json.loads(out)["terms"], err, target.read_text()) == (terms, "", old)
+        else:
+            assert (out, err, target.read_text()) == (("", "", expected) if sink else (expected, "", old))
+    assert [p.name for p in tmp_path.iterdir()] == ["b.txt"]
+
+
 def test_generate_into_a_missing_directory_names_the_target(tmp_path, capsys):
     target = tmp_path / "missing" / "b.txt"
     argv = ["generate", "--rec", REC_TEXT, "--init", "1,1", "--to", "5", "--bfile", str(target)]

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 
 import pytest
@@ -227,6 +228,19 @@ def test_unroll_prefix_when_target_inside_initial():
     table = A214615_RECURRENCE.unroll(A214615_INITIAL, 1)
     assert table == A214615_INITIAL
     assert A214615_RECURRENCE.unroll(A214615_INITIAL, 0) == SequenceTable(0, (1,))
+
+
+def test_unrolled_yields_from_the_offset_and_checks_n_min_at_the_first_index_to_solve():
+    rec = RecurrenceOperator((ONE, -X), 6)  # a(n) = n*a(n-1) for n >= 6
+    entries = rec._unrolled((4, 9), 3)
+    assert list(islice(entries, 2)) == [(3, 4), (4, 9)]
+    with pytest.raises(ValueError, match="^initial terms end at 4 but the recurrence only holds for n >= 6$"):
+        next(entries)
+    solved = [(3, 4), (4, 9), (5, 2), (6, 12), (7, 84), (8, 672)]
+    assert list(islice(rec._unrolled((4, 9, 2), 3), 6)) == solved
+    assert rec.unroll(SequenceTable(3, (4, 9, 2)), 8) == SequenceTable(3, (4, 9, 2, 12, 84, 672))
+    assert rec.unroll(SequenceTable(3, (4, 9)), 4) == SequenceTable(3, (4, 9))
+    assert rec.unroll(SequenceTable(3, (4, 9)), 3) == SequenceTable(3, (4,))
 
 
 def test_unroll_needs_initial_up_to_n_min():

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from holoseq.cli import main
 from holoseq.meixner import A214615_RECURRENCE, egf_annihilator
-from holoseq.operators import DifferentialOperator, RecurrenceOperator
+from holoseq.operators import DifferentialOperator, NonIntegerTermError, RecurrenceOperator
 from holoseq.parsing import (
     OperatorSyntaxError,
     parse_differential_operator,
@@ -12,7 +13,7 @@ from holoseq.parsing import (
     parse_recurrence,
 )
 from holoseq.polynomials import Polynomial, X, format_rational
-from holoseq.series import Series
+from holoseq.series import NonIntegerCoefficientError, Series
 
 ONE = Polynomial.constant(1)
 
@@ -201,6 +202,8 @@ def test_texts_of_5000_digit_numbers_under_the_default_cap(default_digit_cap):
     texts = [
         p.to_text(), r.to_text(), d.to_text(), Series((Fraction(big, 3),)).to_text(),
         format_rational(big), format_rational(Fraction(-1, big)),
+        str(NonIntegerTermError(7, Fraction(big, 3))),
+        str(NonIntegerCoefficientError(3, Fraction(-1, big))),
     ]
     assert all(digits in text for text in texts)
     assert texts[3] == f"{digits}/3 + O(t^1)" and texts[5] == f"-1/{digits}"
@@ -208,3 +211,26 @@ def test_texts_of_5000_digit_numbers_under_the_default_cap(default_digit_cap):
     assert parse_recurrence(r.to_text()) == r
     assert parse_differential_operator(d.to_text()) == d
     assert sys.get_int_max_str_digits() == default_digit_cap
+
+
+@pytest.mark.parametrize("digit", ["\u0663", "\uff13"], ids=["arabic-indic", "fullwidth"])
+@pytest.mark.parametrize(
+    "kind, template",
+    [
+        ("ode", "{}*D - t"),
+        ("ode", "D - t^{}"),
+        ("rec", "a(n) - a(n-{}) = 0"),
+        ("rec", "a(n) - 1/{}*a(n-1) = 0"),
+        ("rec", "a(n) - a(n-1) = 0 for n >= {}"),
+    ],
+    ids=["coefficient", "exponent", "shift", "denominator", "bound"],
+)
+def test_a_non_ascii_digit_is_a_syntax_error_at_its_position(capsys, digit, kind, template):
+    text = template.format(digit)
+    parse = parse_differential_operator if kind == "ode" else parse_recurrence
+    with pytest.raises(OperatorSyntaxError) as raised:
+        parse(text)
+    assert raised.value.position == text.index(digit)
+    argv = ["ode2rec", text] if kind == "ode" else ["generate", "--rec", text, "--init", "1", "--to", "3"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"holoseq: {raised.value}\n")

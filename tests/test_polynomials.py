@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from holoseq.polynomials import (
     Polynomial,
     X,
+    _lift_digit_cap,
     format_rational,
     parse_integer,
     parse_rational,
@@ -64,6 +66,67 @@ def test_import_leaves_the_digit_cap_alone():
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_overlapping_calls_from_two_threads_restore_the_digit_cap(default_digit_cap):
+    """A enters, B enters, A leaves, then B converts a 5001-digit int inside the cap and leaves."""
+    a_inside, b_inside, a_left = threading.Event(), threading.Event(), threading.Event()
+    converted = []
+
+    @_lift_digit_cap
+    def hold_until_b_enters():
+        a_inside.set()
+        b_inside.wait(30)
+
+    @_lift_digit_cap
+    def convert_after_a_leaves():
+        b_inside.set()
+        a_left.wait(30)
+        try:
+            return str(10**5000)
+        except ValueError as error:
+            return error
+
+    def run_a():
+        hold_until_b_enters()
+        a_left.set()
+
+    a = threading.Thread(target=run_a)
+    b = threading.Thread(target=lambda: converted.append(convert_after_a_leaves()))
+    a.start()
+    assert a_inside.wait(30)
+    b.start()
+    a.join(30)
+    b.join(30)
+    assert not a.is_alive() and not b.is_alive()
+    assert converted == ["1" + "0" * 5000]
+    assert sys.get_int_max_str_digits() == default_digit_cap
+
+
+def test_many_threads_formatting_5001_digit_numbers_leave_the_digit_cap_as_it_was(default_digit_cap):
+    value = 10**5000 + 7
+    texts: list = []
+
+    def run():
+        for _ in range(60):
+            try:
+                texts.append(format_rational(value))
+            except ValueError as error:
+                texts.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert texts == ["1" + "0" * 4999 + "7"] * 240
+    assert sys.get_int_max_str_digits() == default_digit_cap
 
 
 def test_polynomial_strips_trailing_zeros():
