@@ -1,4 +1,4 @@
-"""Layer benchmark of A214615's terms, unroll, verify, guess and EGF series; writes bench/BENCH_<label>.json.
+"""Layer benchmark of A214615's terms, guesses, EGF series and to_recurrence; writes bench/BENCH_<label>.json.
 
 Run from the repository root:
 
@@ -16,11 +16,17 @@ N = 250, 400 and 800: ``Series.exp`` of arctan t, ``Series.inverse_sqrt`` of
 1 + t^2, the ``Series`` product of those two, and ``build_egf`` itself; that
 product must equal ``build_egf(1, N)``, whose EGF terms must equal the direct
 ones, and such a row also holds the result's largest numerator or denominator
-bit length.  Last, it runs ``holoseq selfcheck --max-n N --series-order 20`` at
+bit length.  At the same N it times the ``Series`` division of ``build_egf(1, N)``
+by the dense integer series of the Fibonacci numbers, whose quotient times the
+divisor must give the dividend back.  Then it times
+``DifferentialOperator.to_recurrence`` of (1+t)^k*D + 1 at k = 50, 100 and 200,
+which must have order k; such a row also holds the sha256 of the recurrence's
+text.  Last, it runs ``holoseq selfcheck --max-n N --series-order 20`` at
 N = 5000 and 15000, ``holoseq series --to N`` at N = 250, 400 and 800, whose
 output must be the b-file lines of the direct terms, then
 ``holoseq generate --bfile`` of the first N terms of A214615 and
-``holoseq verify --bfile`` of that file at N = 300 and 5000, each run in a
+``holoseq verify --bfile`` of that file at N = 300 and 5000, and
+``holoseq ode2rec '(1+t)^100*D + 1'``, each run in a
 fresh interpreter, one after another, and times the whole child process; such
 a row also holds the median of the children's own peak resident memory in MiB
 (Linux's VmHWM), every run must pass with the same output, and every
@@ -35,8 +41,9 @@ defaults to ``layers``.  ``--src`` names the directory holding the ``holoseq``
 package to measure (default: ``src`` of this checkout), so another checkout
 can be measured by the same script; the script exits if ``holoseq`` is
 imported from anywhere else.  ``--parent`` names a second such directory, the
-tree to compare with: then only the fresh-interpreter rows (selfcheck, series,
-generate_bfile, verify_bfile) run, each case's runs alternate between the two
+tree to compare with: then the in-process rows run on the parent's tree and
+then on this one, in this process, the fresh-interpreter rows (selfcheck,
+series, generate_bfile, verify_bfile, ode2rec) alternate between the two
 trees run by run, so that host drift falls on both alike, both trees must
 give the same output and write the same bytes, and the parent's rows go to
 bench/BENCH_<label>_parent.json.  Each tree is byte-compiled before any run, so
@@ -72,6 +79,8 @@ SELFCHECK_SIZES = (5_000, 15_000)
 SELFCHECK_ORDER = 20
 SERIES_SIZES = (250, 400, 800)
 BFILE_SIZES = (300, 5_000)
+TO_RECURRENCE_POWERS = (50, 100, 200)
+ODE2REC_POWER = 100
 RUNS = 5
 
 # One CLI call in a fresh interpreter: argv is (src dir, CLI arguments...).  The command's
@@ -184,6 +193,8 @@ def row(case: str, n: int, runs: list, table=None, **extra: object) -> dict:
 
 def layer_rows(src: Path, rows: list[dict]) -> None:
     """Append the in-process rows, timed on the holoseq in ``src``, to ``rows``."""
+    for name in [name for name in sys.modules if name.split(".")[0] == "holoseq"]:
+        del sys.modules[name]  # the tree measured before, if any
     sys.path.insert(0, str(src.resolve()))
     import holoseq
     from holoseq import (
@@ -195,6 +206,7 @@ def layer_rows(src: Path, rows: list[dict]) -> None:
         a214615_terms,
         build_egf,
         guess_recurrence,
+        parse_differential_operator,
         parse_recurrence,
     )
     if Path(holoseq.__file__).resolve().parent != (src / "holoseq").resolve():
@@ -247,8 +259,27 @@ def layer_rows(src: Path, rows: list[dict]) -> None:
             agrees, (runs,) = measure([call], lambda r: r == expected)
             if not agrees:
                 raise SystemExit(f"bench: {name} at N = {n} disagrees with its untimed result")
-            bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in expected.coeffs)
-            rows.append(row(name, n, runs, max_coeff_bits=bits))
+            rows.append(row(name, n, runs, max_coeff_bits=coeff_bits(expected)))
+        fibonacci = [1, 1]
+        while len(fibonacci) <= n:
+            fibonacci.append(fibonacci[-1] + fibonacci[-2])
+        divisor = Series(fibonacci)
+        quotient, (runs,) = measure([lambda: egf / divisor], lambda r: r)
+        if quotient * divisor != egf:
+            raise SystemExit(f"bench: build_egf(1, {n}) / Fibonacci times the divisor is not the dividend")
+        rows.append(row("series_div", n, runs, max_coeff_bits=coeff_bits(quotient)))
+    for k in TO_RECURRENCE_POWERS:
+        operator = parse_differential_operator(f"(1+t)^{k}*D + 1")
+        rec, (runs,) = measure([operator.to_recurrence], lambda r: r)
+        if rec.order != k:
+            raise SystemExit(f"bench: to_recurrence of (1+t)^{k}*D + 1 has order {rec.order}")
+        digest = hashlib.sha256(rec.to_text().encode()).hexdigest()
+        rows.append(row("to_recurrence", k, runs, text_sha256=digest))
+
+
+def coeff_bits(series) -> int:
+    """The largest numerator or denominator bit length of the series' coefficients."""
+    return max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in series.coeffs)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -262,8 +293,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if not compileall.compile_dir(tree, quiet=1):
             raise SystemExit(f"bench: {tree} does not byte-compile")
     rows: list[list[dict]] = [[] for _ in trees]
-    if args.parent is None:
-        layer_rows(args.src, rows[-1])
+    for tree, tree_rows in zip(trees, rows):
+        layer_rows(tree, tree_rows)
     for n in SELFCHECK_SIZES:
         argv = ["selfcheck", "--max-n", str(n), "--series-order", str(SELFCHECK_ORDER)]
         _, results = cli_case(trees, argv)
@@ -290,6 +321,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                 _, results = cli_case(trees, argv, written)
                 for tree_rows, (runs, peak) in zip(rows, results):
                     tree_rows.append(row(name, n, runs, bfile_bytes=path.stat().st_size, peak_rss_mib=peak))
+    printed, results = cli_case(trees, ["ode2rec", f"(1+t)^{ODE2REC_POWER}*D + 1"])
+    digest = hashlib.sha256(printed.encode()).hexdigest()
+    for tree_rows, (runs, peak) in zip(rows, results):
+        tree_rows.append(row("ode2rec", ODE2REC_POWER, runs, text_sha256=digest, peak_rss_mib=peak))
     labels = [args.label] if args.parent is None else [f"{args.label}_parent", args.label]
     for label, tree_rows in zip(labels, rows):
         record = {"label": label, "python": platform.python_version(), "cpu": cpu_model(), "rows": tree_rows}

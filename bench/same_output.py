@@ -12,8 +12,11 @@ other.  The child builds the four workloads of ``perfbench/workloads.py``
 through ``holoseq.cli.main(argv)`` in-process.  Then it runs the tasks of
 ``error_tasks``: each fails with one of the CLI's exit codes 1, 2 or 3, or
 prints a term that a Decimal product makes -0, and a failing ``generate
---bfile`` targets a file that exists beforehand.  Per task it hashes the argv,
-the exit code, stdout, stderr and, for a task with ``--bfile``, the bytes of
+--bfile`` targets a file that exists beforehand; and last the tasks of
+``rational_tasks``, which reach the ``Fraction`` paths of ``Polynomial`` and
+``Series`` that the workloads' small integer operators do not.  Per task it
+hashes the argv, the exit code, stdout, stderr and, for a task with
+``--bfile``, the bytes of
 that file as the task leaves it (or "absent"), with the work directory's path
 masked in all of them; so a failed write that leaves its target other than it
 was shows as a difference.  A task that raises is hashed by its exception's
@@ -89,6 +92,15 @@ def error_tasks(work: Path) -> list[list[str]]:
     ]
 
 
+def rational_tasks() -> list[list[str]]:
+    """``ode2rec`` of operators with Fraction coefficients or high t-degree, with and without
+    ``--json``, and the series of a negative fractional x0."""
+    operators = ["1/2*D - 1/3*t", "(2/3 + t^2)*D^2 - t*D + 5/7", "(1+t)^40*D + 1"]
+    return [["ode2rec", op, *json] for op in operators for json in ([], ["--json"])] + [
+        ["series", "--x0=-3/4", "--to", "12", "--text"],
+    ]
+
+
 def child(src: Path) -> None:
     """Print [name, digest] per task of every workload and seed, with holoseq from ``src``."""
     sys.path.insert(0, str(src))
@@ -112,6 +124,8 @@ def child(src: Path) -> None:
         for i, argv in enumerate(error_tasks(work)):
             shown = " ".join(argv).replace(str(work), MASK)
             results.append([f"error task {i}: holoseq {shown}", task_digest(cli, argv, work)])
+        for i, argv in enumerate(rational_tasks()):
+            results.append([f"rational task {i}: holoseq {' '.join(argv)}", task_digest(cli, argv, work)])
     print(json.dumps(results))
 
 
@@ -143,7 +157,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"same_output: output differs at {name}")
             return 1
     print(f"same_output: identical over {len(parent)} tasks "
-          f"({', '.join(WORKLOADS)}; seeds {', '.join(map(str, SEEDS))}; error tasks)")
+          f"({', '.join(WORKLOADS)}; seeds {', '.join(map(str, SEEDS))}; error and rational tasks)")
     return 0
 
 

@@ -63,7 +63,7 @@ def build_egf(x0: RationalLike, order: int) -> Series:
         raise ValueError("truncation order must be >= 0")
     if order == 0:
         return Series.one(0)
-    one_plus_t2 = Polynomial((Fraction(1), Fraction(0), Fraction(1)))
+    one_plus_t2 = Polynomial((1, 0, 1))
     arctan = (
         Series.one(order - 1) / Series.from_polynomial(one_plus_t2, order - 1)
     ).integral()
@@ -75,7 +75,7 @@ def build_egf(x0: RationalLike, order: int) -> Series:
 def egf_annihilator(x0: RationalLike) -> DifferentialOperator:
     """(1 + t^2) D - (x0 - t), which sends build_egf(x0, N) to zero."""
     q0 = X - Polynomial.constant(x0)
-    q1 = Polynomial((Fraction(1), Fraction(0), Fraction(1)))
+    q1 = Polynomial((1, 0, 1))
     return DifferentialOperator((q0, q1))
 
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, count, islice
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .polynomials import (
@@ -81,7 +82,7 @@ def _trailer_product(
     else falls back to the parenthesized polynomial with its spaces dropped.
     """
     if poly.degree <= 0:
-        c = poly.coeffs[0] if poly.coeffs else Fraction(0)
+        c = poly(0)
         mag = str(abs(c))
         if not trailer:
             return c < 0, mag
@@ -112,13 +113,13 @@ def _as_shifted_power(poly: Polynomial) -> Optional[tuple[Fraction, int, int]]:
     deg = poly.degree
     if not isinstance(deg, int) or deg < 1:
         return None
-    c = poly.coeffs[-1]
-    b = poly.coeffs[deg - 1] / (c * deg)
+    c = Fraction(poly._nums[-1], poly._den)
+    b = Fraction(poly._nums[deg - 1], poly._nums[-1] * deg)
     if b.denominator != 1:
         return None
     # p = c*(x+b)^e exactly when p(x-b) is the monomial c*x^e
-    if poly.shifted(-b).coeffs[:-1] == (0,) * deg:
-        return c, int(b), deg
+    if not any(poly.shifted(-b.numerator)._nums[:-1]):
+        return c, b.numerator, deg
     return None
 
 
@@ -191,12 +192,12 @@ class DifferentialOperator:
         (D^2 - D, which kills 5 + e^t, gives a(n) = a(n-1) only for n >= 2).
         """
         weights: dict[int, Polynomial] = {}
+        den = lcm(*(q._den for q in self.coeffs))  # a common scale leaves the recurrence as it is
         for j, q in enumerate(self.coeffs):
-            for a_pow, c in enumerate(q.coeffs):
-                if c == 0:
-                    continue
-                shift, weight = egf_shift_weight(a_pow, j)
-                weights[shift] = weights.get(shift, Polynomial()) + weight * c
+            for a_pow, c in enumerate(q._nums):
+                if c:
+                    shift, weight = egf_shift_weight(a_pow, j)
+                    weights[shift] = weights.get(shift, Polynomial()) + weight * (c * den // q._den)
         return RecurrenceOperator.from_shift_weights(weights, max(0, -min(weights)))
 
     @_lift_digit_cap
@@ -248,9 +249,9 @@ class RecurrenceOperator:
         cs = _as_polynomials(self.coeffs)
         if not cs or cs[0].is_zero:
             raise ValueError("the coefficient p_0 of a(n) must be nonzero")
-        sign = 1 if cs[0].coeffs[-1] > 0 else -1
-        flat = iter(_primitive([c for p in cs for c in p.coeffs]))
-        canonical = tuple(Polynomial(tuple(sign * next(flat) for _ in p.coeffs)) for p in cs)
+        den = lcm(*(p._den for p in cs)) * (1 if cs[0]._nums[-1] > 0 else -1)
+        flat = iter(_primitive([c * (den // p._den) for p in cs for c in p._nums]))
+        canonical = tuple(Polynomial([next(flat) for _ in p._nums]) for p in cs)
         object.__setattr__(self, "coeffs", canonical)
 
     @classmethod
@@ -300,7 +301,7 @@ class RecurrenceOperator:
         below a table's offset.  Integer Horner on the canonical rows; zero values are
         skipped, +-1 needs no multiply.
         """
-        lead, *others = ([int(c) for c in reversed(p.coeffs)] for p in self.coeffs)
+        lead, *others = (p._nums[::-1] for p in self.coeffs)
         rows = [(k, [-c for c in row]) for k, row in enumerate(others, 1) if row]
         for n in count(start):
             p0 = 0

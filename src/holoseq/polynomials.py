@@ -7,7 +7,9 @@ strict decimal parsing and canonical formatting on top.
 
 ``Polynomial`` is the coefficient type used everywhere else: recurrence
 coefficients p_k(n), differential-operator coefficients q_j(t), and the
-falling-factorial weights that connect the two.
+falling-factorial weights that connect the two.  It shares its stored form,
+integer numerators over one denominator, and its sums, negation and scalar
+products with ``series.Series`` through the private base class ``_Rationals``.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import Callable, Iterable, TypeVar, Union
 
 RationalLike = Union[int, Fraction]
-_Coefficients = TypeVar("_Coefficients", list[int], tuple[Fraction, ...])
+_Coefficients = TypeVar("_Coefficients", list[int], tuple[int, ...])
+_R = TypeVar("_R", bound="_Rationals")
 
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
@@ -106,15 +110,23 @@ def _as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an int or a Fraction, got {type(value).__name__} {value!r}")
 
 
-def _over_common_denominator(values: Iterable[RationalLike]) -> tuple[list[int], int]:
-    """Integer numerators n_k and the least d > 0 with values[k] = n_k / d; gcd(d, *n_k) = 1.
+def _lowest_terms(values: Iterable[RationalLike], den: int = 1) -> tuple[tuple[int, ...], int]:
+    """Integer numerators n_k and d with values[k] / den = n_k / d, d > 0 and gcd(d, *n_k) = 1.
 
-    The callers pass ints and Fractions already checked: by ``_as_fraction`` in the ``Series``
-    constructor, or by ``Polynomial`` or ``nullspace`` when they were stored, so none is
-    checked again here."""
-    values = list(values)
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    ``values`` are ints and Fractions; anything else is a TypeError.  Ints pass as they are,
+    and the division by the content is skipped when it is 1.  With den = 0 the result is the
+    positive multiple of ``values`` that is integral with content 1 (zeros stay zero), over 0.
+    """
+    nums = tuple(values)
+    if not all(type(v) is int for v in nums):
+        fractions = [_as_fraction(v) for v in nums]
+        scale = lcm(*(v.denominator for v in fractions))
+        nums = tuple(v.numerator * (scale // v.denominator) for v in fractions)
+        den *= scale
+    content = -gcd(den, *nums) if den < 0 else gcd(den, *nums)
+    if content not in (0, 1):
+        nums, den = tuple(v // content for v in nums), den // content
+    return nums, den
 
 
 def _without_trailing_zeros(values: _Coefficients) -> _Coefficients:
@@ -126,9 +138,7 @@ def _without_trailing_zeros(values: _Coefficients) -> _Coefficients:
 
 def _primitive(values: Iterable[RationalLike]) -> list[int]:
     """The positive multiple of ``values`` that is integral with content 1 (zeros stay zero)."""
-    numerators, _ = _over_common_denominator(values)
-    content = gcd(*numerators)
-    return [v // content for v in numerators] if content else numerators
+    return list(_lowest_terms(values, 0)[0])
 
 
 @_lift_digit_cap
@@ -163,20 +173,73 @@ def parse_integer(text: str) -> int:
     return int(cleaned)
 
 
-@dataclass(frozen=True)
-class Polynomial:
+@dataclass(frozen=True, init=False)
+class _Rationals:
+    """Rationals c_0..c_N stored as integer numerators over one denominator, c_k = _nums[k] / _den.
+
+    _den > 0 and gcd(_den, *_nums) = 1, so equal values have equal fields and equal hashes,
+    and a value never equals one of another class.  The constructor takes ints and Fractions,
+    or integer numerators and their private ``_den``, and stores what ``_lowest_terms`` makes
+    of them.  ``coeffs`` builds the Fractions only when asked.  The ring operations that
+    ``Polynomial`` and ``Series`` share run here on the numerators; each class adds its own
+    products.
+    """
+
+    _nums: tuple[int, ...]
+    _den: int
+
+    def __init__(self, coeffs: Iterable[RationalLike] = (), _den: int = 1) -> None:
+        nums, den = _lowest_terms(coeffs, _den)
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_den", den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """c_0..c_N as Fractions, built on each call."""
+        return tuple(Fraction(v, self._den) for v in self._nums)
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self._nums)
+
+    def _check_operand(self, other: _R) -> None:
+        """Run before ``+`` on two values of the same class; ``Series`` checks their orders."""
+
+    def __add__(self: _R, other: _R) -> _R:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check_operand(other)
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        pairs = zip_longest(self._nums, other._nums, fillvalue=0)
+        return type(self)([a * sa + b * sb for a, b in pairs], den)
+
+    def __neg__(self: _R) -> _R:
+        return type(self)([-v for v in self._nums], self._den)
+
+    def __sub__(self: _R, other: _R) -> _R:
+        return self + (-other) if isinstance(other, type(self)) else NotImplemented
+
+    def __mul__(self: _R, other: RationalLike) -> _R:
+        """The product with an int or a Fraction scalar."""
+        if isinstance(other, (int, Fraction)):
+            return type(self)([v * other.numerator for v in self._nums], self._den * other.denominator)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+
+class Polynomial(_Rationals):
     """Dense univariate polynomial; coeffs[k] multiplies x^k.
 
     Coefficients must be ints or Fractions; anything else raises TypeError.
     Trailing zero coefficients are stripped on construction, so the zero
-    polynomial is the empty tuple and equality is structural.
+    polynomial has no numerators and equality is structural.
     """
 
-    coeffs: tuple[Fraction, ...] = ()
-
-    def __post_init__(self) -> None:
-        cs = tuple(_as_fraction(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", _without_trailing_zeros(cs))
+    def __init__(self, coeffs: Iterable[RationalLike] = (), _den: int = 1) -> None:
+        super().__init__(coeffs, _den)
+        object.__setattr__(self, "_nums", _without_trailing_zeros(self._nums))
 
     @classmethod
     def constant(cls, value: RationalLike) -> Polynomial:
@@ -191,56 +254,29 @@ class Polynomial:
         for i in range(length):
             # multiply by (x - i): c_k <- c_{k-1} - i*c_k
             coeffs = [a - i * b for a, b in zip([0] + coeffs, coeffs + [0])]
-        return cls(tuple(coeffs))
+        return cls(coeffs)
 
     @property
     def degree(self) -> Union[int, float]:
         """Degree, with float('-inf') for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return len(self._nums) - 1 if self._nums else float("-inf")
 
     def __call__(self, point: RationalLike) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        acc = 0
+        for c in reversed(self._nums):
             acc = acc * point + c
-        return acc
-
-    def __add__(self, other: Polynomial) -> Polynomial:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Polynomial(tuple(a[i] + b[i] if i < len(b) else a[i] for i in range(len(a))))
-
-    def __neg__(self) -> Polynomial:
-        return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: Polynomial) -> Polynomial:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        return Fraction(acc, self._den)
 
     def __mul__(self, other: Union[Polynomial, RationalLike]) -> Polynomial:
-        if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(tuple(out))
-        if isinstance(other, (int, Fraction)):
-            return Polynomial(tuple(c * other for c in self.coeffs))
-        return NotImplemented
-
-    def __rmul__(self, other: RationalLike) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+        if not isinstance(other, Polynomial):
+            return super().__mul__(other)
+        if self.is_zero or other.is_zero:
+            return Polynomial()
+        out = [0] * (len(self._nums) + len(other._nums) - 1)
+        for i, a in enumerate(self._nums):
+            for j, b in enumerate(other._nums):
+                out[i + j] += a * b
+        return Polynomial(out, self._den * other._den)
 
     def __pow__(self, exponent: int) -> Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
@@ -251,13 +287,18 @@ class Polynomial:
         return out
 
     def shifted(self, offset: RationalLike) -> Polynomial:
-        """p(x + offset), expanded by the Taylor shift in place."""
-        a = _as_fraction(offset)
-        cs = list(self.coeffs)
-        for i in range(len(cs) - 1):
-            for j in range(len(cs) - 2, i - 1, -1):
+        """p(x + offset), expanded by the Taylor shift in place, on integers.
+
+        With offset = a/b and n the degree, b^n p(x + a/b) = R(b x) for R(z) = Q(z + a), where
+        Q(z) = b^n p(z/b) has the integer coefficients b^(n-k) c_k.
+        """
+        (a,), b = _lowest_terms((offset,))
+        n = max(len(self._nums) - 1, 0)
+        cs = [c * b ** (n - k) for k, c in enumerate(self._nums)]
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
                 cs[j] += a * cs[j + 1]
-        return Polynomial(tuple(cs))
+        return Polynomial([c * b**k for k, c in enumerate(cs)], self._den * b**n)
 
     @_lift_digit_cap
     def to_text(self, var: str = "t") -> str:
@@ -279,4 +320,4 @@ class Polynomial:
 
 
 #: The identity polynomial x, for building coefficients like (x - 1)^2.
-X = Polynomial((Fraction(0), Fraction(1)))
+X = Polynomial((0, 1))

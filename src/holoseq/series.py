@@ -8,12 +8,11 @@ raise ``OrderMismatchError`` otherwise; ``derivative`` lowers the order by one
 and ``integral`` raises it by one, so callers re-truncate explicitly when they
 need aligned orders.
 
-A series is stored as the kernels use it: integer numerators over one positive
-denominator, in lowest terms (the gcd of the denominator and all numerators is
-1), so equal series have equal fields.  ``coeffs`` builds the Fractions only
-when asked.  Each kernel reads the numerators, runs on plain ints with no gcd
-in the inner loop, and hands its integer results and their one denominator to
-the constructor, which reduces them by one gcd:
+A series is stored as the kernels use it, in the form it shares with
+``Polynomial`` (``polynomials._Rationals``): integer numerators over one
+positive denominator, in lowest terms.  Each kernel reads the numerators, runs
+on plain ints with no gcd in the inner loop, and hands its integer results and
+their one denominator to the constructor, which reduces them by one gcd:
 
 * ``a * b`` is one big-integer multiply by Kronecker substitution (Harvey,
   J. Symb. Comp. 2009, for the technique): each operand is packed into one
@@ -46,14 +45,13 @@ the constructor, which reduces them by one gcd:
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm, perm
+from math import factorial, lcm, perm
 from typing import Iterable, Sequence, Union
 
 from .polynomials import (
-    _EXACT, Polynomial, RationalLike, _as_fraction, _join_signed, _lift_digit_cap,
-    _over_common_denominator, _without_trailing_zeros, format_rational,
+    _EXACT, Polynomial, RationalLike, _join_signed, _lift_digit_cap, _Rationals,
+    _without_trailing_zeros, format_rational,
 )
 from .sequences import SequenceTable
 
@@ -165,28 +163,18 @@ def _pack10(values: Sequence[int], width: int) -> decimal.Decimal:
     return _EXACT.subtract(_EXACT.create_decimal(pos), _EXACT.create_decimal(neg))
 
 
-@dataclass(frozen=True, init=False)
-class Series:
+class Series(_Rationals):
     """Coefficients c_0..c_N of a series truncated at order N = len - 1.
 
-    Stored as integer numerators over one denominator, c_k = _nums[k] / _den, with _den > 0
-    and gcd(_den, *_nums) = 1, so equal series have equal fields.  ``Series(coeffs)`` takes
-    ints and Fractions; the kernels pass integer numerators and their private ``_den``.
+    ``Series(coeffs)`` takes ints and Fractions, at least one; the kernels pass integer
+    numerators and their private ``_den``.  The stored form and the sums, negation and scalar
+    products are those of ``polynomials._Rationals``; a sum checks the orders first.
     """
 
-    _nums: tuple[int, ...]
-    _den: int
-
     def __init__(self, coeffs: Iterable[RationalLike], _den: int = 1) -> None:
-        nums = tuple(coeffs)
-        if not all(type(c) is int for c in nums):
-            nums, den = _over_common_denominator(map(_as_fraction, nums))
-            _den *= den
-        if not nums:
+        super().__init__(coeffs, _den)
+        if not self._nums:
             raise ValueError("a truncated series needs at least the constant term")
-        content = gcd(_den, *nums) if _den > 0 else -gcd(_den, *nums)
-        object.__setattr__(self, "_nums", tuple(v // content for v in nums))
-        object.__setattr__(self, "_den", _den // content)
 
     @classmethod
     def zero(cls, order: int) -> Series:
@@ -199,20 +187,11 @@ class Series:
     @classmethod
     def from_polynomial(cls, poly: Polynomial, order: int) -> Series:
         """The polynomial read mod t^(order+1); high-degree terms drop off."""
-        return cls((poly.coeffs + (0,) * (order + 1))[: order + 1])
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """c_0..c_N as Fractions, built on each call."""
-        return tuple(Fraction(v, self._den) for v in self._nums)
+        return cls((poly._nums + (0,) * (order + 1))[: order + 1], poly._den)
 
     @property
     def order(self) -> int:
         return len(self._nums) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self._nums)
 
     def coefficient(self, k: int) -> Fraction:
         if not 0 <= k <= self.order:
@@ -229,27 +208,11 @@ class Series:
             raise ValueError("truncation order must be >= 0")
         return Series(self._nums[: order + 1], self._den)
 
-    def _require_same_order(self, other: Series) -> None:
+    def _check_operand(self, other: Series) -> None:
         if self.order != other.order:
             raise OrderMismatchError(
                 f"series orders differ: {self.order} vs {other.order}"
             )
-
-    def __add__(self, other: Series) -> Series:
-        if not isinstance(other, Series):
-            return NotImplemented
-        self._require_same_order(other)
-        den = lcm(self._den, other._den)
-        sa, sb = den // self._den, den // other._den
-        return Series([a * sa + b * sb for a, b in zip(self._nums, other._nums)], den)
-
-    def __neg__(self) -> Series:
-        return Series([-v for v in self._nums], self._den)
-
-    def __sub__(self, other: Series) -> Series:
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other: Union[Series, RationalLike]) -> Series:
         """Product mod t^(N+1), by one big-number multiply (Kronecker substitution).
@@ -258,17 +221,10 @@ class Series:
         bits (an int, or a Decimal from about 10^5 bits on), and one gcd chain to reduce the
         result.  A polynomial operand packs short, which makes the multiply linear in N.
         """
-        if isinstance(other, Series):
-            self._require_same_order(other)
-            return Series(_kronecker_mul(self._nums, other._nums), self._den * other._den)
-        if isinstance(other, (int, Fraction)):
-            return Series([v * other.numerator for v in self._nums], self._den * other.denominator)
-        return NotImplemented
-
-    def __rmul__(self, other: RationalLike) -> Series:
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+        if not isinstance(other, Series):
+            return super().__mul__(other)
+        self._check_operand(other)
+        return Series(_kronecker_mul(self._nums, other._nums), self._den * other._den)
 
     def __truediv__(self, other: Series) -> Series:
         """Series division; the divisor needs a nonzero constant term.
@@ -280,7 +236,7 @@ class Series:
         """
         if not isinstance(other, Series):
             return NotImplemented
-        self._require_same_order(other)
+        self._check_operand(other)
         b = other._nums
         if b[0] == 0:
             raise ConstantTermError("division by a series with zero constant term")

@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
@@ -442,16 +442,31 @@ def test_unroll_and_verify_match_fraction_oracle_random():
 
 
 def test_extracted_recurrence_holds_whenever_operator_annihilates():
-    cases = [
-        (egf_annihilator(0), build_egf(0, 24)),
-        (egf_annihilator(1), build_egf(1, 24)),
-        (egf_annihilator(2), build_egf(2, 24)),
-        (egf_annihilator(-1), build_egf(-1, 24)),
-    ]
+    cases = [(egf_annihilator(x0), build_egf(x0, 24)) for x0 in (0, 1, 2, -1)]
+    rng = random.Random(4441)
+
+    def rational_polynomial(degree, denominators):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.choice(denominators)) for _ in range(degree)]
+        return Polynomial(coeffs + [Fraction(1, denominators[-1])])
+
+    for x0 in (1, -2, 3):
+        # L = (1+t^2)*D - (x0-t) kills F, so does D L = (1+t^2)*D^2 + (3t-x0)*D + 1, and so does
+        # r L + s D L: Fraction coefficients over different denominators, of t-degree up to 42
+        derived = DifferentialOperator((ONE, Polynomial((-x0, 3)), Polynomial((1, 0, 1))))
+        r = rational_polynomial(rng.randint(20, 40), (1, 2, 4))
+        s = rational_polynomial(rng.randint(0, 40), (3, 9))
+        operator = DifferentialOperator(tuple(r * q for q in egf_annihilator(x0).coeffs))
+        operator = operator + DifferentialOperator(tuple(s * q for q in derived.coeffs))
+        assert len({lcm(*(c.denominator for c in q.coeffs)) for q in operator.coeffs}) > 1
+        cases.append((operator, build_egf(x0, 100)))
     for operator, egf in cases:
         assert operator.apply(egf).is_zero
-        report = operator.to_recurrence().verify(egf.egf_terms())
-        assert report.passed
+        rec = operator.to_recurrence()
+        terms = egf.egf_terms()
+        report = rec.verify(terms)
+        assert report.passed and report.n_last_checked == len(terms) - 1
+        corrupted = SequenceTable(0, terms.terms[:-1] + (terms.terms[-1] + 1,))
+        assert not rec.verify(corrupted).passed
 
 
 def test_mismatched_operator_fails_both_ways():

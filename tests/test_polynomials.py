@@ -3,6 +3,7 @@ import subprocess
 import sys
 import threading
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from holoseq.polynomials import (
     parse_integer,
     parse_rational,
 )
+from holoseq.series import Series
 
 
 def test_rational_text_round_trip():
@@ -153,6 +155,41 @@ def test_polynomial_rejects_floats_and_strings():
             X.shifted(bad)
 
 
+def test_polynomial_holds_integer_numerators_over_one_positive_denominator_in_lowest_terms():
+    def fields(value):
+        return value._nums, value._den
+
+    half_third = Polynomial((Fraction(1, 2), Fraction(1, 3)))
+    assert fields(half_third) == ((3, 2), 6)
+    assert fields(Polynomial((Fraction(-1, 3), 0))) == ((-1,), 3)
+    p = Polynomial((Fraction(1, 6), Fraction(-5, 6), 2))
+    zeros = (Polynomial(), Polynomial((0, Fraction(0, 7))), p - p, p * 0, 0 * p, p * Polynomial())
+    for zero in zeros:
+        assert fields(zero) == ((), 1)
+    pairs = [
+        (Polynomial((4, -6, 4)), Polynomial((Fraction(8, 2), Fraction(-6), Fraction(12, 3), 0))),
+        (Polynomial((3, 2)) * Fraction(1, 6), half_third),
+        (X * 2, Polynomial((0, Fraction(1, 2))) * 4),
+        (Polynomial((1, -2, 1)), (X - Polynomial.constant(Fraction(3, 3))) ** 2),
+        (Polynomial((1, 2, 1)), (X * Fraction(1, 2) + Polynomial.constant(Fraction(1, 2))) ** 2 * 4),
+        (Polynomial((Fraction(1, 4), 1, 1)), X.shifted(Fraction(1, 2)) ** 2),
+        (Polynomial((9, 6, 1)), (X**2).shifted(3)),
+    ]
+    for from_ints, from_fractions in pairs:
+        assert fields(from_ints) == fields(from_fractions)
+        assert from_ints == from_fractions and hash(from_ints) == hash(from_fractions)
+    for bad in (0.5, "1", Decimal(1)):
+        with pytest.raises(TypeError):
+            Polynomial((1, bad))
+    series = Series((Fraction(1, 2), Fraction(1, 3)))
+    assert fields(series) == fields(half_third)
+    assert series != half_third and half_third != series
+    with pytest.raises(TypeError):
+        half_third + series
+    with pytest.raises(TypeError):
+        series * half_third
+
+
 def test_polynomial_eval_examples():
     square = (X - Polynomial.constant(1)) ** 2
     assert square(3) == 4
@@ -172,12 +209,20 @@ def test_polynomial_arithmetic_identities():
 
 def test_polynomial_eval_is_ring_homomorphism():
     rng = random.Random(7)
-    for _ in range(100):
-        p = Polynomial(tuple(Fraction(rng.randint(-9, 9)) for _ in range(rng.randint(0, 6))))
-        q = Polynomial(tuple(Fraction(rng.randint(-9, 9)) for _ in range(rng.randint(0, 6))))
-        at = rng.randint(-100, 100)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6, 35)))
+
+    for _ in range(200):
+        p = Polynomial(tuple(rational() for _ in range(rng.randint(0, 6))))
+        q = Polynomial(tuple(rational() for _ in range(rng.randint(0, 6))))
+        at = rng.choice((rng.randint(-100, 100), Fraction(rng.randint(-100, 100), rng.randint(1, 9))))
+        c = rational()
         assert (p + q)(at) == p(at) + q(at)
+        assert (p - q)(at) == p(at) - q(at)
+        assert (-p)(at) == -p(at)
         assert (p * q)(at) == p(at) * q(at)
+        assert (c * p)(at) == (p * c)(at) == c * p(at)
 
 
 def test_polynomial_shift():
