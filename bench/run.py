@@ -18,7 +18,10 @@ product must equal ``build_egf(1, N)``, whose EGF terms must equal the direct
 ones, and such a row also holds the result's largest numerator or denominator
 bit length.  At the same N it times the ``Series`` division of ``build_egf(1, N)``
 by the dense integer series of the Fibonacci numbers, whose quotient times the
-divisor must give the dividend back.  Then it times
+divisor must give the dividend back, and at N = 250 and 400 ``Series.inverse_sqrt`` of
+a dense series with constant term 1 and the other coefficients seeded random
+rationals m / k, |m| <= 9 and 1 <= k <= 9; such a row also holds the sha256 of the
+root's text.  Then it times
 ``DifferentialOperator.to_recurrence`` of (1+t)^k*D + 1 at k = 50, 100 and 200,
 which must have order k; such a row also holds the sha256 of the recurrence's
 text.  Last, it runs ``holoseq selfcheck --max-n N --series-order 20`` at
@@ -58,11 +61,13 @@ import compileall
 import hashlib
 import json
 import platform
+import random
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Hashable, Optional
 
@@ -78,6 +83,8 @@ MOTZKIN = "(n+2)*a(n) - (2*n+1)*a(n-1) - 3*(n-1)*a(n-2) = 0"
 SELFCHECK_SIZES = (5_000, 15_000)
 SELFCHECK_ORDER = 20
 SERIES_SIZES = (250, 400, 800)
+DENSE_SQRT_SIZES = (250, 400)
+DENSE_SQRT_SEED = 2026
 BFILE_SIZES = (300, 5_000)
 TO_RECURRENCE_POWERS = (50, 100, 200)
 ODE2REC_POWER = 100
@@ -268,6 +275,13 @@ def layer_rows(src: Path, rows: list[dict]) -> None:
         if quotient * divisor != egf:
             raise SystemExit(f"bench: build_egf(1, {n}) / Fibonacci times the divisor is not the dividend")
         rows.append(row("series_div", n, runs, max_coeff_bits=coeff_bits(quotient)))
+    for n in DENSE_SQRT_SIZES:
+        rng = random.Random(DENSE_SQRT_SEED)
+        u = Series([1] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)])
+        root, (runs,) = measure([u.inverse_sqrt], lambda r: r)
+        digest = hashlib.sha256(root.to_text().encode()).hexdigest()
+        extra = {"max_coeff_bits": coeff_bits(root), "text_sha256": digest}
+        rows.append(row("series_inverse_sqrt_dense", n, runs, **extra))
     for k in TO_RECURRENCE_POWERS:
         operator = parse_differential_operator(f"(1+t)^{k}*D + 1")
         rec, (runs,) = measure([operator.to_recurrence], lambda r: r)

@@ -40,10 +40,22 @@ from .polynomials import _lift_digit_cap, parse_integer, parse_rational
 from .series import NonIntegerCoefficientError
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a token with one leading '-' as a value unless it is an
+    option string, so ``--x0 -3/4`` and ``ode2rec -t*D+1`` parse; argparse itself reads such a
+    token as an option unless it is a number or holds a space.  Subparsers share the class."""
+
+    def _parse_optional(self, arg_string: str):
+        one_dash = arg_string.startswith("-") and not arg_string.startswith("--")
+        if one_dash and arg_string not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once; each subcommand sets its ``handler``."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="holoseq",
         description="Exact tools for P-recursive integer sequences.",
     )

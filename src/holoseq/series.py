@@ -22,31 +22,25 @@ their one denominator to the constructor, which reduces them by one gcd:
   pack in decimal digits, through ``str``, into a ``decimal.Decimal``, whose
   libmpdec multiply is a number-theoretic transform.  CPython 3.12's
   ``Lib/_pylong.py`` uses decimal for the same reason.
-* ``a / b`` solves b q = a term by term over the nonzero coefficients of b
-  only, O(N * nnz b); dividing by a polynomial is linear in N.
-* ``exp(g)`` with g(0) = 0 solves h' = g'h on scaled integers: with
-  i g_i = E_i / d, the coefficients of t g'(t) over their own least
-  denominator d, and one q = N! d^N, the integers P_k = q h_k satisfy
-  P_0 = q, k d P_k = sum_{i=1..k} E_i P_{k-i}.  The division is exact, since
-  the denominator of h_k divides k! d^k.  O(N^2) multiplies, each of a P_k by
-  one E_i; for ``build_egf`` every E_i is +-num(x0) and d = den(x0), so each
-  is a big integer times a small one.  (The denominator of g itself would do,
-  but for g = x0 arctan t it is lcm(1, 3, ..., 2N-1), and q would be vastly
-  larger.)
-* ``inverse_sqrt(u)`` with u(0) = 1 runs J. C. P. Miller's power
-  recurrence for h = u^alpha at alpha = -1/2 (Knuth, TAOCP vol. 2, 4.7):
-  n h_n = sum_{k=1..n} ((alpha+1) k - n) u_k h_{n-k}, h_0 = 1, which reads
-  2n h_n = sum_k (k - 2n) u_k h_{n-k} and costs O(N) per nonzero u_k.  It runs
-  on the integers H_n = 2^n n! D^n h_n, with u_k = U_k / D:
-  H_n = sum_k (k - 2n) U_k (2D)^(k-1) (n-1)(n-2)...(n-k+1) H_{n-k}.  The
-  defining identity u h^2 = 1 is re-checked at full order before returning.
+* ``a / b``, ``exp`` and ``inverse_sqrt`` each solve a recurrence with coefficients linear
+  in n, term by term (``_solve``): sum_{k=0..n} (a_k + n b_k) h_{n-k} = r_n with integer a_k,
+  b_k and r_n, for n >= first, h_n given below.  It runs on the integers q h_n, with q the
+  product of the leads a_0 + n b_0 over n = first..N; each step's division is exact, since
+  by induction h_n times the leads up to n is an integer.  Division h = f / g has a_k = g_k,
+  b_k = 0 and r_n = f_n, so q = g_0^(N+1).  ``exp(g)``, h' = g'h, is n d h_n =
+  sum_k E_k h_{n-k} with E_k / d the coefficients of t g'(t) over their own least
+  denominator, so q = N! d^N; for ``build_egf``, d = den(x0), where g = x0 arctan t has
+  denominator lcm(1, 3, ..., 2N-1).
+  ``inverse_sqrt(u)``, u(0) = 1, is J. C. P. Miller's power recurrence for u^(-1/2)
+  (Knuth, TAOCP vol. 2, 4.7): 2u h' + u'h = 0 reads sum_k (2n - k) U_k h_{n-k} = 0 with
+  u_k = U_k / D, so q = N! (2D)^N; u h^2 = 1 is re-checked at full order, by ``*``.
 """
 
 from __future__ import annotations
 
 import decimal
 from fractions import Fraction
-from math import factorial, lcm, perm
+from math import lcm, prod
 from typing import Iterable, Sequence, Union
 
 from .polynomials import (
@@ -163,6 +157,33 @@ def _pack10(values: Sequence[int], width: int) -> decimal.Decimal:
     return _EXACT.subtract(_EXACT.create_decimal(pos), _EXACT.create_decimal(neg))
 
 
+def _solve(a: Sequence[int], b: Sequence[int], r: Sequence[int], first: int) -> tuple[list[int], int]:
+    """q h_0..q h_N and q = prod_{n=first..N} (a_0 + n b_0), for the h with
+    sum_{k=0..n} (a_k + n b_k) h_{n-k} = r_n at n = first..N and h_n = r_n below first.  The
+    n b_k terms are summed apart and multiplied by n once, so a recurrence whose b_k are 0 for
+    k >= 1 pays nothing for them."""
+    lead, slope = a[0], b[0]
+    q = prod(lead + n * slope for n in range(first, len(r)))
+    fixed = [(k, c) for k, c in enumerate(a) if k and c]
+    scaled = [(k, c) for k, c in enumerate(b) if k and c]
+    h = [q * v for v in r[:first]]
+    for n in range(first, len(r)):
+        acc = q * r[n]
+        for k, c in fixed:
+            if k > n:
+                break
+            acc -= c * h[n - k]
+        if scaled:
+            step = 0
+            for k, c in scaled:
+                if k > n:
+                    break
+                step += c * h[n - k]
+            acc -= n * step
+        h.append(acc // (lead + n * slope))
+    return h, q
+
+
 class Series(_Rationals):
     """Coefficients c_0..c_N of a series truncated at order N = len - 1.
 
@@ -229,28 +250,16 @@ class Series(_Rationals):
     def __truediv__(self, other: Series) -> Series:
         """Series division; the divisor needs a nonzero constant term.
 
-        On numerators a/da and b/db the quotient's numerators over da * b_0^(N+1) are
-        the integers S_k = (db a_k b_0^(N+1) - sum_i b_i S_{k-i}) / b_0, an exact
-        division, with the sum running over the nonzero b_i only: O(N * nnz b)
-        integer operations.
+        On numerators f/df and g/dg, the quotient times df is the h of ``_solve`` with
+        a_k = g_k, every b_k = 0 and r_n = dg f_n: O(N * nnz g) integer operations.
         """
         if not isinstance(other, Series):
             return NotImplemented
         self._check_operand(other)
-        b = other._nums
-        if b[0] == 0:
+        if other._nums[0] == 0:
             raise ConstantTermError("division by a series with zero constant term")
-        top = b[0] ** (self.order + 1)
-        terms = [(i, c) for i, c in enumerate(b) if i and c]
-        s: list[int] = []
-        for k, ak in enumerate(self._nums):
-            acc = other._den * ak * top
-            for i, c in terms:
-                if i > k:
-                    break
-                acc -= c * s[k - i]
-            s.append(acc // b[0])
-        return Series(s, self._den * top)
+        nums, q = _solve(other._nums, (0,), [other._den * v for v in self._nums], 0)
+        return Series(nums, self._den * q)
 
     def derivative(self) -> Series:
         """Formal d/dt; the truncation order drops by one."""
@@ -267,48 +276,25 @@ class Series(_Rationals):
     def exp(self) -> Series:
         """exp of a series with zero constant term, via h' = g'h.
 
-        Runs on the integers P_k = q h_k of the module docstring, with one q = N! d^N and d
-        the denominator of t g'(t) reduced on its own: k d P_k = sum_i E_i P_{k-i}, an exact
-        division, where E_i / d is the coefficient of t^i in t g'(t).  O(N^2) multiplies of
-        a P_k by an E_i, skipping the zero coefficients of g'.
+        Solved by ``_solve`` over q = N! d^N, with d the denominator of t g'(t) reduced on
+        its own (module docstring): O(N^2) multiplies, skipping the zero coefficients of g'.
         """
         if self._nums[0] != 0:
             raise ConstantTermError("exp needs a zero constant term")
         t_dg = Series([k * v for k, v in enumerate(self._nums)], self._den)
-        d = t_dg._den
-        terms = [(i, e) for i, e in enumerate(t_dg._nums) if e]
-        p = [factorial(self.order) * d**self.order]  # P_0 = q
-        for k in range(1, self.order + 1):
-            acc = 0
-            for i, e in terms:
-                if i > k:
-                    break
-                acc += e * p[k - i]
-            p.append(acc // (k * d))
-        return Series(p, p[0])
+        return Series(*_solve([-e for e in t_dg._nums], (t_dg._den,), [1] + [0] * self.order, 1))
 
     def inverse_sqrt(self) -> Series:
         """u^(-1/2) for u with constant term 1, by Miller's power recurrence.
 
-        Runs on the integers H_n = 2^n n! D^n h_n of the module docstring, and puts them over
-        one denominator 2^N N! D^N as the numerators H_n (2D)^(N-n) N!/n!.
+        Solved by ``_solve`` from 2u h' + u'h = 0 over q = N! (2D)^N, then checked:
+        u h^2 must be 1 at full order.
         """
-        us, d, order = self._nums, self._den, self.order
-        if us[0] != d:
+        us, order = self._nums, self.order
+        if us[0] != self._den:
             raise ConstantTermError("inverse sqrt needs constant term 1")
-        terms = [(k, u * (2 * d) ** (k - 1)) for k, u in enumerate(us) if k and u]
-        h, nums = [1], [factorial(order) * (2 * d) ** order]
-        scale = nums[0]
-        for n in range(1, order + 1):
-            acc = 0
-            for k, c in terms:
-                if k > n:
-                    break
-                acc += (k - 2 * n) * c * perm(n - 1, k - 1) * h[n - k]
-            h.append(acc)
-            scale //= 2 * n * d
-            nums.append(acc * scale)
-        result = Series(nums, nums[0])
+        a = [-k * u for k, u in enumerate(us)]
+        result = Series(*_solve(a, [2 * u for u in us], [1] + [0] * order, 1))
         if (self * result * result) != Series.one(order):
             raise ArithmeticError("inverse sqrt fixed point check failed")
         return result

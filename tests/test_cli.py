@@ -347,6 +347,50 @@ def test_series_zero_denominator_x0_is_usage_error(capsys):
     assert "zero denominator" in capsys.readouterr().err
 
 
+# A value that starts with '-' after its option, or as ode2rec's TEXT, the spelling argparse
+# reads anyway ("--opt=value", or "-- TEXT"), and the exit code without --json.  None of the
+# values holds a space or is a number, which argparse read as values before.
+NEGATIVE_VALUES = [
+    (["series", "--x0", "-3/4", "--to", "3"], ["series", "--x0=-3/4", "--to", "3"], 1),
+    (["series", "--x0", "-3/4", "--to", "3", "--text"], ["series", "--x0=-3/4", "--to=3", "--text"], 0),
+    (["series", "--to", "-1"], ["series", "--to=-1"], 2),
+    (["generate", "--ode", "-D+1", "--init", "1", "--to", "3"], ["generate", "--ode=-D+1", "--init=1", "--to=3"], 0),
+    (["generate", "--rec", "-a(n)+a(n-1)+a(n-2)=0", "--init", "-1,2", "--to", "5"],
+     ["generate", "--rec=-a(n)+a(n-1)+a(n-2)=0", "--init=-1,2", "--to=5"], 0),
+    (["generate", "--ode", "D", "--init", "1", "--to", "-2"], ["generate", "--ode=D", "--init=1", "--to=-2"], 2),
+    (["selfcheck", "--max-n", "-5"], ["selfcheck", "--max-n=-5"], 2),
+    (["selfcheck", "--series-order", "-1"], ["selfcheck", "--series-order=-1"], 2),
+    (["guess", "--bfile", "BFILE", "--max-order", "-1"], ["guess", "--bfile=BFILE", "--max-order=-1"], 2),
+    (["guess", "--bfile", "BFILE", "--max-degree", "-1"], ["guess", "--bfile=BFILE", "--max-degree=-1"], 2),
+    (["ode2rec", "-t*D+1"], ["ode2rec", "--", "-t*D+1"], 0),
+]
+
+
+@pytest.mark.parametrize(
+    "spelled, reference, code", NEGATIVE_VALUES, ids=[" ".join(row[0]) for row in NEGATIVE_VALUES]
+)
+def test_a_value_starting_with_a_dash_reads_as_its_unambiguous_spelling(
+    tmp_path, capsys, spelled, reference, code
+):
+    """Exit code, stdout and stderr are the reference's, with --json before or after the values."""
+    path = str(write_golden_bfile(tmp_path, n_max=30))
+    spelled, reference = ([a.replace("BFILE", path) for a in argv] for argv in (spelled, reference))
+    json_reference = reference[:1] + ["--json"] + reference[1:]
+    for argv, same in (
+        (spelled, reference),
+        (spelled[:1] + ["--json"] + spelled[1:], json_reference),
+        (spelled + ["--json"], json_reference),
+    ):
+        expected = (main(same), capsys.readouterr())
+        assert (main(argv), capsys.readouterr()) == expected
+    assert main(reference) == code
+
+
+def test_series_negative_order_is_usage_error(capsys):
+    assert main(["series", "--to", "-1"]) == 2
+    assert capsys.readouterr() == ("", "holoseq: --to must be >= 0\n")
+
+
 def test_series_json_keeps_rationals(capsys):
     assert main(["series", "--x0", "1/2", "--to", "2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

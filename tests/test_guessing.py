@@ -180,6 +180,11 @@ def test_guess_insufficient_terms_boundary():
     assert guess_recurrence(a214615_terms(11), 2, 2)
 
 
+def test_guess_rejects_negative_bounds():
+    with pytest.raises(ValueError, match=r"^order and degree bounds must be >= 0$"):
+        guess_recurrence(a214615_terms(20), -1, 2)
+
+
 def test_guess_empty_result_is_normal():
     # primes are not P-recursive at these bounds
     primes = SequenceTable(0, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))

@@ -90,6 +90,8 @@ def test_half_integer_x0_is_not_an_integer_sequence():
 def test_build_egf_rejects_negative_order():
     with pytest.raises(ValueError):
         build_egf(1, -1)
+    with pytest.raises(ValueError, match=r"^n_max must be >= 0$"):
+        a214615_terms(-1)
 
 
 def test_x0_must_be_int_or_fraction():

@@ -203,6 +203,10 @@ def test_zero_leading_coefficient_rejected():
         RecurrenceOperator((Polynomial(), ONE), 1)
     with pytest.raises(ValueError):
         RecurrenceOperator((), 0)
+    with pytest.raises(TypeError, match=r"^n_min must be an int$"):
+        RecurrenceOperator((Polynomial.constant(1),), 1.5)
+    with pytest.raises(ValueError, match=r"^all shift weights are zero; no recurrence to build$"):
+        RecurrenceOperator.from_shift_weights({0: 0})
 
 
 def test_trailing_zero_polynomials_trimmed():

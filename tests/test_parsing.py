@@ -147,6 +147,26 @@ def test_parse_errors_carry_positions():
         parse_differential_operator("D ? 1")
 
 
+PARSE_ERRORS = [
+    (parse_polynomial, "t^x", "expected an integer exponent", 2),
+    (parse_differential_operator, "3/0*D", "zero denominator", 2),
+    (parse_differential_operator, "3/t*D", "expected an integer denominator", 2),
+    (parse_differential_operator, "D - D", "the zero operator has no order", 0),
+    (parse_recurrence, "a(m) = 0", "expected 'n' inside a(...)", 2),
+    (parse_recurrence, "a(n*1) = 0", "expected '+', '-' or ')' in a(...)", 3),
+    (parse_recurrence, "a(n+k) = 0", "expected an integer shift in a(...)", 4),
+    (parse_recurrence, "a(n) = a(n-1) for m >= 2", "expected 'n' after 'for'", 18),
+    (parse_recurrence, "a(n) = a(n-1) for n >= x", "expected an integer bound", 23),
+]
+
+
+@pytest.mark.parametrize("parse, text, message, position", PARSE_ERRORS, ids=[row[1] for row in PARSE_ERRORS])
+def test_parse_errors_name_the_fault_and_its_position(parse, text, message, position):
+    with pytest.raises(OperatorSyntaxError) as raised:
+        parse(text)
+    assert (str(raised.value), raised.value.position) == (f"{message} (at position {position})", position)
+
+
 def test_deep_nesting_is_a_syntax_error():
     for depth in (300, 5000):
         for parse, text in (

@@ -258,6 +258,10 @@ def test_falling_factorial():
         for n in range(length):
             assert p(n) == 0
         assert p(length) != 0
+    with pytest.raises(ValueError, match=r"^falling factorial length must be >= 0$"):
+        Polynomial.falling_factorial(-1)
+    with pytest.raises(ValueError, match=r"^polynomial exponent must be a nonnegative integer$"):
+        X ** -1
 
 
 def test_polynomial_text():

@@ -336,9 +336,23 @@ def test_inverse_sqrt_matches_oracle_on_dense_and_sparse_series_with_large_denom
 
 def test_inverse_sqrt_check_catches_a_wrong_recurrence(monkeypatch):
     u = Series((1, Fraction(2, 3), 0, Fraction(-5, 7), 1))
-    monkeypatch.setattr(series_module, "perm", lambda n, k: factorial(n) // factorial(n - k) + 1)
+    solve = series_module._solve
+
+    def off_by_one(*args):
+        nums, q = solve(*args)
+        nums[3] += 1
+        return nums, q
+
+    monkeypatch.setattr(series_module, "_solve", off_by_one)
     with pytest.raises(ArithmeticError, match="fixed point"):
         u.inverse_sqrt()
+
+
+def test_coefficient_and_truncation_outside_the_order_raise():
+    with pytest.raises(IndexError, match=r"^coefficient index 4 outside truncation order 3$"):
+        Series.one(3).coefficient(4)
+    with pytest.raises(ValueError, match=r"^truncation order must be >= 0$"):
+        Series.one(3).truncated(-1)
 
 
 def test_inverse_sqrt_requires_unit_constant_term():
