@@ -11,17 +11,18 @@ and 2*10^4, and checks that the three agree.  It then times
 numbers at r = d = 4, 8 and 12, and on the first 202 Bell numbers, which fit
 no recurrence, at r = d = 4, 6, 8, 10 and 12; such a row also holds the number
 of candidates, every candidate must verify on the table, and the Bell rows must
-have none.  Next it times the pieces of ``build_egf(1, N)`` and the whole, at
-N = 250, 400 and 800: ``Series.exp`` of arctan t, ``Series.inverse_sqrt`` of
-1 + t^2, the ``Series`` product of those two, and ``build_egf`` itself; that
-product must equal ``build_egf(1, N)``, whose EGF terms must equal the direct
-ones, and such a row also holds the result's largest numerator or denominator
-bit length.  At the same N it times the ``Series`` division of ``build_egf(1, N)``
-by the dense integer series of the Fibonacci numbers, whose quotient times the
-divisor must give the dividend back, and at N = 250 and 400 ``Series.inverse_sqrt`` of
-a dense series with constant term 1 and the other coefficients seeded random
-rationals m / k, |m| <= 9 and 1 <= k <= 9; such a row also holds the sha256 of the
-root's text.  Then it times
+have none.  Next, at N = 250, 400 and 800, it times ``build_egf(1, N)``, which
+is one ``Series.exp``, and the ``Series`` kernels of the factorization it
+replaced, exp(arctan t) * (1 + t^2)^(-1/2): ``Series.exp`` of arctan t,
+``Series.inverse_sqrt`` of 1 + t^2 and the ``Series`` product of those two.
+That product cross-checks the EGF: it must equal ``build_egf(1, N)``, whose EGF
+terms must equal the direct ones.  Such a row also holds the result's largest
+numerator or denominator bit length.  At the same N it times the ``Series``
+division of ``build_egf(1, N)`` by the dense integer series of the Fibonacci
+numbers, whose quotient times the divisor must give the dividend back, and at
+N = 250 and 400 ``Series.inverse_sqrt`` of a dense series with constant term 1
+and the other coefficients seeded random rationals m / k, |m| <= 9 and
+1 <= k <= 9; such a row also holds the sha256 of the root's text.  Then it times
 ``DifferentialOperator.to_recurrence`` of (1+t)^k*D + 1 at k = 50, 100 and 200,
 which must have order k; such a row also holds the sha256 of the recurrence's
 text.  Last, it runs ``holoseq selfcheck --max-n N --series-order 20`` at
@@ -42,16 +43,17 @@ direct, unroll, verify and guess cases also hold the largest term's bit
 length; the record holds the Python version and the CPU model.  The label
 defaults to ``layers``.  ``--src`` names the directory holding the ``holoseq``
 package to measure (default: ``src`` of this checkout), so another checkout
-can be measured by the same script; the script exits if ``holoseq`` is
-imported from anywhere else.  ``--parent`` names a second such directory, the
-tree to compare with: then the in-process rows run on the parent's tree and
-then on this one, in this process, the fresh-interpreter rows (selfcheck,
-series, generate_bfile, verify_bfile, ode2rec) alternate between the two
-trees run by run, so that host drift falls on both alike, both trees must
-give the same output and write the same bytes, and the parent's rows go to
-bench/BENCH_<label>_parent.json.  Each tree is byte-compiled before any run, so
-that a tree copied without ``__pycache__`` is not timed compiling itself.  Only
-the standard library is used.
+can be measured by the same script; the in-process rows import that package
+from its files, and the script exits if a child imports ``holoseq`` from
+anywhere else.  ``--parent`` names a second such directory, the tree to
+compare with: then both packages are loaded into this process under names of
+their own, every case alternates between the two trees run by run, in
+process and in fresh interpreters alike, so that host drift falls on both
+alike, both trees must give the same results and output and write the same
+bytes, and the parent's rows go to bench/BENCH_<label>_parent.json.  Each
+tree is byte-compiled before any run, so that a tree copied without
+``__pycache__`` is not timed compiling itself.  Only the standard library is
+used.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from __future__ import annotations
 import argparse
 import compileall
 import hashlib
+import importlib.util
 import json
 import platform
 import random
@@ -69,6 +72,7 @@ import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import ModuleType
 from typing import Callable, Hashable, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,7 +83,6 @@ SIZES = (10_000, 20_000)
 GUESS_TERMS = 202
 GUESS_BOUNDS = (4, 8, 12)
 BELL_BOUNDS = (4, 6, 8, 10, 12)
-MOTZKIN = "(n+2)*a(n) - (2*n+1)*a(n-1) - 3*(n-1)*a(n-2) = 0"
 SELFCHECK_SIZES = (5_000, 15_000)
 SELFCHECK_ORDER = 20
 SERIES_SIZES = (250, 400, 800)
@@ -123,6 +126,15 @@ def bell_numbers(count: int) -> tuple[int, ...]:
             row[i] += row[i - 1]
         out.append(row[0])
     return tuple(out)
+
+
+def motzkin(count: int) -> tuple[int, ...]:
+    """The first ``count`` Motzkin numbers, by (n+2) M(n) = (2n+1) M(n-1) + 3(n-1) M(n-2)."""
+    out = [1, 1]
+    while len(out) < count:
+        n = len(out)
+        out.append(((2 * n + 1) * out[n - 1] + 3 * (n - 1) * out[n - 2]) // (n + 2))
+    return tuple(out[:count])
 
 
 def timed(call: Callable[[], object]) -> tuple[object, float, float]:
@@ -182,8 +194,8 @@ def cli_child(src: Path, argv: list[str], peaks: list[float]) -> str:
     return done.stdout
 
 
-def row(case: str, n: int, runs: list, table=None, **extra: object) -> dict:
-    """One record row from the (wall, reference) seconds of a case's runs on ``table``, if any."""
+def row(case: str, n: int, runs: list, **extra: object) -> dict:
+    """One record row from the (wall, reference) seconds of a case's runs."""
     out = {
         "case": case,
         "n": n,
@@ -192,103 +204,116 @@ def row(case: str, n: int, runs: list, table=None, **extra: object) -> dict:
         "median_wall_s": round(statistics.median(wall for wall, _ in runs), 4),
         "median_reference_s": round(statistics.median(ref for _, ref in runs), 4),
     }
-    if table is not None:
-        out["max_term_bits"] = max(abs(v).bit_length() for v in table.terms)
     print(json.dumps(out))
     return out
 
 
-def layer_rows(src: Path, rows: list[dict]) -> None:
-    """Append the in-process rows, timed on the holoseq in ``src``, to ``rows``."""
-    for name in [name for name in sys.modules if name.split(".")[0] == "holoseq"]:
-        del sys.modules[name]  # the tree measured before, if any
-    sys.path.insert(0, str(src.resolve()))
-    import holoseq
-    from holoseq import (
-        A214615_INITIAL,
-        A214615_RECURRENCE,
-        Polynomial,
-        SequenceTable,
-        Series,
-        a214615_terms,
-        build_egf,
-        guess_recurrence,
-        parse_differential_operator,
-        parse_recurrence,
-    )
-    if Path(holoseq.__file__).resolve().parent != (src / "holoseq").resolve():
-        raise SystemExit(f"bench: imported holoseq from {holoseq.__file__}, not {src}")
+def add_rows(rows: list[list[dict]], case: str, n: int, runs: list[list], **extra: object) -> None:
+    """Append one row per tree, from that tree's runs, to that tree's rows."""
+    for tree_rows, tree_runs in zip(rows, runs):
+        tree_rows.append(row(case, n, tree_runs, **extra))
 
+
+def load(src: Path, name: str) -> ModuleType:
+    """The ``holoseq`` package in ``src``, imported under ``name``, so that two trees' packages
+    live side by side in this process; the package's own imports are all relative."""
+    init = (src / "holoseq" / "__init__.py").resolve()
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def layer_rows(packages: list[ModuleType], rows: list[list[dict]]) -> None:
+    """Append the in-process rows to ``rows``, one list per package.  In every case the
+    packages take turns, run by run, and must give the same results."""
     for n in SIZES:
-        table = a214615_terms(n)
+        expected = a214615(n)
+        tables = [p.a214615_terms(n) for p in packages]
         cases = {
-            "a214615_terms": lambda: a214615_terms(n),
-            "unroll": lambda: A214615_RECURRENCE.unroll(A214615_INITIAL, n),
-            "verify": lambda: A214615_RECURRENCE.verify(table),
+            "a214615_terms": [lambda p=p: p.a214615_terms(n) for p in packages],
+            "unroll": [lambda p=p: p.A214615_RECURRENCE.unroll(p.A214615_INITIAL, n) for p in packages],
+            "verify": [lambda p=p, t=t: p.A214615_RECURRENCE.verify(t) for p, t in zip(packages, tables)],
         }
-        for name, call in cases.items():
-            agrees, (runs,) = measure([call], lambda r: r.passed if name == "verify" else r == table)
+        for name, calls in cases.items():
+            agrees, runs = measure(calls, lambda r: r.passed if name == "verify" else r.terms == expected)
             if not agrees:
-                raise SystemExit(f"bench: {name} at n = {n} disagrees with a214615_terms")
-            rows.append(row(name, n, runs, table))
+                raise SystemExit(f"bench: {name} at n = {n} disagrees with the direct terms")
+            add_rows(rows, name, n, runs, max_term_bits=term_bits(expected))
     guess_tables = {
-        "a214615": (a214615_terms(GUESS_TERMS - 1), GUESS_BOUNDS),
-        "motzkin": (
-            parse_recurrence(MOTZKIN).unroll(SequenceTable(0, (1, 1)), GUESS_TERMS - 1),
-            GUESS_BOUNDS,
-        ),
-        "bell": (SequenceTable(0, bell_numbers(GUESS_TERMS)), BELL_BOUNDS),
+        "a214615": (a214615(GUESS_TERMS - 1), GUESS_BOUNDS),
+        "motzkin": (motzkin(GUESS_TERMS), GUESS_BOUNDS),
+        "bell": (bell_numbers(GUESS_TERMS), BELL_BOUNDS),
     }
-    for name, (table, bounds) in guess_tables.items():
+    for name, (terms, bounds) in guess_tables.items():
+        tables = [p.SequenceTable(0, terms) for p in packages]
         for bound in bounds:
-            candidates, (runs,) = measure([lambda: guess_recurrence(table, bound, bound)], tuple)
-            if not all(c.verify(table).passed for c in candidates):
+            calls = [lambda p=p, t=t: (p.guess_recurrence(t, bound, bound), t) for p, t in zip(packages, tables)]
+            fits, runs = measure(calls, lambda r: tuple((c.to_text(), c.verify(r[1]).passed) for c in r[0]))
+            if not all(passed for _, passed in fits):
                 raise SystemExit(f"bench: a guess on {name} at r = d = {bound} fails on the table")
-            if name == "bell" and candidates:
+            if name == "bell" and fits:
                 raise SystemExit(f"bench: a guess on the Bell numbers at r = d = {bound} fits")
-            extra = {"bounds": [bound, bound], "candidates": len(candidates)}
-            rows.append(row(f"guess_{name}", GUESS_TERMS, runs, table, **extra))
+            extra = {"bounds": [bound, bound], "candidates": len(fits), "max_term_bits": term_bits(terms)}
+            add_rows(rows, f"guess_{name}", GUESS_TERMS, runs, **extra)
     for n in SERIES_SIZES:
-        one_plus_t2 = Polynomial((1, 0, 1))
-        arctan = (Series.one(n - 1) / Series.from_polynomial(one_plus_t2, n - 1)).integral()
-        u = Series.from_polynomial(one_plus_t2, n)
-        exp_part, sqrt_part = arctan.exp(), u.inverse_sqrt()
-        egf = build_egf(1, n)
-        if exp_part * sqrt_part != egf or egf.egf_terms() != a214615_terms(n):
-            raise SystemExit(f"bench: build_egf(1, {n}) disagrees with its parts or with a214615_terms")
+        # build_egf's former factorization exp(arctan t) * (1 + t^2)^(-1/2): its pieces time
+        # Series.exp, inverse_sqrt and *, and their product cross-checks build_egf.
+        pieces = []
+        for p in packages:
+            one_plus_t2 = p.Polynomial((1, 0, 1))
+            arctan = (p.Series.one(n - 1) / p.Series.from_polynomial(one_plus_t2, n - 1)).integral()
+            u = p.Series.from_polynomial(one_plus_t2, n)
+            exp_part, sqrt_part = arctan.exp(), u.inverse_sqrt()
+            egf = p.build_egf(1, n)
+            if exp_part * sqrt_part != egf or egf.egf_terms().terms != a214615(n):
+                raise SystemExit(f"bench: build_egf(1, {n}) disagrees with its factors or with the direct terms")
+            pieces.append((p, arctan, u, exp_part, sqrt_part, egf))
         cases = {
-            "series_exp": (arctan.exp, exp_part),
-            "series_inverse_sqrt": (u.inverse_sqrt, sqrt_part),
-            "series_mul": (lambda: exp_part * sqrt_part, egf),
-            "build_egf": (lambda: build_egf(1, n), egf),
+            "series_exp": ([arctan.exp for _, arctan, *_ in pieces], exp_part),
+            "series_inverse_sqrt": ([u.inverse_sqrt for _, _, u, *_ in pieces], sqrt_part),
+            "series_mul": ([lambda e=e, s=s: e * s for *_, e, s, _ in pieces], egf),
+            "build_egf": ([lambda p=p: p.build_egf(1, n) for p, *_ in pieces], egf),
         }
-        for name, (call, expected) in cases.items():
-            agrees, (runs,) = measure([call], lambda r: r == expected)
+        for name, (calls, expected) in cases.items():
+            agrees, runs = measure(calls, lambda r: fields(r) == fields(expected))
             if not agrees:
                 raise SystemExit(f"bench: {name} at N = {n} disagrees with its untimed result")
-            rows.append(row(name, n, runs, max_coeff_bits=coeff_bits(expected)))
+            add_rows(rows, name, n, runs, max_coeff_bits=coeff_bits(expected))
         fibonacci = [1, 1]
         while len(fibonacci) <= n:
             fibonacci.append(fibonacci[-1] + fibonacci[-2])
-        divisor = Series(fibonacci)
-        quotient, (runs,) = measure([lambda: egf / divisor], lambda r: r)
-        if quotient * divisor != egf:
+        calls = [lambda egf=egf, divisor=p.Series(fibonacci): (egf / divisor, divisor, egf) for p, *_, egf in pieces]
+        (_, undone, bits), runs = measure(calls, lambda r: (fields(r[0]), r[0] * r[1] == r[2], coeff_bits(r[0])))
+        if not undone:
             raise SystemExit(f"bench: build_egf(1, {n}) / Fibonacci times the divisor is not the dividend")
-        rows.append(row("series_div", n, runs, max_coeff_bits=coeff_bits(quotient)))
+        add_rows(rows, "series_div", n, runs, max_coeff_bits=bits)
     for n in DENSE_SQRT_SIZES:
         rng = random.Random(DENSE_SQRT_SEED)
-        u = Series([1] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)])
-        root, (runs,) = measure([u.inverse_sqrt], lambda r: r)
-        digest = hashlib.sha256(root.to_text().encode()).hexdigest()
-        extra = {"max_coeff_bits": coeff_bits(root), "text_sha256": digest}
-        rows.append(row("series_inverse_sqrt_dense", n, runs, **extra))
+        values = [1] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+        calls = [p.Series(values).inverse_sqrt for p in packages]
+        (digest, bits), runs = measure(calls, lambda r: (text_sha256(r), coeff_bits(r)))
+        add_rows(rows, "series_inverse_sqrt_dense", n, runs, max_coeff_bits=bits, text_sha256=digest)
     for k in TO_RECURRENCE_POWERS:
-        operator = parse_differential_operator(f"(1+t)^{k}*D + 1")
-        rec, (runs,) = measure([operator.to_recurrence], lambda r: r)
-        if rec.order != k:
-            raise SystemExit(f"bench: to_recurrence of (1+t)^{k}*D + 1 has order {rec.order}")
-        digest = hashlib.sha256(rec.to_text().encode()).hexdigest()
-        rows.append(row("to_recurrence", k, runs, text_sha256=digest))
+        calls = [p.parse_differential_operator(f"(1+t)^{k}*D + 1").to_recurrence for p in packages]
+        (order, digest), runs = measure(calls, lambda r: (r.order, text_sha256(r)))
+        if order != k:
+            raise SystemExit(f"bench: to_recurrence of (1+t)^{k}*D + 1 has order {order}")
+        add_rows(rows, "to_recurrence", k, runs, text_sha256=digest)
+
+
+def fields(series) -> tuple:
+    """A series' stored numerators and denominator, comparable across two trees' classes."""
+    return tuple(series._nums), series._den
+
+
+def text_sha256(value) -> str:
+    return hashlib.sha256(value.to_text().encode()).hexdigest()
+
+
+def term_bits(terms) -> int:
+    return max(abs(v).bit_length() for v in terms)
 
 
 def coeff_bits(series) -> int:
@@ -307,8 +332,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if not compileall.compile_dir(tree, quiet=1):
             raise SystemExit(f"bench: {tree} does not byte-compile")
     rows: list[list[dict]] = [[] for _ in trees]
-    for tree, tree_rows in zip(trees, rows):
-        layer_rows(tree, tree_rows)
+    layer_rows([load(tree, f"holoseq_{i}") for i, tree in enumerate(trees)], rows)
     for n in SELFCHECK_SIZES:
         argv = ["selfcheck", "--max-n", str(n), "--series-order", str(SELFCHECK_ORDER)]
         _, results = cli_case(trees, argv)

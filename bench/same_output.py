@@ -94,10 +94,14 @@ def error_tasks(work: Path) -> list[list[str]]:
 
 def rational_tasks() -> list[list[str]]:
     """``ode2rec`` of operators with Fraction coefficients or high t-degree, with and without
-    ``--json``, and the series of a negative fractional x0."""
+    ``--json``, and the series of x0 values that no workload draws."""
     operators = ["1/2*D - 1/3*t", "(2/3 + t^2)*D^2 - t*D + 5/7", "(1+t)^40*D + 1"]
     return [["ode2rec", op, *json] for op in operators for json in ([], ["--json"])] + [
         ["series", "--x0=-3/4", "--to", "12", "--text"],
+        ["series", "--x0=7/3", "--to", "40", "--text"],
+        ["series", "--x0=-2", "--to", "60", "--json"],
+        ["series", "--x0=0", "--to", "30"],
+        ["series", "--x0=5/1000003", "--to", "60", "--text"],
     ]
 
 

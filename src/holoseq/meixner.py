@@ -6,10 +6,13 @@ EGF of n -> M_n(x0), is
 
     F(t) = exp(x0 * arctan t) / sqrt(1 + t^2),
 
-annihilated by the first-order operator (1 + t^2) D - (x0 - t).  Everything
-here is assembled from the exact series/operator primitives, so the three
-routes to the terms (polynomial evaluation, EGF extraction, recurrence
-unrolling) stay independent and cross-checkable.
+annihilated by the first-order operator (1 + t^2) D - (x0 - t).  ``build_egf``
+takes one ``Series.exp`` of log F = x0 arctan t - 1/2 log(1 + t^2): its terms
+integrate F's two factors' logarithmic derivatives, x0 / (1 + t^2) and
+-t / (1 + t^2), each one division by the sparse 1 + t^2; no series product or
+root is taken.  Everything here is assembled from the exact series/operator
+primitives, so the three routes to the terms (polynomial evaluation, EGF
+extraction, recurrence unrolling) stay independent and cross-checkable.
 """
 
 from __future__ import annotations
@@ -57,19 +60,16 @@ def a214615_terms(n_max: int) -> SequenceTable:
 
 
 def build_egf(x0: RationalLike, order: int) -> Series:
-    """exp(x0 * arctan t) / sqrt(1 + t^2) at ``order``; x0 is an int or a Fraction."""
+    """exp(x0 * arctan t - 1/2 * log(1 + t^2)) at ``order``, one exp; x0 is an int or a Fraction."""
     x0 = _as_fraction(x0)
     if order < 0:
         raise ValueError("truncation order must be >= 0")
     if order == 0:
         return Series.one(0)
-    one_plus_t2 = Polynomial((1, 0, 1))
-    arctan = (
-        Series.one(order - 1) / Series.from_polynomial(one_plus_t2, order - 1)
-    ).integral()
-    exp_part = (arctan * x0).exp()
-    sqrt_part = Series.from_polynomial(one_plus_t2, order).inverse_sqrt()
-    return exp_part * sqrt_part
+    one_plus_t2 = Series.from_polynomial(Polynomial((1, 0, 1)), order - 1)
+    arctan = (Series.one(order - 1) / one_plus_t2).integral()
+    log_part = (Series.from_polynomial(Polynomial((0, 2)), order - 1) / one_plus_t2).integral()
+    return (arctan * x0 - log_part * Fraction(1, 2)).exp()
 
 
 def egf_annihilator(x0: RationalLike) -> DifferentialOperator:

@@ -29,8 +29,8 @@ their one denominator to the constructor, which reduces them by one gcd:
   by induction h_n times the leads up to n is an integer.  Division h = f / g has a_k = g_k,
   b_k = 0 and r_n = f_n, so q = g_0^(N+1).  ``exp(g)``, h' = g'h, is n d h_n =
   sum_k E_k h_{n-k} with E_k / d the coefficients of t g'(t) over their own least
-  denominator, so q = N! d^N; for ``build_egf``, d = den(x0), where g = x0 arctan t has
-  denominator lcm(1, 3, ..., 2N-1).
+  denominator, so q = N! d^N; for ``build_egf``, g = x0 arctan t - 1/2 log(1 + t^2), so
+  t g'(t) = t (x0 - t) / (1 + t^2) has d = den(x0).
   ``inverse_sqrt(u)``, u(0) = 1, is J. C. P. Miller's power recurrence for u^(-1/2)
   (Knuth, TAOCP vol. 2, 4.7): 2u h' + u'h = 0 reads sum_k (2n - k) U_k h_{n-k} = 0 with
   u_k = U_k / D, so q = N! (2D)^N; u h^2 = 1 is re-checked at full order, by ``*``.

@@ -491,10 +491,21 @@ def test_kernel_results_have_the_fields_of_the_series_of_their_oracle_fractions(
 
 
 def test_build_egf_equals_the_series_of_its_oracle_fractions_in_fields_and_hash():
-    order = 30
-    arctan = [Fraction((-1) ** (k // 2), k) if k % 2 else Fraction(0) for k in range(order + 1)]
-    u = [Fraction(1), Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 2)
-    oracle = oracles.naive_mul(oracles.naive_exp(arctan), oracles.naive_inverse_sqrt(u))
-    egf = build_egf(1, order)
-    assert_fields_of_oracle(egf, oracle)
-    assert egf.coeffs == tuple(oracle)
+    for order in (1, 2, 30):
+        arctan = [Fraction((-1) ** (k // 2), k) if k % 2 else Fraction(0) for k in range(order + 1)]
+        u = [Fraction(k in (0, 2)) for k in range(order + 1)]
+        for x0 in (0, 1, -2, Fraction(1, 2), Fraction(-3, 4), Fraction(7, 3)):
+            exp_part = oracles.naive_exp([x0 * c for c in arctan])
+            oracle = oracles.naive_mul(exp_part, oracles.naive_inverse_sqrt(u))
+            egf = build_egf(x0, order)
+            assert_fields_of_oracle(egf, oracle)
+            assert egf.coeffs == tuple(oracle), (x0, order)
+
+
+def test_build_egf_is_one_exp_with_no_inverse_sqrt_and_no_series_product(monkeypatch):
+    def refused(*args):
+        raise AssertionError("build_egf must not take an inverse sqrt or a series product")
+
+    monkeypatch.setattr(Series, "inverse_sqrt", refused)
+    monkeypatch.setattr(series_module, "_kronecker_mul", refused)
+    assert build_egf(1, 250).egf_terms().terms[-1] == meixner_eval(250, 1)

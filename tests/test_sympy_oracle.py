@@ -5,7 +5,9 @@ power-series coefficients c_n of a solution: sum_i q_i(n) c_{n+i} = 0 for
 n >= n0.  Its derivation is independent of holoseq's shift/weight rule.  The
 test reindexes it to the exponential one with c_n = a(n)/n!, multiplying
 through by (n+r)!: sum_i q_i(n) (n+i+1)...(n+r) a(n+i) = 0, and checks it on
-terms unrolled from holoseq's ``to_recurrence``.
+terms unrolled from holoseq's ``to_recurrence``.  It also checks ``build_egf``
+against sympy's own Taylor expansion of exp(x arctan t) / sqrt(1 + t^2), with
+x symbolic and then substituted.
 """
 
 import random
@@ -17,7 +19,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 from sympy.holonomic import DifferentialOperators, HolonomicFunction  # noqa: E402
 
-from holoseq.meixner import egf_annihilator  # noqa: E402
+from holoseq.meixner import build_egf, egf_annihilator  # noqa: E402
 from holoseq.operators import DifferentialOperator  # noqa: E402
 from holoseq.polynomials import Polynomial  # noqa: E402
 from holoseq.sequences import SequenceTable  # noqa: E402
@@ -83,3 +85,12 @@ def test_to_recurrence_terms_satisfy_sympy_recurrence():
         assert all(r == 0 for r in egf_residuals(qs, n0, terms)), op.to_text()
         terms[-1] += 1
         assert any(r != 0 for r in egf_residuals(qs, n0, terms)), op.to_text()
+
+
+def test_build_egf_matches_sympys_series_of_exp_x_arctan_over_sqrt():
+    x, t = sympy.symbols("x t")
+    expansion = sympy.series(sympy.exp(x * sympy.atan(t)) / sympy.sqrt(1 + t**2), t, 0, 11).removeO()
+    coeffs = [sympy.expand(expansion.coeff(t, k)) for k in range(11)]
+    for x0 in ("0", "1", "-3/4", "5/2", "7/1000003"):
+        expected = tuple(Fraction(str(c.subs(x, sympy.Rational(x0)))) for c in coeffs)
+        assert build_egf(Fraction(x0), 10).coeffs == expected, x0
