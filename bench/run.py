@@ -1,4 +1,4 @@
-"""Layer benchmark of A214615's terms, guesses, EGF series and to_recurrence; writes bench/BENCH_<label>.json.
+"""Layer benchmark of A214615's terms, guesses, EGF series, to_recurrence and text; writes bench/BENCH_<label>.json.
 
 Run from the repository root:
 
@@ -25,12 +25,17 @@ and the other coefficients seeded random rationals m / k, |m| <= 9 and
 1 <= k <= 9; such a row also holds the sha256 of the root's text.  Then it times
 ``DifferentialOperator.to_recurrence`` of (1+t)^k*D + 1 at k = 50, 100 and 200,
 which must have order k; such a row also holds the sha256 of the recurrence's
-text.  Last, it runs ``holoseq selfcheck --max-n N --series-order 20`` at
+text.  It times ``to_recurrence`` of 100 seeded many_small-style operators
+(perfbench's ``random_operator``), ``to_text`` of their 100 recurrences, which
+must hash the same, and 100 calls of ``Series.to_text`` of
+``build_egf(-3/4, N)`` at N = 30 and 250; such a row holds the sha256 of the
+texts, one per line.  Last, it runs ``holoseq selfcheck --max-n N --series-order 20`` at
 N = 5000 and 15000, ``holoseq series --to N`` at N = 250, 400 and 800, whose
 output must be the b-file lines of the direct terms, then
 ``holoseq generate --bfile`` of the first N terms of A214615 and
 ``holoseq verify --bfile`` of that file at N = 300 and 5000, and
-``holoseq ode2rec '(1+t)^100*D + 1'``, each run in a
+``holoseq ode2rec '(1+t)^100*D + 1'``, ``holoseq ode2rec --json`` of a small
+operator and ``holoseq series --x0=-3/4 --to 30 --text``, each run in a
 fresh interpreter, one after another, and times the whole child process; such
 a row also holds the median of the children's own peak resident memory in MiB
 (Linux's VmHWM), every run must pass with the same output, and every
@@ -78,6 +83,7 @@ from typing import Callable, Hashable, Optional
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from holobench import REFERENCE_S, cpu_model, reference_seconds  # noqa: E402
+from workloads import operator_text, random_operator  # noqa: E402
 
 SIZES = (10_000, 20_000)
 GUESS_TERMS = 202
@@ -90,7 +96,13 @@ DENSE_SQRT_SIZES = (250, 400)
 DENSE_SQRT_SEED = 2026
 BFILE_SIZES = (300, 5_000)
 TO_RECURRENCE_POWERS = (50, 100, 200)
+SMALL_OPERATORS = 100
+SMALL_OPERATOR_SEED = 2023
+TEXT_SIZES = (30, 250)
+TEXT_X0 = Fraction(-3, 4)
+TEXT_CALLS = 100
 ODE2REC_POWER = 100
+SMALL_OPERATOR = "(1-2*t+3*t^2)*D^2 + (2+t-t^3)*D + (-1+t)"
 RUNS = 5
 
 # One CLI call in a fresh interpreter: argv is (src dir, CLI arguments...).  The command's
@@ -301,6 +313,23 @@ def layer_rows(packages: list[ModuleType], rows: list[list[dict]]) -> None:
         if order != k:
             raise SystemExit(f"bench: to_recurrence of (1+t)^{k}*D + 1 has order {order}")
         add_rows(rows, "to_recurrence", k, runs, text_sha256=digest)
+    rng = random.Random(SMALL_OPERATOR_SEED)
+    texts = [operator_text(random_operator(rng)) for _ in range(SMALL_OPERATORS)]
+    operators = [[p.parse_differential_operator(text) for text in texts] for p in packages]
+    calls = [lambda ops=ops: [op.to_recurrence() for op in ops] for ops in operators]
+    digest, runs = measure(calls, lambda recs: joined_sha256(rec.to_text() for rec in recs))
+    add_rows(rows, "to_recurrence_small", SMALL_OPERATORS, runs, text_sha256=digest)
+    recurrences = [[op.to_recurrence() for op in ops] for ops in operators]
+    calls = [lambda recs=recs: [rec.to_text() for rec in recs] for recs in recurrences]
+    printed, runs = measure(calls, joined_sha256)
+    if printed != digest:
+        raise SystemExit("bench: to_recurrence_small and recurrence_to_text hash different texts")
+    add_rows(rows, "recurrence_to_text", SMALL_OPERATORS, runs, text_sha256=digest)
+    for n in TEXT_SIZES:
+        egfs = [p.build_egf(TEXT_X0, n) for p in packages]
+        calls = [lambda egf=egf: [egf.to_text() for _ in range(TEXT_CALLS)] for egf in egfs]
+        digest, runs = measure(calls, joined_sha256)
+        add_rows(rows, "series_to_text", n, runs, x0=str(TEXT_X0), calls=TEXT_CALLS, text_sha256=digest)
 
 
 def fields(series) -> tuple:
@@ -310,6 +339,11 @@ def fields(series) -> tuple:
 
 def text_sha256(value) -> str:
     return hashlib.sha256(value.to_text().encode()).hexdigest()
+
+
+def joined_sha256(texts) -> str:
+    """sha256 of the texts, one per line."""
+    return hashlib.sha256("\n".join(texts).encode()).hexdigest()
 
 
 def term_bits(terms) -> int:
@@ -363,6 +397,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     digest = hashlib.sha256(printed.encode()).hexdigest()
     for tree_rows, (runs, peak) in zip(rows, results):
         tree_rows.append(row("ode2rec", ODE2REC_POWER, runs, text_sha256=digest, peak_rss_mib=peak))
+    printed, results = cli_case(trees, ["ode2rec", SMALL_OPERATOR, "--json"])
+    digest = hashlib.sha256(printed.encode()).hexdigest()
+    for tree_rows, (runs, peak) in zip(rows, results):
+        tree_rows.append(row("ode2rec_json_small", 1, runs, operator=SMALL_OPERATOR, text_sha256=digest,
+                             peak_rss_mib=peak))
+    n = TEXT_SIZES[0]
+    printed, results = cli_case(trees, ["series", f"--x0={TEXT_X0}", "--to", str(n), "--text"])
+    digest = hashlib.sha256(printed.encode()).hexdigest()
+    for tree_rows, (runs, peak) in zip(rows, results):
+        tree_rows.append(row("series_text", n, runs, x0=str(TEXT_X0), text_sha256=digest, peak_rss_mib=peak))
     labels = [args.label] if args.parent is None else [f"{args.label}_parent", args.label]
     for label, tree_rows in zip(labels, rows):
         record = {"label": label, "python": platform.python_version(), "cpu": cpu_model(), "rows": tree_rows}

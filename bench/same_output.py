@@ -93,15 +93,20 @@ def error_tasks(work: Path) -> list[list[str]]:
 
 
 def rational_tasks() -> list[list[str]]:
-    """``ode2rec`` of operators with Fraction coefficients or high t-degree, with and without
-    ``--json``, and the series of x0 values that no workload draws."""
-    operators = ["1/2*D - 1/3*t", "(2/3 + t^2)*D^2 - t*D + 5/7", "(1+t)^40*D + 1"]
+    """``ode2rec`` of operators with Fraction coefficients (over different denominators, one a
+    rational shifted power) or high t-degree, with and without ``--json``, and the series of
+    x0 values that no workload draws, as text and as JSON lists of long fractions."""
+    operators = [
+        "1/2*D - 1/3*t", "(2/3 + t^2)*D^2 - t*D + 5/7", "(1+t)^40*D + 1",
+        "3/5*(t-1)^2*D^2 + 3/5*t*D - 1/4*D + 2/7*t",
+    ]
     return [["ode2rec", op, *json] for op in operators for json in ([], ["--json"])] + [
         ["series", "--x0=-3/4", "--to", "12", "--text"],
         ["series", "--x0=7/3", "--to", "40", "--text"],
         ["series", "--x0=-2", "--to", "60", "--json"],
         ["series", "--x0=0", "--to", "30"],
         ["series", "--x0=5/1000003", "--to", "60", "--text"],
+        ["series", "--x0=5/1000003", "--to", "60", "--json"],
     ]
 
 

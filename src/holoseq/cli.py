@@ -36,7 +36,7 @@ from .parsing import (
     parse_differential_operator,
     parse_recurrence,
 )
-from .polynomials import _lift_digit_cap, parse_integer, parse_rational
+from .polynomials import _lift_digit_cap, _ratio_text, parse_integer, parse_rational
 from .series import NonIntegerCoefficientError
 
 
@@ -134,7 +134,7 @@ def _recurrence_json(rec: RecurrenceOperator) -> dict:
         "order": rec.order,
         "degree": rec.degree,
         "n_min": rec.n_min,
-        "coefficients": [[str(c) for c in p.coeffs] for p in rec.coeffs],
+        "coefficients": [[_ratio_text(c, p._den) for c in p._nums] for p in rec.coeffs],
     }
 
 
@@ -286,7 +286,7 @@ def cmd_series(args: argparse.Namespace) -> int:
         payload: dict = {
             "x0": str(x0),
             "order": egf.order,
-            "coefficients": [str(c) for c in egf.coeffs],
+            "coefficients": [_ratio_text(v, egf._den) for v in egf._nums],
         }
         try:
             payload["terms"] = [line.split() for line in _bfile_lines(egf.egf_terms().items())]

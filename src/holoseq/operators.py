@@ -11,7 +11,11 @@ generating functions: if F(t) = sum a(n) t^n / n! then
 so the monomial c t^a D^b contributes the weight c * fall(n, a) to the term
 a(n + s) at shift s = b - a.  Collecting weights by shift and reindexing by
 m = n + s_max turns an annihilating operator into a recurrence
-sum_k p_k(m) a(m-k) = 0 with p_k(m) = w_{s_max-k}(m - s_max).
+sum_k p_k(m) a(m-k) = 0 with p_k(m) = w_{s_max-k}(m - s_max).  Both steps run
+on integers: each shift's weight is one row of integer numerators, and the
+reindexing is a Taylor shift of that row, so each p_k is built once and then
+canonicalized once.  Coefficient text is formatted from the same stored
+integers, with no Fraction per coefficient.
 
 Index convention: a(m) is taken to be 0 for m below the table offset.  That
 convention is sound for extracted recurrences because any term reaching below
@@ -32,12 +36,13 @@ from collections import deque
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, count, islice
+from itertools import chain, count, islice, zip_longest
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .polynomials import (
-    Polynomial, RationalLike, _join_signed, _lift_digit_cap, _primitive, format_rational
+    Polynomial, RationalLike, _join_signed, _lift_digit_cap, _primitive, _ratio_text,
+    _taylor_shift, format_rational,
 )
 from .sequences import SequenceTable
 from .series import Series
@@ -81,12 +86,13 @@ def _trailer_product(
     that coefficients print as "(n-1)^2" rather than "(1-2*n+n^2)"; anything
     else falls back to the parenthesized polynomial with its spaces dropped.
     """
-    if poly.degree <= 0:
-        c = poly(0)
-        mag = str(abs(c))
+    nums, den = poly._nums, poly._den
+    if len(nums) <= 1:
+        c = nums[0] if nums else 0
+        mag = _ratio_text(abs(c), den)
         if not trailer:
             return c < 0, mag
-        return c < 0, trailer if abs(c) == 1 else f"{mag}*{trailer}"
+        return c < 0, trailer if abs(c) == den else f"{mag}*{trailer}"
     shifted = _as_shifted_power(poly)
     if shifted is not None and (shifted[2] >= 2 or shifted[1] == 0):
         c, b, e = shifted
@@ -95,12 +101,11 @@ def _trailer_product(
         else:
             inner = f"{var}+{b}" if b > 0 else f"{var}-{-b}"
             base = f"({inner})" if e == 1 else f"({inner})^{e}"
-        text = base if abs(c) == 1 else f"{abs(c)}*{base}"
+        text = base if abs(c) == den else f"{_ratio_text(abs(c), den)}*{base}"
         if trailer:
             text = f"{text}*{trailer}"
         return c < 0, text
-    lowest = next(c for c in poly.coeffs if c != 0)
-    negative = lowest < 0
+    negative = next(c for c in nums if c) < 0
     body = (-poly if negative else poly).to_text(var).replace(" ", "")
     text = f"({body})"
     if trailer:
@@ -108,18 +113,18 @@ def _trailer_product(
     return negative, text
 
 
-def _as_shifted_power(poly: Polynomial) -> Optional[tuple[Fraction, int, int]]:
-    """Decompose poly as c * (x + b)^e with integer b, e >= 1, if possible."""
-    deg = poly.degree
-    if not isinstance(deg, int) or deg < 1:
+def _as_shifted_power(poly: Polynomial) -> Optional[tuple[int, int, int]]:
+    """(c, b, e) with poly = c / poly._den * (x + b)^e, integer b and e >= 1, if possible."""
+    nums = poly._nums
+    deg = len(nums) - 1
+    if deg < 1:
         return None
-    c = Fraction(poly._nums[-1], poly._den)
-    b = Fraction(poly._nums[deg - 1], poly._nums[-1] * deg)
-    if b.denominator != 1:
+    b, rest = divmod(nums[deg - 1], nums[-1] * deg)
+    if rest:
         return None
     # p = c*(x+b)^e exactly when p(x-b) is the monomial c*x^e
-    if not any(poly.shifted(-b.numerator)._nums[:-1]):
-        return c, b.numerator, deg
+    if not any(_taylor_shift(list(nums), -b)[:-1]):
+        return nums[-1], b, deg
     return None
 
 
@@ -185,20 +190,25 @@ class DifferentialOperator:
     def to_recurrence(self) -> RecurrenceOperator:
         """The recurrence satisfied by EGF coefficient tables this kills.
 
-        Expands every monomial c t^a D^b into its shift/weight pair,
-        collects weights by shift, and reindexes so the recurrence reads
+        Expands every monomial c t^a D^b into its shift and weight c * fall(n, a)
+        (``egf_shift_weight``), with c a numerator of the q_j scaled to their common
+        denominator, and adds the weight into one integer row per shift;
+        ``from_shift_weights`` reindexes the rows so the recurrence reads
         sum_k p_k(n) a(n-k) = 0.  Extraction proves it for n >= 0 before reindexing,
         so n_min = max(order, s_max): the order unless every monomial has b > a
         (D^2 - D, which kills 5 + e^t, gives a(n) = a(n-1) only for n >= 2).
         """
-        weights: dict[int, Polynomial] = {}
+        rows: dict[int, list[int]] = {}
         den = lcm(*(q._den for q in self.coeffs))  # a common scale leaves the recurrence as it is
         for j, q in enumerate(self.coeffs):
             for a_pow, c in enumerate(q._nums):
                 if c:
                     shift, weight = egf_shift_weight(a_pow, j)
-                    weights[shift] = weights.get(shift, Polynomial()) + weight * (c * den // q._den)
-        return RecurrenceOperator.from_shift_weights(weights, max(0, -min(weights)))
+                    c *= den // q._den
+                    row = zip_longest(rows.get(shift, ()), weight._nums, fillvalue=0)
+                    rows[shift] = [v + c * w for v, w in row]
+        weights = {shift: Polynomial(row) for shift, row in rows.items()}
+        return RecurrenceOperator.from_shift_weights(weights, max(0, -min(rows)))
 
     @_lift_digit_cap
     def to_text(self) -> str:
@@ -266,20 +276,19 @@ class RecurrenceOperator:
         for n >= valid_from, the result carries n_min = valid_from + s_max;
         with no bound given, n_min defaults to the recurrence order (the
         smallest m at which no referenced index is negative for offset-0
-        tables).
+        tables).  Each weight's numerators are Taylor-shifted as ints, each p_k is built
+        once, and the constructor canonicalizes them.
         """
         # a zero weight trims to the empty tuple
         nonzero = {s: p for s, w in weights.items() for p in _as_polynomials((w,))}
         if not nonzero:
             raise ValueError("all shift weights are zero; no recurrence to build")
         s_max, s_min = max(nonzero), min(nonzero)
-        order = s_max - s_min
-        coeffs = tuple(
-            nonzero.get(s_max - k, Polynomial()).shifted(-s_max)
-            for k in range(order + 1)
-        )
-        n_min = order if valid_from is None else valid_from + s_max
-        return cls(coeffs, n_min)
+        coeffs = [Polynomial()] * (s_max - s_min + 1)
+        for s, w in nonzero.items():
+            coeffs[s_max - s] = Polynomial(_taylor_shift(list(w._nums), -s_max), w._den)
+        n_min = len(coeffs) - 1 if valid_from is None else valid_from + s_max
+        return cls(tuple(coeffs), n_min)
 
     @property
     def order(self) -> int:

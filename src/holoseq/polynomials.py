@@ -57,8 +57,8 @@ def _lift_digit_cap(func: Callable) -> Callable:
     importing holoseq changes no interpreter-wide state.  Only these are wrapped: the CLI's
     ``main``, the b-file reader (per piece), ``format_bfile`` and ``write_bfile``, the text
     parsers, ``format_rational`` and the four ``to_text`` methods (``Polynomial``, ``Series``
-    and the two operators, which format each coefficient with ``str`` so that the cap is
-    lifted once per text), ``RecurrenceOperator._verify_entries``, whose walk the CLI runs on
+    and the two operators, which format each coefficient with ``_ratio_text`` so that the cap
+    is lifted once per text), ``RecurrenceOperator._verify_entries``, whose walk the CLI runs on
     Decimal terms, and ``series._decimal_mul``, whose base-10 packing puts each coefficient of
     a long product through ``str`` and reads each back with ``int``.
     Wrap no generator function: its body runs after the call has returned.
@@ -136,6 +136,15 @@ def _without_trailing_zeros(values: _Coefficients) -> _Coefficients:
     return values[:end]
 
 
+def _taylor_shift(nums: list[int], offset: int) -> list[int]:
+    """The coefficients of p(x + offset) for integer coefficients ``nums`` of p, in place."""
+    n = len(nums) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            nums[j] += offset * nums[j + 1]
+    return nums
+
+
 def _primitive(values: Iterable[RationalLike]) -> list[int]:
     """The positive multiple of ``values`` that is integral with content 1 (zeros stay zero)."""
     return list(_lowest_terms(values, 0)[0])
@@ -158,10 +167,22 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in rational literal: {text!r}") from None
 
 
+def _ratio_text(num: int, den: int) -> str:
+    """num / den as canonical text, "p/q" in lowest terms or "p" when q == 1, for den > 0.
+
+    The one rational formatter: every coefficient text and JSON list runs on the stored
+    integers through here, with no Fraction.  It puts ints through ``str``, so callers lift
+    the digit cap.
+    """
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
 @_lift_digit_cap
 def format_rational(value: RationalLike) -> str:
-    """Canonical text: "p/q" in lowest terms, or "p" when q == 1."""
-    return str(Fraction(value))
+    """Canonical text: "p/q" in lowest terms, or "p" when q == 1; anything but an int or a
+    Fraction is a TypeError."""
+    return _ratio_text(*_as_fraction(value).as_integer_ratio())
 
 
 @_lift_digit_cap
@@ -294,10 +315,7 @@ class Polynomial(_Rationals):
         """
         (a,), b = _lowest_terms((offset,))
         n = max(len(self._nums) - 1, 0)
-        cs = [c * b ** (n - k) for k, c in enumerate(self._nums)]
-        for i in range(n):
-            for j in range(n - 1, i - 1, -1):
-                cs[j] += a * cs[j + 1]
+        cs = _taylor_shift([c * b ** (n - k) for k, c in enumerate(self._nums)], a)
         return Polynomial([c * b**k for k, c in enumerate(cs)], self._den * b**n)
 
     @_lift_digit_cap
@@ -306,14 +324,14 @@ class Polynomial(_Rationals):
         if self.is_zero:
             return "0"
         parts: list[tuple[bool, str]] = []
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self._nums):
             if c == 0:
                 continue
-            mag = abs(c)
+            mag = _ratio_text(abs(c), self._den)
             if k == 0:
-                body = str(mag)
+                body = mag
             else:
-                head = "" if mag == 1 else f"{mag}*"
+                head = "" if abs(c) == self._den else f"{mag}*"
                 body = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
             parts.append((c < 0, body))
         return _join_signed(parts)

@@ -44,7 +44,7 @@ from math import lcm, prod
 from typing import Iterable, Sequence, Union
 
 from .polynomials import (
-    _EXACT, Polynomial, RationalLike, _join_signed, _lift_digit_cap, _Rationals,
+    _EXACT, Polynomial, RationalLike, _join_signed, _lift_digit_cap, _ratio_text, _Rationals,
     _without_trailing_zeros, format_rational,
 )
 from .sequences import SequenceTable
@@ -320,6 +320,7 @@ class Series(_Rationals):
     def to_text(self) -> str:
         """Canonical text, e.g. "1 + 1*t + 0*t^2 - 2/3*t^3 + O(t^4)"."""
         powers = ["", "*t"] + [f"*t^{k}" for k in range(2, self.order + 1)]
-        parts = [(c < 0, str(abs(c)) + power) for c, power in zip(self.coeffs, powers)]
+        den = self._den
+        parts = [(v < 0, _ratio_text(abs(v), den) + power) for v, power in zip(self._nums, powers)]
         parts.append((False, f"O(t^{self.order + 1})"))
         return _join_signed(parts)

@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
-from math import factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 import pytest
 
@@ -152,6 +152,93 @@ def test_power_band_family_order_equals_degree():
             rec = operator.to_recurrence()
             assert rec.order == d
             assert rec.degree == d
+
+
+def naive_shift_weights(operator: DifferentialOperator) -> dict[int, list[Fraction]]:
+    """w_s(n) as Fraction rows: each monomial c t^a D^b adds c * n (n-1) ... (n-a+1) to w_{b-a}."""
+    weights: dict[int, list[Fraction]] = {}
+    for b, q in enumerate(operator.coeffs):
+        for a, c in enumerate(q.coeffs):
+            if c == 0:
+                continue
+            fall = [Fraction(1)]
+            for i in range(a):  # times (n - i)
+                fall = [(fall[k - 1] if k else 0) - i * (fall[k] if k < len(fall) else 0)
+                        for k in range(len(fall) + 1)]
+            row = weights.setdefault(b - a, [])
+            row.extend([Fraction(0)] * (len(fall) - len(row)))
+            for k, f in enumerate(fall):
+                row[k] += c * f
+    return weights
+
+
+def naive_reindexed(weights: dict[int, list[Fraction]]) -> list[list[Fraction]]:
+    """p_k(m) = w_{s_max-k}(m - s_max), expanded by the binomial theorem, then scaled to integer
+    rows with content 1 and a positive leading coefficient of p_0; trailing zeros dropped."""
+    s_max, s_min = max(weights), min(weights)
+    rows = []
+    for k in range(s_max - s_min + 1):
+        w = weights.get(s_max - k, [])
+        p = [sum((w[i] * comb(i, j) * (-s_max) ** (i - j) for i in range(j, len(w))), Fraction(0))
+             for j in range(len(w))]
+        while p and p[-1] == 0:
+            p.pop()
+        rows.append(p)
+    scale = lcm(*(v.denominator for p in rows for v in p))
+    content = gcd(*(int(v * scale) for p in rows for v in p))
+    scale = Fraction(scale if rows[0][-1] > 0 else -scale, content)
+    return [[v * scale for v in p] for p in rows]
+
+
+def random_rational_operator(rng, order: int, degree: int) -> DifferentialOperator:
+    """q_0 + ... + q_order D^order, each q_j of t-degree <= degree over its own denominators."""
+    coeffs = []
+    for j in range(order + 1):
+        denominators = rng.sample((1, 2, 3, 4, 5, 7, 9, 11), 2)
+        q = [Fraction(rng.randint(-9, 9), rng.choice(denominators)) if rng.random() < 0.7 else 0
+             for _ in range(rng.randint(0, degree) + 1)]
+        coeffs.append(Polynomial(q))
+    if coeffs[-1].is_zero:
+        coeffs[-1] = Polynomial((0,) * rng.randint(0, degree) + (Fraction(-3, 7),))
+    return DifferentialOperator(tuple(coeffs))
+
+
+def test_to_recurrence_matches_a_naive_fraction_extraction():
+    rng = random.Random(2301)
+    operators = [random_rational_operator(rng, rng.randint(1, 3), 6) for _ in range(150)]
+    # every monomial has b > a, so n_min = s_max: -D^2 + D (a(n) = a(n-1) for n >= 2), 3/4 D^3 - t D^3
+    operators += [DifferentialOperator((Polynomial(), ONE, -ONE)),
+                  DifferentialOperator((Polynomial(),) * 3 + (Polynomial((Fraction(3, 4), -1)),))]
+    shapes = set()
+    for operator in operators:
+        weights = naive_shift_weights(operator)
+        rec = operator.to_recurrence()
+        assert [list(p.coeffs) for p in rec.coeffs] == naive_reindexed(weights)
+        order = max(weights) - min(weights)
+        assert rec.n_min == max(order, max(weights))
+        assert all(p._den == 1 for p in rec.coeffs)
+        shapes.add(rec.n_min > order)
+        shapes.add(len({q._den for q in operator.coeffs if not q.is_zero}) > 1)
+    assert shapes == {True, False}
+    assert operators[-2].to_recurrence().to_text() == "a(n) - a(n-1) = 0 for n >= 2"
+
+
+def test_canonical_recurrence_coefficients_are_integers_over_den_1():
+    rng = random.Random(2302)
+    for _ in range(100):
+        weights = {s: [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 6, 35)))
+                       for _ in range(rng.randint(1, 4))]
+                   for s in rng.sample(range(-3, 4), rng.randint(1, 4))}
+        for row in weights.values():
+            row[-1] = row[-1] or Fraction(1, 3)
+        given = {s: Polynomial(row) if len(row) > 1 else row[0] for s, row in weights.items()}
+        rec = RecurrenceOperator.from_shift_weights(given)
+        assert [list(p.coeffs) for p in rec.coeffs] == naive_reindexed(weights)
+        assert rec.n_min == rec.order
+        assert all(p._den == 1 for p in rec.coeffs)
+    rec = RecurrenceOperator((Polynomial((Fraction(1, 2), Fraction(-2, 3))), Fraction(5, 7)), 1)
+    assert [p._den for p in rec.coeffs] == [1, 1]
+    assert [p._nums for p in rec.coeffs] == [(-21, 28), (-30,)]
 
 
 # --- apply -------------------------------------------------------------
