@@ -13,16 +13,14 @@ no recurrence, at r = d = 4, 6, 8, 10 and 12; such a row also holds the number
 of candidates, every candidate must verify on the table, and the Bell rows must
 have none.  Next, at N = 250, 400 and 800, it times ``build_egf(1, N)``, which
 is one ``Series.exp``, and the ``Series`` kernels of the factorization it
-replaced, exp(arctan t) * (1 + t^2)^(-1/2): ``Series.exp`` of arctan t,
-``Series.inverse_sqrt`` of 1 + t^2 and the ``Series`` product of those two.
-That product cross-checks the EGF: it must equal ``build_egf(1, N)``, whose EGF
-terms must equal the direct ones.  Such a row also holds the result's largest
-numerator or denominator bit length.  At the same N it times the ``Series``
-division of ``build_egf(1, N)`` by the dense integer series of the Fibonacci
-numbers, whose quotient times the divisor must give the dividend back, and at
-N = 250 and 400 ``Series.inverse_sqrt`` of a dense series with constant term 1
-and the other coefficients seeded random rationals m / k, |m| <= 9 and
-1 <= k <= 9; such a row also holds the sha256 of the root's text.  Then it times
+replaced, exp(arctan t) * (1 + t^2)^(-1/2): ``Series.exp`` of arctan t and the
+``Series`` product of that with (1 + t^2)^(-1/2), whose coefficients the
+script writes down from the closed form C(-1/2, k) at t^(2k).  That product
+cross-checks the EGF: it must equal ``build_egf(1, N)``, whose EGF terms must
+equal the direct ones.  Such a row also holds the result's largest numerator
+or denominator bit length.  At the same N it times the ``Series`` division of
+``build_egf(1, N)`` by the dense integer series of the Fibonacci numbers,
+whose quotient times the divisor must give the dividend back.  Then it times
 ``DifferentialOperator.to_recurrence`` of (1+t)^k*D + 1 at k = 50, 100 and 200,
 which must have order k; such a row also holds the sha256 of the recurrence's
 text.  It times ``to_recurrence`` of 100 seeded many_small-style operators
@@ -76,6 +74,7 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 from types import ModuleType
 from typing import Callable, Hashable, Optional
@@ -92,8 +91,6 @@ BELL_BOUNDS = (4, 6, 8, 10, 12)
 SELFCHECK_SIZES = (5_000, 15_000)
 SELFCHECK_ORDER = 20
 SERIES_SIZES = (250, 400, 800)
-DENSE_SQRT_SIZES = (250, 400)
-DENSE_SQRT_SEED = 2026
 BFILE_SIZES = (300, 5_000)
 TO_RECURRENCE_POWERS = (50, 100, 200)
 SMALL_OPERATORS = 100
@@ -127,6 +124,11 @@ def a214615(n: int) -> tuple[int, ...]:
         k = len(out) - 1
         out.append(out[k] - k * k * out[k - 1])
     return tuple(out[: n + 1])
+
+
+def inverse_sqrt_one_plus_t2(n: int) -> list[Fraction]:
+    """(1 + t^2)^(-1/2) through t^n: C(-1/2, k) = (-1)^k C(2k, k) / 4^k at t^(2k)."""
+    return [Fraction((-1) ** (i // 2) * comb(i, i // 2), 2**i) if i % 2 == 0 else 0 for i in range(n + 1)]
 
 
 def bell_numbers(count: int) -> tuple[int, ...]:
@@ -271,20 +273,17 @@ def layer_rows(packages: list[ModuleType], rows: list[list[dict]]) -> None:
             add_rows(rows, f"guess_{name}", GUESS_TERMS, runs, **extra)
     for n in SERIES_SIZES:
         # build_egf's former factorization exp(arctan t) * (1 + t^2)^(-1/2): its pieces time
-        # Series.exp, inverse_sqrt and *, and their product cross-checks build_egf.
+        # Series.exp and *, and their product cross-checks build_egf.
         pieces = []
         for p in packages:
-            one_plus_t2 = p.Polynomial((1, 0, 1))
-            arctan = (p.Series.one(n - 1) / p.Series.from_polynomial(one_plus_t2, n - 1)).integral()
-            u = p.Series.from_polynomial(one_plus_t2, n)
-            exp_part, sqrt_part = arctan.exp(), u.inverse_sqrt()
+            arctan = (p.Series.one(n - 1) / p.Series.from_polynomial(p.Polynomial((1, 0, 1)), n - 1)).integral()
+            exp_part, sqrt_part = arctan.exp(), p.Series(inverse_sqrt_one_plus_t2(n))
             egf = p.build_egf(1, n)
             if exp_part * sqrt_part != egf or egf.egf_terms().terms != a214615(n):
                 raise SystemExit(f"bench: build_egf(1, {n}) disagrees with its factors or with the direct terms")
-            pieces.append((p, arctan, u, exp_part, sqrt_part, egf))
+            pieces.append((p, arctan, exp_part, sqrt_part, egf))
         cases = {
             "series_exp": ([arctan.exp for _, arctan, *_ in pieces], exp_part),
-            "series_inverse_sqrt": ([u.inverse_sqrt for _, _, u, *_ in pieces], sqrt_part),
             "series_mul": ([lambda e=e, s=s: e * s for *_, e, s, _ in pieces], egf),
             "build_egf": ([lambda p=p: p.build_egf(1, n) for p, *_ in pieces], egf),
         }
@@ -301,12 +300,6 @@ def layer_rows(packages: list[ModuleType], rows: list[list[dict]]) -> None:
         if not undone:
             raise SystemExit(f"bench: build_egf(1, {n}) / Fibonacci times the divisor is not the dividend")
         add_rows(rows, "series_div", n, runs, max_coeff_bits=bits)
-    for n in DENSE_SQRT_SIZES:
-        rng = random.Random(DENSE_SQRT_SEED)
-        values = [1] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
-        calls = [p.Series(values).inverse_sqrt for p in packages]
-        (digest, bits), runs = measure(calls, lambda r: (text_sha256(r), coeff_bits(r)))
-        add_rows(rows, "series_inverse_sqrt_dense", n, runs, max_coeff_bits=bits, text_sha256=digest)
     for k in TO_RECURRENCE_POWERS:
         calls = [p.parse_differential_operator(f"(1+t)^{k}*D + 1").to_recurrence for p in packages]
         (order, digest), runs = measure(calls, lambda r: (r.order, text_sha256(r)))

@@ -254,7 +254,7 @@ class RecurrenceOperator:
     n_min: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_min, int):
+        if isinstance(self.n_min, bool) or not isinstance(self.n_min, int):
             raise TypeError("n_min must be an int")
         cs = _as_polynomials(self.coeffs)
         if not cs or cs[0].is_zero:
@@ -393,7 +393,8 @@ class RecurrenceOperator:
         for n, a in chain([first], entries):
             if n != last + 1:
                 raise ValueError(f"index {n} does not follow {last}")
-            if not (isinstance(a, int) or isinstance(a, Decimal) and a.same_quantum(1)):
+            is_int = isinstance(a, int) and not isinstance(a, bool)
+            if not (is_int or isinstance(a, Decimal) and a.same_quantum(1)):
                 raise TypeError(f"sequence terms must be ints, got {a!r}")
             last = n
             if n >= start and failure is None:

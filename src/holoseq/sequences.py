@@ -14,13 +14,13 @@ class SequenceTable:
     terms: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.offset, int):
+        if isinstance(self.offset, bool) or not isinstance(self.offset, int):
             raise TypeError("offset must be an int")
         terms = tuple(self.terms)
         if not terms:
             raise ValueError("a sequence table needs at least one term")
         for value in terms:
-            if not isinstance(value, int):
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError(f"sequence terms must be ints, got {value!r}")
         object.__setattr__(self, "terms", terms)
 

@@ -22,18 +22,15 @@ their one denominator to the constructor, which reduces them by one gcd:
   pack in decimal digits, through ``str``, into a ``decimal.Decimal``, whose
   libmpdec multiply is a number-theoretic transform.  CPython 3.12's
   ``Lib/_pylong.py`` uses decimal for the same reason.
-* ``a / b``, ``exp`` and ``inverse_sqrt`` each solve a recurrence with coefficients linear
-  in n, term by term (``_solve``): sum_{k=0..n} (a_k + n b_k) h_{n-k} = r_n with integer a_k,
-  b_k and r_n, for n >= first, h_n given below.  It runs on the integers q h_n, with q the
-  product of the leads a_0 + n b_0 over n = first..N; each step's division is exact, since
-  by induction h_n times the leads up to n is an integer.  Division h = f / g has a_k = g_k,
-  b_k = 0 and r_n = f_n, so q = g_0^(N+1).  ``exp(g)``, h' = g'h, is n d h_n =
-  sum_k E_k h_{n-k} with E_k / d the coefficients of t g'(t) over their own least
-  denominator, so q = N! d^N; for ``build_egf``, g = x0 arctan t - 1/2 log(1 + t^2), so
+* ``a / b`` and ``exp`` each solve a recurrence term by term (``_solve``):
+  (a_0 + n s) h_n + sum_{k=1..n} a_k h_{n-k} = r_n with integer a_k, r_n and one integer
+  slope s, for n >= first, h_n given below.  It runs on the integers q h_n, with q the product
+  of the leads a_0 + n s over n = first..N; each step's division is exact, since by induction
+  h_n times the leads up to n is an integer.  Division h = f / g has a_k = g_k, s = 0 and
+  r_n = f_n, so q = g_0^(N+1).  ``exp(g)``, h' = g'h, is n d h_n = sum_k E_k h_{n-k} with
+  E_k / d the coefficients of t g'(t) over their own least denominator, so a_k = -E_k, s = d
+  and q = N! d^N; for ``build_egf``, g = x0 arctan t - 1/2 log(1 + t^2), so
   t g'(t) = t (x0 - t) / (1 + t^2) has d = den(x0).
-  ``inverse_sqrt(u)``, u(0) = 1, is J. C. P. Miller's power recurrence for u^(-1/2)
-  (Knuth, TAOCP vol. 2, 4.7): 2u h' + u'h = 0 reads sum_k (2n - k) U_k h_{n-k} = 0 with
-  u_k = U_k / D, so q = N! (2D)^N; u h^2 = 1 is re-checked at full order, by ``*``.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ class OrderMismatchError(ValueError):
 
 
 class ConstantTermError(ValueError):
-    """Constant term violates a precondition (division, exp, inverse sqrt)."""
+    """Constant term violates a precondition (division, exp)."""
 
 
 class NonIntegerCoefficientError(ArithmeticError):
@@ -157,29 +154,20 @@ def _pack10(values: Sequence[int], width: int) -> decimal.Decimal:
     return _EXACT.subtract(_EXACT.create_decimal(pos), _EXACT.create_decimal(neg))
 
 
-def _solve(a: Sequence[int], b: Sequence[int], r: Sequence[int], first: int) -> tuple[list[int], int]:
-    """q h_0..q h_N and q = prod_{n=first..N} (a_0 + n b_0), for the h with
-    sum_{k=0..n} (a_k + n b_k) h_{n-k} = r_n at n = first..N and h_n = r_n below first.  The
-    n b_k terms are summed apart and multiplied by n once, so a recurrence whose b_k are 0 for
-    k >= 1 pays nothing for them."""
-    lead, slope = a[0], b[0]
+def _solve(a: Sequence[int], slope: int, r: Sequence[int], first: int) -> tuple[list[int], int]:
+    """q h_0..q h_N and q = prod_{n=first..N} (a_0 + n slope), for the h with
+    (a_0 + n slope) h_n + sum_{k=1..n} a_k h_{n-k} = r_n at n = first..N and h_n = r_n below
+    first.  Only the nonzero a_k are visited."""
+    lead = a[0]
     q = prod(lead + n * slope for n in range(first, len(r)))
-    fixed = [(k, c) for k, c in enumerate(a) if k and c]
-    scaled = [(k, c) for k, c in enumerate(b) if k and c]
+    terms = [(k, c) for k, c in enumerate(a) if k and c]
     h = [q * v for v in r[:first]]
     for n in range(first, len(r)):
         acc = q * r[n]
-        for k, c in fixed:
+        for k, c in terms:
             if k > n:
                 break
             acc -= c * h[n - k]
-        if scaled:
-            step = 0
-            for k, c in scaled:
-                if k > n:
-                    break
-                step += c * h[n - k]
-            acc -= n * step
         h.append(acc // (lead + n * slope))
     return h, q
 
@@ -251,14 +239,14 @@ class Series(_Rationals):
         """Series division; the divisor needs a nonzero constant term.
 
         On numerators f/df and g/dg, the quotient times df is the h of ``_solve`` with
-        a_k = g_k, every b_k = 0 and r_n = dg f_n: O(N * nnz g) integer operations.
+        a_k = g_k, slope 0 and r_n = dg f_n: O(N * nnz g) integer operations.
         """
         if not isinstance(other, Series):
             return NotImplemented
         self._check_operand(other)
         if other._nums[0] == 0:
             raise ConstantTermError("division by a series with zero constant term")
-        nums, q = _solve(other._nums, (0,), [other._den * v for v in self._nums], 0)
+        nums, q = _solve(other._nums, 0, [other._den * v for v in self._nums], 0)
         return Series(nums, self._den * q)
 
     def derivative(self) -> Series:
@@ -276,28 +264,13 @@ class Series(_Rationals):
     def exp(self) -> Series:
         """exp of a series with zero constant term, via h' = g'h.
 
-        Solved by ``_solve`` over q = N! d^N, with d the denominator of t g'(t) reduced on
-        its own (module docstring): O(N^2) multiplies, skipping the zero coefficients of g'.
+        Solved by ``_solve`` with slope d, the denominator of t g'(t) reduced on its own, over
+        q = N! d^N (module docstring): O(N^2) multiplies, skipping the zero coefficients of g'.
         """
         if self._nums[0] != 0:
             raise ConstantTermError("exp needs a zero constant term")
         t_dg = Series([k * v for k, v in enumerate(self._nums)], self._den)
-        return Series(*_solve([-e for e in t_dg._nums], (t_dg._den,), [1] + [0] * self.order, 1))
-
-    def inverse_sqrt(self) -> Series:
-        """u^(-1/2) for u with constant term 1, by Miller's power recurrence.
-
-        Solved by ``_solve`` from 2u h' + u'h = 0 over q = N! (2D)^N, then checked:
-        u h^2 must be 1 at full order.
-        """
-        us, order = self._nums, self.order
-        if us[0] != self._den:
-            raise ConstantTermError("inverse sqrt needs constant term 1")
-        a = [-k * u for k, u in enumerate(us)]
-        result = Series(*_solve(a, [2 * u for u in us], [1] + [0] * order, 1))
-        if (self * result * result) != Series.one(order):
-            raise ArithmeticError("inverse sqrt fixed point check failed")
-        return result
+        return Series(*_solve([-e for e in t_dg._nums], t_dg._den, [1] + [0] * self.order, 1))
 
     def egf_terms(self) -> SequenceTable:
         """Read the series as an EGF: the table a(n) = n! * c_n, offset 0.

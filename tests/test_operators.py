@@ -296,6 +296,18 @@ def test_zero_leading_coefficient_rejected():
         RecurrenceOperator.from_shift_weights({0: 0})
 
 
+def test_bools_are_rejected_where_ints_are_stored_and_printed():
+    # bool is an int subclass: it would print as "True" and fail to parse back
+    with pytest.raises(TypeError, match=r"^offset must be an int$"):
+        SequenceTable(True, (1, 2))
+    with pytest.raises(TypeError, match=r"^sequence terms must be ints, got True$"):
+        SequenceTable(0, (True, False, 3))
+    with pytest.raises(TypeError, match=r"^n_min must be an int$"):
+        RecurrenceOperator((ONE, -ONE), True)
+    with pytest.raises(TypeError, match=r"^sequence terms must be ints, got False$"):
+        RecurrenceOperator((ONE, -ONE), 1).verify(iter([(0, 1), (1, False)]))
+
+
 def test_trailing_zero_polynomials_trimmed():
     rec = RecurrenceOperator((ONE, -ONE, Polynomial()), 1)
     assert rec.order == 1
