@@ -27,7 +27,9 @@ text.  It times ``to_recurrence`` of 100 seeded many_small-style operators
 (perfbench's ``random_operator``), ``to_text`` of their 100 recurrences, which
 must hash the same, and 100 calls of ``Series.to_text`` of
 ``build_egf(-3/4, N)`` at N = 30 and 250; such a row holds the sha256 of the
-texts, one per line.  Last, it runs ``holoseq selfcheck --max-n N --series-order 20`` at
+texts, one per line.  It times 100 calls of ``build_egf(-3/4, 30)``, the size
+of EGF that each ``series --to 30`` of the many_small workload builds, whose
+fields must agree across runs and trees.  Last, it runs ``holoseq selfcheck --max-n N --series-order 20`` at
 N = 5000 and 15000, ``holoseq series --to N`` at N = 250, 400 and 800, whose
 output must be the b-file lines of the direct terms, then
 ``holoseq generate --bfile`` of the first N terms of A214615 and
@@ -323,6 +325,11 @@ def layer_rows(packages: list[ModuleType], rows: list[list[dict]]) -> None:
         calls = [lambda egf=egf: [egf.to_text() for _ in range(TEXT_CALLS)] for egf in egfs]
         digest, runs = measure(calls, joined_sha256)
         add_rows(rows, "series_to_text", n, runs, x0=str(TEXT_X0), calls=TEXT_CALLS, text_sha256=digest)
+    n = TEXT_SIZES[0]
+    calls = [lambda p=p: [p.build_egf(TEXT_X0, n) for _ in range(TEXT_CALLS)] for p in packages]
+    _, runs = measure(calls, lambda egfs: fields(egfs[-1]))
+    bits = coeff_bits(packages[0].build_egf(TEXT_X0, n))
+    add_rows(rows, "build_egf_small", n, runs, x0=str(TEXT_X0), calls=TEXT_CALLS, max_coeff_bits=bits)
 
 
 def fields(series) -> tuple:

@@ -6,13 +6,13 @@ EGF of n -> M_n(x0), is
 
     F(t) = exp(x0 * arctan t) / sqrt(1 + t^2),
 
-annihilated by the first-order operator (1 + t^2) D - (x0 - t).  ``build_egf``
-takes one ``Series.exp`` of log F = x0 arctan t - 1/2 log(1 + t^2): its terms
-integrate F's two factors' logarithmic derivatives, x0 / (1 + t^2) and
--t / (1 + t^2), each one division by the sparse 1 + t^2; no series product or
-root is taken.  Everything here is assembled from the exact series/operator
-primitives, so the three routes to the terms (polynomial evaluation, EGF
-extraction, recurrence unrolling) stay independent and cross-checkable.
+annihilated by the first-order operator (1 + t^2) D - (x0 - t), that is
+F'/F = (x0 - t) / (1 + t^2).  ``build_egf`` reads log F from that one ratio:
+one division of x0 - t by the sparse 1 + t^2, one integral and one
+``Series.exp``; no series product or root is taken.  Everything here is
+assembled from the exact series/operator primitives, so the three routes to
+the terms (polynomial evaluation, EGF extraction, recurrence unrolling) stay
+independent and cross-checkable.
 """
 
 from __future__ import annotations
@@ -60,16 +60,15 @@ def a214615_terms(n_max: int) -> SequenceTable:
 
 
 def build_egf(x0: RationalLike, order: int) -> Series:
-    """exp(x0 * arctan t - 1/2 * log(1 + t^2)) at ``order``, one exp; x0 is an int or a Fraction."""
+    """F = exp(x0 arctan t) / sqrt(1 + t^2) at ``order``, x0 an int or a Fraction: the exp of the
+    integral of F'/F = (x0 - t) / (1 + t^2), where t F'/F has denominator den(x0), exp's slope."""
     x0 = _as_fraction(x0)
     if order < 0:
         raise ValueError("truncation order must be >= 0")
     if order == 0:
         return Series.one(0)
     one_plus_t2 = Series.from_polynomial(Polynomial((1, 0, 1)), order - 1)
-    arctan = (Series.one(order - 1) / one_plus_t2).integral()
-    log_part = (Series.from_polynomial(Polynomial((0, 2)), order - 1) / one_plus_t2).integral()
-    return (arctan * x0 - log_part * Fraction(1, 2)).exp()
+    return (Series.from_polynomial(Polynomial((x0, -1)), order - 1) / one_plus_t2).integral().exp()
 
 
 def egf_annihilator(x0: RationalLike) -> DifferentialOperator:

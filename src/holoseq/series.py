@@ -29,8 +29,7 @@ their one denominator to the constructor, which reduces them by one gcd:
   h_n times the leads up to n is an integer.  Division h = f / g has a_k = g_k, s = 0 and
   r_n = f_n, so q = g_0^(N+1).  ``exp(g)``, h' = g'h, is n d h_n = sum_k E_k h_{n-k} with
   E_k / d the coefficients of t g'(t) over their own least denominator, so a_k = -E_k, s = d
-  and q = N! d^N; for ``build_egf``, g = x0 arctan t - 1/2 log(1 + t^2), so
-  t g'(t) = t (x0 - t) / (1 + t^2) has d = den(x0).
+  and q = N! d^N.
 """
 
 from __future__ import annotations

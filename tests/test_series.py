@@ -457,9 +457,15 @@ def test_build_egf_equals_the_series_of_its_oracle_fractions_in_fields_and_hash(
             assert egf.coeffs == tuple(oracle), (x0, order)
 
 
-def test_build_egf_is_one_exp_with_no_inverse_sqrt_and_no_series_product(monkeypatch):
+def test_build_egf_is_one_division_and_one_exp_with_no_series_product(monkeypatch):
     def refused(*args):
         raise AssertionError("build_egf must not take a series product")
 
+    solves = []
+    real_solve = series_module._solve
     monkeypatch.setattr(series_module, "_kronecker_mul", refused)
-    assert build_egf(1, 250).egf_terms().terms[-1] == meixner_eval(250, 1)
+    monkeypatch.setattr(series_module, "_solve", lambda *args: solves.append(args) or real_solve(*args))
+    for x0, order in ((1, 250), (Fraction(-3, 4), 30)):
+        solves.clear()
+        assert build_egf(x0, order).coefficient(order) * factorial(order) == meixner_eval(order, x0)
+        assert len(solves) == 2, (x0, order)
