@@ -29,9 +29,12 @@ must hash the same, and 100 calls of ``Series.to_text`` of
 ``build_egf(-3/4, N)`` at N = 30 and 250; such a row holds the sha256 of the
 texts, one per line.  It times 100 calls of ``build_egf(-3/4, 30)``, the size
 of EGF that each ``series --to 30`` of the many_small workload builds, whose
-fields must agree across runs and trees.  Last, it runs ``holoseq selfcheck --max-n N --series-order 20`` at
-N = 5000 and 15000, ``holoseq series --to N`` at N = 250, 400 and 800, whose
-output must be the b-file lines of the direct terms, then
+fields must agree across runs and trees.  It times ``import holoseq.cli`` in
+IMPORT_RUNS (11) fresh ``python -I`` interpreters, with the clock inside the
+child around the import alone, as perfbench's ``setup_s`` does.  Last, it
+runs ``holoseq selfcheck --max-n N --series-order 20`` at N = 5000 and
+15000, ``holoseq series --to N`` at N = 250, 400 and 800, whose output must
+be the b-file lines of the direct terms, then
 ``holoseq generate --bfile`` of the first N terms of A214615 and
 ``holoseq verify --bfile`` of that file at N = 300 and 5000, and
 ``holoseq ode2rec '(1+t)^100*D + 1'``, ``holoseq ode2rec --json`` of a small
@@ -39,13 +42,14 @@ operator and ``holoseq series --x0=-3/4 --to 30 --text``, each run in a
 fresh interpreter, one after another, and times the whole child process; such
 a row also holds the median of the children's own peak resident memory in MiB
 (Linux's VmHWM), every run must pass with the same output, and every
-``generate`` run must write the same bytes.  Each case runs RUNS (5) times.  A
-row holds the median wall-clock seconds and the median reference seconds:
-each run scaled by perfbench's REFERENCE_S over the faster of the
-reference-kernel runs just before and just after it, because this kind of
-shared host drifts in speed by up to half within seconds.  The rows of the
-direct, unroll, verify and guess cases also hold the largest term's bit
-length; the record holds the Python version and the CPU model.  The label
+``generate`` run must write the same bytes.  Each case runs RUNS (5) times,
+the import IMPORT_RUNS (11) times.  A row holds the median wall-clock seconds
+and the median reference seconds: each run scaled by perfbench's REFERENCE_S
+over the faster of the reference-kernel runs just before and just after it,
+because this kind of shared host drifts in speed by up to half within
+seconds.  The rows of the direct, unroll, verify and guess cases also hold
+the largest term's bit length; the record holds the Python version and the
+CPU model.  The label
 defaults to ``layers``.  ``--src`` names the directory holding the ``holoseq``
 package to measure (default: ``src`` of this checkout), so another checkout
 can be measured by the same script; the in-process rows import that package
@@ -103,6 +107,7 @@ TEXT_CALLS = 100
 ODE2REC_POWER = 100
 SMALL_OPERATOR = "(1-2*t+3*t^2)*D^2 + (2+t-t^3)*D + (-1+t)"
 RUNS = 5
+IMPORT_RUNS = 11
 
 # One CLI call in a fresh interpreter: argv is (src dir, CLI arguments...).  The command's
 # stdout is left as is; stderr ends with [exit code, holoseq.cli's file, peak RSS in KiB].
@@ -116,6 +121,15 @@ code = holoseq.cli.main(sys.argv[2:])
 with open("/proc/self/status") as status:
     peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 print(json.dumps([code, holoseq.cli.__file__, peak]), file=sys.stderr)
+"""
+# ``import holoseq.cli`` alone in a fresh ``python -I``, timed inside the child, as perfbench's
+# setup_s is: argv is (src dir,); stdout is [seconds, holoseq.cli's file].
+IMPORT_CHILD = """\
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+start = time.perf_counter()
+import holoseq.cli
+print(json.dumps([time.perf_counter() - start, holoseq.cli.__file__]))
 """
 
 
@@ -210,13 +224,33 @@ def cli_child(src: Path, argv: list[str], peaks: list[float]) -> str:
     return done.stdout
 
 
+def import_runs(trees: list[Path]) -> list[list[tuple[float, float]]]:
+    """Per tree, the (wall, reference) seconds of ``import holoseq.cli`` in IMPORT_RUNS fresh
+    ``python -I`` children, timed inside the child and scaled by the reference kernel runs
+    just before and just after it; the trees take turns, run by run."""
+    runs: list[list[tuple[float, float]]] = [[] for _ in trees]
+    for _ in range(IMPORT_RUNS):
+        for src, tree_runs in zip(trees, runs):
+            before = reference_seconds()
+            done = subprocess.run(
+                [sys.executable, "-I", "-c", IMPORT_CHILD, str(src.resolve())], capture_output=True, text=True
+            )
+            if done.returncode != 0:
+                raise SystemExit(f"bench: importing holoseq.cli failed:\n{done.stderr}")
+            wall, imported = json.loads(done.stdout)
+            if Path(imported).resolve().parent != (src / "holoseq").resolve():
+                raise SystemExit(f"bench: the import child imported holoseq from {imported}, not {src}")
+            tree_runs.append((wall, wall * REFERENCE_S / min(before, reference_seconds())))
+    return runs
+
+
 def row(case: str, n: int, runs: list, **extra: object) -> dict:
     """One record row from the (wall, reference) seconds of a case's runs."""
     out = {
         "case": case,
         "n": n,
         **extra,
-        "runs": RUNS,
+        "runs": len(runs),
         "median_wall_s": round(statistics.median(wall for wall, _ in runs), 4),
         "median_reference_s": round(statistics.median(ref for _, ref in runs), 4),
     }
@@ -367,6 +401,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise SystemExit(f"bench: {tree} does not byte-compile")
     rows: list[list[dict]] = [[] for _ in trees]
     layer_rows([load(tree, f"holoseq_{i}") for i, tree in enumerate(trees)], rows)
+    add_rows(rows, "import_cli", 1, import_runs(trees))
     for n in SELFCHECK_SIZES:
         argv = ["selfcheck", "--max-n", str(n), "--series-order", str(SELFCHECK_ORDER)]
         _, results = cli_case(trees, argv)

@@ -3,10 +3,13 @@
 Run from the repository root:
 
     python3 bench/same_output.py PARENT_SRC CHANGE_SRC
+    python3 bench/same_output.py --python EXE SRC
 
-Each argument is a directory holding a ``holoseq`` package, such as ``src`` of
-two checkouts.  Each tree runs in its own child interpreter, one after the
-other.  The child builds the four workloads of ``perfbench/workloads.py``
+Each SRC argument is a directory holding a ``holoseq`` package, such as ``src``
+of two checkouts.  Each tree runs in its own child interpreter, one after the
+other.  With ``--python``, one tree runs twice instead: under the interpreter
+running this script and under the interpreter EXE, so that two Python versions
+are compared on the same code.  The child builds the four workloads of ``perfbench/workloads.py``
 (egf_build, terms_long, guess_fit and many_small) for seeds 1, 2 and 3 with
 ``workloads.build``, in a fresh work directory, and runs every task in order
 through ``holoseq.cli.main(argv)`` in-process.  Then it runs the tasks of
@@ -138,13 +141,13 @@ def child(src: Path) -> None:
     print(json.dumps(results))
 
 
-def run_tree(src: Path) -> list[list[str]]:
+def run_tree(python: str, src: Path) -> list[list[str]]:
     result = subprocess.run(
-        [sys.executable, "-I", str(Path(__file__).resolve()), "--child", str(src)],
+        [python, "-I", str(Path(__file__).resolve()), "--child", str(src)],
         capture_output=True, text=True, cwd=ROOT,
     )
     if result.returncode != 0:
-        print(f"same_output: the run on {src} failed:\n{result.stderr}", file=sys.stderr)
+        print(f"same_output: the run on {src} under {python} failed:\n{result.stderr}", file=sys.stderr)
         raise SystemExit(2)
     return json.loads(result.stdout)
 
@@ -154,10 +157,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     if len(args) == 2 and args[0] == "--child":
         child(Path(args[1]).resolve())
         return 0
-    if len(args) != 2:
+    if len(args) == 3 and args[0] == "--python":
+        runs = [(sys.executable, args[2]), (args[1], args[2])]
+    elif len(args) == 2 and not args[0].startswith("--"):
+        runs = [(sys.executable, args[0]), (sys.executable, args[1])]
+    else:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    parent, change = (run_tree(Path(arg).resolve()) for arg in args)
+    parent, change = (run_tree(python, Path(src).resolve()) for python, src in runs)
     if [name for name, _ in parent] != [name for name, _ in change]:
         print("same_output: the two trees ran different task lists", file=sys.stderr)
         return 1
@@ -165,7 +172,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if before != after:
             print(f"same_output: output differs at {name}")
             return 1
-    print(f"same_output: identical over {len(parent)} tasks "
+    compared = " and ".join(f"{src} under {python}" for python, src in runs)
+    print(f"same_output: {compared}: identical over {len(parent)} tasks "
           f"({', '.join(WORKLOADS)}; seeds {', '.join(map(str, SEEDS))}; error and rational tasks)")
     return 0
 

@@ -13,12 +13,10 @@ from __future__ import annotations
 import os
 import re
 import shutil
-import urllib.error
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .polynomials import _INTEGER_RE, _lift_digit_cap
+from .polynomials import _INTEGER_RE, _Frozen, _lift_digit_cap
 from .sequences import SequenceTable
 
 SEQUENCE_ID_RE = re.compile(r"A[0-9]{6,7}\Z")
@@ -52,14 +50,15 @@ class HTTPStatusError(FetchError):
         super().__init__(f"HTTP {status} for {url}")
 
 
-@dataclass(frozen=True)
-class BFileDocument:
-    entries: SequenceTable
-    sequence_id: Optional[str] = None
+class BFileDocument(_Frozen):
+    """A b-file's entries and, when known, its OEIS sequence id."""
 
-    def __post_init__(self) -> None:
-        if self.sequence_id is not None and not SEQUENCE_ID_RE.match(self.sequence_id):
-            raise ValueError(f"not an OEIS sequence id: {self.sequence_id!r}")
+    _fields = ("entries", "sequence_id")
+
+    def __init__(self, entries: SequenceTable, sequence_id: Optional[str] = None) -> None:
+        if sequence_id is not None and not SEQUENCE_ID_RE.match(sequence_id):
+            raise ValueError(f"not an OEIS sequence id: {sequence_id!r}")
+        self._store(entries, sequence_id)
 
 
 class BFileReader:
@@ -230,6 +229,7 @@ def fetch_bfile(
     if cached_path.exists():
         return BFileReader(_pieces(cached_path), sequence_id).document()
     url = _OEIS_URL.format(sid=sequence_id, digits=digits)
+    import urllib.error  # only a download reaches the except clauses below
     if urlopen is None:
         from urllib.request import urlopen  # costs tens of ms; only a download needs it
     try:

@@ -33,7 +33,6 @@ compares them; they are exact only in an exact context (``_EXACT`` in
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, count, islice, zip_longest
@@ -41,7 +40,7 @@ from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .polynomials import (
-    Polynomial, RationalLike, _join_signed, _lift_digit_cap, _primitive, _ratio_text,
+    Polynomial, RationalLike, _Frozen, _join_signed, _lift_digit_cap, _primitive, _ratio_text,
     _taylor_shift, format_rational,
 )
 from .sequences import SequenceTable
@@ -138,21 +137,20 @@ def _as_polynomials(
     return tuple(cs)
 
 
-@dataclass(frozen=True)
-class DifferentialOperator:
+class DifferentialOperator(_Frozen):
     """sum_j coeffs[j] * D^j with polynomial coefficients in t.
 
     The leading coefficient is nonzero (trailing zero polynomials are
     trimmed; the zero operator is rejected).
     """
 
-    coeffs: tuple[Polynomial, ...]
+    _fields = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        cs = _as_polynomials(self.coeffs)
+    def __init__(self, coeffs: Iterable[Union[Polynomial, RationalLike]]) -> None:
+        cs = _as_polynomials(coeffs)
         if not cs:
             raise ValueError("the zero operator has no order; refusing to build it")
-        object.__setattr__(self, "coeffs", cs)
+        self._store(cs)
 
     @property
     def order(self) -> int:
@@ -223,25 +221,26 @@ class DifferentialOperator:
         return _join_signed(parts)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(_Frozen):
     """Outcome of checking a recurrence against a table.
 
     The scan runs n = max(n_min, offset) upward and stops at the first
     failure, so n_last_checked is the last index actually evaluated.
     """
 
-    n_first_checked: int
-    n_last_checked: int
-    first_failure: Optional[tuple[int, int]]
+    _fields = ("n_first_checked", "n_last_checked", "first_failure")
+
+    def __init__(
+        self, n_first_checked: int, n_last_checked: int, first_failure: Optional[tuple[int, int]]
+    ) -> None:
+        self._store(n_first_checked, n_last_checked, first_failure)
 
     @property
     def passed(self) -> bool:
         return self.first_failure is None
 
 
-@dataclass(frozen=True)
-class RecurrenceOperator:
+class RecurrenceOperator(_Frozen):
     """sum_k coeffs[k](n) * a(n-k) = 0 for all n >= n_min.
 
     Canonical form, enforced on construction: integer coefficients with
@@ -250,19 +249,17 @@ class RecurrenceOperator:
     structural equality of the canonical form plus the n_min bound.
     """
 
-    coeffs: tuple[Polynomial, ...]
-    n_min: int
+    _fields = ("coeffs", "n_min")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.n_min, bool) or not isinstance(self.n_min, int):
+    def __init__(self, coeffs: Iterable[Union[Polynomial, RationalLike]], n_min: int) -> None:
+        if isinstance(n_min, bool) or not isinstance(n_min, int):
             raise TypeError("n_min must be an int")
-        cs = _as_polynomials(self.coeffs)
+        cs = _as_polynomials(coeffs)
         if not cs or cs[0].is_zero:
             raise ValueError("the coefficient p_0 of a(n) must be nonzero")
         den = lcm(*(p._den for p in cs)) * (1 if cs[0]._nums[-1] > 0 else -1)
         flat = iter(_primitive([c * (den // p._den) for p in cs for c in p._nums]))
-        canonical = tuple(Polynomial([next(flat) for _ in p._nums]) for p in cs)
-        object.__setattr__(self, "coeffs", canonical)
+        self._store(tuple(Polynomial([next(flat) for _ in p._nums]) for p in cs), n_min)
 
     @classmethod
     def from_shift_weights(

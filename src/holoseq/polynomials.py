@@ -10,6 +10,8 @@ coefficients p_k(n), differential-operator coefficients q_j(t), and the
 falling-factorial weights that connect the two.  It shares its stored form,
 integer numerators over one denominator, and its sums, negation and scalar
 products with ``series.Series`` through the private base class ``_Rationals``.
+Every immutable value of holoseq, ``_Rationals`` among them, gets its equality,
+hash, repr and refusal of assignment from the private base class ``_Frozen``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import functools
 import re
 import sys
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
@@ -194,25 +195,55 @@ def parse_integer(text: str) -> int:
     return int(cleaned)
 
 
-@dataclass(frozen=True, init=False)
-class _Rationals:
+class _Frozen:
+    """An immutable value made of the attributes named in its class's ``_fields``.
+
+    Each class's ``__init__`` stores the fields once, in ``_fields`` order, through ``_store``,
+    which writes the instance dict directly; every assignment or deletion raises
+    AttributeError.  Values are equal when they are of the same class and their fields are
+    equal, a value of another class is ``NotImplemented``, the hash is that of the fields, and
+    the repr reads ``Class(field=value, ...)``.
+    """
+
+    _fields: tuple[str, ...]
+
+    def _store(self, *values: object) -> None:
+        vars(self).update(zip(self._fields, values))  # past __setattr__, in one call
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Rationals(_Frozen):
     """Rationals c_0..c_N stored as integer numerators over one denominator, c_k = _nums[k] / _den.
 
     _den > 0 and gcd(_den, *_nums) = 1, so equal values have equal fields and equal hashes,
-    and a value never equals one of another class.  The constructor takes ints and Fractions,
-    or integer numerators and their private ``_den``, and stores what ``_lowest_terms`` makes
-    of them.  ``coeffs`` builds the Fractions only when asked.  The ring operations that
-    ``Polynomial`` and ``Series`` share run here on the numerators; each class adds its own
-    products.
+    and a value never equals one of another class.  Each class's constructor takes ints and
+    Fractions, or integer numerators and their private ``_den``, and stores what
+    ``_lowest_terms`` makes of them.  ``coeffs`` builds the Fractions only when asked.  The
+    ring operations that ``Polynomial`` and ``Series`` share run here on the numerators; each
+    class adds its own products.
     """
 
-    _nums: tuple[int, ...]
-    _den: int
-
-    def __init__(self, coeffs: Iterable[RationalLike] = (), _den: int = 1) -> None:
-        nums, den = _lowest_terms(coeffs, _den)
-        object.__setattr__(self, "_nums", nums)
-        object.__setattr__(self, "_den", den)
+    _fields = ("_nums", "_den")
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -259,8 +290,8 @@ class Polynomial(_Rationals):
     """
 
     def __init__(self, coeffs: Iterable[RationalLike] = (), _den: int = 1) -> None:
-        super().__init__(coeffs, _den)
-        object.__setattr__(self, "_nums", _without_trailing_zeros(self._nums))
+        nums, den = _lowest_terms(coeffs, _den)
+        self._store(_without_trailing_zeros(nums), den)
 
     @classmethod
     def constant(cls, value: RationalLike) -> Polynomial:

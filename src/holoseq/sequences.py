@@ -2,27 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
+
+from .polynomials import _Frozen
 
 
-@dataclass(frozen=True)
-class SequenceTable:
+class SequenceTable(_Frozen):
     """Terms a(offset), a(offset+1), ..., a(offset+len-1), all exact ints."""
 
-    offset: int
-    terms: tuple[int, ...]
+    _fields = ("offset", "terms")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.offset, bool) or not isinstance(self.offset, int):
+    def __init__(self, offset: int, terms: Iterable[int]) -> None:
+        if isinstance(offset, bool) or not isinstance(offset, int):
             raise TypeError("offset must be an int")
-        terms = tuple(self.terms)
+        terms = tuple(terms)
         if not terms:
             raise ValueError("a sequence table needs at least one term")
         for value in terms:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError(f"sequence terms must be ints, got {value!r}")
-        object.__setattr__(self, "terms", terms)
+        self._store(offset, terms)
 
     def __len__(self) -> int:
         return len(self.terms)

@@ -40,8 +40,8 @@ from math import lcm, prod
 from typing import Iterable, Sequence, Union
 
 from .polynomials import (
-    _EXACT, Polynomial, RationalLike, _join_signed, _lift_digit_cap, _ratio_text, _Rationals,
-    _without_trailing_zeros, format_rational,
+    _EXACT, Polynomial, RationalLike, _join_signed, _lift_digit_cap, _lowest_terms, _ratio_text,
+    _Rationals, _without_trailing_zeros, format_rational,
 )
 from .sequences import SequenceTable
 
@@ -180,9 +180,10 @@ class Series(_Rationals):
     """
 
     def __init__(self, coeffs: Iterable[RationalLike], _den: int = 1) -> None:
-        super().__init__(coeffs, _den)
-        if not self._nums:
+        nums, den = _lowest_terms(coeffs, _den)
+        if not nums:
             raise ValueError("a truncated series needs at least the constant term")
+        self._store(nums, den)
 
     @classmethod
     def zero(cls, order: int) -> Series:

@@ -1,14 +1,15 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here deliberately avoids the code paths under test: series exp
-is computed from the power sum instead of the ODE method, inverse sqrt from
-generalized binomial coefficients instead of Miller's power recurrence,
-nullspaces by plain Fraction Gauss-Jordan instead of fraction-free
-elimination, EGF coefficient extraction by literally differentiating and
-shifting the series instead of the falling-factorial shift/weight rule, and
-recurrence unrolling and residuals by summing c_j n^j over Fractions instead
-of integer Horner, and minimal guessing from those Fraction nullspaces and
-residuals alone.
+Everything here deliberately avoids the code paths under test: series exp is
+computed from the power sum instead of the ODE method, inverse sqrt from
+generalized binomial coefficients, so that exp(x0*arctan(t)) times
+(1 + t^2)^(-1/2) checks the EGF the library builds as one exp of its
+logarithmic derivative, nullspaces by plain Fraction Gauss-Jordan instead of
+fraction-free elimination, EGF coefficient extraction by literally
+differentiating and shifting the series instead of the falling-factorial
+shift/weight rule, and recurrence unrolling and residuals by summing c_j n^j
+over Fractions instead of integer Horner, and minimal guessing from those
+Fraction nullspaces and residuals alone.
 """
 
 from __future__ import annotations

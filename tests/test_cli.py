@@ -709,12 +709,24 @@ def test_console_script_entry_point():
     assert result.stdout.strip() == REC_TEXT
 
 
-def test_import_does_not_load_urllib_request():
-    # urllib.request is only needed for a download, and importing it costs tens of ms.
-    result = subprocess.run(
-        [sys.executable, "-c", "import sys, holoseq.cli; print('urllib.request' in sys.modules)"],
-        capture_output=True,
-        text=True,
+@pytest.fixture(scope="module")
+def modules_loaded_by_import():
+    """The modules that ``import holoseq.cli`` newly loads in a fresh ``python -I``; modules
+    that start-up itself loads (``site`` may load some of those below) do not count."""
+    src = Path(holoseq.__file__).resolve().parent.parent
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules)\n"
+        "import holoseq.cli\n"
+        "print(json.dumps([holoseq.cli.__file__, sorted(set(sys.modules) - before)]))"
     )
+    result = subprocess.run([sys.executable, "-I", "-c", code, str(src)], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    path, loaded = json.loads(result.stdout)
+    assert Path(path).resolve().parent == src / "holoseq"
+    return set(loaded)
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "inspect", "urllib.request", "urllib.error"])
+def test_import_does_not_load(modules_loaded_by_import, module):
+    # urllib is only needed for a download; dataclasses and inspect cost about a third of the import.
+    assert module not in modules_loaded_by_import
