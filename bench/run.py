@@ -114,22 +114,25 @@ IMPORT_RUNS = 11
 # The peak is Linux's VmHWM, the high-water mark of this address space alone: ru_maxrss
 # would also count the spawning process's peak, which exec carries over on Linux.
 CHILD = """\
-import json, sys
+import sys
 sys.path.insert(0, sys.argv[1])
 import holoseq.cli
 code = holoseq.cli.main(sys.argv[2:])
 with open("/proc/self/status") as status:
     peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+import json  # only now, as in IMPORT_CHILD
 print(json.dumps([code, holoseq.cli.__file__, peak]), file=sys.stderr)
 """
 # ``import holoseq.cli`` alone in a fresh ``python -I``, timed inside the child, as perfbench's
 # setup_s is: argv is (src dir,); stdout is [seconds, holoseq.cli's file].
 IMPORT_CHILD = """\
-import json, sys, time
+import sys, time
 sys.path.insert(0, sys.argv[1])
 start = time.perf_counter()
 import holoseq.cli
-print(json.dumps([time.perf_counter() - start, holoseq.cli.__file__]))
+elapsed = time.perf_counter() - start
+import json  # only now, so that the import above pays for json if holoseq.cli loads it
+print(json.dumps([elapsed, holoseq.cli.__file__]))
 """
 
 

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from itertools import chain, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -36,7 +35,7 @@ from .parsing import (
     parse_differential_operator,
     parse_recurrence,
 )
-from .polynomials import _lift_digit_cap, _ratio_text, parse_integer, parse_rational
+from .polynomials import _EXACT, _lift_digit_cap, _ratio_text, parse_integer, parse_rational
 from .series import NonIntegerCoefficientError
 
 
@@ -138,6 +137,13 @@ def _recurrence_json(rec: RecurrenceOperator) -> dict:
     }
 
 
+def _print_json(payload: dict) -> None:
+    """The one JSON writer of the CLI; ``json`` is loaded only for ``--json``."""
+    import json
+
+    print(json.dumps(payload, indent=2))
+
+
 def _report_line(label: str, report: VerifyReport) -> str:
     if report.first_failure is None:
         detail = f"holds for n = {report.n_first_checked}..{report.n_last_checked}: PASS"
@@ -212,7 +218,7 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
         payload = {"passed": passed, "checks": {name: ok for name, _, ok in checks}}
         if against_report is not None:
             payload["against_report"] = _report_json(against_report)
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         shown = ", ".join(str(v) for v in prefix[: min(max_n, 11) + 1])
         more = ", ..." if max_n >= 12 else ""
@@ -234,7 +240,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         _write_replacing(args.bfile, lines)
     elif args.json:
         terms = [line.split() for line in lines]
-        print(json.dumps({"recurrence": rec.to_text(), "terms": terms}, indent=2))
+        _print_json({"recurrence": rec.to_text(), "terms": terms})
     else:
         sys.stdout.writelines(list(lines))  # all or nothing, as with the other two sinks
     return 0
@@ -244,7 +250,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rec = _parse_rec_argument(args.rec, args.ode)
     report = rec._verify_entries(BFileReader(_pieces(args.bfile), _term=Decimal))
     if args.json:
-        print(json.dumps({"recurrence": rec.to_text(), **_report_json(report)}, indent=2))
+        _print_json({"recurrence": rec.to_text(), **_report_json(report)})
     else:
         print(_report_line(f"verify: {rec.to_text()}", report))
     return 0 if report.passed else 1
@@ -254,7 +260,7 @@ def cmd_ode2rec(args: argparse.Namespace) -> int:
     operator = parse_differential_operator(args.operator)
     rec = operator.to_recurrence()
     if args.json:
-        print(json.dumps(_recurrence_json(rec), indent=2))
+        _print_json(_recurrence_json(rec))
     else:
         print(rec.to_text())
     return 0
@@ -264,7 +270,7 @@ def cmd_guess(args: argparse.Namespace) -> int:
     document = load_bfile(args.bfile)
     candidates = guess_recurrence(document.entries, args.max_order, args.max_degree)
     if args.json:
-        print(json.dumps({"candidates": [_recurrence_json(c) for c in candidates]}, indent=2))
+        _print_json({"candidates": [_recurrence_json(c) for c in candidates]})
     else:
         if not candidates:
             print(
@@ -292,7 +298,7 @@ def cmd_series(args: argparse.Namespace) -> int:
             payload["terms"] = [line.split() for line in _bfile_lines(egf.egf_terms().items())]
         except NonIntegerCoefficientError:
             payload["terms"] = None
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     elif args.text:
         print(egf.to_text())
     else:
@@ -304,7 +310,7 @@ def cmd_fetch(args: argparse.Namespace) -> int:
     document = fetch_bfile(args.sequence_id, cache_dir=args.cache_dir)
     if args.json:
         terms = [line.split() for line in _bfile_lines(document.entries.items())]
-        print(json.dumps({"sequence_id": document.sequence_id, "terms": terms}, indent=2))
+        _print_json({"sequence_id": document.sequence_id, "terms": terms})
     else:
         sys.stdout.writelines(_bfile_lines(document.entries.items(), document.sequence_id))
     return 0
@@ -323,7 +329,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = exit_.code
         return code if isinstance(code, int) else 2
     try:
-        return args.handler(args)
+        with localcontext(_EXACT):  # the Decimal terms of generate, verify and selfcheck --against
+            return args.handler(args)
     except Exception as error:
         for cls in type(error).__mro__:
             if cls in _EXIT_CODES:

@@ -33,15 +33,15 @@ compares them; they are exact only in an exact context (``_EXACT`` in
 from __future__ import annotations
 
 from collections import deque
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import chain, count, islice, zip_longest
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .polynomials import (
-    Polynomial, RationalLike, _Frozen, _join_signed, _lift_digit_cap, _primitive, _ratio_text,
-    _taylor_shift, format_rational,
+    _EXACT, Polynomial, RationalLike, _Frozen, _join_signed, _lift_digit_cap, _primitive,
+    _ratio_text, _taylor_shift, format_rational,
 )
 from .sequences import SequenceTable
 from .series import Series
@@ -374,12 +374,15 @@ class RecurrenceOperator(_Frozen):
         the first mismatch, reported as (n, residual), the full residual p_0(n) a(n) - s(n),
         but every entry is read, so that a b-file reader checks its input to the end.
         """
-        return self._verify_entries(entries.items() if isinstance(entries, SequenceTable) else entries)
+        items = entries.items() if isinstance(entries, SequenceTable) else entries
+        with localcontext(_EXACT):  # Decimal terms are exact only in this context
+            return self._verify_entries(items)
 
     @_lift_digit_cap
     def _verify_entries(self, entries: Iterable[tuple[int, int]]) -> VerifyReport:
-        """``verify`` of (n, a(n)) entries.  The CLI streams through this name: perfbench's
-        by-name probe of ``verify`` reads the ``terms`` of its argument."""
+        """``verify`` of (n, a(n)) entries, in the caller's decimal context.  The CLI streams
+        through this name, inside ``main``'s ``_EXACT``: perfbench's by-name probe of ``verify``
+        reads the ``terms`` of its argument."""
         entries = iter(entries)
         offset, _ = first = next(entries, (None, None))
         if offset is None:

@@ -50,19 +50,20 @@ _EXACT = decimal.Context(
 
 
 def _lift_digit_cap(func: Callable) -> Callable:
-    """Run ``func`` with the int<->str digit cap at >= 2,000,000 and in a copy of ``_EXACT``.
+    """Run ``func`` with the int<->str digit cap at >= 2,000,000; that is all it does.
 
     The first call in lifts the interpreter's cap and the last call out, in whichever thread,
     puts back the cap the first found, so overlapping calls from threads never leave it
-    lifted; the decimal context is the thread's own, and each call restores it.  So
-    importing holoseq changes no interpreter-wide state.  Only these are wrapped: the CLI's
-    ``main``, the b-file reader (per piece), ``format_bfile`` and ``write_bfile``, the text
-    parsers, ``format_rational`` and the four ``to_text`` methods (``Polynomial``, ``Series``
+    lifted, and importing holoseq changes no interpreter-wide state.  Only these are wrapped:
+    the CLI's ``main``, the b-file reader (per piece), ``format_bfile`` and ``write_bfile``, the
+    text parsers, ``format_rational``, the four ``to_text`` methods (``Polynomial``, ``Series``
     and the two operators, which format each coefficient with ``_ratio_text`` so that the cap
-    is lifted once per text), ``RecurrenceOperator._verify_entries``, whose walk the CLI runs on
-    Decimal terms, and ``series._decimal_mul``, whose base-10 packing puts each coefficient of
-    a long product through ``str`` and reads each back with ``int``.
+    is lifted once per text), ``RecurrenceOperator._verify_entries``, ``series._decimal_mul``,
+    whose base-10 packing puts each coefficient of a long product through ``str`` and reads
+    each back with ``int``, and ``_Frozen.__repr__``.
     Wrap no generator function: its body runs after the call has returned.
+    Decimal arithmetic is exact only in ``_EXACT``: ``cli.main`` and ``RecurrenceOperator.verify``
+    enter it as the thread's context, and ``_decimal_mul`` calls its methods directly.
     """
 
     @functools.wraps(func)
@@ -75,8 +76,7 @@ def _lift_digit_cap(func: Callable) -> Callable:
                     sys.set_int_max_str_digits(_DIGIT_CAP)
             _cap_calls += 1
         try:
-            with decimal.localcontext(_EXACT):
-                return func(*args, **kwargs)
+            return func(*args, **kwargs)
         finally:
             with _cap_lock:
                 _cap_calls -= 1
@@ -202,7 +202,7 @@ class _Frozen:
     which writes the instance dict directly; every assignment or deletion raises
     AttributeError.  Values are equal when they are of the same class and their fields are
     equal, a value of another class is ``NotImplemented``, the hash is that of the fields, and
-    the repr reads ``Class(field=value, ...)``.
+    the repr reads ``Class(field=value, ...)``, with the digit cap lifted for long ints.
     """
 
     _fields: tuple[str, ...]
@@ -227,6 +227,7 @@ class _Frozen:
     def __hash__(self) -> int:
         return hash(self._values())
 
+    @_lift_digit_cap
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"

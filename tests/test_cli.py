@@ -260,20 +260,73 @@ def test_generate_and_write_bfile_keep_the_target_mode(tmp_path, capsys, mode):
         assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
-def test_verify_is_exact_under_a_loose_caller_context(tmp_path, capsys):
-    path = write_golden_bfile(tmp_path, n_max=2499)
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    n, term = lines[2000].split()
-    lines[2000] = f"{n} {term[:-1]}{(int(term[-1]) + 1) % 10}\n"
-    corrupted = tmp_path / "corrupted.txt"
-    corrupted.write_text("".join(lines), encoding="utf-8")
-    with decimal.localcontext(decimal.Context(prec=5, traps=[])) as caller:  # rounds, traps nothing
-        assert main(["verify", "--rec", REC_TEXT, "--bfile", str(path)]) == 0
-        assert "holds for n = 2..2499: PASS" in capsys.readouterr().out
-        assert main(["verify", "--rec", REC_TEXT, "--bfile", str(corrupted)]) == 1
-        assert "first failure at n = 2000 (residual " in capsys.readouterr().out
-        assert decimal.getcontext() is caller and caller.prec == 5
-        assert not any(caller.flags.values())
+LOOSE = decimal.Context(prec=5, traps=[])  # rounds, traps nothing
+
+
+@pytest.fixture(scope="module")
+def golden_and_corrupted(tmp_path_factory):
+    """A214615 through n = 2499, terms of up to about 7,400 digits, and a copy with a(2000) + 1;
+    each as (table, b-file path)."""
+    table = a214615_terms(2499)
+    corrupted = table.replaced(2000, table.term(2000) + 1)
+    directory = tmp_path_factory.mktemp("bfiles")
+    paths = directory / "golden.txt", directory / "corrupted.txt"
+    for path, entries in zip(paths, (table, corrupted)):
+        write_bfile(BFileDocument(entries), path)
+    return (table, paths[0]), (corrupted, paths[1])
+
+
+def run_in_each_context(capsys, argv, written=None):
+    """main(argv) in a default and in a ``LOOSE`` caller context: the same exit code, output
+    and written file each time, and the caller's context back as the same object, no flag
+    raised.  Returns (code, stdout, written text)."""
+    results = []
+    for context in (decimal.Context(), LOOSE):
+        with decimal.localcontext(context) as caller:
+            before = repr(caller)  # precision, traps and flags, none raised
+            code = main(argv)
+            assert decimal.getcontext() is caller and repr(caller) == before
+        out, err = capsys.readouterr()
+        results.append((code, out, err, written.read_text(encoding="utf-8") if written else None))
+    assert results[0] == results[1]
+    code, out, _, text = results[0]
+    return code, out, text
+
+
+def test_verify_is_exact_under_a_loose_caller_context(golden_and_corrupted, capsys):
+    (_, path), (_, corrupted) = golden_and_corrupted
+    code, out, _ = run_in_each_context(capsys, ["verify", "--rec", REC_TEXT, "--bfile", str(path)])
+    assert code == 0 and "holds for n = 2..2499: PASS" in out
+    argv = ["verify", "--rec", REC_TEXT, "--bfile", str(corrupted)]
+    code, out, _ = run_in_each_context(capsys, argv)
+    assert code == 1 and "first failure at n = 2000 (residual " in out
+
+
+@pytest.mark.parametrize("sink", ["--bfile", "--json", "stdout"])
+@pytest.mark.parametrize("init", [(1, 1), (1, 2)], ids=["golden", "corrupted"])
+def test_generate_is_exact_under_a_loose_caller_context(tmp_path, capsys, sink, init):
+    expected = format_bfile(BFileDocument(A214615_RECURRENCE.unroll(SequenceTable(0, init), 500)))
+    argv = ["generate", "--rec", REC_TEXT, "--init", ",".join(map(str, init)), "--to", "500"]
+    written = tmp_path / "out.txt" if sink == "--bfile" else None
+    extra = {"--bfile": ["--bfile", str(written)], "--json": ["--json"], "stdout": []}[sink]
+    code, out, text = run_in_each_context(capsys, argv + extra, written)
+    assert code == 0
+    if sink == "--bfile":
+        assert (out, text) == ("", expected)
+    elif sink == "--json":
+        terms = [line.split() for line in expected.splitlines()]
+        assert json.loads(out) == {"recurrence": REC_TEXT, "terms": terms}
+    else:
+        assert out == expected
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["golden", "corrupted"])
+def test_selfcheck_against_is_exact_under_a_loose_caller_context(golden_and_corrupted, capsys, which):
+    table, entries, path = golden_and_corrupted[0][0], *golden_and_corrupted[which]
+    argv = ["selfcheck", "--max-n", "2499", "--series-order", "20", "--against", str(path)]
+    code, out, _ = run_in_each_context(capsys, argv)
+    assert (out, code) == selfcheck_reference(table, 20, (path, entries))
+    assert code == which
 
 
 def test_verify_pass(tmp_path, capsys):
@@ -715,9 +768,10 @@ def modules_loaded_by_import():
     that start-up itself loads (``site`` may load some of those below) do not count."""
     src = Path(holoseq.__file__).resolve().parent.parent
     code = (
-        "import json, sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules)\n"
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules)\n"
         "import holoseq.cli\n"
-        "print(json.dumps([holoseq.cli.__file__, sorted(set(sys.modules) - before)]))"
+        "loaded = sorted(set(sys.modules) - before)\n"
+        "import json; print(json.dumps([holoseq.cli.__file__, loaded]))"
     )
     result = subprocess.run([sys.executable, "-I", "-c", code, str(src)], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
@@ -726,7 +780,10 @@ def modules_loaded_by_import():
     return set(loaded)
 
 
-@pytest.mark.parametrize("module", ["dataclasses", "inspect", "urllib.request", "urllib.error"])
+@pytest.mark.parametrize(
+    "module", ["dataclasses", "inspect", "urllib.request", "urllib.error", "json"]
+)
 def test_import_does_not_load(modules_loaded_by_import, module):
-    # urllib is only needed for a download; dataclasses and inspect cost about a third of the import.
+    # urllib is only needed for a download and json only for --json; dataclasses and inspect
+    # cost about a third of the import.
     assert module not in modules_loaded_by_import

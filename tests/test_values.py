@@ -15,6 +15,8 @@ from holoseq import (
     Series,
     VerifyReport,
 )
+from holoseq.meixner import A214615_RECURRENCE, a214615_terms
+from holoseq.polynomials import format_rational
 
 TABLE = "SequenceTable(offset=1, terms=(2, 3))"
 P_ONE = "Polynomial(_nums=(1,), _den=1)"
@@ -93,3 +95,20 @@ def test_constructors_take_their_parameters_by_keyword():
     assert VerifyReport(n_first_checked=1, n_last_checked=2, first_failure=None).passed
     assert Polynomial(coeffs=(1, 2)) == Polynomial((1, 2))
     assert Series(coeffs=(1, 2)) == Series((1, 2))
+
+
+def test_repr_of_values_beyond_the_default_digit_cap(default_digit_cap):
+    # format_rational lifts the cap itself, so it spells out the expected reprs here.
+    big = 10**4400 + 7
+    table = a214615_terms(3000)
+    series = Series((Fraction(1, 3), big))
+    report = A214615_RECURRENCE.verify(table.replaced(2999, 0))
+    n, residual = report.first_failure
+    assert abs(residual).bit_length() > default_digit_cap * 3.33  # beyond 4300 digits
+    terms = ", ".join(map(format_rational, table.terms))
+    assert repr(table) == f"SequenceTable(offset=0, terms=({terms}))"
+    assert repr(series) == f"Series(_nums=(1, {format_rational(3 * big)}), _den=3)"
+    assert repr(report) == (
+        f"VerifyReport(n_first_checked=2, n_last_checked=2999, "
+        f"first_failure=(2999, {format_rational(residual)}))"
+    )
