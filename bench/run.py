@@ -29,14 +29,18 @@ must hash the same, and 100 calls of ``Series.to_text`` of
 ``build_egf(-3/4, N)`` at N = 30 and 250; such a row holds the sha256 of the
 texts, one per line.  It times 100 calls of ``build_egf(-3/4, 30)``, the size
 of EGF that each ``series --to 30`` of the many_small workload builds, whose
-fields must agree across runs and trees.  It times ``import holoseq.cli`` in
+fields must agree across runs and trees.  It times ``load_bfile``, with int
+terms, of b-files of the first N terms of A214615 at N = 2500 and 5000, which
+must give the direct terms back.  It times ``import holoseq.cli`` in
 IMPORT_RUNS (11) fresh ``python -I`` interpreters, with the clock inside the
 child around the import alone, as perfbench's ``setup_s`` does.  Last, it
 runs ``holoseq selfcheck --max-n N --series-order 20`` at N = 5000 and
 15000, ``holoseq series --to N`` at N = 250, 400 and 800, whose output must
 be the b-file lines of the direct terms, then
 ``holoseq generate --bfile`` of the first N terms of A214615 and
-``holoseq verify --bfile`` of that file at N = 300 and 5000, and
+``holoseq verify --bfile`` of that file at N = 300 and 5000, ``holoseq verify
+--bfile`` at N = 5000 of a copy with one digit of a(N - 10) changed, which must
+exit 1 and name that index as the first failure, and
 ``holoseq ode2rec '(1+t)^100*D + 1'``, ``holoseq ode2rec --json`` of a small
 operator and ``holoseq series --x0=-3/4 --to 30 --text``, each run in a
 fresh interpreter, one after another, and times the whole child process; such
@@ -98,6 +102,8 @@ SELFCHECK_SIZES = (5_000, 15_000)
 SELFCHECK_ORDER = 20
 SERIES_SIZES = (250, 400, 800)
 BFILE_SIZES = (300, 5_000)
+PARSE_SIZES = (2_500, 5_000)
+CORRUPT_FROM_END = 10
 TO_RECURRENCE_POWERS = (50, 100, 200)
 SMALL_OPERATORS = 100
 SMALL_OPERATOR_SEED = 2023
@@ -200,19 +206,21 @@ def measure(
 
 
 def cli_case(
-    trees: list[Path], argv: list[str], written: Callable[[], str] = lambda: ""
+    trees: list[Path], argv: list[str], written: Callable[[], str] = lambda: "", exit_code: int = 0
 ) -> tuple[str, list[tuple[list, float]]]:
     """The stdout and ``written()`` of ``holoseq argv`` in RUNS fresh interpreters per tree,
-    which must all agree, and per tree its runs and their median peak RSS in MiB."""
+    which must all exit ``exit_code`` and agree, and per tree its runs and their median peak
+    RSS in MiB."""
     peaks: list[list[float]] = [[] for _ in trees]
-    calls = [lambda tree=tree, peak=peak: cli_child(tree, argv, peak) + written()
+    calls = [lambda tree=tree, peak=peak: cli_child(tree, argv, peak, exit_code) + written()
              for tree, peak in zip(trees, peaks)]
     printed, runs = measure(calls, str)
     return printed, [(tree_runs, round(statistics.median(peak), 1)) for tree_runs, peak in zip(runs, peaks)]
 
 
-def cli_child(src: Path, argv: list[str], peaks: list[float]) -> str:
-    """stdout of one ``holoseq argv`` that exits 0 in a child; appends its peak RSS in MiB to peaks."""
+def cli_child(src: Path, argv: list[str], peaks: list[float], exit_code: int = 0) -> str:
+    """stdout of one ``holoseq argv`` that exits ``exit_code`` in a child; appends its peak RSS
+    in MiB to peaks."""
     done = subprocess.run(
         [sys.executable, "-c", CHILD, str(src.resolve()), *argv], capture_output=True, text=True
     )
@@ -221,7 +229,7 @@ def cli_child(src: Path, argv: list[str], peaks: list[float]) -> str:
     code, imported, peak_kib = json.loads(done.stderr.splitlines()[-1])
     if Path(imported).resolve().parent != (src / "holoseq").resolve():
         raise SystemExit(f"bench: the {argv[0]} child imported holoseq from {imported}, not {src}")
-    if code != 0:
+    if code != exit_code:
         raise SystemExit(f"bench: holoseq {' '.join(argv)} exited {code}:\n{done.stdout}")
     peaks.append(peak_kib / 1024)
     return done.stdout
@@ -367,6 +375,17 @@ def layer_rows(packages: list[ModuleType], rows: list[list[dict]]) -> None:
     _, runs = measure(calls, lambda egfs: fields(egfs[-1]))
     bits = coeff_bits(packages[0].build_egf(TEXT_X0, n))
     add_rows(rows, "build_egf_small", n, runs, x0=str(TEXT_X0), calls=TEXT_CALLS, max_coeff_bits=bits)
+    with tempfile.TemporaryDirectory() as work:
+        writer = packages[0]
+        for n in PARSE_SIZES:
+            path, expected = Path(work) / f"b{n}.txt", a214615(n - 1)
+            writer.write_bfile(writer.BFileDocument(writer.a214615_terms(n - 1)), path)
+            calls = [lambda p=p: p.load_bfile(path) for p in packages]
+            agrees, runs = measure(calls, lambda document: document.entries.terms == expected)
+            if not agrees:
+                raise SystemExit(f"bench: load_bfile of {n} terms disagrees with the direct terms")
+            add_rows(rows, "bfile_parse", n, runs, bfile_bytes=path.stat().st_size,
+                     max_term_bits=term_bits(expected))
 
 
 def fields(series) -> tuple:
@@ -431,6 +450,20 @@ def main(argv: Optional[list[str]] = None) -> int:
                 _, results = cli_case(trees, argv, written)
                 for tree_rows, (runs, peak) in zip(rows, results):
                     tree_rows.append(row(name, n, runs, bfile_bytes=path.stat().st_size, peak_rss_mib=peak))
+            if n == BFILE_SIZES[-1]:  # the same file with the last digit of one term changed
+                lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+                at = len(lines) - CORRUPT_FROM_END
+                digit = lines[at][-2]
+                lines[at] = lines[at][:-2] + str((int(digit) + 1) % 10) + "\n"
+                corrupt = Path(work) / f"b{n}_corrupt.txt"
+                corrupt.write_text("".join(lines), encoding="utf-8")
+                argv = ["verify", "--rec", rec, "--bfile", str(corrupt)]
+                printed, results = cli_case(trees, argv, exit_code=1)
+                if f"first failure at n = {n - CORRUPT_FROM_END} " not in printed:
+                    raise SystemExit(f"bench: verify of the corrupted b-file printed {printed!r}")
+                for tree_rows, (runs, peak) in zip(rows, results):
+                    tree_rows.append(row("verify_bfile_corrupt", n, runs, corrupted_index=n - CORRUPT_FROM_END,
+                                         bfile_bytes=corrupt.stat().st_size, peak_rss_mib=peak))
     printed, results = cli_case(trees, ["ode2rec", f"(1+t)^{ODE2REC_POWER}*D + 1"])
     digest = hashlib.sha256(printed.encode()).hexdigest()
     for tree_rows, (runs, peak) in zip(rows, results):

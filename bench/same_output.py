@@ -13,9 +13,11 @@ are compared on the same code.  The child builds the four workloads of ``perfben
 (egf_build, terms_long, guess_fit and many_small) for seeds 1, 2 and 3 with
 ``workloads.build``, in a fresh work directory, and runs every task in order
 through ``holoseq.cli.main(argv)`` in-process.  Then it runs the tasks of
-``error_tasks``: each fails with one of the CLI's exit codes 1, 2 or 3, or
-prints a term that a Decimal product makes -0, and a failing ``generate
---bfile`` targets a file that exists beforehand; and last the tasks of
+``error_tasks``: each fails with one of the CLI's exit codes 1, 2 or 3,
+prints a term that a Decimal product makes -0, or verifies a b-file whose terms
+are spelled other than as ``generate`` writes them, or sit where p_0 vanishes or
+does not divide; a failing ``generate --bfile`` targets a file that exists
+beforehand; and last the tasks of
 ``rational_tasks``, which reach the ``Fraction`` paths of ``Polynomial`` and
 ``Series`` that the workloads' small integer operators do not.  Per task it
 hashes the argv, the exit code, stdout, stderr and, for a task with
@@ -71,15 +73,28 @@ def task_digest(cli, argv: list[str], work: Path) -> str:
 
 
 def error_tasks(work: Path) -> list[list[str]]:
-    """CLI calls that fail with each exit code, or print a -0 product, with their files in ``work``."""
+    """CLI calls that fail with each exit code, print a -0 product, or verify b-file terms that
+    do not read as the solved ones (non-canonical spellings, where p_0 vanishes, where p_0 = 7
+    does not divide), with their files in ``work``."""
     work.mkdir(parents=True)
     malformed, target = work / "malformed.txt", work / "existing.txt"
     malformed.write_text("# A214615\n0 1\n1 1\n2 0\n3 x-4\n4 -4\n", encoding="utf-8")
     target.write_text("0 1\n1 2\n", encoding="utf-8")
+    texts = {
+        "spelled": "0 +1\n1 01\n2 -0\n3 -004\n4 -4\n5 +60\n6 0160\n7 -02000\n",
+        "spelled_wrong": "0 +1\n1 01\n2 -0\n3 -004\n4 -4\n5 +61\n6 0160\n",
+        "singular": "0 7\n1 7\n2 5\n3 5\n4 5\n",
+        "singular_wrong": "0 7\n1 7\n2 5\n3 6\n4 6\n",
+        "sevenths": "0 7\n1 1\n2 0\n3 0\n",  # 7 does not divide s(2) = 2; 0 is its quotient
+        "sevenths_negative": "0 -7\n1 -1\n2 -0\n3 0\n",  # -0 is the quotient of s(2) = -2
+    }
+    for name, text in texts.items():
+        (work / f"{name}.txt").write_text(text, encoding="utf-8")
     a214615 = "a(n) - a(n-1) + (n-1)^2*a(n-2) = 0 for n >= 2"
     sevenths = ["--rec", "7*a(n) - n*a(n-1) = 0 for n >= 1", "--init", str(7**100)]
     singular = ["--rec", "(n-40)*a(n) - (n-40)*a(n-1) = 0", "--init", "7"]
     negative_zero = ["--rec", "a(n) + n*a(n-1) = 0", "--init", "0", "--to", "5"]
+    vanishing, seventh = "(n-2)*a(n) - (n-2)*a(n-1) = 0", "7*a(n) - n*a(n-1) = 0 for n >= 1"
     return [
         ["verify", "--rec", a214615, "--bfile", str(malformed)],  # exit 2
         ["generate", *sevenths, "--to", "200", "--bfile", str(target)],  # exit 1 at a(120)
@@ -92,6 +107,12 @@ def error_tasks(work: Path) -> list[list[str]]:
         ["generate", *negative_zero],
         ["generate", *negative_zero, "--json"],
         ["generate", *negative_zero, "--bfile", str(work / "zeros.txt")],
+        *(["verify", "--rec", a214615, "--bfile", str(work / f"{name}.txt"), *json]
+          for name in ("spelled", "spelled_wrong") for json in ([], ["--json"])),
+        *(["verify", "--rec", vanishing, "--bfile", str(work / f"{name}.txt")]
+          for name in ("singular", "singular_wrong")),
+        *(["verify", "--rec", seventh, "--bfile", str(work / f"{name}.txt")]
+          for name in ("sevenths", "sevenths_negative")),
     ]
 
 

@@ -4,8 +4,10 @@ A b-file is plain text: one "<index> <term>" pair per line, consecutive
 ascending indices, with '#' comment lines and blank lines ignored.  The
 writer emits a "# A214615" style header comment so that a document's
 sequence id survives a round trip through text.  Terms are ints, except where
-the CLI reads them as integer ``decimal.Decimal``s (``BFileReader``'s
-``_term``), which skips CPython's quadratic str -> int conversion.
+the CLI reads them through ``BFileReader``'s ``_term``: ``selfcheck --against``
+as integer ``decimal.Decimal``s, which skips CPython's quadratic str -> int
+conversion, and ``verify`` as the checked text itself, which its walk converts
+only where the text does not read as the solved term.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import shutil
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .polynomials import _INTEGER_RE, _Frozen, _lift_digit_cap
+from .polynomials import _Frozen, _is_integer, _lift_digit_cap
 from .sequences import SequenceTable
 
 SEQUENCE_ID_RE = re.compile(r"A[0-9]{6,7}\Z")
@@ -68,8 +70,9 @@ class BFileReader:
     into lines, numbered from the start of the whole text.  Each piece is checked whole when
     the reading gets to it: a malformed line, a gap in the indices or a text without data
     lines raises BFileFormatError.  ``sequence_id``, unless given, becomes the first
-    "# A000000" comment read.  Each term is ``_term`` of its checked field: an int, or, for
-    the CLI's ``verify``, a ``decimal.Decimal``.
+    "# A000000" comment read.  Each term is ``_term`` of its checked field: an int; a
+    ``decimal.Decimal`` for the CLI's ``selfcheck --against``; or, for its ``verify``, with
+    ``_term=str``, the checked text.
     """
 
     def __init__(
@@ -101,10 +104,10 @@ class BFileReader:
                 if self.sequence_id is None and SEQUENCE_ID_RE.match(comment):
                     self.sequence_id = comment
                 continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise BFileFormatError(f"expected '<index> <term>', got {line!r}", line_number)
-            if not (_INTEGER_RE.match(fields[0]) and _INTEGER_RE.match(fields[1])):
+            fields = line.split(None, 1)  # past the index, the term is not scanned for spaces
+            if not (len(fields) == 2 and _is_integer(fields[0]) and _is_integer(fields[1])):
+                if len(line.split()) != 2:
+                    raise BFileFormatError(f"expected '<index> <term>', got {line!r}", line_number)
                 raise BFileFormatError(f"non-integer field in {line!r}", line_number)
             index, term = int(fields[0]), self._term(fields[1])
             if last is not None and index != last + 1:

@@ -167,8 +167,9 @@ def _compared(
 def _check_against(path: str, max_n: int) -> tuple[tuple[str, str, bool], Optional[VerifyReport]]:
     """selfcheck's b-file check, and the whole file's report if it starts at index 0.
 
-    The file is read to its end in any case, as Decimal terms like ``verify``'s, and its
-    terms up to max_n are compared with a fresh pass of the direct terms, stepped in Decimal.
+    The file is read to its end in any case, as Decimal terms (``verify`` reads its terms as
+    text), and its terms up to max_n are compared with a fresh pass of the direct terms,
+    stepped in Decimal.
     """
     entries = iter(BFileReader(_pieces(path), _term=Decimal))
     rec, label = A214615_RECURRENCE, f"b-file check: {path}"
@@ -248,7 +249,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     rec = _parse_rec_argument(args.rec, args.ode)
-    report = rec._verify_entries(BFileReader(_pieces(args.bfile), _term=Decimal))
+    report = rec._verify_entries(BFileReader(_pieces(args.bfile), _term=str), _value=Decimal)
     if args.json:
         _print_json({"recurrence": rec.to_text(), **_report_json(report)})
     else:

@@ -24,10 +24,13 @@ verification honors the same convention so that shifted variants of the same
 relation (differing only in the stated validity bound) can be checked.
 
 Sequence terms are ints.  The one walk behind ``unroll`` and ``verify`` also
-takes integer ``decimal.Decimal`` terms (exponent 0), as the CLI reads and
-writes b-files, since it only adds, multiplies, divides with remainder and
-compares them; they are exact only in an exact context (``_EXACT`` in
-``polynomials``), which ``verify`` and the CLI enter.
+takes integer ``decimal.Decimal`` terms (exponent 0), as the CLI writes b-files
+and reads them for ``selfcheck --against``, since it only adds, multiplies,
+divides with remainder and compares them; they are exact only in an exact
+context (``_EXACT`` in ``polynomials``), which ``verify`` and the CLI enter.
+The CLI's ``verify`` passes each term as its checked b-file text, which the
+walk takes as the solved term where it reads as that term's ``str``, and
+converts to a ``Decimal`` everywhere else.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import chain, count, islice, zip_longest
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .polynomials import (
     _EXACT, Polynomial, RationalLike, _Frozen, _join_signed, _lift_digit_cap, _primitive,
@@ -379,10 +382,17 @@ class RecurrenceOperator(_Frozen):
             return self._verify_entries(items)
 
     @_lift_digit_cap
-    def _verify_entries(self, entries: Iterable[tuple[int, int]]) -> VerifyReport:
+    def _verify_entries(
+        self, entries: Iterable[tuple[int, object]], _value: Optional[Callable] = None
+    ) -> VerifyReport:
         """``verify`` of (n, a(n)) entries, in the caller's decimal context.  The CLI streams
         through this name, inside ``main``'s ``_EXACT``: perfbench's by-name probe of ``verify``
-        reads the ``terms`` of its argument."""
+        reads the ``terms`` of its argument.
+
+        With ``_value`` (the CLI's ``verify`` passes ``Decimal``), each a(n) is the checked
+        text of an integer literal.  At a checked n where s(n)/p_0(n) is an integer q whose
+        ``str`` is that text, a(n) is q, unconverted; every other text is ``_value`` of it.
+        Equal text is an equal value, so the report is the one of the converted terms."""
         entries = iter(entries)
         offset, _ = first = next(entries, (None, None))
         if offset is None:
@@ -393,14 +403,19 @@ class RecurrenceOperator(_Frozen):
         for n, a in chain([first], entries):
             if n != last + 1:
                 raise ValueError(f"index {n} does not follow {last}")
+            last = n
+            _, lead, s = next(steps) if n >= start and failure is None else (None,) * 3
+            if _value is not None:
+                q, r = (s, 0) if lead == 1 else divmod(s, lead) if lead else (None, 1)
+                if r == 0 and a == str(q):  # p_0(n) q = s(n): a(n) checks out as q
+                    before.append(q)
+                    continue
+                a = _value(a)
             is_int = isinstance(a, int) and not isinstance(a, bool)
             if not (is_int or isinstance(a, Decimal) and a.same_quantum(1)):
                 raise TypeError(f"sequence terms must be ints, got {a!r}")
-            last = n
-            if n >= start and failure is None:
-                _, lead, s = next(steps)
-                if (a if lead == 1 else lead * a) != s:
-                    failure = (n, lead * a - s)
+            if lead is not None and (a if lead == 1 else lead * a) != s:
+                failure = (n, lead * a - s)
             before.append(a)
         if last < start:
             raise ValueError(f"table ends at {last}, before the first checkable index {start}")

@@ -30,7 +30,6 @@ RationalLike = Union[int, Fraction]
 _Coefficients = TypeVar("_Coefficients", list[int], tuple[int, ...])
 _R = TypeVar("_R", bound="_Rationals")
 
-_INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
 
 # Sequence terms and b-file entries routinely run to thousands of decimal digits.
@@ -186,11 +185,19 @@ def format_rational(value: RationalLike) -> str:
     return _ratio_text(*_as_fraction(value).as_integer_ratio())
 
 
+def _is_integer(text: str) -> bool:
+    """Whether ``text`` is a decimal integer literal: at most one leading sign, then ASCII digits.
+
+    ``bytes.isdigit`` accepts 0-9 alone, whatever the locale; the one check of such a literal."""
+    digits = text[1:] if text.startswith(("+", "-")) else text
+    return digits.isascii() and digits.encode().isdigit()
+
+
 @_lift_digit_cap
 def parse_integer(text: str) -> int:
     """Parse a decimal integer literal (optional sign, digits only)."""
     cleaned = _normalize_minus(text).strip()
-    if not _INTEGER_RE.match(cleaned):
+    if not _is_integer(cleaned):
         raise ValueError(f"not an integer literal: {text!r}")
     return int(cleaned)
 

@@ -67,6 +67,26 @@ def test_parse_malformed_lines():
         parse_bfile("")
 
 
+@pytest.mark.parametrize(
+    "text, line_number, message",
+    [
+        ("0 1 extra\n", 1, "expected '<index> <term>', got '0 1 extra'"),
+        ("zero 1\n", 1, "non-integer field in 'zero 1'"),
+        ("0 1.5\n", 1, "non-integer field in '0 1.5'"),
+        ("0 1_000\n", 1, "non-integer field in '0 1_000'"),
+        ("0 1\n1 \uff12\n", 2, "non-integer field in '1 \uff12'"),
+        ("0 1\n1 2 3 \n", 2, "expected '<index> <term>', got '1 2 3'"),
+        ("0 1\n1\n", 2, "expected '<index> <term>', got '1'"),
+        ("0 1\n1 +-2\n", 2, "non-integer field in '1 +-2'"),
+    ],
+)
+def test_a_malformed_line_names_itself_and_its_number(text, line_number, message):
+    with pytest.raises(BFileFormatError) as info:
+        parse_bfile(text)
+    assert info.value.line_number == line_number
+    assert str(info.value) == f"line {line_number}: {message}"
+
+
 def test_parse_big_integers_and_negative_offset():
     big = 10 ** 120 + 7
     doc = parse_bfile(f"-1 {big}\n0 {-big}\n")

@@ -15,7 +15,7 @@ import pytest
 import holoseq
 from holoseq.bfile import BFileDocument, format_bfile, write_bfile
 from holoseq.sequences import SequenceTable
-from holoseq.cli import main
+from holoseq.cli import _report_json, main
 from holoseq.operators import RecurrenceOperator
 from holoseq.parsing import parse_recurrence
 from holoseq.polynomials import Polynomial
@@ -686,6 +686,97 @@ def test_verify_reads_past_a_failure_to_a_malformed_line(tmp_path, capsys):
     path.write_text("".join(lines), encoding="utf-8")
     assert main(["verify", "--rec", REC_TEXT, "--bfile", str(path)]) == 1
     assert "first failure at n = 5 (residual 1): FAIL" in capsys.readouterr().out
+
+
+def seventh_steps(first):
+    """Terms of 7*a(n) - n*a(n-1) = 0 from a(0) = ``first`` up to the first n where 7 does not
+    divide s(n) = n*a(n-1); there a(n) is s(n)/7 rounded toward zero, the text of the quotient
+    of a Decimal division, and the terms after it are 1, 2, 3."""
+    terms = [first]
+    while len(terms) * terms[-1] % 7 == 0:
+        terms.append(len(terms) * terms[-1] // 7)
+    s = len(terms) * terms[-1]
+    return (*terms, (1 if s > 0 else -1) * (abs(s) // 7), 1, 2, 3)
+
+
+def text_walk_case(name, tmp_path, capsys):
+    """(recurrence text, int table, b-file path) of the text-walk case ``name``."""
+    path = tmp_path / f"{name}.txt"
+    table = a214615_terms(600)
+    rng = random.Random(name)
+    if name == "generated":
+        argv = ["generate", "--rec", REC_TEXT, "--init", "1,1", "--to", "600", "--bfile", str(path)]
+        assert main(argv) == 0 and capsys.readouterr() == ("", "")
+        return REC_TEXT, table, path
+    if name == "spellings":  # +1 and 01 for 1, -0 for 0, and padded or signed later terms
+        table = a214615_terms(40)
+        spelled = {0: "+1", 1: "01", 2: "-0", 3: "-004", 5: "+60", 6: "0160", 7: "-02000"}
+        lines = [f"{n} {spelled.get(n, a)}\n" for n, a in table.items()]
+        path.write_text("".join(lines), encoding="utf-8")
+        return REC_TEXT, table, path
+    if name.startswith("corrupted"):
+        low, high = {"corrupted_start": (0, 5), "corrupted_middle": (290, 310),
+                     "corrupted_end": (595, 600)}[name]
+        at = rng.randint(low, high)
+        table = table.replaced(at, table.term(at) + rng.choice((-1, 1)) * rng.randint(1, 10**6))
+        rec = REC_TEXT
+    elif name == "offset_5":  # the two terms before n_min = 7 are read as values
+        table, rec = SequenceTable(5, table.terms[5:]), REC_TEXT.replace(">= 2", ">= 7")
+    elif name == "offset_5_from_5":  # nothing before the first checked index: a(5) fails
+        table, rec = SequenceTable(5, table.terms[5:]), REC_TEXT
+    elif name == "singular":  # p_0(2) = 0, so a(2) is free and the terms after it follow it
+        table, rec = SequenceTable(0, (7, 7, *[5] * 40)), "(n-2)*a(n) - (n-2)*a(n-1) = 0"
+    else:  # 7 does not divide s(n) > 0 or < 0, and the text is that of the truncated s(n)/7
+        first = 7**100 if name == "sevenths_positive" else -(7**100)
+        table, rec = SequenceTable(0, seventh_steps(first)), "7*a(n) - n*a(n-1) = 0 for n >= 1"
+    write_bfile(BFileDocument(table), path)
+    return rec, table, path
+
+
+@pytest.mark.parametrize(
+    "name, passes",
+    [("generated", True), ("spellings", True), ("corrupted_start", False),
+     ("corrupted_middle", False), ("corrupted_end", False), ("offset_5", True),
+     ("offset_5_from_5", False), ("singular", True), ("sevenths_positive", False),
+     ("sevenths_negative", False)],
+)
+def test_verify_of_the_text_gives_the_report_of_the_int_terms(tmp_path, capsys, name, passes):
+    """verify reads a term that reads as the solved one without converting it; the report is
+    still the library's on the same terms as ints."""
+    rec_text, table, path = text_walk_case(name, tmp_path, capsys)
+    rec = parse_recurrence(rec_text)
+    expected = {"recurrence": rec.to_text(), **_report_json(rec.verify(table))}
+    code = main(["verify", "--rec", rec_text, "--bfile", str(path), "--json"])
+    assert json.loads(capsys.readouterr().out) == expected
+    assert (code, expected["passed"]) == ((0, True) if passes else (1, False))
+
+
+def test_verify_converts_only_the_terms_it_cannot_read_as_solved(tmp_path, capsys, monkeypatch):
+    """On a generate-written A214615 file, verify converts a(0) and a(1), which come before the
+    first checked index, and no other term; after a failure it converts every term."""
+    path = tmp_path / "b.txt"
+    argv = ["generate", "--rec", REC_TEXT, "--init", "1,1", "--to", "2499", "--bfile", str(path)]
+    assert main(argv) == 0
+    converted = []
+    walk = RecurrenceOperator._verify_entries
+
+    def spied(self, entries, **kwargs):
+        if "_value" in kwargs:
+            value = kwargs["_value"]
+            kwargs["_value"] = lambda text: converted.append(text) or value(text)
+        return walk(self, entries, **kwargs)
+
+    monkeypatch.setattr(RecurrenceOperator, "_verify_entries", spied)
+    assert main(["verify", "--rec", REC_TEXT, "--bfile", str(path)]) == 0
+    assert "holds for n = 2..2499: PASS" in capsys.readouterr().out
+    assert converted == ["1", "1"]
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2000] = "2000 " + lines[2000].split()[1] + "1\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    converted.clear()
+    assert main(["verify", "--rec", REC_TEXT, "--bfile", str(path)]) == 1
+    assert "first failure at n = 2000 (residual " in capsys.readouterr().out
+    assert len(converted) == 2 + 500
 
 
 def test_selfcheck_against_reads_an_offset_bfile_to_its_end(tmp_path, capsys):
