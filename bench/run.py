@@ -40,7 +40,9 @@ be the b-file lines of the direct terms, then
 ``holoseq generate --bfile`` of the first N terms of A214615 and
 ``holoseq verify --bfile`` of that file at N = 300 and 5000, ``holoseq verify
 --bfile`` at N = 5000 of a copy with one digit of a(N - 10) changed, which must
-exit 1 and name that index as the first failure, and
+exit 1 and name that index as the first failure, ``holoseq selfcheck --max-n
+N --series-order 20 --against`` each of those two files at N = 5000, which must
+pass and must exit 1 with "terms differ" respectively, and
 ``holoseq ode2rec '(1+t)^100*D + 1'``, ``holoseq ode2rec --json`` of a small
 operator and ``holoseq series --x0=-3/4 --to 30 --text``, each run in a
 fresh interpreter, one after another, and times the whole child process; such
@@ -464,6 +466,17 @@ def main(argv: Optional[list[str]] = None) -> int:
                 for tree_rows, (runs, peak) in zip(rows, results):
                     tree_rows.append(row("verify_bfile_corrupt", n, runs, corrupted_index=n - CORRUPT_FROM_END,
                                          bfile_bytes=corrupt.stat().st_size, peak_rss_mib=peak))
+                selfcheck = ["selfcheck", "--max-n", str(n), "--series-order", str(SELFCHECK_ORDER), "--against"]
+                for name, against, exit_code, verdict in (
+                    ("selfcheck_against", path, 0, f"holds for n = 2..{n - 1}: PASS"),
+                    ("selfcheck_against_corrupt", corrupt, 1, "terms differ from computed a(n): FAIL"),
+                ):
+                    printed, results = cli_case(trees, [*selfcheck, str(against)], exit_code=exit_code)
+                    if f"b-file check: {against} {verdict}" not in printed:
+                        raise SystemExit(f"bench: selfcheck --against {against.name} printed {printed!r}")
+                    for tree_rows, (runs, peak) in zip(rows, results):
+                        tree_rows.append(row(name, n, runs, series_order=SELFCHECK_ORDER,
+                                             bfile_bytes=against.stat().st_size, peak_rss_mib=peak))
     printed, results = cli_case(trees, ["ode2rec", f"(1+t)^{ODE2REC_POWER}*D + 1"])
     digest = hashlib.sha256(printed.encode()).hexdigest()
     for tree_rows, (runs, peak) in zip(rows, results):

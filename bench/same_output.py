@@ -14,10 +14,11 @@ are compared on the same code.  The child builds the four workloads of ``perfben
 ``workloads.build``, in a fresh work directory, and runs every task in order
 through ``holoseq.cli.main(argv)`` in-process.  Then it runs the tasks of
 ``error_tasks``: each fails with one of the CLI's exit codes 1, 2 or 3,
-prints a term that a Decimal product makes -0, or verifies a b-file whose terms
+prints a term that a Decimal product makes -0, verifies a b-file whose terms
 are spelled other than as ``generate`` writes them, or sit where p_0 vanishes or
-does not divide; a failing ``generate --bfile`` targets a file that exists
-beforehand; and last the tasks of
+does not divide, or checks an A214615 b-file with ``selfcheck --against``; a
+failing ``generate --bfile`` targets a file that exists beforehand; and last
+the tasks of
 ``rational_tasks``, which reach the ``Fraction`` paths of ``Polynomial`` and
 ``Series`` that the workloads' small integer operators do not.  Per task it
 hashes the argv, the exit code, stdout, stderr and, for a task with
@@ -73,11 +74,13 @@ def task_digest(cli, argv: list[str], work: Path) -> str:
 
 
 def error_tasks(work: Path) -> list[list[str]]:
-    """CLI calls that fail with each exit code, print a -0 product, or verify b-file terms that
+    """CLI calls that fail with each exit code, print a -0 product, verify b-file terms that
     do not read as the solved ones (non-canonical spellings, where p_0 vanishes, where p_0 = 7
-    does not divide), with their files in ``work``."""
+    does not divide), or check A214615 b-files with ``selfcheck --against`` (written by
+    ``generate``; a term changed at or past --max-n, a(0) = 2, spelled head terms, a(2) = -0,
+    one term, offset 1, a malformed line after a failing term), with their files in ``work``."""
     work.mkdir(parents=True)
-    malformed, target = work / "malformed.txt", work / "existing.txt"
+    malformed, target, generated = work / "malformed.txt", work / "existing.txt", work / "generated.txt"
     malformed.write_text("# A214615\n0 1\n1 1\n2 0\n3 x-4\n4 -4\n", encoding="utf-8")
     target.write_text("0 1\n1 2\n", encoding="utf-8")
     texts = {
@@ -88,6 +91,22 @@ def error_tasks(work: Path) -> list[list[str]]:
         "sevenths": "0 7\n1 1\n2 0\n3 0\n",  # 7 does not divide s(2) = 2; 0 is its quotient
         "sevenths_negative": "0 -7\n1 -1\n2 -0\n3 0\n",  # -0 is the quotient of s(2) = -2
     }
+    a = [1, 1]  # A214615 through a(120), for the selfcheck --against files
+    while len(a) <= 120:
+        a.append(a[-1] - (len(a) - 1) ** 2 * a[-2])
+    lines = [f"{n} {v}\n" for n, v in enumerate(a)]
+    against = {  # checked at --max-n 100
+        "at_max_n": {100: f"100 {a[100] + 1}\n"},
+        "past_max_n": {101: f"101 {a[101] - 1}\n"},
+        "a0_is_2": {0: "0 2\n"},
+        "head_spelled": {0: "0 +1\n", 1: "1 01\n"},
+        "minus_zero": {2: "2 -0\n"},
+        "malformed_after_failure": {5: "5 61\n", 50: "50 x1\n"},
+    }
+    for name, changed in against.items():
+        texts[f"against_{name}"] = "".join(changed.get(n, line) for n, line in enumerate(lines))
+    texts["against_one_term"] = "0 1\n"
+    texts["against_offset_1"] = "".join(f"{n + 1} {v}\n" for n, v in enumerate(a))
     for name, text in texts.items():
         (work / f"{name}.txt").write_text(text, encoding="utf-8")
     a214615 = "a(n) - a(n-1) + (n-1)^2*a(n-2) = 0 for n >= 2"
@@ -113,6 +132,10 @@ def error_tasks(work: Path) -> list[list[str]]:
           for name in ("singular", "singular_wrong")),
         *(["verify", "--rec", seventh, "--bfile", str(work / f"{name}.txt")]
           for name in ("sevenths", "sevenths_negative")),
+        ["generate", "--rec", a214615, "--init", "1,1", "--to", "120", "--bfile", str(generated)],
+        *(["selfcheck", "--max-n", "100", "--series-order", "12", "--against", str(path), *json]
+          for path in (generated, *(work / f"{name}.txt" for name in texts if name.startswith("against_")))
+          for json in ([], ["--json"])),
     ]
 
 

@@ -4,10 +4,9 @@ A b-file is plain text: one "<index> <term>" pair per line, consecutive
 ascending indices, with '#' comment lines and blank lines ignored.  The
 writer emits a "# A214615" style header comment so that a document's
 sequence id survives a round trip through text.  Terms are ints, except where
-the CLI reads them through ``BFileReader``'s ``_term``: ``selfcheck --against``
-as integer ``decimal.Decimal``s, which skips CPython's quadratic str -> int
-conversion, and ``verify`` as the checked text itself, which its walk converts
-only where the text does not read as the solved term.
+the CLI's two b-file checks, ``verify`` and ``selfcheck --against``, read them
+through ``BFileReader``'s ``_term=str`` as the checked text itself, which their
+walk converts only where the text does not read as the solved term.
 """
 
 from __future__ import annotations
@@ -70,9 +69,8 @@ class BFileReader:
     into lines, numbered from the start of the whole text.  Each piece is checked whole when
     the reading gets to it: a malformed line, a gap in the indices or a text without data
     lines raises BFileFormatError.  ``sequence_id``, unless given, becomes the first
-    "# A000000" comment read.  Each term is ``_term`` of its checked field: an int; a
-    ``decimal.Decimal`` for the CLI's ``selfcheck --against``; or, for its ``verify``, with
-    ``_term=str``, the checked text.
+    "# A000000" comment read.  Each term is ``_term`` of its checked field: an int, or, with
+    ``_term=str`` for the CLI's ``verify`` and ``selfcheck --against``, the checked text.
     """
 
     def __init__(

@@ -167,21 +167,23 @@ def _compared(
 def _check_against(path: str, max_n: int) -> tuple[tuple[str, str, bool], Optional[VerifyReport]]:
     """selfcheck's b-file check, and the whole file's report if it starts at index 0.
 
-    The file is read to its end in any case, as Decimal terms (``verify`` reads its terms as
-    text), and its terms up to max_n are compared with a fresh pass of the direct terms,
-    stepped in Decimal.
+    The file is read to its end in any case, as ``verify --bfile`` reads it: as checked text,
+    converted only where it does not read as the solved term.  Its terms up to max_n are those
+    of the direct loop exactly when a(0) = a(1) = 1 and the walk's first failure, if any, comes
+    after max_n: p_0 = 1 makes each a(n), n >= 2, the one the two before it give, and max_n >= 2
+    puts both head terms in range.
     """
-    entries = iter(BFileReader(_pieces(path), _term=Decimal))
+    entries = iter(BFileReader(_pieces(path), _term=str))
     rec, label = A214615_RECURRENCE, f"b-file check: {path}"
-    offset, first = next(entries)
+    head = list(islice(entries, 2))
+    offset = head[0][0]
     if offset != 0:
         for _ in entries:  # a malformed line further on is still an error
             pass
         return ("against", f"{label} starts at index {offset}, expected 0: FAIL", False), None
-    differ: list = []
-    direct = enumerate(islice(_a214615_direct(Decimal(1)), max_n + 1))
-    report = rec._verify_entries(_compared(chain([(offset, first)], entries), direct, differ))
-    if differ:
+    report = rec._verify_entries(chain(head, entries), _value=Decimal)
+    failure = report.first_failure
+    if any(Decimal(a) != 1 for _, a in head) or failure is not None and failure[0] <= max_n:
         return ("against", f"{label} terms differ from computed a(n): FAIL", False), report
     return ("against", _report_line(label, report), report.passed), report
 

@@ -42,10 +42,9 @@ def meixner_eval(n: int, x: RationalLike) -> Fraction:
     return cur
 
 
-def _a214615_direct(_one: int = 1) -> Iterator[int]:
-    """a(0), a(1), ... for a(n) = M_n(1), via a(n+1) = a(n) - n^2 a(n-1), stepped from ``_one``
-    (the CLI's b-file check passes Decimal(1), in an exact context); holds two terms."""
-    prev, cur = _one, _one
+def _a214615_direct() -> Iterator[int]:
+    """a(0), a(1), ... for a(n) = M_n(1), via a(n+1) = a(n) - n^2 a(n-1); holds two terms."""
+    prev, cur = 1, 1
     yield prev
     for n in count(1):
         yield cur

@@ -25,11 +25,11 @@ relation (differing only in the stated validity bound) can be checked.
 
 Sequence terms are ints.  The one walk behind ``unroll`` and ``verify`` also
 takes integer ``decimal.Decimal`` terms (exponent 0), as the CLI writes b-files
-and reads them for ``selfcheck --against``, since it only adds, multiplies,
-divides with remainder and compares them; they are exact only in an exact
-context (``_EXACT`` in ``polynomials``), which ``verify`` and the CLI enter.
-The CLI's ``verify`` passes each term as its checked b-file text, which the
-walk takes as the solved term where it reads as that term's ``str``, and
+and checks them, since it only adds, multiplies, divides with remainder and
+compares them; they are exact only in an exact context (``_EXACT`` in
+``polynomials``), which ``verify`` and the CLI enter.  The CLI's ``verify``
+and ``selfcheck --against`` pass each term as its checked b-file text, which
+the walk takes as the solved term where it reads as that term's ``str``, and
 converts to a ``Decimal`` everywhere else.
 """
 
@@ -389,10 +389,11 @@ class RecurrenceOperator(_Frozen):
         through this name, inside ``main``'s ``_EXACT``: perfbench's by-name probe of ``verify``
         reads the ``terms`` of its argument.
 
-        With ``_value`` (the CLI's ``verify`` passes ``Decimal``), each a(n) is the checked
-        text of an integer literal.  At a checked n where s(n)/p_0(n) is an integer q whose
-        ``str`` is that text, a(n) is q, unconverted; every other text is ``_value`` of it.
-        Equal text is an equal value, so the report is the one of the converted terms."""
+        With ``_value`` (the CLI's ``verify`` and ``selfcheck --against`` pass ``Decimal``),
+        each a(n) is the checked text of an integer literal.  At a checked n where s(n)/p_0(n)
+        is an integer q whose ``str`` is that text, a(n) is q, unconverted; every other text is
+        ``_value`` of it.  Equal text is an equal value, so the report is the one of the
+        converted terms."""
         entries = iter(entries)
         offset, _ = first = next(entries, (None, None))
         if offset is None:

@@ -515,7 +515,7 @@ def test_selfcheck_json(capsys):
 def selfcheck_reference(table, order, against=None, as_json=False):
     """selfcheck's stdout and exit code computed from whole tables.
 
-    ``table`` stands for the direct terms a(0..max_n); ``against`` is a b-file's entries.
+    ``table`` stands for the direct terms a(0..max_n); ``against`` is (path, a b-file's entries).
     """
     rec, max_n = A214615_RECURRENCE, table.last_index
 
@@ -542,7 +542,10 @@ def selfcheck_reference(table, order, against=None, as_json=False):
     line = f"EGF terms check: n! * [t^n] EGF == a(n) for n <= {overlap}: {verdict(ok)}"
     checks.append(("egf_terms", line, ok))
     against_report = None
-    if against is not None:
+    if against is not None and against[1].offset != 0:
+        path, entries = against
+        checks.append(("against", f"b-file check: {path} starts at index {entries.offset}, expected 0: FAIL", False))
+    elif against is not None:
         path, entries = against
         against_report = rec.verify(entries)
         hi = min(entries.last_index, max_n)
@@ -751,12 +754,8 @@ def test_verify_of_the_text_gives_the_report_of_the_int_terms(tmp_path, capsys, 
     assert (code, expected["passed"]) == ((0, True) if passes else (1, False))
 
 
-def test_verify_converts_only_the_terms_it_cannot_read_as_solved(tmp_path, capsys, monkeypatch):
-    """On a generate-written A214615 file, verify converts a(0) and a(1), which come before the
-    first checked index, and no other term; after a failure it converts every term."""
-    path = tmp_path / "b.txt"
-    argv = ["generate", "--rec", REC_TEXT, "--init", "1,1", "--to", "2499", "--bfile", str(path)]
-    assert main(argv) == 0
+def spy_on_conversions(monkeypatch):
+    """The list that each text the CLI's walk converts through ``_value`` is appended to."""
     converted = []
     walk = RecurrenceOperator._verify_entries
 
@@ -767,6 +766,16 @@ def test_verify_converts_only_the_terms_it_cannot_read_as_solved(tmp_path, capsy
         return walk(self, entries, **kwargs)
 
     monkeypatch.setattr(RecurrenceOperator, "_verify_entries", spied)
+    return converted
+
+
+def test_verify_converts_only_the_terms_it_cannot_read_as_solved(tmp_path, capsys, monkeypatch):
+    """On a generate-written A214615 file, verify converts a(0) and a(1), which come before the
+    first checked index, and no other term; after a failure it converts every term."""
+    path = tmp_path / "b.txt"
+    argv = ["generate", "--rec", REC_TEXT, "--init", "1,1", "--to", "2499", "--bfile", str(path)]
+    assert main(argv) == 0
+    converted = spy_on_conversions(monkeypatch)
     assert main(["verify", "--rec", REC_TEXT, "--bfile", str(path)]) == 0
     assert "holds for n = 2..2499: PASS" in capsys.readouterr().out
     assert converted == ["1", "1"]
@@ -792,6 +801,88 @@ def test_selfcheck_against_reads_an_offset_bfile_to_its_end(tmp_path, capsys):
     write_bfile(BFileDocument(a214615_terms(1)), path)
     assert main(argv) == 2
     assert capsys.readouterr().err == "holoseq: table ends at 1, before the first checkable index 2\n"
+
+
+AGAINST_MAX_N = 300
+
+
+def against_case(kind, tmp_path, capsys):
+    """(int table, b-file path, stderr of an exit-2 run or None) of the --against file ``kind``,
+    400 terms long unless it says otherwise, checked at --max-n AGAINST_MAX_N."""
+    path = tmp_path / f"{kind}.txt"
+    table = a214615_terms(399)
+    init = {"generated": "1,1", "unrolled_from_2_1": "2,1", "unrolled_from_1_2": "1,2"}.get(kind)
+    if init is not None:  # generate-written; from 2,1 or 1,2 the recurrence holds throughout
+        argv = ["generate", "--rec", REC_TEXT, "--init", init, "--to", "399", "--bfile", str(path)]
+        assert main(argv) == 0 and capsys.readouterr() == ("", "")
+        init_terms = SequenceTable(0, tuple(map(int, init.split(","))))
+        return A214615_RECURRENCE.unroll(init_terms, 399), path, None
+    spelled = {"spelled_head": {0: "+1", 1: "01"}, "minus_zero": {2: "-0"}}.get(kind, {})
+    err = None
+    if kind == "corrupted_at_max_n":
+        table = table.replaced(AGAINST_MAX_N, table.term(AGAINST_MAX_N) + 1)
+    elif kind == "corrupted_past_max_n":
+        table = table.replaced(AGAINST_MAX_N + 1, table.term(AGAINST_MAX_N + 1) - 1)
+    elif kind == "a0_is_2":
+        table = table.replaced(0, 2)
+    elif kind == "one_term":
+        table, err = a214615_terms(0), "holoseq: table ends at 0, before the first checkable index 2\n"
+    elif kind == "offset_1":
+        table = SequenceTable(1, table.terms)
+    lines = [f"{n} {spelled.get(n, a)}\n" for n, a in table.items()]
+    if kind == "malformed_after_failure":  # a(5) fails; line 101 is not a b-file line
+        lines[5], lines[100] = "5 61\n", "100 x1\n"
+        table, err = None, "holoseq: line 101: non-integer field in '100 x1'\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    return table, path, err
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "kind",
+    ["generated", "corrupted_at_max_n", "corrupted_past_max_n", "a0_is_2", "unrolled_from_2_1",
+     "unrolled_from_1_2", "spelled_head", "minus_zero", "one_term", "offset_1",
+     "malformed_after_failure"],
+)
+def test_selfcheck_against_each_kind_of_bfile(tmp_path, capsys, kind, as_json):
+    """--against says "terms differ" exactly when a term up to --max-n is not the direct one,
+    whether the head terms or a later one differ, and otherwise prints the file's report."""
+    entries, path, err = against_case(kind, tmp_path, capsys)
+    extra = ["--json"] if as_json else []
+    code = main(["selfcheck", "--max-n", str(AGAINST_MAX_N), "--series-order", "20",
+                 "--against", str(path), *extra])
+    out, got_err = capsys.readouterr()
+    if err is not None:
+        assert (out, got_err, code) == ("", err, 2)
+        return
+    expected = selfcheck_reference(a214615_terms(AGAINST_MAX_N), 20, (path, entries), as_json)
+    assert (out, code) == expected and got_err == ""
+    assert code == (0 if kind in ("generated", "spelled_head", "minus_zero") else 1)
+    if not as_json:
+        differ = kind in ("corrupted_at_max_n", "a0_is_2", "unrolled_from_2_1", "unrolled_from_1_2")
+        assert ("terms differ from computed a(n): FAIL" in out) == differ
+
+
+def test_selfcheck_against_converts_only_the_terms_it_cannot_read_as_solved(
+    tmp_path, capsys, monkeypatch
+):
+    """--against walks the file as verify does: on a generate-written A214615 file it converts
+    a(0) and a(1), and no other term; after a failure it converts every term."""
+    path = tmp_path / "b.txt"
+    argv = ["generate", "--rec", REC_TEXT, "--init", "1,1", "--to", "2499", "--bfile", str(path)]
+    assert main(argv) == 0
+    converted = spy_on_conversions(monkeypatch)
+    argv = ["selfcheck", "--max-n", "2499", "--series-order", "20", "--against", str(path)]
+    assert main(argv) == 0
+    assert f"b-file check: {path} holds for n = 2..2499: PASS" in capsys.readouterr().out
+    assert converted == ["1", "1"]
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2000] = "2000 " + lines[2000].split()[1] + "1\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    converted.clear()
+    assert main(argv) == 1
+    assert f"b-file check: {path} terms differ from computed a(n): FAIL" in capsys.readouterr().out
+    assert len(converted) == 2 + 500
 
 
 def test_fetch_warm_cache(tmp_path, capsys):
