@@ -31,9 +31,12 @@ texts, one per line.  It times 100 calls of ``build_egf(-3/4, 30)``, the size
 of EGF that each ``series --to 30`` of the many_small workload builds, whose
 fields must agree across runs and trees.  It times ``load_bfile``, with int
 terms, of b-files of the first N terms of A214615 at N = 2500 and 5000, which
-must give the direct terms back.  It times ``import holoseq.cli`` in
-IMPORT_RUNS (11) fresh ``python -I`` interpreters, with the clock inside the
-child around the import alone, as perfbench's ``setup_s`` does.  Last, it
+must give the direct terms back, and the drain of ``BFileReader`` over the
+same files with ``_term=str``, the read that ``verify --bfile`` makes, whose
+terms must hash the same as the files' second fields.  It times ``import
+holoseq.cli`` in IMPORT_RUNS (11) fresh ``python -I`` interpreters, with the
+clock inside the child around the import alone, as perfbench's ``setup_s``
+does.  Last, it
 runs ``holoseq selfcheck --max-n N --series-order 20`` at N = 5000 and
 15000, ``holoseq series --to N`` at N = 250, 400 and 800, whose output must
 be the b-file lines of the direct terms, then
@@ -388,6 +391,13 @@ def layer_rows(packages: list[ModuleType], rows: list[list[dict]]) -> None:
                 raise SystemExit(f"bench: load_bfile of {n} terms disagrees with the direct terms")
             add_rows(rows, "bfile_parse", n, runs, bfile_bytes=path.stat().st_size,
                      max_term_bits=term_bits(expected))
+            texts = joined_sha256(line.split()[1] for line in path.read_text(encoding="utf-8").splitlines())
+            calls = [lambda b=p.bfile: [term for _, term in b.BFileReader(b._pieces(path), _term=str)]
+                     for p in packages]
+            digest, runs = measure(calls, joined_sha256)
+            if digest != texts:
+                raise SystemExit(f"bench: BFileReader's text terms of {n} terms differ from the file's")
+            add_rows(rows, "bfile_read_text", n, runs, bfile_bytes=path.stat().st_size, text_sha256=digest)
 
 
 def fields(series) -> tuple:

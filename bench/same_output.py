@@ -16,7 +16,8 @@ through ``holoseq.cli.main(argv)`` in-process.  Then it runs the tasks of
 ``error_tasks``: each fails with one of the CLI's exit codes 1, 2 or 3,
 prints a term that a Decimal product makes -0, verifies a b-file whose terms
 are spelled other than as ``generate`` writes them, or sit where p_0 vanishes or
-does not divide, or checks an A214615 b-file with ``selfcheck --against``; a
+does not divide, or checks an A214615 b-file with ``selfcheck --against``, or
+reads an A214615 b-file whose lines end in CRLF or CR with ``verify`` or ``guess``; a
 failing ``generate --bfile`` targets a file that exists beforehand; and last
 the tasks of
 ``rational_tasks``, which reach the ``Fraction`` paths of ``Polynomial`` and
@@ -78,7 +79,9 @@ def error_tasks(work: Path) -> list[list[str]]:
     do not read as the solved ones (non-canonical spellings, where p_0 vanishes, where p_0 = 7
     does not divide), or check A214615 b-files with ``selfcheck --against`` (written by
     ``generate``; a term changed at or past --max-n, a(0) = 2, spelled head terms, a(2) = -0,
-    one term, offset 1, a malformed line after a failing term), with their files in ``work``."""
+    one term, offset 1, a malformed line after a failing term), or read the generated
+    A214615 text with CRLF and CR line breaks (``verify``, also with a(60) changed, and
+    ``guess``), with their files in ``work``."""
     work.mkdir(parents=True)
     malformed, target, generated = work / "malformed.txt", work / "existing.txt", work / "generated.txt"
     malformed.write_text("# A214615\n0 1\n1 1\n2 0\n3 x-4\n4 -4\n", encoding="utf-8")
@@ -109,6 +112,10 @@ def error_tasks(work: Path) -> list[list[str]]:
     texts["against_offset_1"] = "".join(f"{n + 1} {v}\n" for n, v in enumerate(a))
     for name, text in texts.items():
         (work / f"{name}.txt").write_text(text, encoding="utf-8")
+    wrong = "".join(lines[:60] + [f"60 {a[60] + 1}\n"] + lines[61:])
+    breaks = {"crlf": ("".join(lines), "\r\n"), "cr": ("".join(lines), "\r"), "crlf_wrong": (wrong, "\r\n")}
+    for name, (text, newline) in breaks.items():  # the text that generate writes, other line breaks
+        (work / f"{name}.txt").write_text(text, encoding="utf-8", newline=newline)
     a214615 = "a(n) - a(n-1) + (n-1)^2*a(n-2) = 0 for n >= 2"
     sevenths = ["--rec", "7*a(n) - n*a(n-1) = 0 for n >= 1", "--init", str(7**100)]
     singular = ["--rec", "(n-40)*a(n) - (n-40)*a(n-1) = 0", "--init", "7"]
@@ -136,6 +143,9 @@ def error_tasks(work: Path) -> list[list[str]]:
         *(["selfcheck", "--max-n", "100", "--series-order", "12", "--against", str(path), *json]
           for path in (generated, *(work / f"{name}.txt" for name in texts if name.startswith("against_")))
           for json in ([], ["--json"])),
+        *(["verify", "--rec", a214615, "--bfile", str(work / f"{name}.txt"), *json]
+          for name in breaks for json in ([], ["--json"])),
+        ["guess", "--bfile", str(work / "crlf.txt"), "--max-order", "2", "--max-degree", "2"],
     ]
 
 

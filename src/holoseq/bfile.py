@@ -11,6 +11,7 @@ walk converts only where the text does not read as the solved term.
 
 from __future__ import annotations
 
+import io
 import os
 import re
 import shutil
@@ -63,37 +64,38 @@ class BFileDocument(_Frozen):
 
 
 class BFileReader:
-    """Iterates over the checked (n, a(n)) entries of b-file text given in ``pieces``.
+    """Iterates over the checked (n, a(n)) entries of b-file text given as ``batches`` of lines.
 
-    Each piece ends at a line break, or at the end of the text; ``str.splitlines`` cuts it
-    into lines, numbered from the start of the whole text.  Each piece is checked whole when
-    the reading gets to it: a malformed line, a gap in the indices or a text without data
-    lines raises BFileFormatError.  ``sequence_id``, unless given, becomes the first
-    "# A000000" comment read.  Each term is ``_term`` of its checked field: an int, or, with
-    ``_term=str`` for the CLI's ``verify`` and ``selfcheck --against``, the checked text.
+    Each batch is a list of lines as a text stream in universal-newline mode gives them: a
+    line ends at a ``\\n``, ``\\r\\n`` or ``\\r``, read as ``\\n``, and only the text's last line
+    may lack it.  Lines are numbered from the start of the whole text, by the one count that
+    also says on which line the text ends.  Each batch is checked whole when the reading gets
+    to it: a malformed line, a gap in the indices or a text without data lines raises
+    BFileFormatError.  ``sequence_id``, unless given, becomes the first "# A000000" comment
+    read.  Each term is ``_term`` of its checked field: an int, or, with ``_term=str`` for the
+    CLI's ``verify`` and ``selfcheck --against``, the checked text.
     """
 
     def __init__(
-        self, pieces: Iterable[str], sequence_id: Optional[str] = None, _term: Callable = int
+        self, batches: Iterable[list], sequence_id: Optional[str] = None, _term: Callable = int
     ):
-        self.pieces, self.sequence_id, self._term = pieces, sequence_id, _term
+        self.batches, self.sequence_id, self._term = batches, sequence_id, _term
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        line_number, last, newlines = 0, None, 0
-        for piece in self.pieces:
-            newlines += piece.count("\n")
-            line_number, last, terms = self._terms(piece, line_number, last)
+        line_number, last = 1, None
+        for lines in self.batches:
+            line_number, last, terms = self._terms(lines, line_number, last)
             if terms:
                 yield from enumerate(terms, last + 1 - len(terms))
         if last is None:
-            raise BFileFormatError("no data lines", line_number=newlines + 1)
+            raise BFileFormatError("no data lines", line_number)
 
     @_lift_digit_cap
-    def _terms(self, piece: str, line_number: int, last: Optional[int]) -> tuple[int, int, list]:
-        """The numbers of the last line and the last index of ``piece``, and its terms, checked
-        after the line ``line_number`` and the index ``last`` before it."""
-        terms = []
-        for line_number, raw in enumerate(piece.splitlines(), line_number + 1):
+    def _terms(self, lines: list, line_number: int, last: Optional[int]) -> tuple[int, int, list]:
+        """The number of the line that the text read so far ends on, the last index and the
+        terms of ``lines``, checked from the line ``line_number`` and after the index ``last``."""
+        terms, raw = [], ""
+        for line_number, raw in enumerate(lines, line_number):
             line = raw.strip()
             if not line:
                 continue
@@ -112,7 +114,7 @@ class BFileReader:
                 raise BFileFormatError(f"index {index} does not follow {last}", line_number)
             last = index
             terms.append(term)
-        return line_number, last, terms
+        return line_number + raw.endswith("\n"), last, terms
 
     def document(self) -> BFileDocument:
         """All the entries as one table, with the sequence id as it stands after the last."""
@@ -122,10 +124,11 @@ class BFileReader:
         return BFileDocument(table, self.sequence_id)
 
 
-def _pieces(path: Union[str, Path]) -> Iterator[str]:
-    """The UTF-8 text of the file at ``path``, in runs of whole lines of about 64 KiB."""
+def _pieces(path: Union[str, Path]) -> Iterator[list[str]]:
+    """The lines of the UTF-8 text of the file at ``path``, in universal-newline mode, in
+    batches of about 64 KiB."""
     with open(path, encoding="utf-8") as stream:
-        yield from map("".join, iter(lambda: stream.readlines(1 << 16), []))
+        yield from iter(lambda: stream.readlines(1 << 16), [])
 
 
 def parse_bfile(text: str, sequence_id: Optional[str] = None) -> BFileDocument:
@@ -134,7 +137,7 @@ def parse_bfile(text: str, sequence_id: Optional[str] = None) -> BFileDocument:
     A leading "# A000000" comment sets the document's sequence id unless an
     explicit one is passed in.
     """
-    return BFileReader([text], sequence_id).document()
+    return BFileReader([io.StringIO(text, newline=None).readlines()], sequence_id).document()
 
 
 def read_bfile(path: Union[str, Path]) -> Iterator[tuple[int, int]]:

@@ -22,6 +22,7 @@ from holoseq.bfile import (
     read_bfile,
     write_bfile,
 )
+from holoseq.cli import main
 from holoseq.meixner import a214615_terms
 from holoseq.parsing import parse_recurrence
 from holoseq.sequences import SequenceTable
@@ -166,7 +167,8 @@ def test_a_failed_write_bfile_leaves_the_target_as_it_was(tmp_path, monkeypatch)
 
 @pytest.mark.parametrize("sep", ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
 def test_load_matches_parse_of_the_whole_text_at_every_line_break(tmp_path, sep):
-    """str.splitlines breaks lines at each of these, so the streamed reader must too."""
+    """A file and a text break lines alike, at \\n, \\r\\n and \\r alone (universal
+    newlines), so each of the three readers gives the same document or the same error."""
     good = sep.join(f"{n} {v}" for n, v in a214615_terms(30).items())
     texts = [
         good + sep,
@@ -184,48 +186,63 @@ def test_load_matches_parse_of_the_whole_text_at_every_line_break(tmp_path, sep)
     for text in texts:
         path = tmp_path / "b.txt"
         path.write_bytes(text.encode("utf-8"))
-        expected = parsed = None
-        try:
-            expected = parse_bfile(path.read_text(encoding="utf-8"))
-            parsed = parse_bfile(text)
-        except BFileFormatError as error:
-            expected = parsed = str(error)
-        try:
-            loaded = load_bfile(path)
-        except BFileFormatError as error:
-            loaded = str(error)
-        assert loaded == expected == parsed, repr(text)
+        readers = [load_bfile, lambda path: parse_bfile(path.read_text(encoding="utf-8")),
+                   lambda path: parse_bfile(text)]
+        results = []
+        for read in readers:
+            try:
+                results.append(read(path))
+            except BFileFormatError as error:
+                results.append(str(error))
+        assert results[0] == results[1] == results[2], repr(text)
 
 
 def test_a_text_without_data_lines_ends_after_its_last_newline():
-    for text, line in [("", 1), ("# a", 1), ("# a\n# b\n", 3), ("\n\n\n", 4), ("# a\r# b\r", 1)]:
+    for text, line in [("", 1), ("# a", 1), ("# a\n# b\n", 3), ("\n\n\n", 4), ("# a\r# b\r", 3),
+                       ("# a\r\n# b\r\n", 3), ("# a\x0c# b\n", 2)]:
         with pytest.raises(BFileFormatError, match=f"^line {line}: no data lines$"):
             parse_bfile(text)
 
 
+@pytest.mark.parametrize("sep", ["\x0c", "\x0b", "\x85", "\u2028"])
+def test_a_break_that_is_not_a_newline_leaves_one_malformed_line(tmp_path, sep, capsys):
+    """Only \\n, \\r\\n and \\r end a line, as for an editor or ``wc -l``."""
+    text = f"0 1{sep}1 2\n"
+    message = f"line 1: expected '<index> <term>', got {text.strip()!r}"
+    path = tmp_path / "b.txt"
+    path.write_bytes(text.encode("utf-8"))
+    for read in (lambda: parse_bfile(text), lambda: load_bfile(path)):
+        with pytest.raises(BFileFormatError) as info:
+            read()
+        assert (info.value.line_number, str(info.value)) == (1, message)
+    assert main(["verify", "--rec", "a(n) - a(n-1) = 0", "--bfile", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"holoseq: {message}\n")
+
+
 def test_each_piece_continues_the_lines_and_indices_of_the_ones_before():
     with pytest.raises(BFileFormatError, match="line 4: index 3 does not follow 1"):
-        list(BFileReader(["0 1\n1 1\n", "\n3 2\n"]))
+        list(BFileReader([["0 1\n", "1 1\n"], ["\n", "3 2\n"]]))
     with pytest.raises(BFileFormatError, match="line 4: expected"):
-        list(BFileReader(["0 1\n", "", "# c\n\n", "x\n"]))
+        list(BFileReader([["0 1\n"], [], ["# c\n", "\n"], ["x\n"]]))
     with pytest.raises(BFileFormatError, match="line 6: no data lines"):
-        list(BFileReader(["# a\n", "\n# b\n", "\n\n"]))
-    assert list(BFileReader(["# A000045\n0 0\n", "", "1 1\n2 1"])) == [(0, 0), (1, 1), (2, 1)]
+        list(BFileReader([["# a\n"], ["\n", "# b\n"], ["\n", "\n"]]))
+    batches = [["# A000045\n", "0 0\n"], [], ["1 1\n", "2 1"]]
+    assert list(BFileReader(batches)) == [(0, 0), (1, 1), (2, 1)]
 
 
 def test_the_reader_checks_one_piece_at_a_time(tmp_path):
-    pieces = iter(["# A000045\n5 8\n", "6 13\n", "oops\n"])
-    reader = BFileReader(pieces)
+    batches = iter([["# A000045\n", "5 8\n"], ["6 13\n"], ["oops\n"]])
+    reader = BFileReader(batches)
     entries = iter(reader)
     assert next(entries) == (5, 8)
     assert reader.sequence_id == "A000045"
-    assert next(pieces) == "6 13\n"  # not read yet
+    assert next(batches) == ["6 13\n"]  # not read yet
     with pytest.raises(BFileFormatError, match="line 3: expected '<index> <term>', got 'oops'"):
         next(entries)
     path = tmp_path / "b.txt"
     path.write_text("0 1\n1 1\n" + "2 0\n" * 5, encoding="utf-8")
     with pytest.raises(BFileFormatError, match="line 4: index 2 does not follow 2"):
-        next(read_bfile(path))  # the file's one piece holds the gap
+        next(read_bfile(path))  # the file's one batch holds the gap
 
 
 # Reads and writes b-files with the interpreter's preferred encoding forced to ASCII.
