@@ -17,7 +17,8 @@ through ``holoseq.cli.main(argv)`` in-process.  Then it runs the tasks of
 prints a term that a Decimal product makes -0, verifies a b-file whose terms
 are spelled other than as ``generate`` writes them, or sit where p_0 vanishes or
 does not divide, or checks an A214615 b-file with ``selfcheck --against``, or
-reads an A214615 b-file whose lines end in CRLF or CR with ``verify`` or ``guess``; a
+reads an A214615 b-file whose lines end in CRLF or CR with ``verify`` or ``guess``, or
+runs a plain ``selfcheck`` at a small ``--max-n``; a
 failing ``generate --bfile`` targets a file that exists beforehand; and last
 the tasks of
 ``rational_tasks``, which reach the ``Fraction`` paths of ``Polynomial`` and
@@ -81,7 +82,8 @@ def error_tasks(work: Path) -> list[list[str]]:
     ``generate``; a term changed at or past --max-n, a(0) = 2, spelled head terms, a(2) = -0,
     one term, offset 1, a malformed line after a failing term), or read the generated
     A214615 text with CRLF and CR line breaks (``verify``, also with a(60) changed, and
-    ``guess``), with their files in ``work``."""
+    ``guess``), or run a plain ``selfcheck`` at --max-n 2, 3, 11 and 12 (the smallest walk and
+    both sides of the printed "a(0..11)" edge), with their files in ``work``."""
     work.mkdir(parents=True)
     malformed, target, generated = work / "malformed.txt", work / "existing.txt", work / "generated.txt"
     malformed.write_text("# A214615\n0 1\n1 1\n2 0\n3 x-4\n4 -4\n", encoding="utf-8")
@@ -146,6 +148,8 @@ def error_tasks(work: Path) -> list[list[str]]:
         *(["verify", "--rec", a214615, "--bfile", str(work / f"{name}.txt"), *json]
           for name in breaks for json in ([], ["--json"])),
         ["guess", "--bfile", str(work / "crlf.txt"), "--max-order", "2", "--max-degree", "2"],
+        *(["selfcheck", "--max-n", max_n, "--series-order", order, *json]
+          for max_n in ("2", "3", "11", "12") for order in ("1", "12") for json in ([], ["--json"])),
     ]
 
 

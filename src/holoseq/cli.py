@@ -11,7 +11,7 @@ import functools
 import sys
 from decimal import Decimal, localcontext
 from itertools import chain, islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .bfile import (
     BFileReader,
@@ -153,25 +153,13 @@ def _report_line(label: str, report: VerifyReport) -> str:
     return f"{label} {detail}"
 
 
-def _compared(
-    entries: Iterable[tuple[int, int]], reference: Iterator[tuple[int, int]], differ: list
-) -> Iterator[tuple[int, int]]:
-    """The ``entries``, each compared on the way with the next of ``reference``, if any is left;
-    the first that differs is appended to ``differ``."""
-    for entry in entries:
-        if entry != next(reference, entry) and not differ:
-            differ.append(entry)
-        yield entry
-
-
 def _check_against(path: str, max_n: int) -> tuple[tuple[str, str, bool], Optional[VerifyReport]]:
     """selfcheck's b-file check, and the whole file's report if it starts at index 0.
 
     The file is read to its end in any case, as ``verify --bfile`` reads it: as checked text,
     converted only where it does not read as the solved term.  Its terms up to max_n are those
     of the direct loop exactly when a(0) = a(1) = 1 and the walk's first failure, if any, comes
-    after max_n: p_0 = 1 makes each a(n), n >= 2, the one the two before it give, and max_n >= 2
-    puts both head terms in range.
+    after max_n, by the argument in ``cmd_selfcheck``.
     """
     entries = iter(BFileReader(_pieces(path), _term=str))
     rec, label = A214615_RECURRENCE, f"b-file check: {path}"
@@ -189,18 +177,24 @@ def _check_against(path: str, max_n: int) -> tuple[tuple[str, str, bool], Option
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
+    """Check the direct terms a(0..max_n) against the recurrence, the ODE and the EGF.
+
+    The direct terms are read in one walk, and the recurrence is checked in one walk over them.
+    The unroll line needs no walk of its own: p_0 = 1 makes each a(n), n >= 2, the one the two
+    before it give, so terms equal the unroll of a(0) = a(1) = 1 up to max_n exactly when their
+    head is (1, 1) and they satisfy the recurrence for 2 <= n <= max_n (max_n >= 2 puts both
+    head terms in range).  The head compared is cut from the stream the check reads.
+    """
     rec, max_n, order = A214615_RECURRENCE, args.max_n, args.series_order
     if max_n < rec.n_min or order < 1:
         raise ValueError(f"--max-n must be >= {rec.n_min} and --series-order >= 1")
     against, against_report = _check_against(args.against, max_n) if args.against else (None, None)
     operator, egf = egf_annihilator(1), build_egf(1, order)
     overlap = min(max_n, order)
-    prefix = tuple(islice(_a214615_direct(), max(overlap, 11) + 1))
-    differ: list = []
-    direct = enumerate(islice(_a214615_direct(), max_n + 1))
-    unrolled = rec._unrolled(A214615_INITIAL.terms, A214615_INITIAL.offset)  # in step with direct
-    report = rec._verify_entries(_compared(direct, unrolled, differ))
-    unroll_ok = not differ
+    direct = islice(_a214615_direct(), max_n + 1)
+    prefix = tuple(islice(direct, max(overlap, 11) + 1))
+    report = rec._verify_entries(enumerate(chain(prefix, direct)))
+    unroll_ok = report.passed and prefix[:2] == A214615_INITIAL.terms
 
     checks: list[tuple[str, str, bool]] = []  # (name, text line, passed)
     line = _report_line(f"recurrence check: {rec.to_text()}", report)

@@ -579,7 +579,7 @@ def run_selfcheck(capsys, max_n, order, *extra):
     return capsys.readouterr().out, code
 
 
-@pytest.mark.parametrize("max_n", [2, 255, 256, 257, 513])
+@pytest.mark.parametrize("max_n", [2, 3, 11, 12, 255, 256, 257, 513])
 def test_selfcheck_windows_match_whole_table_reference(capsys, max_n):
     table = a214615_terms(max_n)
     for order in (13, 256, 257):
@@ -603,6 +603,45 @@ def test_selfcheck_catches_a_corrupted_direct_term(capsys, monkeypatch, at):
     egf_line = f"EGF terms check: n! * [t^n] EGF == a(n) for n <= {order}: "
     assert egf_line + ("FAIL" if at <= order else "PASS") in out
     assert run_selfcheck(capsys, max_n, order, "--json") == selfcheck_reference(table, order, as_json=True)
+
+
+@pytest.mark.parametrize("head", [(1, 2), (2, 2), (0, 1)])
+@pytest.mark.parametrize("max_n", [2, 3, 40])
+def test_selfcheck_unroll_line_fails_on_direct_terms_with_a_wrong_head(capsys, monkeypatch, head, max_n):
+    """Direct terms that satisfy the recurrence but start elsewhere than a(0) = a(1) = 1: the
+    recurrence line passes and only the unroll line (with the EGF line) tells them apart."""
+    order = 20
+    table = A214615_RECURRENCE.unroll(SequenceTable(0, head), max_n)
+    monkeypatch.setattr("holoseq.cli._a214615_direct", lambda: iter(table.terms))
+    out, code = run_selfcheck(capsys, max_n, order)
+    assert (out, code) == selfcheck_reference(table, order)
+    assert code == 1
+    assert f"recurrence check: {REC_TEXT} holds for n = 2..{max_n}: PASS" in out
+    assert f"unroll cross-check: direct terms == recurrence unroll for n <= {max_n}: FAIL" in out
+    json_out = run_selfcheck(capsys, max_n, order, "--json")
+    assert json_out == selfcheck_reference(table, order, as_json=True)
+    checks = json.loads(json_out[0])["checks"]
+    assert (checks["recurrence"], checks["unroll"], json_out[1]) == (True, False, 1)
+
+
+def test_selfcheck_walks_the_direct_terms_and_the_recurrence_once(tmp_path, capsys, monkeypatch):
+    """One selfcheck reads _a214615_direct once and makes one _steps walk, and never unrolls;
+    --against adds the b-file's walk."""
+    path = write_golden_bfile(tmp_path, n_max=300)
+    calls = []
+    direct, steps = _a214615_direct, RecurrenceOperator._steps
+
+    def refused(*args):
+        raise AssertionError("selfcheck unrolled the recurrence")
+
+    monkeypatch.setattr("holoseq.cli._a214615_direct", lambda: calls.append("direct") or direct())
+    monkeypatch.setattr(RecurrenceOperator, "_steps", lambda *args: calls.append("steps") or steps(*args))
+    monkeypatch.setattr(RecurrenceOperator, "_unrolled", refused)
+    assert run_selfcheck(capsys, 300, 20)[1] == 0
+    assert sorted(calls) == ["direct", "steps"]
+    calls.clear()
+    assert run_selfcheck(capsys, 300, 20, "--against", str(path))[1] == 0
+    assert sorted(calls) == ["direct", "steps", "steps"]
 
 
 def test_selfcheck_against_corrupted_past_the_first_window(tmp_path, capsys):
