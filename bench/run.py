@@ -8,8 +8,9 @@ It times the direct loop ``a214615_terms``, ``RecurrenceOperator.unroll`` from
 a(0), a(1) and ``RecurrenceOperator.verify`` of the direct table, at n = 10^4
 and 2*10^4, and checks that the three agree.  It then times
 ``guess_recurrence`` on the first 202 terms of A214615 and of the Motzkin
-numbers at r = d = 4, 8 and 12, and on the first 202 Bell numbers, which fit
-no recurrence, at r = d = 4, 6, 8, 10 and 12; such a row also holds the number
+numbers at r = d = 4, 8 and 12, of the Apery numbers (order 2, degree 3) at
+r = d = 3 and 6, and on the first 202 Bell numbers, which fit no recurrence,
+at r = d = 4, 6, 8, 10 and 12; such a row also holds the number
 of candidates, every candidate must verify on the table, and the Bell rows must
 have none.  Next, at N = 250, 400 and 800, it times ``build_egf(1, N)``, which
 is one ``Series.exp``, and the ``Series`` kernels of the factorization it
@@ -102,6 +103,7 @@ from workloads import operator_text, random_operator  # noqa: E402
 SIZES = (10_000, 20_000)
 GUESS_TERMS = 202
 GUESS_BOUNDS = (4, 8, 12)
+APERY_BOUNDS = (3, 6)
 BELL_BOUNDS = (4, 6, 8, 10, 12)
 SELFCHECK_SIZES = (5_000, 15_000)
 SELFCHECK_ORDER = 20
@@ -179,6 +181,11 @@ def motzkin(count: int) -> tuple[int, ...]:
         n = len(out)
         out.append(((2 * n + 1) * out[n - 1] + 3 * (n - 1) * out[n - 2]) // (n + 2))
     return tuple(out[:count])
+
+
+def apery(count: int) -> tuple[int, ...]:
+    """The first ``count`` Apery numbers, sum_k C(n, k)^2 C(n+k, k)^2."""
+    return tuple(sum((comb(n, k) * comb(n + k, k)) ** 2 for k in range(n + 1)) for n in range(count))
 
 
 def timed(call: Callable[[], object]) -> tuple[object, float, float]:
@@ -310,6 +317,7 @@ def layer_rows(packages: list[ModuleType], rows: list[list[dict]]) -> None:
     guess_tables = {
         "a214615": (a214615(GUESS_TERMS - 1), GUESS_BOUNDS),
         "motzkin": (motzkin(GUESS_TERMS), GUESS_BOUNDS),
+        "apery": (apery(GUESS_TERMS), APERY_BOUNDS),
         "bell": (bell_numbers(GUESS_TERMS), BELL_BOUNDS),
     }
     for name, (terms, bounds) in guess_tables.items():

@@ -18,7 +18,8 @@ prints a term that a Decimal product makes -0, verifies a b-file whose terms
 are spelled other than as ``generate`` writes them, or sit where p_0 vanishes or
 does not divide, or checks an A214615 b-file with ``selfcheck --against``, or
 reads an A214615 b-file whose lines end in CRLF or CR with ``verify`` or ``guess``, or
-runs a plain ``selfcheck`` at a small ``--max-n``; a
+runs a plain ``selfcheck`` at a small ``--max-n``, or guesses on tables where a solution of
+a pair's head rows fails on the table, and on the Apery numbers; a
 failing ``generate --bfile`` targets a file that exists beforehand; and last
 the tasks of
 ``rational_tasks``, which reach the ``Fraction`` paths of ``Polynomial`` and
@@ -46,6 +47,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb, factorial
 from pathlib import Path
 from typing import Optional
 
@@ -83,7 +85,9 @@ def error_tasks(work: Path) -> list[list[str]]:
     one term, offset 1, a malformed line after a failing term), or read the generated
     A214615 text with CRLF and CR line breaks (``verify``, also with a(60) changed, and
     ``guess``), or run a plain ``selfcheck`` at --max-n 2, 3, 11 and 12 (the smallest walk and
-    both sides of the printed "a(0..11)" edge), with their files in ``work``."""
+    both sides of the printed "a(0..11)" edge), or ``guess`` where a solution of a pair's head
+    rows fails on the table (three zeros, then factorials; A214615 at offset 1 with its last
+    term changed) and on 150 Apery numbers, with their files in ``work``."""
     work.mkdir(parents=True)
     malformed, target, generated = work / "malformed.txt", work / "existing.txt", work / "generated.txt"
     malformed.write_text("# A214615\n0 1\n1 1\n2 0\n3 x-4\n4 -4\n", encoding="utf-8")
@@ -118,6 +122,17 @@ def error_tasks(work: Path) -> list[list[str]]:
     breaks = {"crlf": ("".join(lines), "\r\n"), "cr": ("".join(lines), "\r"), "crlf_wrong": (wrong, "\r\n")}
     for name, (text, newline) in breaks.items():  # the text that generate writes, other line breaks
         (work / f"{name}.txt").write_text(text, encoding="utf-8", newline=newline)
+    while len(a) <= 150:
+        a.append(a[-1] - (len(a) - 1) ** 2 * a[-2])
+    apery = [sum((comb(n, k) * comb(n + k, k)) ** 2 for k in range(n + 1)) for n in range(150)]
+    guesses = {  # name: (offset, terms, the (order, degree) bounds of its guesses)
+        "zeros": (0, [0, 0, 0] + [factorial(k) for k in range(27)], [(1, 0), (2, 2)]),
+        "last_changed": (1, a[1:150] + [a[150] + 1], [(2, 2), (3, 3)]),
+        "apery": (0, apery, [(2, 3), (3, 3)]),
+    }
+    for name, (offset, terms, _) in guesses.items():
+        text = "".join(f"{offset + i} {v}\n" for i, v in enumerate(terms))
+        (work / f"guess_{name}.txt").write_text(text, encoding="utf-8")
     a214615 = "a(n) - a(n-1) + (n-1)^2*a(n-2) = 0 for n >= 2"
     sevenths = ["--rec", "7*a(n) - n*a(n-1) = 0 for n >= 1", "--init", str(7**100)]
     singular = ["--rec", "(n-40)*a(n) - (n-40)*a(n-1) = 0", "--init", "7"]
@@ -150,6 +165,8 @@ def error_tasks(work: Path) -> list[list[str]]:
         ["guess", "--bfile", str(work / "crlf.txt"), "--max-order", "2", "--max-degree", "2"],
         *(["selfcheck", "--max-n", max_n, "--series-order", order, *json]
           for max_n in ("2", "3", "11", "12") for order in ("1", "12") for json in ([], ["--json"])),
+        *(["guess", "--bfile", str(work / f"guess_{name}.txt"), "--max-order", str(r), "--max-degree", str(d), *json]
+          for name, (_, _, bounds) in guesses.items() for r, d in bounds for json in ([], ["--json"])),
     ]
 
 

@@ -2,15 +2,17 @@
 
 ``guess_recurrence`` tries the (order, degree) pairs within the bounds by their
 number of unknowns, each on its own exact linear system, and stops at the first
-pair with a fit.  Before any exact work, a pair's first ncols + 1 equations
-(ncols unknowns) are reduced modulo one fixed prime p: an integer matrix's rank
-mod p is at most its rank over the rationals, so a pair whose equations have
-full column rank mod p has no fit, and is skipped.  Only the other pairs, the
-one that fits and any where p is unlucky, reach ``nullspace``, which solves the
-pair's exact system on ints only, so nothing is ever rounded and no result
-depends on p.  The filter and ``nullspace`` read the same exact rows, the
-filter only a pair's first ncols + 1; a pair's rows are built when it is
-tried, and none is kept for the next pair.
+pair with a fit.  A pair's first ncols + 1 equations (ncols unknowns), its head
+rows, are built once and serve both checks.  First they are reduced modulo one
+fixed prime p: an integer matrix's rank mod p is at most its rank over the
+rationals, so a pair whose head has full column rank mod p has no fit, and is
+skipped.  Only the other pairs, the one that fits and any where p is unlucky,
+reach ``nullspace``, which solves the head exactly on ints only, so nothing is
+ever rounded and no result depends on p.  Each vector of that basis is a
+recurrence, and it is certified on the whole table by one walk of it; when
+every vector holds, the pair's full system has the same nullspace and the same
+basis.  Otherwise ``nullspace`` solves the whole system.  A pair's rows are
+built when it is tried, and none is kept for the next pair.
 """
 
 from __future__ import annotations
@@ -176,14 +178,26 @@ def guess_recurrence(
             rows.append([terms[i - k] * power for k in range(r1 + 1) for power in powers])
         return rows
 
+    def recurrences(basis: list[tuple[int, ...]], r1: int, d1: int) -> list[tuple[Polynomial, ...]]:
+        """Each solution's p_0, ..., p_r1, read off in the order of the unknowns."""
+        return [tuple(Polynomial(v[k * (d1 + 1) : (k + 1) * (d1 + 1)]) for k in range(r1 + 1)) for v in basis]
+
     for r1, d1 in pairs:
         ncols = (r1 + 1) * (d1 + 1)
-        if _full_column_rank_mod_p(equations(r1, d1, ncols + 1), ncols):
+        head = equations(r1, d1, ncols + 1)
+        if _full_column_rank_mod_p(head, ncols):
             continue
-        width = d1 + 1
+        # The table's nullspace lies in the head's.  It is the head's when each head solution,
+        # the recurrence its rows state for n >= offset + r1, holds on the whole table; then
+        # nullspace of all the rows returns this same basis, so they need not be built.
+        basis = recurrences(nullspace(head), r1, d1)
+        if len(terms) - r1 > ncols + 1 and not all(
+            not polys[0].is_zero and RecurrenceOperator(polys, offset + r1).verify(table).passed
+            for polys in basis
+        ):
+            basis = recurrences(nullspace(equations(r1, d1, len(terms))), r1, d1)
         candidates = []
-        for vector in nullspace(equations(r1, d1, len(terms))):
-            polys = tuple(Polynomial(vector[k * width : (k + 1) * width]) for k in range(r1 + 1))
+        for polys in basis:
             if polys[0].is_zero:
                 continue
             order = max(k for k, p in enumerate(polys) if not p.is_zero)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -392,8 +392,8 @@ def _motzkin(count):
 def test_guess_hands_nullspace_the_naive_rows_of_the_solved_pair(monkeypatch):
     # Each pair (r', d') is filtered on the rows n^j a(n-k) over k <= r', j <= d', for
     # n = offset + r' .. offset + r' + ncols, in the documented pair order; the pair that
-    # passes gets the same rows for n = offset + r' .. last.  r' and d' of a nullspace
-    # matrix are read off its row and column counts.
+    # passes gets those same rows, and a second call for it, made only when a head solution
+    # fails on the table, gets the rows for n = offset + r' .. last.
     def naive(r1, d1, count):
         ns = range(table.offset + r1, table.last_index + 1)[:count]
         return [
@@ -409,11 +409,13 @@ def test_guess_hands_nullspace_the_naive_rows_of_the_solved_pair(monkeypatch):
         return full_column_rank_mod_p(rows, ncols)
 
     def checked(matrix):
-        r1 = len(table) - len(matrix)
-        d1 = len(matrix[0]) // (r1 + 1) - 1
-        assert (r1, d1) == filtered_pairs[-1]
-        assert [tuple(row) for row in matrix] == naive(r1, d1, len(matrix)), (r1, d1)
-        pairs.append((r1, d1))
+        r1, d1 = filtered_pairs[-1]
+        ncols = (r1 + 1) * (d1 + 1)
+        fallback = pairs[-1:] == [(r1, d1)]  # the pair's second call
+        assert not fallback or fallbacks[-1:] != [(r1, d1)]  # and there is no third
+        count = len(table) - r1 if fallback else ncols + 1
+        assert [tuple(row) for row in matrix] == naive(r1, d1, count), (r1, d1, fallback)
+        (fallbacks if fallback else pairs).append((r1, d1))
         return nullspace(matrix)
 
     full_column_rank_mod_p = guessing._full_column_rank_mod_p
@@ -421,24 +423,91 @@ def test_guess_hands_nullspace_the_naive_rows_of_the_solved_pair(monkeypatch):
     monkeypatch.setattr(guessing, "nullspace", checked)
     motzkin = _motzkin(60)
     scaled_bell = SequenceTable(-2, tuple(P * v for v in _bell(60).terms))
+    a = a214615_terms(60).terms[1:]
     cases = [
-        (SequenceTable(1, a214615_terms(60).terms[1:]), 4, 4,
-         ["a(n) - a(n-1) + (n-1)^2*a(n-2) = 0 for n >= 3"]),
-        (motzkin, 3, 3, ["(2+n)*a(n) - (1+2*n)*a(n-1) + (3-3*n)*a(n-2) = 0 for n >= 2"]),
+        (SequenceTable(1, a), 4, 4, ["a(n) - a(n-1) + (n-1)^2*a(n-2) = 0 for n >= 3"], []),
+        (motzkin, 3, 3, ["(2+n)*a(n) - (1+2*n)*a(n-1) + (3-3*n)*a(n-2) = 0 for n >= 2"], []),
         (SequenceTable(-2, motzkin.terms), 3, 3,
-         ["(4+n)*a(n) - (5+2*n)*a(n-1) - (3+3*n)*a(n-2) = 0 for n >= 0"]),
-        (scaled_bell, 3, 3, []),
+         ["(4+n)*a(n) - (5+2*n)*a(n-1) - (3+3*n)*a(n-2) = 0 for n >= 0"], []),
+        (scaled_bell, 3, 3, [], []),
+        (SequenceTable(1, a[:-1] + (a[-1] + 1,)), 3, 3,
+         ["-(60-n)*a(n) + (60-n)*a(n-1) - (60-121*n+62*n^2-n^3)*a(n-2) = 0 for n >= 3"],
+         [(2, 2), (2, 3)]),
     ]
-    for table, r, d, expected in cases:  # the spies read table and the pair lists from here
+    for table, r, d, expected, expected_fallbacks in cases:  # the spies read these names
         untried = sorted(
             ((k, j) for k in range(r + 1) for j in range(d + 1)),
             key=lambda pair: ((pair[0] + 1) * (pair[1] + 1), pair[0]),
         )
-        filtered_pairs, pairs = [], []
+        filtered_pairs, pairs, fallbacks = [], [], []
         assert [c.to_text() for c in guess_recurrence(table, r, d)] == expected
-        assert pairs and filtered_pairs
+        assert pairs and filtered_pairs and fallbacks == expected_fallbacks
         if table is scaled_bell:
             assert len(pairs) == len(filtered_pairs) == 16  # every pair reaches the exact path
+
+
+def _apery(count):
+    """sum_k C(n, k)^2 C(n+k, k)^2: n^3 a(n) = (34n^3-51n^2+27n-5) a(n-1) - (n-1)^3 a(n-2)."""
+    return SequenceTable(0, tuple(sum((comb(n, k) * comb(n + k, k)) ** 2 for k in range(n + 1)) for n in range(count)))
+
+
+def _count_full_systems(monkeypatch):
+    """The nullspace calls on more rows than a head's ncols + 1: the fallback's full system."""
+    calls = []
+
+    def counted(matrix):
+        if len(matrix) > len(matrix[0]) + 1:
+            calls.append(len(matrix))
+        return nullspace(matrix)
+
+    monkeypatch.setattr(guessing, "nullspace", counted)
+    return calls
+
+
+def _fallback_tables():
+    """Tables where a head solution fails on the table: a(n) = 0 fits the head of a table
+    that opens with three zeros, whose (1, 0) head holds only p_0 = 0; and A214615's last
+    term changed, where a(n) - a(n-1) + (n-1)^2 a(n-2) fails only at the last index."""
+    zeros = SequenceTable(0, (0, 0, 0) + tuple(factorial(k) for k in range(27)))
+    a = a214615_terms(150).terms[1:]
+    changed = SequenceTable(1, a[:-1] + (a[-1] + 1,))
+    return [(zeros, 0, 0), (zeros, 1, 0), (zeros, 2, 2), (changed, 2, 2), (changed, 3, 3)]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_guess_falls_back_to_the_whole_system_where_a_head_solution_fails(monkeypatch, case):
+    table, r, d = _fallback_tables()[case]
+    calls = _count_full_systems(monkeypatch)
+    got = guess_recurrence(table, r, d)
+    assert calls  # the head's basis was not trusted
+    expected = oracles.minimal_fits(list(table.terms), table.offset, r, d)
+    assert [(_direction(p.coeffs for p in c.coeffs), c.n_min) for c in got] == [
+        (_direction(rows), n_min) for rows, n_min in expected
+    ]
+    assert bool(got) == (case in (2, 4))  # (n-3) a(n) = (n-3)^2 a(n-1); the degree-3 fit
+    if case == 4:
+        assert got[0].order == 2 and got[0].degree == 3
+
+
+def test_guess_certifies_the_head_basis_on_the_guess_fit_tables(monkeypatch):
+    # The benchmark's four kinds of 150-term tables, over its ladder of bounds: each fit is
+    # certified by its recurrence walk, so no full system is built.
+    calls = _count_full_systems(monkeypatch)
+    order3 = RecurrenceOperator((ONE, Polynomial((2, -1)), Polynomial((-1, 2)), Polynomial((3, 1))), 3)
+    tables = {
+        "a214615": (SequenceTable(1, a214615_terms(150).terms[1:]), (2, 2)),
+        "motzkin": (_motzkin(150), (2, 1)),
+        "apery": (_apery(150), (2, 3)),
+        "order3": (order3.unroll(SequenceTable(0, (4, 7, 1)), 149), (3, 1)),
+    }
+    ladder = [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 3), (4, 4), (5, 5), (6, 6)]
+    for name, (table, (order, degree)) in tables.items():
+        for r, d in ladder:
+            got = guess_recurrence(table, r, d)
+            fits = order <= r and degree <= d
+            assert [(c.order, c.degree) for c in got] == ([(order, degree)] if fits else []), (name, r, d)
+            assert all(c.verify(table).passed for c in got)
+    assert calls == []
 
 
 def test_full_column_rank_mod_p_implies_an_empty_rational_nullspace():
