@@ -11,8 +11,8 @@ reach ``nullspace``, which solves the head exactly on ints only, so nothing is
 ever rounded and no result depends on p.  Each vector of that basis is a
 recurrence, and it is certified on the whole table by one walk of it; when
 every vector holds, the pair's full system has the same nullspace and the same
-basis.  Otherwise ``nullspace`` solves the whole system.  A pair's rows are
-built when it is tried, and none is kept for the next pair.
+basis.  Otherwise the whole system is solved by the same elimination.  A
+pair's rows are built when it is tried, and none is kept for the next pair.
 """
 
 from __future__ import annotations
@@ -48,7 +48,9 @@ def nullspace(matrix: Sequence[Sequence[Union[int, Fraction]]]) -> list[tuple[in
     product with every basis vector must be 0, which a row's content and
     denominators cannot change.  If one is not, the whole matrix is cleared
     and eliminated instead.  Vectors are normalized to content 1 with a
-    positive first nonzero entry.
+    positive first nonzero entry.  ``guess_recurrence`` passes only head
+    rows and certifies on its own, by the recurrence walk, so the check of
+    the remaining rows serves callers that pass a taller matrix.
     """
     if not matrix:
         raise ValueError("the matrix needs at least one row")
@@ -191,11 +193,13 @@ def guess_recurrence(
         # the recurrence its rows state for n >= offset + r1, holds on the whole table; then
         # nullspace of all the rows returns this same basis, so they need not be built.
         basis = recurrences(nullspace(head), r1, d1)
-        if len(terms) - r1 > ncols + 1 and not all(
+        if not all(
             not polys[0].is_zero and RecurrenceOperator(polys, offset + r1).verify(table).passed
             for polys in basis
         ):
-            basis = recurrences(nullspace(equations(r1, d1, len(terms))), r1, d1)
+            # The head is solved and its basis failed, so eliminate the whole system at once.
+            rows = [_primitive(row) for row in equations(r1, d1, len(terms))]
+            basis = recurrences(_bareiss_nullspace(rows), r1, d1)
         candidates = []
         for polys in basis:
             if polys[0].is_zero:

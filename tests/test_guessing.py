@@ -8,7 +8,7 @@ from holoseq import guessing
 from holoseq.guessing import InsufficientTermsError, guess_recurrence, nullspace
 from holoseq.meixner import A214615_RECURRENCE, a214615_terms, build_egf, egf_annihilator
 from holoseq.operators import RecurrenceOperator
-from holoseq.polynomials import Polynomial
+from holoseq.polynomials import Polynomial, _primitive
 from holoseq.sequences import SequenceTable
 
 import oracles
@@ -392,8 +392,8 @@ def _motzkin(count):
 def test_guess_hands_nullspace_the_naive_rows_of_the_solved_pair(monkeypatch):
     # Each pair (r', d') is filtered on the rows n^j a(n-k) over k <= r', j <= d', for
     # n = offset + r' .. offset + r' + ncols, in the documented pair order; the pair that
-    # passes gets those same rows, and a second call for it, made only when a head solution
-    # fails on the table, gets the rows for n = offset + r' .. last.
+    # passes hands those same rows to nullspace, and only when a head solution fails on the
+    # table does it eliminate the rows for n = offset + r' .. last, made primitive, itself.
     def naive(r1, d1, count):
         ns = range(table.offset + r1, table.last_index + 1)[:count]
         return [
@@ -410,17 +410,28 @@ def test_guess_hands_nullspace_the_naive_rows_of_the_solved_pair(monkeypatch):
 
     def checked(matrix):
         r1, d1 = filtered_pairs[-1]
-        ncols = (r1 + 1) * (d1 + 1)
-        fallback = pairs[-1:] == [(r1, d1)]  # the pair's second call
-        assert not fallback or fallbacks[-1:] != [(r1, d1)]  # and there is no third
-        count = len(table) - r1 if fallback else ncols + 1
-        assert [tuple(row) for row in matrix] == naive(r1, d1, count), (r1, d1, fallback)
-        (fallbacks if fallback else pairs).append((r1, d1))
-        return nullspace(matrix)
+        assert pairs[-1:] != [(r1, d1)]  # one head solve per pair
+        assert [tuple(row) for row in matrix] == naive(r1, d1, (r1 + 1) * (d1 + 1) + 1), (r1, d1)
+        pairs.append((r1, d1))
+        solving.append(True)
+        basis = nullspace(matrix)
+        solving.pop()
+        return basis
+
+    def eliminated(rows):
+        if solving:  # nullspace's own elimination of the head
+            return bareiss_nullspace(rows)
+        r1, d1 = filtered_pairs[-1]
+        assert pairs[-1:] == [(r1, d1)] and fallbacks[-1:] != [(r1, d1)]  # after its head, once
+        assert rows == [_primitive(row) for row in naive(r1, d1, len(table) - r1)], (r1, d1)
+        fallbacks.append((r1, d1))
+        return bareiss_nullspace(rows)
 
     full_column_rank_mod_p = guessing._full_column_rank_mod_p
     monkeypatch.setattr(guessing, "_full_column_rank_mod_p", filtered)
+    bareiss_nullspace = guessing._bareiss_nullspace
     monkeypatch.setattr(guessing, "nullspace", checked)
+    monkeypatch.setattr(guessing, "_bareiss_nullspace", eliminated)
     motzkin = _motzkin(60)
     scaled_bell = SequenceTable(-2, tuple(P * v for v in _bell(60).terms))
     a = a214615_terms(60).terms[1:]
@@ -439,7 +450,7 @@ def test_guess_hands_nullspace_the_naive_rows_of_the_solved_pair(monkeypatch):
             ((k, j) for k in range(r + 1) for j in range(d + 1)),
             key=lambda pair: ((pair[0] + 1) * (pair[1] + 1), pair[0]),
         )
-        filtered_pairs, pairs, fallbacks = [], [], []
+        filtered_pairs, pairs, fallbacks, solving = [], [], [], []
         assert [c.to_text() for c in guess_recurrence(table, r, d)] == expected
         assert pairs and filtered_pairs and fallbacks == expected_fallbacks
         if table is scaled_bell:
@@ -452,15 +463,24 @@ def _apery(count):
 
 
 def _count_full_systems(monkeypatch):
-    """The nullspace calls on more rows than a head's ncols + 1: the fallback's full system."""
-    calls = []
+    """The row counts of the whole systems a guess eliminates: the eliminations made
+    outside nullspace, which only ever gets a head."""
+    calls, solving = [], []
+    bareiss_nullspace = guessing._bareiss_nullspace
 
-    def counted(matrix):
-        if len(matrix) > len(matrix[0]) + 1:
-            calls.append(len(matrix))
-        return nullspace(matrix)
+    def head(matrix):
+        solving.append(True)
+        basis = nullspace(matrix)
+        solving.pop()
+        return basis
 
-    monkeypatch.setattr(guessing, "nullspace", counted)
+    def eliminated(rows):
+        if not solving:
+            calls.append(len(rows))
+        return bareiss_nullspace(rows)
+
+    monkeypatch.setattr(guessing, "nullspace", head)
+    monkeypatch.setattr(guessing, "_bareiss_nullspace", eliminated)
     return calls
 
 
@@ -489,20 +509,28 @@ def test_guess_falls_back_to_the_whole_system_where_a_head_solution_fails(monkey
         assert got[0].order == 2 and got[0].degree == 3
 
 
-def test_guess_certifies_the_head_basis_on_the_guess_fit_tables(monkeypatch):
-    # The benchmark's four kinds of 150-term tables, over its ladder of bounds: each fit is
-    # certified by its recurrence walk, so no full system is built.
+@pytest.mark.parametrize("seed", range(4))
+def test_guess_certifies_the_head_basis_on_the_guess_fit_tables(monkeypatch, seed):
+    # The benchmark's four kinds of 150-term tables, over its ladder of bounds and Motzkin's
+    # (8, 8), with the order-3 recurrence's constant parts and initial terms drawn as the
+    # benchmark draws them: each fit is certified by its recurrence walk, so no whole system
+    # is eliminated.
     calls = _count_full_systems(monkeypatch)
-    order3 = RecurrenceOperator((ONE, Polynomial((2, -1)), Polynomial((-1, 2)), Polynomial((3, 1))), 3)
-    tables = {
-        "a214615": (SequenceTable(1, a214615_terms(150).terms[1:]), (2, 2)),
-        "motzkin": (_motzkin(150), (2, 1)),
-        "apery": (_apery(150), (2, 3)),
-        "order3": (order3.unroll(SequenceTable(0, (4, 7, 1)), 149), (3, 1)),
-    }
+    rng = random.Random(seed)
+    c1, c2, c3 = rng.randint(-3, 3), rng.randint(-3, 3), rng.choice((-3, -2, -1, 1, 2, 3))
+    order3 = RecurrenceOperator((ONE, Polynomial((c1, -1)), Polynomial((c2, 2)), Polynomial((c3, 1))), 3)
+    initial = SequenceTable(0, tuple(rng.randint(1, 9) for _ in range(3)))
     ladder = [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 3), (4, 4), (5, 5), (6, 6)]
-    for name, (table, (order, degree)) in tables.items():
-        for r, d in ladder:
+    tables = {
+        "a214615": (SequenceTable(1, a214615_terms(150).terms[1:]), (2, 2), ladder),
+        "motzkin": (_motzkin(150), (2, 1), ladder + [(8, 8)]),
+        "apery": (_apery(150), (2, 3), ladder),
+        "order3": (order3.unroll(initial, 149), (3, 1), ladder),
+    }
+    if seed:  # the fixed tables need one pass only
+        tables = {"order3": tables["order3"]}
+    for name, (table, (order, degree), bounds) in tables.items():
+        for r, d in bounds:
             got = guess_recurrence(table, r, d)
             fits = order <= r and degree <= d
             assert [(c.order, c.degree) for c in got] == ([(order, degree)] if fits else []), (name, r, d)
