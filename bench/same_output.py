@@ -19,7 +19,8 @@ are spelled other than as ``generate`` writes them, or sit where p_0 vanishes or
 does not divide, or checks an A214615 b-file with ``selfcheck --against``, or
 reads an A214615 b-file whose lines end in CRLF or CR with ``verify`` or ``guess``, or
 runs a plain ``selfcheck`` at a small ``--max-n``, or guesses on tables where a solution of
-a pair's head rows fails on the table, and on the Apery numbers; a
+a pair's head rows fails on the table, on the Apery numbers, and on A214615 scaled by a
+prime that the modular filter of ``guess`` uses or used, so that every head is 0 mod it; a
 failing ``generate --bfile`` targets a file that exists beforehand; and last
 the tasks of
 ``rational_tasks``, which reach the ``Fraction`` paths of ``Polynomial`` and
@@ -87,7 +88,9 @@ def error_tasks(work: Path) -> list[list[str]]:
     ``guess``), or run a plain ``selfcheck`` at --max-n 2, 3, 11 and 12 (the smallest walk and
     both sides of the printed "a(0..11)" edge), or ``guess`` where a solution of a pair's head
     rows fails on the table (three zeros, then factorials; A214615 at offset 1 with its last
-    term changed) and on 150 Apery numbers, with their files in ``work``."""
+    term changed), on 150 Apery numbers, and on 202 terms of A214615 scaled by 1,073,741,789
+    or by 2^61 - 1, so that one tree or the other solves every pair exactly where the other
+    filters it mod its prime, with their files in ``work``."""
     work.mkdir(parents=True)
     malformed, target, generated = work / "malformed.txt", work / "existing.txt", work / "generated.txt"
     malformed.write_text("# A214615\n0 1\n1 1\n2 0\n3 x-4\n4 -4\n", encoding="utf-8")
@@ -122,13 +125,16 @@ def error_tasks(work: Path) -> list[list[str]]:
     breaks = {"crlf": ("".join(lines), "\r\n"), "cr": ("".join(lines), "\r"), "crlf_wrong": (wrong, "\r\n")}
     for name, (text, newline) in breaks.items():  # the text that generate writes, other line breaks
         (work / f"{name}.txt").write_text(text, encoding="utf-8", newline=newline)
-    while len(a) <= 150:
+    while len(a) < 202:
         a.append(a[-1] - (len(a) - 1) ** 2 * a[-2])
     apery = [sum((comb(n, k) * comb(n + k, k)) ** 2 for k in range(n + 1)) for n in range(150)]
     guesses = {  # name: (offset, terms, the (order, degree) bounds of its guesses)
         "zeros": (0, [0, 0, 0] + [factorial(k) for k in range(27)], [(1, 0), (2, 2)]),
         "last_changed": (1, a[1:150] + [a[150] + 1], [(2, 2), (3, 3)]),
         "apery": (0, apery, [(2, 3), (3, 3)]),
+        # every head is 0 mod the filter's prime, 2^30 - 35, or mod the prime it had, 2^61 - 1
+        "scaled_2_30": (0, [1_073_741_789 * v for v in a], [(2, 2), (4, 4)]),
+        "scaled_2_61": (0, [((1 << 61) - 1) * v for v in a], [(2, 2), (4, 4)]),
     }
     for name, (offset, terms, _) in guesses.items():
         text = "".join(f"{offset + i} {v}\n" for i, v in enumerate(terms))

@@ -3,21 +3,21 @@
 ``guess_recurrence`` tries the (order, degree) pairs within the bounds by their
 number of unknowns, each on its own exact linear system, and stops at the first
 pair with a fit.  A pair's first ncols + 1 equations (ncols unknowns), its head
-rows, are built once and serve both checks.  First they are reduced modulo one
-fixed prime p: an integer matrix's rank mod p is at most its rank over the
-rationals, so a pair whose head has full column rank mod p has no fit, and is
-skipped.  Only the other pairs, the one that fits and any where p is unlucky,
-reach ``nullspace``, which solves the head exactly on ints only, so nothing is
-ever rounded and no result depends on p.  Each vector of that basis is a
-recurrence, and it is certified on the whole table by one walk of it; when
-every vector holds, the pair's full system has the same nullspace and the same
-basis.  Otherwise the whole system is solved by the same elimination.  A
-pair's rows are built when it is tried, and none is kept for the next pair.
+rows, are built once and serve both checks.  First they are eliminated
+fraction-free modulo one fixed prime p < 2^30: an integer matrix's rank mod p
+is at most its rank over the rationals, so a pair whose head has full column
+rank mod p has no fit, and is skipped.  Only the other pairs, the one that fits
+and any where p is unlucky, reach ``nullspace``, which solves the head exactly
+on ints only, so nothing is ever rounded and no result depends on p.  Each
+vector of that basis is a recurrence, and it is certified on the whole table by
+one walk of it; when every vector holds, the pair's full system has the same
+nullspace and the same basis.  Otherwise the whole system is solved by the same
+elimination.  A pair's rows are built when it is tried, and none is kept for
+the next pair.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence, Union
@@ -27,8 +27,9 @@ from .polynomials import Polynomial, _primitive
 from .sequences import SequenceTable
 
 
-# The modular filter's prime, 2^61 - 1: an unlucky one only costs an exact solve.
-_PRIME = (1 << 61) - 1
+# The modular filter's prime, the largest below 2^30: each residue is one 30-bit digit of a
+# CPython int, and the product of two fits in two.  An unlucky prime only costs an exact solve.
+_PRIME = 1_073_741_789
 
 
 class InsufficientTermsError(ValueError):
@@ -115,28 +116,27 @@ def _bareiss_nullspace(rows: list[list[int]]) -> list[tuple[int, ...]]:
 def _full_column_rank_mod_p(rows: Iterable[Sequence[int]], ncols: int) -> bool:
     """Whether the integer ``rows`` have rank ``ncols`` modulo ``_PRIME``.
 
-    Each row is reduced against the pivot rows found so far, in the order of
-    their pivot columns, and the walk stops as soon as ``ncols`` pivots are
-    found; rows that reduce to zero, leading ones included, are skipped.
-    Full rank mod p implies full rank over the rationals, so the rows then
-    have no nonzero rational nullspace; False proves nothing.
+    Each row is reduced mod p on entry.  While its first nonzero column is a
+    pivot's, the row becomes (lead*row - factor*pivot row) mod p from there
+    on, fraction-free: lead, the pivot's entry, is a unit mod p, so the span
+    is kept with no inverse.  A row whose first nonzero column is no pivot's
+    becomes a pivot row; a zero row is skipped, and the walk stops at
+    ``ncols`` pivots.  Full rank mod p implies full rank over the rationals,
+    so the rows then have no nonzero rational nullspace; False proves nothing.
     """
-    pivots: dict[int, list[int]] = {}  # pivot column -> its row from there on, led by a 1
-    columns: list[int] = []
+    pivots: dict[int, tuple[int, list[int]]] = {}  # pivot column -> (its entry, its row from there on)
     for values in rows:
-        row = list(values)  # reduced once, after all of its subtractions
-        for col in columns:
-            factor = row[col] % _PRIME
+        row = [v % _PRIME for v in values]
+        for col in range(len(row)):
+            factor = row[col]
             if factor:
-                row[col:] = [a - factor * b for a, b in zip(row[col:], pivots[col])]
-        row = [v % _PRIME for v in row]
-        lead = next((col for col, v in enumerate(row) if v), None)
-        if lead is None:
-            continue
-        inverse = pow(row[lead], -1, _PRIME)
-        pivots[lead] = [v * inverse % _PRIME for v in row[lead:]]
-        insort(columns, lead)
-        if len(columns) == ncols:
+                if col not in pivots:
+                    pivots[col] = (factor, row[col:])
+                    break
+                lead, pivot = pivots[col]
+                negated = _PRIME - factor  # -factor mod p: each sum stays >= 0, so % has no sign to fix
+                row[col:] = [(lead * a + negated * b) % _PRIME for a, b in zip(row[col:], pivot)]
+        if len(pivots) == ncols:
             return True
     return False
 

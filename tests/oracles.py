@@ -8,8 +8,9 @@ logarithmic derivative, nullspaces by plain Fraction Gauss-Jordan instead of
 fraction-free elimination, EGF coefficient extraction by literally
 differentiating and shifting the series instead of the falling-factorial
 shift/weight rule, and recurrence unrolling and residuals by summing c_j n^j
-over Fractions instead of integer Horner, and minimal guessing from those
-Fraction nullspaces and residuals alone.
+over Fractions instead of integer Horner, minimal guessing from those
+Fraction nullspaces and residuals alone, and ranks mod a prime by Gauss-Jordan
+with modular inverses instead of fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -213,3 +214,23 @@ def minimal_fits(
             if fits:
                 return fits
     return []
+
+
+def rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Rank of an integer matrix over GF(p) by plain Gauss-Jordan, each pivot row scaled by its
+    entry's inverse mod p (so p must be prime)."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        chosen = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if chosen is None:
+            continue
+        rows[rank], rows[chosen] = rows[chosen], rows[rank]
+        inverse = pow(rows[rank][col], -1, p)
+        rows[rank] = [x * inverse % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [(x - factor * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank

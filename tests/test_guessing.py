@@ -509,24 +509,29 @@ def test_guess_falls_back_to_the_whole_system_where_a_head_solution_fails(monkey
         assert got[0].order == 2 and got[0].degree == 3
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_guess_certifies_the_head_basis_on_the_guess_fit_tables(monkeypatch, seed):
-    # The benchmark's four kinds of 150-term tables, over its ladder of bounds and Motzkin's
-    # (8, 8), with the order-3 recurrence's constant parts and initial terms drawn as the
-    # benchmark draws them: each fit is certified by its recurrence walk, so no whole system
-    # is eliminated.
-    calls = _count_full_systems(monkeypatch)
+def _guess_fit_tables(seed):
+    """The benchmark's four kinds of 150-term tables, each with the (order, degree) of its
+    recurrence and the bounds it is guessed at: its ladder, and Motzkin's (8, 8) too.  The
+    order-3 recurrence's constant parts and initial terms are drawn as the benchmark draws
+    them."""
     rng = random.Random(seed)
     c1, c2, c3 = rng.randint(-3, 3), rng.randint(-3, 3), rng.choice((-3, -2, -1, 1, 2, 3))
     order3 = RecurrenceOperator((ONE, Polynomial((c1, -1)), Polynomial((c2, 2)), Polynomial((c3, 1))), 3)
     initial = SequenceTable(0, tuple(rng.randint(1, 9) for _ in range(3)))
     ladder = [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 3), (4, 4), (5, 5), (6, 6)]
-    tables = {
+    return {
         "a214615": (SequenceTable(1, a214615_terms(150).terms[1:]), (2, 2), ladder),
         "motzkin": (_motzkin(150), (2, 1), ladder + [(8, 8)]),
         "apery": (_apery(150), (2, 3), ladder),
         "order3": (order3.unroll(initial, 149), (3, 1), ladder),
     }
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_guess_certifies_the_head_basis_on_the_guess_fit_tables(monkeypatch, seed):
+    # Each fit is certified by its recurrence walk, so no whole system is eliminated.
+    calls = _count_full_systems(monkeypatch)
+    tables = _guess_fit_tables(seed)
     if seed:  # the fixed tables need one pass only
         tables = {"order3": tables["order3"]}
     for name, (table, (order, degree), bounds) in tables.items():
@@ -561,3 +566,55 @@ def test_full_column_rank_mod_p_implies_an_empty_rational_nullspace():
     unlucky = [[1, 1], [1, P + 1], [2, P + 2]]
     assert not guessing._full_column_rank_mod_p(unlucky, 2)
     assert oracles.gauss_nullspace(unlucky) == [] == nullspace(unlucky)
+
+
+def test_the_filter_prime_is_a_prime_below_2_30():
+    assert 0 < P < 2**30
+    sympy = pytest.importorskip("sympy")
+    assert sympy.isprime(P)
+
+
+def test_full_column_rank_mod_p_matches_a_gauss_jordan_oracle_mod_p():
+    # Unlike the implication above, this pins both answers: a filter that always says False,
+    # or that decides wrongly on any kind of input, fails.
+    rng = random.Random(20261020)
+    answers = {kind: [] for kind in range(5)}
+    for trial in range(1000):
+        nrows, ncols, kind = rng.randint(1, 13), rng.randint(1, 12), trial % 5
+        matrix = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
+        if kind == 1:  # entries beyond p^2
+            matrix = [[v * P**2 + rng.randint(-P, P) for v in row] for row in matrix]
+        elif kind == 2:  # some entries multiples of p
+            matrix = [[P * rng.randint(-3, 3) if rng.random() < 0.3 else v for v in row] for row in matrix]
+        elif kind == 3:  # repeated rows
+            for _ in range(rng.randint(1, nrows)):
+                matrix[rng.randrange(nrows)] = list(matrix[rng.randrange(nrows)])
+        elif kind == 4:  # zero columns
+            for col in rng.sample(range(ncols), rng.randint(0, min(2, ncols - 1))):
+                for row in matrix:
+                    row[col] = 0
+        got = guessing._full_column_rank_mod_p(matrix, ncols)
+        assert got == (oracles.rank_mod_p(matrix, P) == ncols), (trial, matrix)
+        answers[kind].append(got)
+    for got in answers.values():  # both answers, on every kind of input
+        assert 30 <= sum(got) <= len(got) - 30
+
+
+def test_full_column_rank_mod_p_matches_the_oracle_on_every_head_of_the_guess_fit_tables(monkeypatch):
+    # Every head that the guess walk filters, on the benchmark's tables at (6, 6) and on
+    # Motzkin's at (8, 8).
+    full_column_rank_mod_p = guessing._full_column_rank_mod_p
+    answers = []
+
+    def checked(rows, ncols):
+        rows = [list(row) for row in rows]
+        got = full_column_rank_mod_p(rows, ncols)
+        assert got == (oracles.rank_mod_p(rows, P) == ncols), ncols
+        answers.append(got)
+        return got
+
+    monkeypatch.setattr(guessing, "_full_column_rank_mod_p", checked)
+    for name, (table, _, bounds) in _guess_fit_tables(0).items():
+        for r, d in [(6, 6)] + ([(8, 8)] if name == "motzkin" else []):
+            assert len(guess_recurrence(table, r, d)) == 1, (name, r, d)
+    assert answers.count(True) >= 30 and answers.count(False) == 5  # one fitting pair per guess
