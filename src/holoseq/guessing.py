@@ -7,12 +7,13 @@ rows, are built once and serve both checks.  First they are eliminated
 fraction-free modulo one fixed prime p < 2^30: an integer matrix's rank mod p
 is at most its rank over the rationals, so a pair whose head has full column
 rank mod p has no fit, and is skipped.  Only the other pairs, the one that fits
-and any where p is unlucky, reach ``nullspace``, which solves the head exactly
-on ints only, so nothing is ever rounded and no result depends on p.  Each
-vector of that basis is a recurrence, and it is certified on the whole table by
-one walk of it; when every vector holds, the pair's full system has the same
-nullspace and the same basis.  Otherwise the whole system is solved by the same
-elimination.  A pair's rows are built when it is tried, and none is kept for
+and any where p is unlucky, reach ``nullspace``, which solves exactly the rows
+it is given, on ints only, so nothing is ever rounded and no result depends on
+p.  ``guess_recurrence`` gives it the head, and turns each solution with
+p_0 != 0 into one recurrence.  That recurrence is certified on the whole table
+by one walk of it; when every solution holds, the pair's full system has the
+same nullspace and the same basis.  Otherwise ``nullspace`` solves the whole
+system.  A pair's rows are built when it is tried, and none is kept for
 the next pair.
 """
 
@@ -40,18 +41,15 @@ def nullspace(matrix: Sequence[Sequence[Union[int, Fraction]]]) -> list[tuple[in
     """Basis of the right nullspace, as primitive integer vectors.
 
     Every row must have the same length and hold only ints and Fractions
-    (else ValueError or TypeError).  At most ncols rows can be independent,
-    so only the first ncols + 1 are cleared of denominators and reduced to
-    row echelon form by fraction-free (Bareiss) elimination with row
-    pivoting; each free column yields one basis vector by back substitution
-    on ints (see the comment there).  An empty basis is returned at once.
-    Otherwise every remaining row is certified exactly as given: its dot
-    product with every basis vector must be 0, which a row's content and
-    denominators cannot change.  If one is not, the whole matrix is cleared
-    and eliminated instead.  Vectors are normalized to content 1 with a
-    positive first nonzero entry.  ``guess_recurrence`` passes only head
-    rows and certifies on its own, by the recurrence walk, so the check of
-    the remaining rows serves callers that pass a taller matrix.
+    (else ValueError or TypeError).  Every row is cleared of denominators
+    and the whole matrix is reduced to row echelon form by fraction-free
+    (Bareiss) elimination with row pivoting; each free column yields one
+    basis vector by back substitution on ints (see the comment there).
+    Vectors are normalized to content 1 with a positive first nonzero entry,
+    so the basis depends on the nullspace alone.  A tall matrix costs the
+    elimination of all its rows: ``guess_recurrence`` passes a pair's head
+    rows and certifies the basis on the table itself, and eliminates a whole
+    system only where that certificate fails.
     """
     if not matrix:
         raise ValueError("the matrix needs at least one row")
@@ -61,21 +59,8 @@ def nullspace(matrix: Sequence[Sequence[Union[int, Fraction]]]) -> list[tuple[in
             raise ValueError("all matrix rows must have the same length")
         if not all(isinstance(value, (int, Fraction)) for value in row):
             raise TypeError("matrix entries must be ints or Fractions")
-    head = [_primitive(row) for row in matrix[: ncols + 1]]
-    # The head's nullspace contains the matrix's and equals it once the rest is certified; the basis
-    # depends on that space alone (pivots at the first independent columns, x[free] = 1, primitive).
-    basis = _bareiss_nullspace([row[:] for row in head])
-    if not basis:
-        return basis
-    rest = matrix[ncols + 1 :]
-    if all(sum(r * v for r, v in zip(row, vector)) == 0 for vector in basis for row in rest):
-        return basis
-    return _bareiss_nullspace(head + [_primitive(row) for row in rest])
-
-
-def _bareiss_nullspace(rows: list[list[int]]) -> list[tuple[int, ...]]:
-    """``nullspace`` of the nonempty integer ``rows``, which it overwrites."""
-    nrows, ncols = len(rows), len(rows[0])
+    rows = [_primitive(row) for row in matrix]
+    nrows = len(rows)
     pivot_cols: list[int] = []
     pivot_row = 0
     previous_pivot = 1
@@ -153,11 +138,15 @@ def guess_recurrence(
     and the result is the candidates of the first pair that has any: the
     fit with the fewest unknowns, even when it has order 0, such as
     n(n-1)*a(n) = 0 on a table that is zero from a(2) on.  It is normally a
-    single recurrence, and [] when no pair has a candidate.  A candidate of
-    order k claims n >= table.offset + k, the first index whose k
-    predecessors are all in the table, and must hold on the whole table
-    (verified below table.offset + r', where the pair's equations start).
+    single recurrence, and [] when no pair has a candidate.  A candidate has
+    its pair's order r' and claims n >= table.offset + r', the first index
+    whose r' predecessors are all in the table; it holds on the whole table.
+    A solution of lower order is no candidate: it fails below
+    table.offset + r', or an earlier pair would have returned it.
     """
+    for name, bound in (("max_order", max_order), ("max_degree", max_degree)):
+        if isinstance(bound, bool) or not isinstance(bound, int):
+            raise TypeError(f"{name} must be an int")
     r, d = max_order, max_degree
     if r < 0 or d < 0:
         raise ValueError("order and degree bounds must be >= 0")
@@ -180,34 +169,33 @@ def guess_recurrence(
             rows.append([terms[i - k] * power for k in range(r1 + 1) for power in powers])
         return rows
 
-    def recurrences(basis: list[tuple[int, ...]], r1: int, d1: int) -> list[tuple[Polynomial, ...]]:
-        """Each solution's p_0, ..., p_r1, read off in the order of the unknowns."""
-        return [tuple(Polynomial(v[k * (d1 + 1) : (k + 1) * (d1 + 1)]) for k in range(r1 + 1)) for v in basis]
+    def recurrences(basis: list[tuple[int, ...]], r1: int, d1: int) -> list[RecurrenceOperator]:
+        """Each solution with p_0 != 0 as the recurrence its rows state, for n >= offset + r1;
+        p_0, ..., p_r1 are read off in the order of the unknowns."""
+        operators = []
+        for v in basis:
+            polys = [Polynomial(v[k * (d1 + 1) : (k + 1) * (d1 + 1)]) for k in range(r1 + 1)]
+            if not polys[0].is_zero:
+                operators.append(RecurrenceOperator(polys, offset + r1))
+        return operators
 
     for r1, d1 in pairs:
         ncols = (r1 + 1) * (d1 + 1)
         head = equations(r1, d1, ncols + 1)
         if _full_column_rank_mod_p(head, ncols):
             continue
-        # The table's nullspace lies in the head's.  It is the head's when each head solution,
-        # the recurrence its rows state for n >= offset + r1, holds on the whole table; then
-        # nullspace of all the rows returns this same basis, so they need not be built.
-        basis = recurrences(nullspace(head), r1, d1)
-        if not all(
-            not polys[0].is_zero and RecurrenceOperator(polys, offset + r1).verify(table).passed
-            for polys in basis
-        ):
-            # The head is solved and its basis failed, so eliminate the whole system at once.
-            rows = [_primitive(row) for row in equations(r1, d1, len(terms))]
-            basis = recurrences(_bareiss_nullspace(rows), r1, d1)
-        candidates = []
-        for polys in basis:
-            if polys[0].is_zero:
-                continue
-            order = max(k for k, p in enumerate(polys) if not p.is_zero)
-            candidate = RecurrenceOperator(polys, offset + order)
-            if order == r1 or candidate.verify(table.prefix(offset + r1 - 1)).passed:
-                candidates.append(candidate)
+        # The table's nullspace lies in the head's.  It is the head's when each head solution has
+        # p_0 != 0 and its recurrence holds on the whole table; then nullspace of all the rows
+        # returns this same basis, so they need not be built.
+        basis = nullspace(head)
+        solved = recurrences(basis, r1, d1)
+        if len(solved) < len(basis) or not all(op.verify(table).passed for op in solved):
+            solved = recurrences(nullspace(equations(r1, d1, len(terms))), r1, d1)
+        # No solution of order k < r1 holds from offset + k.  If one did, it would solve the
+        # earlier pair (k, its degree).  Each column free there is free here too (a subset of the
+        # rows, more columns before it), and a basis vector is 0 on each free column but its
+        # last; so the solution is that pair's basis vector for the same column, a fit there.
+        candidates = [op for op in solved if op.order == r1]
         if candidates:
             return candidates
     return []

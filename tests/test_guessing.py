@@ -8,7 +8,7 @@ from holoseq import guessing
 from holoseq.guessing import InsufficientTermsError, guess_recurrence, nullspace
 from holoseq.meixner import A214615_RECURRENCE, a214615_terms, build_egf, egf_annihilator
 from holoseq.operators import RecurrenceOperator
-from holoseq.polynomials import Polynomial, _primitive
+from holoseq.polynomials import Polynomial
 from holoseq.sequences import SequenceTable
 
 import oracles
@@ -65,8 +65,8 @@ def test_nullspace_matches_fraction_oracle_random():
         b = [[rng.randint(-10**6, 10**6) for _ in range(k)] for _ in range(n)]
         c = [[rng.randint(-10**6, 10**6) for _ in range(m)] for _ in range(k)]
         matrices.append([[sum(b[i][t] * c[t][j] for t in range(k)) for j in range(m)] for i in range(n)])
-    # Tall matrices, more rows than the ncols + 1 that are eliminated: rank-deficient products
-    # are certified at once; one row repeated over the whole head forces the fallback.
+    # Tall matrices, more rows than the ncols + 1 of a head: every row counts.  One row repeated
+    # over the first ncols + 1 leaves a nullspace that only the rows below it cut down.
     def product(n, m, k):
         b = [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 5))) for _ in range(k)] for _ in range(n)]
         c = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(k)]
@@ -103,14 +103,14 @@ def test_nullspace_matches_fraction_oracle_random():
 def test_nullspace_rejects_floats():
     with pytest.raises(TypeError):
         nullspace([[0.5, 1]])
-    with pytest.raises(TypeError):  # below the ncols + 1 eliminated rows
+    with pytest.raises(TypeError):  # in a row below the first ncols + 1
         nullspace([[1, 2], [3, 4], [5, 6], [0.5, 1]])
 
 
 def test_nullspace_rejects_ragged_input():
     with pytest.raises(ValueError):
         nullspace([[1, 2], [1]])
-    with pytest.raises(ValueError):  # below the ncols + 1 eliminated rows
+    with pytest.raises(ValueError):  # in a row below the first ncols + 1
         nullspace([[1, 2], [3, 4], [5, 6], [1]])
     with pytest.raises(ValueError):
         nullspace([])
@@ -183,6 +183,17 @@ def test_guess_insufficient_terms_boundary():
 def test_guess_rejects_negative_bounds():
     with pytest.raises(ValueError, match=r"^order and degree bounds must be >= 0$"):
         guess_recurrence(a214615_terms(20), -1, 2)
+
+
+@pytest.mark.parametrize("bounds, name", [
+    ((2.0, 2), "max_order"), ((2, 2.0), "max_degree"), ((True, 2), "max_order"),
+    ((2, False), "max_degree"), (("2", 2), "max_order"), ((2, None), "max_degree"),
+    ((Fraction(2), 2), "max_order"),
+])
+def test_guess_rejects_bounds_that_are_not_ints(bounds, name):
+    # A float would fail inside range and True would run as order 1; each is refused by name.
+    with pytest.raises(TypeError, match=rf"^{name} must be an int$"):
+        guess_recurrence(a214615_terms(20), *bounds)
 
 
 def test_guess_empty_result_is_normal():
@@ -332,6 +343,51 @@ def test_guess_matches_minimal_fits_oracle():
     assert nonempty >= 70  # the comparison is not vacuous
 
 
+def test_no_solution_of_lower_order_than_its_pair_holds_from_its_own_order():
+    # guess keeps only the solutions of a pair's own order.  On the oracle's bases, no solution
+    # of lower order k, at any pair up to the first with a fit, holds from offset + k.
+    rng = random.Random(20261021)
+    lower = 0
+    for trial in range(600):
+        r, d = rng.choice(((1, 1), (2, 0), (2, 1), (1, 2), (2, 2), (3, 0), (3, 1)))
+        offset, length = rng.randint(0, 3), (r + 1) * (d + 1) + r + 1 + rng.randint(0, 3)
+        if trial % 2:  # mostly zeros
+            terms = [rng.choice([0] * rng.randint(1, 6) + [1, -1, 2]) for _ in range(length)]
+        else:  # a random recurrence of order 1 or 2, with a free term wherever p_0 fails to divide
+            order = rng.randint(1, 2)
+            rows = [[rng.randint(-2, 2) for _ in range(rng.randint(1, 3))] for _ in range(order + 1)]
+            terms = [rng.randint(-2, 2) for _ in range(order)]
+            for i in range(order, length):
+                p0 = oracles.power_sum(rows[0], offset + i)
+                s = -sum(oracles.power_sum(rows[k], offset + i) * terms[i - k] for k in range(1, order + 1))
+                terms.append(int(s / p0) if p0 and s % p0 == 0 else rng.choice((0, 0, 1, -1)))
+        for _ in range(rng.randint(0, 2)):
+            terms[rng.randrange(length)] = rng.randint(-3, 3)
+        for r1, d1 in sorted(
+            ((k, j) for k in range(r + 1) for j in range(d + 1)), key=lambda p: ((p[0] + 1) * (p[1] + 1), p[0])
+        ):
+            matrix = [
+                [Fraction(n) ** j * terms[n - k - offset] for k in range(r1 + 1) for j in range(d1 + 1)]
+                for n in range(offset + r1, offset + length)
+            ]
+            fits = False
+            for vector in oracles.gauss_nullspace(matrix):
+                rows = [vector[k * (d1 + 1) : (k + 1) * (d1 + 1)] for k in range(r1 + 1)]
+                if not any(rows[0]):
+                    continue
+                order = max(k for k, row in enumerate(rows) if any(row))
+                if order == r1:
+                    fits = True
+                    continue
+                lower += 1
+                residuals = [oracles.recurrence_residual(rows[: order + 1], offset, terms, n)
+                             for n in range(offset + order, offset + r1)]
+                assert any(residuals), (offset, terms, r1, d1, rows)
+            if fits:
+                break
+    assert lower >= 50  # the claim is not vacuous
+
+
 # --- modular filter -----------------------------------------------------
 
 P = guessing._PRIME
@@ -393,7 +449,7 @@ def test_guess_hands_nullspace_the_naive_rows_of_the_solved_pair(monkeypatch):
     # Each pair (r', d') is filtered on the rows n^j a(n-k) over k <= r', j <= d', for
     # n = offset + r' .. offset + r' + ncols, in the documented pair order; the pair that
     # passes hands those same rows to nullspace, and only when a head solution fails on the
-    # table does it eliminate the rows for n = offset + r' .. last, made primitive, itself.
+    # table does it hand nullspace the rows for n = offset + r' .. last.
     def naive(r1, d1, count):
         ns = range(table.offset + r1, table.last_index + 1)[:count]
         return [
@@ -408,30 +464,21 @@ def test_guess_hands_nullspace_the_naive_rows_of_the_solved_pair(monkeypatch):
         filtered_pairs.append((r1, d1))
         return full_column_rank_mod_p(rows, ncols)
 
-    def checked(matrix):
+    def solved(matrix):
         r1, d1 = filtered_pairs[-1]
-        assert pairs[-1:] != [(r1, d1)]  # one head solve per pair
-        assert [tuple(row) for row in matrix] == naive(r1, d1, (r1 + 1) * (d1 + 1) + 1), (r1, d1)
-        pairs.append((r1, d1))
-        solving.append(True)
-        basis = nullspace(matrix)
-        solving.pop()
-        return basis
-
-    def eliminated(rows):
-        if solving:  # nullspace's own elimination of the head
-            return bareiss_nullspace(rows)
-        r1, d1 = filtered_pairs[-1]
-        assert pairs[-1:] == [(r1, d1)] and fallbacks[-1:] != [(r1, d1)]  # after its head, once
-        assert rows == [_primitive(row) for row in naive(r1, d1, len(table) - r1)], (r1, d1)
-        fallbacks.append((r1, d1))
-        return bareiss_nullspace(rows)
+        rows = [tuple(row) for row in matrix]
+        if pairs[-1:] != [(r1, d1)]:  # the pair's head, once
+            assert rows == naive(r1, d1, (r1 + 1) * (d1 + 1) + 1), (r1, d1)
+            pairs.append((r1, d1))
+        else:  # after its head, once: the whole system, as built
+            assert fallbacks[-1:] != [(r1, d1)], (r1, d1)
+            assert rows == naive(r1, d1, len(table) - r1), (r1, d1)
+            fallbacks.append((r1, d1))
+        return nullspace(matrix)
 
     full_column_rank_mod_p = guessing._full_column_rank_mod_p
     monkeypatch.setattr(guessing, "_full_column_rank_mod_p", filtered)
-    bareiss_nullspace = guessing._bareiss_nullspace
-    monkeypatch.setattr(guessing, "nullspace", checked)
-    monkeypatch.setattr(guessing, "_bareiss_nullspace", eliminated)
+    monkeypatch.setattr(guessing, "nullspace", solved)
     motzkin = _motzkin(60)
     scaled_bell = SequenceTable(-2, tuple(P * v for v in _bell(60).terms))
     a = a214615_terms(60).terms[1:]
@@ -450,7 +497,7 @@ def test_guess_hands_nullspace_the_naive_rows_of_the_solved_pair(monkeypatch):
             ((k, j) for k in range(r + 1) for j in range(d + 1)),
             key=lambda pair: ((pair[0] + 1) * (pair[1] + 1), pair[0]),
         )
-        filtered_pairs, pairs, fallbacks, solving = [], [], [], []
+        filtered_pairs, pairs, fallbacks = [], [], []
         assert [c.to_text() for c in guess_recurrence(table, r, d)] == expected
         assert pairs and filtered_pairs and fallbacks == expected_fallbacks
         if table is scaled_bell:
@@ -463,24 +510,17 @@ def _apery(count):
 
 
 def _count_full_systems(monkeypatch):
-    """The row counts of the whole systems a guess eliminates: the eliminations made
-    outside nullspace, which only ever gets a head."""
-    calls, solving = [], []
-    bareiss_nullspace = guessing._bareiss_nullspace
+    """The row counts of the whole systems a guess eliminates: the nullspace calls on more
+    rows than a head's ncols + 1.  The tables here are longer than their bounds need, so
+    each whole system is taller than its head."""
+    calls = []
 
-    def head(matrix):
-        solving.append(True)
-        basis = nullspace(matrix)
-        solving.pop()
-        return basis
+    def counted(matrix):
+        if len(matrix) > len(matrix[0]) + 1:
+            calls.append(len(matrix))
+        return nullspace(matrix)
 
-    def eliminated(rows):
-        if not solving:
-            calls.append(len(rows))
-        return bareiss_nullspace(rows)
-
-    monkeypatch.setattr(guessing, "nullspace", head)
-    monkeypatch.setattr(guessing, "_bareiss_nullspace", eliminated)
+    monkeypatch.setattr(guessing, "nullspace", counted)
     return calls
 
 
