@@ -21,10 +21,13 @@ reads an A214615 b-file whose lines end in CRLF or CR with ``verify`` or ``guess
 runs a plain ``selfcheck`` at a small ``--max-n``, or guesses on tables where a solution of
 a pair's head rows fails on the table, on the Apery numbers, and on A214615 scaled by a
 prime that the modular filter of ``guess`` uses or used, so that every head is 0 mod it; a
-failing ``generate --bfile`` targets a file that exists beforehand; and last
+failing ``generate --bfile`` targets a file that exists beforehand; then
 the tasks of
 ``rational_tasks``, which reach the ``Fraction`` paths of ``Polynomial`` and
-``Series`` that the workloads' small integer operators do not.  Per task it
+``Series`` that the workloads' small integer operators do not; and last the
+tasks of ``bridge_tasks``, which put operators of the shapes that the
+extraction treats apart (every monomial t^a D^b with b > a, D-order 0, mixed
+denominators, a high t-degree) through ``ode2rec`` and ``generate --ode``.  Per task it
 hashes the argv, the exit code, stdout, stderr and, for a task with
 ``--bfile``, the bytes of
 that file as the task leaves it (or "absent"), with the work directory's path
@@ -194,6 +197,24 @@ def rational_tasks() -> list[list[str]]:
     ]
 
 
+def bridge_tasks() -> list[list[str]]:
+    """``ode2rec``, with and without ``--json``, and ``generate --ode`` of operators whose
+    extraction reaches each branch of the bridge: n_min = s_max > order (``t*D^2 + D``), a
+    D-order 0 operator, coefficients over denominators 2, 3 and 5 (its terms stop at a
+    non-integer), and an order-60 recurrence."""
+    operators = {
+        "D^3 - t*D": ("1,2,3", 20),
+        "t*D^2 + D": ("1", 10),
+        "t^2": ("1", 10),
+        "1/2*D^2 - 2/3*t*D + 3/5": ("15,15", 12),
+        "(1+t)^60*D^2 + t": (",".join(["1"] * 60), 70),
+    }
+    return [task for op, (init, to) in operators.items() for task in (
+        ["ode2rec", op], ["ode2rec", op, "--json"],
+        ["generate", f"--ode={op}", "--init", init, "--to", str(to)],
+    )]
+
+
 def child(src: Path) -> None:
     """Print [name, digest] per task of every workload and seed, with holoseq from ``src``."""
     sys.path.insert(0, str(src))
@@ -219,6 +240,8 @@ def child(src: Path) -> None:
             results.append([f"error task {i}: holoseq {shown}", task_digest(cli, argv, work)])
         for i, argv in enumerate(rational_tasks()):
             results.append([f"rational task {i}: holoseq {' '.join(argv)}", task_digest(cli, argv, work)])
+        for i, argv in enumerate(bridge_tasks()):
+            results.append([f"bridge task {i}: holoseq {' '.join(argv)}", task_digest(cli, argv, work)])
     print(json.dumps(results))
 
 
@@ -255,7 +278,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 1
     compared = " and ".join(f"{src} under {python}" for python, src in runs)
     print(f"same_output: {compared}: identical over {len(parent)} tasks "
-          f"({', '.join(WORKLOADS)}; seeds {', '.join(map(str, SEEDS))}; error and rational tasks)")
+          f"({', '.join(WORKLOADS)}; seeds {', '.join(map(str, SEEDS))}; error, rational and bridge tasks)")
     return 0
 
 

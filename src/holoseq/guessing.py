@@ -24,7 +24,7 @@ from itertools import product
 from typing import Iterable, Sequence, Union
 
 from .operators import RecurrenceOperator
-from .polynomials import Polynomial, _primitive
+from .polynomials import Polynomial, _check_int, _primitive
 from .sequences import SequenceTable
 
 
@@ -144,9 +144,8 @@ def guess_recurrence(
     A solution of lower order is no candidate: it fails below
     table.offset + r', or an earlier pair would have returned it.
     """
-    for name, bound in (("max_order", max_order), ("max_degree", max_degree)):
-        if isinstance(bound, bool) or not isinstance(bound, int):
-            raise TypeError(f"{name} must be an int")
+    _check_int("max_order", max_order)
+    _check_int("max_degree", max_degree)
     r, d = max_order, max_degree
     if r < 0 or d < 0:
         raise ValueError("order and degree bounds must be >= 0")

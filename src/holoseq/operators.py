@@ -12,10 +12,12 @@ so the monomial c t^a D^b contributes the weight c * fall(n, a) to the term
 a(n + s) at shift s = b - a.  Collecting weights by shift and reindexing by
 m = n + s_max turns an annihilating operator into a recurrence
 sum_k p_k(m) a(m-k) = 0 with p_k(m) = w_{s_max-k}(m - s_max).  Both steps run
-on integers: each shift's weight is one row of integer numerators, and the
-reindexing is a Taylor shift of that row, so each p_k is built once and then
-canonicalized once.  Coefficient text is formatted from the same stored
-integers, with no Fraction per coefficient.
+on plain int rows: each monomial adds c * fall(n, a) into its shift's row of
+integer numerators, and one reindexing routine, which ``from_shift_weights``
+shares, Taylor-shifts each row and builds the operator once; its constructor
+is the one canonicalization.  No ``Polynomial`` is built per monomial.
+Coefficient text is formatted from the same stored integers, with no Fraction
+per coefficient.
 
 Index convention: a(m) is taken to be 0 for m below the table offset.  That
 convention is sound for extracted recurrences because any term reaching below
@@ -43,8 +45,8 @@ from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .polynomials import (
-    _EXACT, Polynomial, RationalLike, _Frozen, _join_signed, _lift_digit_cap, _primitive,
-    _ratio_text, _taylor_shift, format_rational,
+    _EXACT, Polynomial, RationalLike, _check_int, _falling_factorial, _Frozen, _join_signed,
+    _lift_digit_cap, _lowest_terms, _primitive, _ratio_text, _taylor_shift, format_rational,
 )
 from .sequences import SequenceTable
 from .series import Series
@@ -72,11 +74,34 @@ class NonIntegerTermError(ArithmeticError):
 def egf_shift_weight(t_power: int, d_order: int) -> tuple[int, Polynomial]:
     """Shift and weight contributed by t^a D^b under EGF extraction.
 
-    Returns (b - a, fall(n, a)) where fall(n, a) = n (n-1) ... (n-a+1).
+    Returns (b - a, fall(n, a)) where fall(n, a) = n (n-1) ... (n-a+1): the one-monomial,
+    public form of the integer row that ``DifferentialOperator.to_recurrence`` adds.  An
+    exponent that is a bool or not an int is a TypeError, a negative one a ValueError.
     """
+    _check_int("t_power", t_power)
+    _check_int("d_order", d_order)
     if t_power < 0 or d_order < 0:
         raise ValueError("monomial exponents must be >= 0")
-    return d_order - t_power, Polynomial.falling_factorial(t_power)
+    return d_order - t_power, Polynomial(_falling_factorial(t_power))
+
+
+def _reindexed(rows: Mapping[int, list[int]], valid_from: Optional[int]) -> RecurrenceOperator:
+    """The recurrence of sum_s w_s(n) a(n+s) = 0 for n >= valid_from, where ``rows[s]`` holds
+    the integer coefficients of w_s, lowest first; the rows are shifted in place.
+
+    Zero rows are dropped.  Each other row goes to k = s_max - s and is Taylor-shifted to
+    p_k(m) = w_s(m - s_max), and the operator is built once from the p_k.  n_min is
+    valid_from + s_max, or the order when ``valid_from`` is None.
+    """
+    rows = {s: row for s, row in rows.items() if any(row)}
+    if not rows:
+        raise ValueError("all shift weights are zero; no recurrence to build")
+    s_max = max(rows)
+    coeffs: list[list[int]] = [[]] * (s_max - min(rows) + 1)
+    for s, row in rows.items():
+        coeffs[s_max - s] = _taylor_shift(row, -s_max)
+    n_min = len(coeffs) - 1 if valid_from is None else valid_from + s_max
+    return RecurrenceOperator(map(Polynomial, coeffs), n_min)
 
 
 def _trailer_product(
@@ -191,25 +216,24 @@ class DifferentialOperator(_Frozen):
     def to_recurrence(self) -> RecurrenceOperator:
         """The recurrence satisfied by EGF coefficient tables this kills.
 
-        Expands every monomial c t^a D^b into its shift and weight c * fall(n, a)
-        (``egf_shift_weight``), with c a numerator of the q_j scaled to their common
-        denominator, and adds the weight into one integer row per shift;
-        ``from_shift_weights`` reindexes the rows so the recurrence reads
-        sum_k p_k(n) a(n-k) = 0.  Extraction proves it for n >= 0 before reindexing,
+        Each monomial c t^a D^b, with c a numerator of the q_j scaled to their common
+        denominator, adds c * fall(n, a) into the int row of its shift b - a (the weight
+        of ``egf_shift_weight``, with no Polynomial built); the reindexing that
+        ``from_shift_weights`` shares turns the rows into sum_k p_k(n) a(n-k) = 0 and
+        builds the operator once.  Extraction proves it for n >= 0 before reindexing,
         so n_min = max(order, s_max): the order unless every monomial has b > a
         (D^2 - D, which kills 5 + e^t, gives a(n) = a(n-1) only for n >= 2).
         """
         rows: dict[int, list[int]] = {}
         den = lcm(*(q._den for q in self.coeffs))  # a common scale leaves the recurrence as it is
-        for j, q in enumerate(self.coeffs):
-            for a_pow, c in enumerate(q._nums):
+        for b, q in enumerate(self.coeffs):
+            scale = den // q._den
+            for a, c in enumerate(q._nums):
                 if c:
-                    shift, weight = egf_shift_weight(a_pow, j)
-                    c *= den // q._den
-                    row = zip_longest(rows.get(shift, ()), weight._nums, fillvalue=0)
-                    rows[shift] = [v + c * w for v, w in row]
-        weights = {shift: Polynomial(row) for shift, row in rows.items()}
-        return RecurrenceOperator.from_shift_weights(weights, max(0, -min(rows)))
+                    c *= scale
+                    row = zip_longest(rows.get(b - a, ()), _falling_factorial(a), fillvalue=0)
+                    rows[b - a] = [v + c * w for v, w in row]
+        return _reindexed(rows, max(0, -min(rows)))
 
     @_lift_digit_cap
     def to_text(self) -> str:
@@ -255,8 +279,7 @@ class RecurrenceOperator(_Frozen):
     _fields = ("coeffs", "n_min")
 
     def __init__(self, coeffs: Iterable[Union[Polynomial, RationalLike]], n_min: int) -> None:
-        if isinstance(n_min, bool) or not isinstance(n_min, int):
-            raise TypeError("n_min must be an int")
+        _check_int("n_min", n_min)
         cs = _as_polynomials(coeffs)
         if not cs or cs[0].is_zero:
             raise ValueError("the coefficient p_0 of a(n) must be nonzero")
@@ -276,19 +299,20 @@ class RecurrenceOperator(_Frozen):
         for n >= valid_from, the result carries n_min = valid_from + s_max;
         with no bound given, n_min defaults to the recurrence order (the
         smallest m at which no referenced index is negative for offset-0
-        tables).  Each weight's numerators are Taylor-shifted as ints, each p_k is built
-        once, and the constructor canonicalizes them.
+        tables).  The weights are cleared to one denominator as int rows, which
+        the reindexing of ``to_recurrence`` Taylor-shifts and builds into the
+        operator once.  A shift or ``valid_from`` that is a bool or not an int is
+        a TypeError.
         """
-        # a zero weight trims to the empty tuple
-        nonzero = {s: p for s, w in weights.items() for p in _as_polynomials((w,))}
-        if not nonzero:
-            raise ValueError("all shift weights are zero; no recurrence to build")
-        s_max, s_min = max(nonzero), min(nonzero)
-        coeffs = [Polynomial()] * (s_max - s_min + 1)
-        for s, w in nonzero.items():
-            coeffs[s_max - s] = Polynomial(_taylor_shift(list(w._nums), -s_max), w._den)
-        n_min = len(coeffs) - 1 if valid_from is None else valid_from + s_max
-        return cls(tuple(coeffs), n_min)
+        for s in weights:
+            _check_int(f"shift {s!r}", s)
+        if valid_from is not None:
+            _check_int("valid_from", valid_from)
+        parts = {s: (w._nums, w._den) if isinstance(w, Polynomial) else _lowest_terms((w,))
+                 for s, w in weights.items()}
+        den = lcm(*(d for _, d in parts.values()))
+        return _reindexed({s: [c * (den // d) for c in nums] for s, (nums, d) in parts.items()},
+                          valid_from)
 
     @property
     def order(self) -> int:

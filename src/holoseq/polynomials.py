@@ -129,6 +129,12 @@ def _lowest_terms(values: Iterable[RationalLike], den: int = 1) -> tuple[tuple[i
     return nums, den
 
 
+def _check_int(name: str, value: object) -> None:
+    """TypeError naming the argument unless ``value`` is an int; a bool is none."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int")
+
+
 def _without_trailing_zeros(values: _Coefficients) -> _Coefficients:
     end = len(values)
     while end and not values[end - 1]:
@@ -143,6 +149,15 @@ def _taylor_shift(nums: list[int], offset: int) -> list[int]:
         for j in range(n - 1, i - 1, -1):
             nums[j] += offset * nums[j + 1]
     return nums
+
+
+def _falling_factorial(length: int) -> list[int]:
+    """The integer coefficients of x(x-1)...(x-length+1), lowest first; [1] for length 0."""
+    coeffs = [1]
+    for i in range(length):
+        # multiply by (x - i): c_k <- c_{k-1} - i*c_k
+        coeffs = [a - i * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
 
 
 def _primitive(values: Iterable[RationalLike]) -> list[int]:
@@ -310,11 +325,7 @@ class Polynomial(_Rationals):
         """x(x-1)...(x-length+1); the empty product (length 0) is 1."""
         if length < 0:
             raise ValueError("falling factorial length must be >= 0")
-        coeffs = [1]
-        for i in range(length):
-            # multiply by (x - i): c_k <- c_{k-1} - i*c_k
-            coeffs = [a - i * b for a, b in zip([0] + coeffs, coeffs + [0])]
-        return cls(coeffs)
+        return cls(_falling_factorial(length))
 
     @property
     def degree(self) -> Union[int, float]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .polynomials import _Frozen
+from .polynomials import _check_int, _Frozen
 
 
 class SequenceTable(_Frozen):
@@ -13,8 +13,7 @@ class SequenceTable(_Frozen):
     _fields = ("offset", "terms")
 
     def __init__(self, offset: int, terms: Iterable[int]) -> None:
-        if isinstance(offset, bool) or not isinstance(offset, int):
-            raise TypeError("offset must be an int")
+        _check_int("offset", offset)
         terms = tuple(terms)
         if not terms:
             raise ValueError("a sequence table needs at least one term")

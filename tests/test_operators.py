@@ -241,6 +241,88 @@ def test_canonical_recurrence_coefficients_are_integers_over_den_1():
     assert [p._nums for p in rec.coeffs] == [(-21, 28), (-30,)]
 
 
+def per_monomial_weights(operator: DifferentialOperator) -> dict[int, Polynomial]:
+    """The public per-monomial route: the egf_shift_weight of each c t^a D^b, times c, summed
+    by shift as Polynomials."""
+    weights: dict[int, Polynomial] = {}
+    for b, q in enumerate(operator.coeffs):
+        for a, c in enumerate(q.coeffs):
+            if c:
+                s, w = egf_shift_weight(a, b)
+                weights[s] = weights.get(s, Polynomial()) + w * c
+    return weights
+
+
+def operator_with_every_b_above_a(rng, order: int) -> DifferentialOperator:
+    """q_1 D + ... + q_order D^order with deg q_b < b and q_0 = 0: every monomial t^a D^b has
+    b > a, so every shift is positive."""
+    coeffs = [Polynomial()]
+    for b in range(1, order + 1):
+        q = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7))) for _ in range(rng.randint(1, b))]
+        coeffs.append(Polynomial(q))
+    if coeffs[-1].is_zero:
+        coeffs[-1] = Polynomial((Fraction(5, 3),))
+    return DifferentialOperator(tuple(coeffs))
+
+
+def test_to_recurrence_equals_from_shift_weights_of_the_per_monomial_weights():
+    rng = random.Random(3601)
+    operators = [random_rational_operator(rng, rng.randint(0, 3), 4) for _ in range(200)]
+    operators += [operator_with_every_b_above_a(rng, rng.randint(1, 3)) for _ in range(40)]
+    shapes = set()
+    for operator in operators:
+        weights = per_monomial_weights(operator)
+        expected = RecurrenceOperator.from_shift_weights(weights)
+        rec = operator.to_recurrence()
+        assert rec == expected.with_n_min(max(expected.order, max(weights)))
+        shapes.add(("all b > a", min(weights) > 0))
+        shapes.add(("mixed denominators", len({q._den for q in operator.coeffs if not q.is_zero}) > 1))
+        shapes.add(("D-order 0", operator.order == 0))
+    assert shapes == {(shape, seen) for shape in ("all b > a", "mixed denominators", "D-order 0")
+                      for seen in (True, False)}
+
+
+def test_to_recurrence_builds_two_polynomials_per_recurrence_coefficient(monkeypatch):
+    # one per p_k from the integer rows, one per p_k in the constructor's canonical form;
+    # none per monomial or per shift weight
+    rng = random.Random(3602)
+    operators = [random_rational_operator(rng, rng.randint(0, 3), 4) for _ in range(100)]
+    operators += [operator_with_every_b_above_a(rng, 3),
+                  DifferentialOperator((X, Polynomial(), (X + ONE) ** 60))]
+    built = []
+    init = Polynomial.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counted)
+    for operator in operators:
+        built.clear()
+        rec = operator.to_recurrence()
+        assert len(built) == 2 * (rec.order + 1)
+    assert rec.order == 60
+
+
+def test_bridge_integer_inputs_reject_bools_and_non_ints():
+    for args, name in (((0, 1.5), "d_order"), ((True, 0), "t_power"), ((0, False), "d_order"),
+                       ((Fraction(1), 0), "t_power")):
+        with pytest.raises(TypeError, match=rf"^{name} must be an int$"):
+            egf_shift_weight(*args)
+    with pytest.raises(TypeError, match=r"^shift True must be an int$"):
+        RecurrenceOperator.from_shift_weights({True: 1, 0: -1})
+    with pytest.raises(TypeError, match=r"^shift 1\.5 must be an int$"):
+        RecurrenceOperator.from_shift_weights({1.5: 1, 0: -1})
+    for valid_from in (True, 1.0, "1"):
+        with pytest.raises(TypeError, match=r"^valid_from must be an int$"):
+            RecurrenceOperator.from_shift_weights({1: 1, 0: -1}, valid_from=valid_from)
+    with pytest.raises(TypeError, match=r"^expected an int or a Fraction, got float 0\.5$"):
+        RecurrenceOperator.from_shift_weights({1: 1, 0: 0.5})
+    # the int spellings: a(n+1) - a(n) = 0 for n >= 1 is a(n) - a(n-1) = 0 for n >= 2
+    rec = RecurrenceOperator.from_shift_weights({1: 1, 0: -1}, valid_from=1)
+    assert rec == RecurrenceOperator((ONE, -ONE), 2)
+
+
 # --- apply -------------------------------------------------------------
 
 
