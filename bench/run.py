@@ -12,7 +12,9 @@ numbers at r = d = 4, 8 and 12, of the Apery numbers (order 2, degree 3) at
 r = d = 3 and 6, and on the first 202 Bell numbers, which fit no recurrence,
 at r = d = 4, 6, 8, 10 and 12; such a row also holds the number
 of candidates, every candidate must verify on the table, and the Bell rows must
-have none.  Next, at N = 250, 400 and 800, it times ``build_egf(1, N)``, which
+have none.  It times ``guess_recurrence`` at r = d = 2 on the first N terms of
+A214615 with the last one changed by 1, at N = 500, 1000 and 2000, where the
+head's solution fails on the table and no recurrence fits.  Next, at N = 250, 400 and 800, it times ``build_egf(1, N)``, which
 is one ``Series.exp``, and the ``Series`` kernels of the factorization it
 replaced, exp(arctan t) * (1 + t^2)^(-1/2): ``Series.exp`` of arctan t and the
 ``Series`` product of that with (1 + t^2)^(-1/2), whose coefficients the
@@ -105,6 +107,7 @@ GUESS_TERMS = 202
 GUESS_BOUNDS = (4, 8, 12)
 APERY_BOUNDS = (3, 6)
 BELL_BOUNDS = (4, 6, 8, 10, 12)
+CORRUPT_GUESS_SIZES = (500, 1_000, 2_000)
 SELFCHECK_SIZES = (5_000, 15_000)
 SELFCHECK_ORDER = 20
 SERIES_SIZES = (250, 400, 800)
@@ -331,6 +334,15 @@ def layer_rows(packages: list[ModuleType], rows: list[list[dict]]) -> None:
                 raise SystemExit(f"bench: a guess on the Bell numbers at r = d = {bound} fits")
             extra = {"bounds": [bound, bound], "candidates": len(fits), "max_term_bits": term_bits(terms)}
             add_rows(rows, f"guess_{name}", GUESS_TERMS, runs, **extra)
+    for n in CORRUPT_GUESS_SIZES:
+        terms = a214615(n - 1)
+        tables = [p.SequenceTable(0, terms[:-1] + (terms[-1] + 1,)) for p in packages]
+        calls = [lambda p=p, t=t: p.guess_recurrence(t, 2, 2) for p, t in zip(packages, tables)]
+        fits, runs = measure(calls, lambda r: tuple(c.to_text() for c in r))
+        if fits:
+            raise SystemExit(f"bench: a guess on A214615 with its last term changed fits at {n} terms")
+        extra = {"bounds": [2, 2], "candidates": 0, "max_term_bits": term_bits(tables[0].terms)}
+        add_rows(rows, "guess_corrupt", n, runs, **extra)
     for n in SERIES_SIZES:
         # build_egf's former factorization exp(arctan t) * (1 + t^2)^(-1/2): its pieces time
         # Series.exp and *, and their product cross-checks build_egf.

@@ -27,7 +27,10 @@ the tasks of
 ``Series`` that the workloads' small integer operators do not; and last the
 tasks of ``bridge_tasks``, which put operators of the shapes that the
 extraction treats apart (every monomial t^a D^b with b > a, D-order 0, mixed
-denominators, a high t-degree) through ``ode2rec`` and ``generate --ode``.  Per task it
+denominators, a high t-degree) through ``ode2rec`` and ``generate --ode``, and the
+tasks of ``combination_tasks``, which ``guess`` on tables whose only fit is the sum of
+two basis vectors of its pair's nullspace (trees from before sums were tried return none
+there, so these tasks differ from them).  Per task it
 hashes the argv, the exit code, stdout, stderr and, for a task with
 ``--bfile``, the bytes of
 that file as the task leaves it (or "absent"), with the work directory's path
@@ -37,7 +40,7 @@ type and message.  The child exits if ``holoseq`` is imported from anywhere
 but its tree.
 
 The script prints how many tasks were compared and exits 0 when every hash
-agrees; otherwise it names the first task whose output differs and exits 1.
+agrees; otherwise it names every task whose output differs and exits 1.
 Exit code 2 means a child failed, or a tree was refused.  Only perfbench's
 workload builder is imported; nothing under ``perfbench/`` is changed.
 """
@@ -215,6 +218,26 @@ def bridge_tasks() -> list[list[str]]:
     )]
 
 
+def combination_tasks(work: Path) -> list[list[str]]:
+    """``guess``, with and without ``--json``, on tables whose fit at the first pair that has
+    one is no basis vector of the pair's nullspace: each basis vector lacks p_0 or p_r', and
+    the sum of the first of each kind is the fit; with their files in ``work``."""
+    work.mkdir(parents=True)
+    tables = {  # name: (offset, terms, (order, degree) bounds)
+        "seven": (0, (1, 0, 0, 0, 0, 0, 0, 1), (1, 1)),
+        "order_3": (1, (2, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0), (3, 2)),
+        "degree_2": (0, (0, 2, 0, 0, 2, 0, 0, 0, 0, 0, -1, -1), (2, 2)),
+        "offset_3": (3, (-1, 0, 0, 0, 0, 0, 0, 0, -1, 0, 1, 0, 0), (3, 1)),
+    }
+    tasks = []
+    for name, (offset, terms, (r, d)) in tables.items():
+        path = work / f"{name}.txt"
+        path.write_text("".join(f"{offset + i} {v}\n" for i, v in enumerate(terms)), encoding="utf-8")
+        tasks += [["guess", "--bfile", str(path), "--max-order", str(r), "--max-degree", str(d), *json]
+                  for json in ([], ["--json"])]
+    return tasks
+
+
 def child(src: Path) -> None:
     """Print [name, digest] per task of every workload and seed, with holoseq from ``src``."""
     sys.path.insert(0, str(src))
@@ -242,6 +265,10 @@ def child(src: Path) -> None:
             results.append([f"rational task {i}: holoseq {' '.join(argv)}", task_digest(cli, argv, work)])
         for i, argv in enumerate(bridge_tasks()):
             results.append([f"bridge task {i}: holoseq {' '.join(argv)}", task_digest(cli, argv, work)])
+        work = Path(scratch) / "combinations"
+        for i, argv in enumerate(combination_tasks(work)):
+            shown = " ".join(argv).replace(str(work), MASK)
+            results.append([f"combination task {i}: holoseq {shown}", task_digest(cli, argv, work)])
     print(json.dumps(results))
 
 
@@ -272,14 +299,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     if [name for name, _ in parent] != [name for name, _ in change]:
         print("same_output: the two trees ran different task lists", file=sys.stderr)
         return 1
-    for (name, before), (_, after) in zip(parent, change):
-        if before != after:
-            print(f"same_output: output differs at {name}")
-            return 1
+    differ = [name for (name, before), (_, after) in zip(parent, change) if before != after]
+    for name in differ:
+        print(f"same_output: output differs at {name}")
     compared = " and ".join(f"{src} under {python}" for python, src in runs)
-    print(f"same_output: {compared}: identical over {len(parent)} tasks "
-          f"({', '.join(WORKLOADS)}; seeds {', '.join(map(str, SEEDS))}; error, rational and bridge tasks)")
-    return 0
+    verdict = f"{len(differ)} of {len(parent)} tasks differ" if differ else f"identical over {len(parent)} tasks"
+    print(f"same_output: {compared}: {verdict} ({', '.join(WORKLOADS)}; seeds {', '.join(map(str, SEEDS))}; "
+          "error, rational, bridge and combination tasks)")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -66,14 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selfcheck", help="cross-check the built-in A214615 pipeline")
     p.set_defaults(handler=cmd_selfcheck)
-    p.add_argument("--max-n", type=int, default=500)
-    p.add_argument("--series-order", type=int, default=100)
+    p.add_argument("--max-n", type=parse_integer, default=500)
+    p.add_argument("--series-order", type=parse_integer, default=100)
     p.add_argument("--against", metavar="BFILE", help="also check a local b-file")
 
     p = sub.add_parser("generate", parents=[rec_or_ode], help="unroll a recurrence into terms")
     p.set_defaults(handler=cmd_generate)
     p.add_argument("--init", required=True, metavar="CSV", help="initial terms, comma separated")
-    p.add_argument("--to", type=int, required=True, metavar="N")
+    p.add_argument("--to", type=parse_integer, required=True, metavar="N")
     p.add_argument("--bfile", metavar="PATH", help="write a b-file instead of stdout")
 
     p = sub.add_parser("verify", parents=[rec_or_ode], help="check a recurrence against a b-file")
@@ -87,13 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("guess", help="fit the minimal recurrence to the terms of a b-file")
     p.set_defaults(handler=cmd_guess)
     p.add_argument("--bfile", required=True, metavar="PATH")
-    p.add_argument("--max-order", type=int, default=2)
-    p.add_argument("--max-degree", type=int, default=2)
+    p.add_argument("--max-order", type=parse_integer, default=2)
+    p.add_argument("--max-degree", type=parse_integer, default=2)
 
     p = sub.add_parser("series", help="print the A214615-family EGF")
     p.set_defaults(handler=cmd_series)
     p.add_argument("--x0", default="1", metavar="RATIONAL")
-    p.add_argument("--to", type=int, default=11, metavar="N")
+    p.add_argument("--to", type=parse_integer, default=11, metavar="N")
     p.add_argument("--text", action="store_true", help="print the series, not the terms")
 
     p = sub.add_parser("fetch", help="download (and cache) an OEIS b-file")

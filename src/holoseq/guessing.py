@@ -9,21 +9,24 @@ is at most its rank over the rationals, so a pair whose head has full column
 rank mod p has no fit, and is skipped.  Only the other pairs, the one that fits
 and any where p is unlucky, reach ``nullspace``, which solves exactly the rows
 it is given, on ints only, so nothing is ever rounded and no result depends on
-p.  ``guess_recurrence`` gives it the head, and turns each solution with
-p_0 != 0 into one recurrence.  That recurrence is certified on the whole table
-by one walk of it; when every solution holds, the pair's full system has the
-same nullspace and the same basis.  Otherwise ``nullspace`` solves the whole
-system.  A pair's rows are built when it is tried, and none is kept for
-the next pair.
+p.  ``guess_recurrence`` gives it the head, and walks each solution of the head
+over the whole table with ``_steps``, the walk of ``unroll`` and ``verify``,
+collecting its residuals.  Where every residual is 0, the head's basis is the
+table's.  Otherwise ``nullspace`` solves the residual matrix, one column per
+head solution; its solutions combine the head's into a spanning set of the
+table's nullspace, and two more calls turn that set into the table's basis.
+So a pair's whole system is never built.  A pair's head rows are built when it
+is tried, and none is kept for the next pair.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence, Union
+from operator import add, mul
+from typing import Iterable, Iterator, Sequence, Union
 
-from .operators import RecurrenceOperator
+from .operators import RecurrenceOperator, _steps
 from .polynomials import Polynomial, _check_int, _primitive
 from .sequences import SequenceTable
 
@@ -46,10 +49,11 @@ def nullspace(matrix: Sequence[Sequence[Union[int, Fraction]]]) -> list[tuple[in
     (Bareiss) elimination with row pivoting; each free column yields one
     basis vector by back substitution on ints (see the comment there).
     Vectors are normalized to content 1 with a positive first nonzero entry,
-    so the basis depends on the nullspace alone.  A tall matrix costs the
-    elimination of all its rows: ``guess_recurrence`` passes a pair's head
-    rows and certifies the basis on the table itself, and eliminates a whole
-    system only where that certificate fails.
+    so the basis depends on the row space alone, and nullspace(nullspace(S))
+    is the basis of the space that the rows of S span.  A tall matrix costs
+    the elimination of all its rows: ``guess_recurrence`` passes a pair's head
+    rows and, where a head solution fails on the table, the residual matrix,
+    which has one column per head solution.
     """
     if not matrix:
         raise ValueError("the matrix needs at least one row")
@@ -141,8 +145,11 @@ def guess_recurrence(
     single recurrence, and [] when no pair has a candidate.  A candidate has
     its pair's order r' and claims n >= table.offset + r', the first index
     whose r' predecessors are all in the table; it holds on the whole table.
-    A solution of lower order is no candidate: it fails below
-    table.offset + r', or an earlier pair would have returned it.
+    The candidates are the basis vectors of the pair's nullspace with p_0 and
+    p_r' both nonzero; where there is none, but one has p_0 != 0 and one has
+    p_r' != 0, the candidate is the sum of the first of each kind, as
+    ``nullspace`` normalizes them.  A solution of lower order is no candidate:
+    it fails below table.offset + r', or an earlier pair would have returned it.
     """
     _check_int("max_order", max_order)
     _check_int("max_degree", max_degree)
@@ -161,40 +168,45 @@ def guess_recurrence(
 
     def equations(r1: int, d1: int, count: int) -> list[list[int]]:
         """The first ``count`` rows [n^j a(n-k) for k <= r1 for j <= d1], in the order of the
-        unknowns, for n = offset + r1, offset + r1 + 1, ... up to the table's last index."""
-        rows = []
-        for i in range(r1, min(r1 + count, len(terms))):
-            powers = [(offset + i) ** j for j in range(d1 + 1)]
-            rows.append([terms[i - k] * power for k in range(r1 + 1) for power in powers])
-        return rows
+        unknowns, for n = offset + r1, offset + r1 + 1, ...; a head's ncols + 1 rows are all
+        in the table, as the length check above makes sure."""
+        powers = {i: [(offset + i) ** j for j in range(d1 + 1)] for i in range(r1, r1 + count)}
+        return [[terms[i - k] * p for k in range(r1 + 1) for p in row] for i, row in powers.items()]
 
-    def recurrences(basis: list[tuple[int, ...]], r1: int, d1: int) -> list[RecurrenceOperator]:
-        """Each solution with p_0 != 0 as the recurrence its rows state, for n >= offset + r1;
-        p_0, ..., p_r1 are read off in the order of the unknowns."""
-        operators = []
-        for v in basis:
-            polys = [Polynomial(v[k * (d1 + 1) : (k + 1) * (d1 + 1)]) for k in range(r1 + 1)]
-            if not polys[0].is_zero:
-                operators.append(RecurrenceOperator(polys, offset + r1))
-        return operators
+    def split(vector: Sequence[int], d1: int) -> list[Sequence[int]]:
+        """The rows p_0, p_1, ... of a solution, read off in the order of the unknowns."""
+        return [vector[j : j + d1 + 1] for j in range(0, len(vector), d1 + 1)]
+
+    def residuals(vector: Sequence[int], r1: int, d1: int) -> Iterator[int]:
+        """sum_k p_k(n) a(n-k) for n = offset + r1 .. the last index, by one ``_steps`` walk."""
+        before = list(terms[:r1])
+        for a, (_, p0, s) in zip(terms[r1:], _steps(split(vector, d1), before, offset + r1)):
+            yield p0 * a - s
+            before.append(a)
 
     for r1, d1 in pairs:
         ncols = (r1 + 1) * (d1 + 1)
         head = equations(r1, d1, ncols + 1)
         if _full_column_rank_mod_p(head, ncols):
             continue
-        # The table's nullspace lies in the head's.  It is the head's when each head solution has
-        # p_0 != 0 and its recurrence holds on the whole table; then nullspace of all the rows
-        # returns this same basis, so they need not be built.
+        # The table's nullspace N is {sum y_i b_i : sum y_i residuals(b_i) = 0} for the head's
+        # basis b_1, ..., b_k, so it is the head's where every residual is 0.  Else the y solve
+        # the m x k residual matrix and their sums span N; N's basis is the nullspace of N^perp,
+        # as nullspace's basis depends only on the row space it is given.
         basis = nullspace(head)
-        solved = recurrences(basis, r1, d1)
-        if len(solved) < len(basis) or not all(op.verify(table).passed for op in solved):
-            solved = recurrences(nullspace(equations(r1, d1, len(terms))), r1, d1)
-        # No solution of order k < r1 holds from offset + k.  If one did, it would solve the
-        # earlier pair (k, its degree).  Each column free there is free here too (a subset of the
-        # rows, more columns before it), and a basis vector is 0 on each free column but its
-        # last; so the solution is that pair's basis vector for the same column, a fit there.
-        candidates = [op for op in solved if op.order == r1]
-        if candidates:
-            return candidates
+        rows = list(zip(*(residuals(b, r1, d1) for b in basis)))
+        if any(map(any, rows)):
+            sums = [[sum(map(mul, y, col)) for col in zip(*basis)] for y in nullspace(rows)]
+            basis = nullspace(nullspace(sums) or [[0] * ncols]) if sums else []
+        # A fit has p_0 != 0 and order r1.  No solution of order k < r1 holds from offset + k:
+        # if one did, it would solve the earlier pair (k, its degree).  Each column free there is
+        # free here too (a subset of the rows, more columns before it), and a basis vector is 0
+        # on each free column but its last; so the solution is that pair's basis vector for the
+        # same column, a fit there.  Where no basis vector has both p_0 and p_r1 nonzero, the
+        # first one with p_0 and the first one with p_r1 add up to a fit.
+        first = [v for v in basis if any(v[: d1 + 1])]  # p_0 != 0
+        last = [v for v in basis if any(v[-d1 - 1 :])]  # p_r1 != 0
+        fits = [v for v in first if v in last] or [tuple(map(add, *vw)) for vw in zip(first, last)][:1]
+        if fits:
+            return [RecurrenceOperator(map(Polynomial, split(v, d1)), offset + r1) for v in fits]
     return []

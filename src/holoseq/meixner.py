@@ -22,7 +22,7 @@ from itertools import count, islice
 from typing import Iterator
 
 from .operators import DifferentialOperator, RecurrenceOperator
-from .polynomials import Polynomial, RationalLike, X, _as_fraction
+from .polynomials import Polynomial, RationalLike, X, _as_fraction, _check_int
 from .sequences import SequenceTable
 from .series import Series
 
@@ -30,7 +30,9 @@ A214615_ID = "A214615"
 
 
 def meixner_eval(n: int, x: RationalLike) -> Fraction:
-    """M_n(x) by running the three-term recurrence forward; x is an int or a Fraction."""
+    """M_n(x) by running the three-term recurrence forward; x is an int or a Fraction.  An index
+    that is a bool or not an int is a TypeError."""
+    _check_int("n", n)
     if n < 0:
         raise ValueError("polynomial index must be >= 0")
     x = _as_fraction(x)
@@ -52,7 +54,9 @@ def _a214615_direct() -> Iterator[int]:
 
 
 def a214615_terms(n_max: int) -> SequenceTable:
-    """a(0..n_max) for a(n) = M_n(1), the first n_max + 1 terms of ``_a214615_direct``."""
+    """a(0..n_max) for a(n) = M_n(1), the first n_max + 1 terms of ``_a214615_direct``; an n_max
+    that is a bool or not an int is a TypeError."""
+    _check_int("n_max", n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     return SequenceTable(0, tuple(islice(_a214615_direct(), n_max + 1)))
@@ -60,8 +64,10 @@ def a214615_terms(n_max: int) -> SequenceTable:
 
 def build_egf(x0: RationalLike, order: int) -> Series:
     """F = exp(x0 arctan t) / sqrt(1 + t^2) at ``order``, x0 an int or a Fraction: the exp of the
-    integral of F'/F = (x0 - t) / (1 + t^2), where t F'/F has denominator den(x0), exp's slope."""
+    integral of F'/F = (x0 - t) / (1 + t^2), where t F'/F has denominator den(x0), exp's slope.
+    An order that is a bool or not an int is a TypeError."""
     x0 = _as_fraction(x0)
+    _check_int("order", order)
     if order < 0:
         raise ValueError("truncation order must be >= 0")
     if order == 0:

@@ -25,14 +25,14 @@ index 0 carries a falling-factorial weight that vanishes there; recurrence
 verification honors the same convention so that shifted variants of the same
 relation (differing only in the stated validity bound) can be checked.
 
-Sequence terms are ints.  The one walk behind ``unroll`` and ``verify`` also
-takes integer ``decimal.Decimal`` terms (exponent 0), as the CLI writes b-files
-and checks them, since it only adds, multiplies, divides with remainder and
-compares them; they are exact only in an exact context (``_EXACT`` in
-``polynomials``), which ``verify`` and the CLI enter.  The CLI's ``verify``
-and ``selfcheck --against`` pass each term as its checked b-file text, which
-the walk takes as the solved term where it reads as that term's ``str``, and
-converts to a ``Decimal`` everywhere else.
+Sequence terms are ints.  The one walk, ``_steps``, behind ``unroll``, ``verify``
+and ``guess_recurrence`` also takes integer ``decimal.Decimal`` terms (exponent
+0), as the CLI writes b-files and checks them, since it only adds, multiplies,
+divides with remainder and compares them; they are exact only in an exact
+context (``_EXACT`` in ``polynomials``), which ``verify`` and the CLI enter.
+The CLI's ``verify`` and ``selfcheck --against`` pass each term as its checked
+b-file text, which the walk takes as the solved term where it reads as that
+term's ``str``, and converts to a ``Decimal`` everywhere else.
 """
 
 from __future__ import annotations
@@ -102,6 +102,39 @@ def _reindexed(rows: Mapping[int, list[int]], valid_from: Optional[int]) -> Recu
         coeffs[s_max - s] = _taylor_shift(row, -s_max)
     n_min = len(coeffs) - 1 if valid_from is None else valid_from + s_max
     return RecurrenceOperator(map(Polynomial, coeffs), n_min)
+
+
+def _steps(
+    coeffs: Sequence[Sequence[int]], before: Sequence[int], start: int
+) -> Iterator[tuple[int, int, int]]:
+    """Yield (n, p_0(n), s(n)) for n = start, start + 1, ..., s(n) = -sum_{k>=1} p_k(n) a(n-k),
+    where ``coeffs[k]`` holds the integer coefficients of p_k, lowest first.
+
+    The one walk of a recurrence over a table: ``unroll``, ``verify`` and ``guess_recurrence``
+    all evaluate through it.  a(n-k) is ``before[-k]`` when n is reached, so the caller appends
+    a(n) to ``before`` between steps; a term that ``before`` does not reach (k > len(before))
+    is zero, as below a table's offset.  Integer Horner on the rows; zero values are skipped,
+    +-1 needs no multiply.
+    """
+    lead, *others = (row[::-1] for row in coeffs)
+    rows = [(k, [-c for c in row]) for k, row in enumerate(others, 1) if any(row)]
+    for n in count(start):
+        p0 = 0
+        for c in lead:
+            p0 = p0 * n + c
+        s = None
+        for k, row in rows:
+            v = 0
+            for c in row:
+                v = v * n + c
+            if v == 0 or k > len(before):
+                continue
+            a = before[-k]
+            if s is None:  # start at the first term, not at 0 + term
+                s = a if v == 1 else -a if v == -1 else v * a
+            else:
+                s = s + a if v == 1 else s - a if v == -1 else s + v * a
+        yield n, p0, 0 if s is None else s
 
 
 def _trailer_product(
@@ -326,34 +359,6 @@ class RecurrenceOperator(_Frozen):
         """The same relation with a different stated validity bound."""
         return RecurrenceOperator(self.coeffs, n_min)
 
-    def _steps(self, before: Sequence[int], start: int) -> Iterator[tuple[int, int, int]]:
-        """Yield (n, p_0(n), s(n)) for n = start, start + 1, ..., s(n) = -sum_{k>=1} p_k(n) a(n-k).
-
-        a(n-k) is ``before[-k]`` when n is reached, so the caller appends a(n) to ``before``
-        between steps; a term that ``before`` does not reach (k > len(before)) is zero, as
-        below a table's offset.  Integer Horner on the canonical rows; zero values are
-        skipped, +-1 needs no multiply.
-        """
-        lead, *others = (p._nums[::-1] for p in self.coeffs)
-        rows = [(k, [-c for c in row]) for k, row in enumerate(others, 1) if row]
-        for n in count(start):
-            p0 = 0
-            for c in lead:
-                p0 = p0 * n + c
-            s = None
-            for k, row in rows:
-                v = 0
-                for c in row:
-                    v = v * n + c
-                if v == 0 or k > len(before):
-                    continue
-                a = before[-k]
-                if s is None:  # start at the first term, not at 0 + term
-                    s = a if v == 1 else -a if v == -1 else v * a
-                else:
-                    s = s + a if v == 1 else s - a if v == -1 else s + v * a
-            yield n, p0, 0 if s is None else s
-
     def _unrolled(self, initial: Iterable[int], offset: int) -> Iterator[tuple[int, int]]:
         """(n, a(n)) for n >= offset without end: the ``initial`` terms, then the solved ones;
         holds ``order`` terms; see ``unroll``.  Raises ValueError on reaching the first index
@@ -369,7 +374,7 @@ class RecurrenceOperator(_Frozen):
                 f"initial terms end at {start - 1} but the recurrence "
                 f"only holds for n >= {self.n_min}"
             )
-        for n, lead, s in self._steps(before, start):
+        for n, lead, s in _steps([p._nums for p in self.coeffs], before, start):
             if lead == 0:
                 raise SingularRecurrenceError(n)
             quotient, remainder = (s, 0) if lead == 1 else divmod(s, lead)
@@ -385,8 +390,9 @@ class RecurrenceOperator(_Frozen):
         ``_steps`` and a(n) = s(n) outright when p_0(n) = 1.  The first solved index
         offset + len(initial) must be >= n_min; indices below the offset contribute zero.
         Raises SingularRecurrenceError where p_0 vanishes and NonIntegerTermError when
-        s(n)/p_0(n) is not an integer.
+        s(n)/p_0(n) is not an integer, and TypeError for an n_max that is a bool or not an int.
         """
+        _check_int("n_max", n_max)
         if n_max < initial.offset:
             raise ValueError(f"n_max {n_max} is below the table offset {initial.offset}")
         entries = islice(self._unrolled(initial.terms, initial.offset), n_max + 1 - initial.offset)
@@ -424,7 +430,7 @@ class RecurrenceOperator(_Frozen):
             raise ValueError("a sequence table needs at least one term")
         start, last, failure = max(self.n_min, offset), offset - 1, None
         before: deque[int] = deque(maxlen=self.order)
-        steps = self._steps(before, start)
+        steps = _steps([p._nums for p in self.coeffs], before, start)
         for n, a in chain([first], entries):
             if n != last + 1:
                 raise ValueError(f"index {n} does not follow {last}")

@@ -9,14 +9,15 @@ fraction-free elimination, EGF coefficient extraction by literally
 differentiating and shifting the series instead of the falling-factorial
 shift/weight rule, and recurrence unrolling and residuals by summing c_j n^j
 over Fractions instead of integer Horner, minimal guessing from those
-Fraction nullspaces and residuals alone, and ranks mod a prime by Gauss-Jordan
-with modular inverses instead of fraction-free elimination.
+Fraction nullspaces of each pair's whole system alone, and ranks mod a
+prime by Gauss-Jordan with modular inverses instead of fraction-free
+elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Optional
 
 
@@ -183,6 +184,14 @@ def verify_by_fractions(
     return True, start, offset + len(terms) - 1, None
 
 
+def primitive(vector: list[Fraction]) -> list[Fraction]:
+    """The integer multiple of a nonzero vector with content 1 and a positive first nonzero entry."""
+    scale = lcm(*(Fraction(x).denominator for x in vector))
+    ints = [int(x * scale) for x in vector]
+    content = gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
+    return [Fraction(x, content) for x in ints]
+
+
 def minimal_fits(
     terms: list[int], offset: int, r: int, d: int
 ) -> list[tuple[list[list[Fraction]], int]]:
@@ -190,8 +199,10 @@ def minimal_fits(
 
     Pairs go by the number of unknowns (order+1)(degree+1), then by order.  A
     pair's fits are the Gauss-Jordan basis vectors of its system (one equation
-    per n >= offset + order) whose p_0 is nonzero and whose residual vanishes
-    at every n >= offset + (their own order) in the table.
+    per n >= offset + order) whose p_0 and p_order are both nonzero, with
+    n_min = offset + order.  Where there is none, but one basis vector has p_0
+    nonzero and one has p_order nonzero, the fit is the sum of the first of each
+    kind, each scaled to a primitive integer vector with a positive first entry.
     """
     for unknowns in range(1, (r + 1) * (d + 1) + 1):
         for order in range(r + 1):
@@ -202,17 +213,17 @@ def minimal_fits(
                 [Fraction(n) ** j * terms[n - k - offset] for k in range(order + 1) for j in range(degree + 1)]
                 for n in range(offset + order, offset + len(terms))
             ]
-            fits = []
-            for vector in gauss_nullspace(matrix):
-                rows = [vector[k * (degree + 1) : (k + 1) * (degree + 1)] for k in range(order + 1)]
-                if not any(rows[0]):
-                    continue
-                rows = rows[: max(k for k, row in enumerate(rows) if any(row)) + 1]
-                start = offset + len(rows) - 1
-                if all(recurrence_residual(rows, offset, terms, n) == 0 for n in range(start, offset + len(terms))):
-                    fits.append((rows, start))
+            split = [
+                [vector[k * (degree + 1) : (k + 1) * (degree + 1)] for k in range(order + 1)]
+                for vector in map(primitive, gauss_nullspace(matrix))
+            ]
+            fits = [rows for rows in split if any(rows[0]) and any(rows[-1])]
+            leads = [rows for rows in split if any(rows[0])]
+            lasts = [rows for rows in split if any(rows[-1])]
+            if not fits and leads and lasts:
+                fits = [[[x + y for x, y in zip(p, q)] for p, q in zip(leads[0], lasts[0])]]
             if fits:
-                return fits
+                return [(rows, offset + order) for rows in fits]
     return []
 
 

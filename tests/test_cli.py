@@ -625,17 +625,17 @@ def test_selfcheck_unroll_line_fails_on_direct_terms_with_a_wrong_head(capsys, m
 
 
 def test_selfcheck_walks_the_direct_terms_and_the_recurrence_once(tmp_path, capsys, monkeypatch):
-    """One selfcheck reads _a214615_direct once and makes one _steps walk, and never unrolls;
-    --against adds the b-file's walk."""
+    """One selfcheck reads _a214615_direct once and makes one walk of the module-level _steps,
+    and never unrolls; --against adds the b-file's walk."""
     path = write_golden_bfile(tmp_path, n_max=300)
     calls = []
-    direct, steps = _a214615_direct, RecurrenceOperator._steps
+    direct, steps = _a214615_direct, holoseq.operators._steps
 
     def refused(*args):
         raise AssertionError("selfcheck unrolled the recurrence")
 
     monkeypatch.setattr("holoseq.cli._a214615_direct", lambda: calls.append("direct") or direct())
-    monkeypatch.setattr(RecurrenceOperator, "_steps", lambda *args: calls.append("steps") or steps(*args))
+    monkeypatch.setattr(holoseq.operators, "_steps", lambda *args: calls.append("steps") or steps(*args))
     monkeypatch.setattr(RecurrenceOperator, "_unrolled", refused)
     assert run_selfcheck(capsys, 300, 20)[1] == 0
     assert sorted(calls) == ["direct", "steps"]
@@ -959,6 +959,36 @@ def test_parse_error_exit_code(capsys):
 
 def test_unknown_subcommand_exit_code(capsys):
     assert main(["frobnicate"]) == 2
+
+
+INTEGER_OPTIONS = [
+    (["generate", "--rec", REC_TEXT, "--init", "1,1"], "--to"),
+    (["series"], "--to"),
+    (["selfcheck"], "--max-n"),
+    (["selfcheck"], "--series-order"),
+    (["guess", "--bfile", "unread.txt"], "--max-order"),
+    (["guess", "--bfile", "unread.txt"], "--max-degree"),
+]
+
+
+@pytest.mark.parametrize(
+    "literal", ["\u0663", "1_0", "\uff13", "3.0", ""],
+    ids=["arabic-indic", "underscore", "fullwidth", "decimal", "empty"],
+)
+@pytest.mark.parametrize("argv, option", INTEGER_OPTIONS, ids=[f"{a[0]}{o}" for a, o in INTEGER_OPTIONS])
+def test_integer_options_accept_decimal_literals_only(capsys, argv, option, literal):
+    # int() reads other scripts' digits and underscores; the options read what --init reads.
+    assert main(argv + [option, literal]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: invalid" in err and "Traceback" not in err
+
+
+def test_integer_options_take_a_sign_and_spaces_as_init_does(capsys):
+    assert main(["generate", "--rec", REC_TEXT, "--init", "1,1", "--to", " +3 "]) == 0
+    assert capsys.readouterr().out == format_bfile(BFileDocument(a214615_terms(3)))
+    assert main(["series", "--to", "\u22121"]) == 2  # a Unicode minus reads as "-"
+    assert capsys.readouterr() == ("", "holoseq: --to must be >= 0\n")
+    assert main(["generate", "--rec", REC_TEXT, "--init", "\u0663", "--to", "3"]) == 2
 
 
 def test_pipeline_composition(tmp_path, capsys):

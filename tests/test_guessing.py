@@ -343,6 +343,41 @@ def test_guess_matches_minimal_fits_oracle():
     assert nonempty >= 70  # the comparison is not vacuous
 
 
+def test_guess_returns_the_sum_of_basis_vectors_when_no_basis_vector_fits():
+    # At (1, 1) the table's nullspace is spanned by (n - 7)*a(n), of order 0, and
+    # (n - 1)*a(n - 1), whose p_0 is 0; neither fits alone, and their sum does.
+    table = SequenceTable(0, (1, 0, 0, 0, 0, 0, 0, 1))
+    got = guess_recurrence(table, 1, 1)
+    assert [c.to_text() for c in got] == ["-(7-n)*a(n) - (1-n)*a(n-1) = 0 for n >= 1"]
+    assert got[0].verify(table).passed
+
+
+def test_guess_matches_minimal_fits_oracle_on_sparse_tables():
+    # Mostly zero tables, where a pair's fit is often the sum of two basis vectors.
+    rng = random.Random(20261022)
+    sums = nonempty = 0
+    for _ in range(1200):
+        r, d, offset = rng.randint(1, 3), rng.randint(0, 2), rng.randint(0, 3)
+        length = (r + 1) * (d + 1) + r + 1 + rng.randint(0, 4)
+        zeros = rng.choice((0.7, 0.8))
+        terms = [0 if rng.random() < zeros else rng.choice((1, -1, 2)) for _ in range(length)]
+        table = SequenceTable(offset, tuple(terms))
+        got = guess_recurrence(table, r, d)
+        expected = oracles.minimal_fits(terms, offset, r, d)
+        assert [(_direction(p.coeffs for p in c.coeffs), c.n_min) for c in got] == [
+            (_direction(rows), n_min) for rows, n_min in expected
+        ], (table, r, d)
+        assert all(c.verify(table).passed for c in got)
+        if expected:  # a sum where no basis vector of the fitting pair has both p_0 and p_r'
+            order, degree = len(expected[0][0]) - 1, len(expected[0][0][0]) - 1
+            matrix = [[Fraction(n) ** j * terms[n - k - offset] for k in range(order + 1) for j in range(degree + 1)]
+                      for n in range(offset + order, offset + length)]
+            basis = oracles.gauss_nullspace(matrix)
+            sums += not any(any(v[: degree + 1]) and any(v[-degree - 1 :]) for v in basis)
+            nonempty += 1
+    assert sums >= 10 and nonempty >= 400  # both rules are exercised
+
+
 def test_no_solution_of_lower_order_than_its_pair_holds_from_its_own_order():
     # guess keeps only the solutions of a pair's own order.  On the oracle's bases, no solution
     # of lower order k, at any pair up to the first with a fit, holds from offset + k.
@@ -449,7 +484,8 @@ def test_guess_hands_nullspace_the_naive_rows_of_the_solved_pair(monkeypatch):
     # Each pair (r', d') is filtered on the rows n^j a(n-k) over k <= r', j <= d', for
     # n = offset + r' .. offset + r' + ncols, in the documented pair order; the pair that
     # passes hands those same rows to nullspace, and only when a head solution fails on the
-    # table does it hand nullspace the rows for n = offset + r' .. last.
+    # table does it hand nullspace the residual matrix: row . b for each head basis vector b,
+    # one row per n = offset + r' .. last.  Two solves of at most ncols rows follow it.
     def naive(r1, d1, count):
         ns = range(table.offset + r1, table.last_index + 1)[:count]
         return [
@@ -466,14 +502,21 @@ def test_guess_hands_nullspace_the_naive_rows_of_the_solved_pair(monkeypatch):
 
     def solved(matrix):
         r1, d1 = filtered_pairs[-1]
+        ncols = (r1 + 1) * (d1 + 1)
         rows = [tuple(row) for row in matrix]
         if pairs[-1:] != [(r1, d1)]:  # the pair's head, once
-            assert rows == naive(r1, d1, (r1 + 1) * (d1 + 1) + 1), (r1, d1)
+            assert rows == naive(r1, d1, ncols + 1), (r1, d1)
             pairs.append((r1, d1))
-        else:  # after its head, once: the whole system, as built
-            assert fallbacks[-1:] != [(r1, d1)], (r1, d1)
-            assert rows == naive(r1, d1, len(table) - r1), (r1, d1)
+            head_basis[:] = nullspace(matrix)
+            return list(head_basis)
+        if fallbacks[-1:] != [(r1, d1)]:  # after its head, once: the residual matrix
+            residuals = [tuple(sum(x * y for x, y in zip(row, b)) for b in head_basis)
+                         for row in naive(r1, d1, len(table) - r1)]
+            assert rows == residuals and any(map(any, rows)), (r1, d1)
             fallbacks.append((r1, d1))
+        else:  # then the sums' and N^perp's solves, on ncols columns and at most ncols rows
+            assert len(rows[0]) == ncols and len(rows) <= ncols, (r1, d1)
+            followers.append((r1, d1))
         return nullspace(matrix)
 
     full_column_rank_mod_p = guessing._full_column_rank_mod_p
@@ -497,11 +540,49 @@ def test_guess_hands_nullspace_the_naive_rows_of_the_solved_pair(monkeypatch):
             ((k, j) for k in range(r + 1) for j in range(d + 1)),
             key=lambda pair: ((pair[0] + 1) * (pair[1] + 1), pair[0]),
         )
-        filtered_pairs, pairs, fallbacks = [], [], []
+        filtered_pairs, pairs, fallbacks, followers, head_basis = [], [], [], [], []
         assert [c.to_text() for c in guess_recurrence(table, r, d)] == expected
         assert pairs and filtered_pairs and fallbacks == expected_fallbacks
+        # (2, 2)'s residuals have no nonzero solution; (2, 3)'s solutions span the table's basis
+        assert followers == ([(2, 3), (2, 3)] if fallbacks else [])
         if table is scaled_bell:
             assert len(pairs) == len(filtered_pairs) == 16  # every pair reaches the exact path
+
+
+def test_guess_hands_nullspace_a_head_or_at_most_k_columns(monkeypatch):
+    # No call is a pair's whole system: each is the head (ncols + 1 rows), the residual matrix
+    # (k columns, k the head basis's size), or one of the two solves after it (ncols columns,
+    # at most ncols rows).
+    def filtered(rows, ncols):
+        pair.update(ncols=ncols, k=None)
+        return full_column_rank_mod_p(rows, ncols)
+
+    def solved(matrix):
+        nrows, ncols, basis = len(matrix), len(matrix[0]), nullspace(matrix)
+        if pair["k"] is None:
+            assert (nrows, ncols) == (pair["ncols"] + 1, pair["ncols"])
+            pair["k"] = len(basis)
+            kinds.append("head")
+        elif ncols <= pair["k"]:
+            kinds.append("residuals")
+        else:
+            assert ncols == pair["ncols"] and nrows <= ncols
+            kinds.append("solve")
+        return basis
+
+    full_column_rank_mod_p = guessing._full_column_rank_mod_p
+    monkeypatch.setattr(guessing, "_full_column_rank_mod_p", filtered)
+    monkeypatch.setattr(guessing, "nullspace", solved)
+    pair, kinds = {}, []
+    a = a214615_terms(500).terms[1:]
+    cases = _fallback_tables() + [
+        (SequenceTable(0, (1, 0, 0, 0, 0, 0, 0, 1)), 1, 1),
+        (SequenceTable(1, a[:-1] + (a[-1] + 1,)), 3, 3),
+        (SequenceTable(0, tuple(P * v for v in _bell(60).terms)), 3, 3),
+    ]
+    for table, r, d in cases:
+        guess_recurrence(table, r, d)
+    assert kinds.count("residuals") >= 5 and kinds.count("solve") >= 4
 
 
 def _apery(count):
@@ -510,9 +591,10 @@ def _apery(count):
 
 
 def _count_full_systems(monkeypatch):
-    """The row counts of the whole systems a guess eliminates: the nullspace calls on more
-    rows than a head's ncols + 1.  The tables here are longer than their bounds need, so
-    each whole system is taller than its head."""
+    """The row counts of the tall matrices a guess eliminates: the nullspace calls on more
+    rows than a head's ncols + 1, the residual matrices of heads whose basis fails on the
+    table.  The tables here are longer than their bounds need, so each such matrix, one row
+    per n >= offset + r', is taller than its head."""
     calls = []
 
     def counted(matrix):

@@ -16,6 +16,21 @@ from holoseq.sequences import SequenceTable
 GOLDEN_12 = (1, 1, 0, -4, -4, 60, 160, -2000, -9840, 118160, 915200, -10900800)
 
 
+@pytest.mark.parametrize("size", [True, False, 2.5, 3.0, Fraction(3), "3"])
+def test_size_arguments_reject_bools_and_non_ints(size):
+    # a bool once read as 0 or 1, and 2.5 failed in islice, range or a multiply
+    for call, name in (
+        (lambda: build_egf(1, size), "order"),
+        (lambda: a214615_terms(size), "n_max"),
+        (lambda: meixner_eval(size, 1), "n"),
+        (lambda: A214615_RECURRENCE.unroll(A214615_INITIAL, size), "n_max"),
+    ):
+        with pytest.raises(TypeError, match=rf"^{name} must be an int$"):
+            call()
+    assert build_egf(1, 1).order == 1 and a214615_terms(1).terms == (1, 1) == A214615_INITIAL.terms
+    assert meixner_eval(1, 1) == 1 and A214615_RECURRENCE.unroll(A214615_INITIAL, 1) == A214615_INITIAL
+
+
 def test_meixner_small_cases():
     assert meixner_eval(0, 99) == 1
     assert meixner_eval(1, 7) == 7
