@@ -1,4 +1,4 @@
-"""Layer benchmark of A214615's terms, guesses, EGF series, to_recurrence and text; writes bench/BENCH_<label>.json.
+"""Layer benchmark of A214615's terms, guesses, EGF series, to_recurrence, parsing and text; writes bench/BENCH_<label>.json.
 
 Run from the repository root:
 
@@ -28,11 +28,13 @@ whose quotient times the divisor must give the dividend back.  Then it times
 which must have order k; such a row also holds the sha256 of the recurrence's
 text.  It times ``to_recurrence`` of 100 seeded many_small-style operators
 (perfbench's ``random_operator``), ``to_text`` of their 100 recurrences, which
-must hash the same, and 100 calls of ``Series.to_text`` of
-``build_egf(-3/4, N)`` at N = 30 and 250; such a row holds the sha256 of the
-texts, one per line.  It times 100 calls of ``build_egf(-3/4, 30)``, the size
-of EGF that each ``series --to 30`` of the many_small workload builds, whose
-fields must agree across runs and trees.  It times ``load_bfile``, with int
+must hash the same, ``parse_differential_operator`` of the 100 operator texts
+with ``parse_recurrence`` of the 100 recurrences' texts (``parse_small``), and
+100 calls of ``Series.to_text`` of ``build_egf(-3/4, N)`` at N = 30 and 250;
+such a row holds the sha256 of its results' texts, one per line.  It times 100
+calls of ``build_egf(-3/4, 30)``, the size of EGF that each ``series --to 30``
+of the many_small workload builds, whose fields must agree across runs and
+trees.  It times ``load_bfile``, with int
 terms, of b-files of the first N terms of A214615 at N = 2500 and 5000, which
 must give the direct terms back, and the drain of ``BFileReader`` over the
 same files with ``_term=str``, the read that ``verify --bfile`` makes, whose
@@ -390,6 +392,11 @@ def layer_rows(packages: list[ModuleType], rows: list[list[dict]]) -> None:
     if printed != digest:
         raise SystemExit("bench: to_recurrence_small and recurrence_to_text hash different texts")
     add_rows(rows, "recurrence_to_text", SMALL_OPERATORS, runs, text_sha256=digest)
+    rec_texts = [rec.to_text() for rec in recurrences[0]]
+    calls = [lambda p=p: [p.parse_differential_operator(text) for text in texts]
+             + [p.parse_recurrence(text) for text in rec_texts] for p in packages]
+    digest, runs = measure(calls, lambda parsed: joined_sha256(value.to_text() for value in parsed))
+    add_rows(rows, "parse_small", SMALL_OPERATORS, runs, text_sha256=digest)
     for n in TEXT_SIZES:
         egfs = [p.build_egf(TEXT_X0, n) for p in packages]
         calls = [lambda egf=egf: [egf.to_text() for _ in range(TEXT_CALLS)] for egf in egfs]

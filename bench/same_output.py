@@ -30,7 +30,10 @@ extraction treats apart (every monomial t^a D^b with b > a, D-order 0, mixed
 denominators, a high t-degree) through ``ode2rec`` and ``generate --ode``, and the
 tasks of ``combination_tasks``, which ``guess`` on tables whose only fit is the sum of
 two basis vectors of its pair's nullspace (trees from before sums were tried return none
-there, so these tasks differ from them).  Per task it
+there, so these tasks differ from them), and last the 6,050 tasks of ``syntax_tasks``:
+``ode2rec`` and ``generate --rec ... --init 1 --to 3`` of the texts of the parser-error
+table in ``tests/test_parsing.py`` and of 3,000 seeded random texts over a token alphabet,
+most of which exit 2 with the parser's message and position.  Per task it
 hashes the argv, the exit code, stdout, stderr and, for a task with
 ``--bfile``, the bytes of
 that file as the task leaves it (or "absent"), with the work directory's path
@@ -50,6 +53,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -238,6 +242,46 @@ def combination_tasks(work: Path) -> list[list[str]]:
     return tasks
 
 
+# The texts of tests/test_parsing.py's PARSE_ERRORS, one per error the parser raises with a
+# position it can name, and the alphabet of the seeded random texts.
+ERROR_TEXTS = (
+    "t^x", "3/0*D", "3/t*D", "D - D", "a(m) = 0", "a(n*1) = 0", "a(n+k) = 0", "a(n) = a(n-1) for m >= 2",
+    "a(n) = a(n-1) for n >= x", "1 + é", "1 + ٣", "(1+t^2*D", "a n", "a(n) = a(n-1) for n 2",
+    "a(n)*a(n-1) = 0", "D*t", "D^2*(t+D)", "1 + x", "a(n)", "a(n) = ", "a(n) + + a(n-1) = 0", "D 1",
+    "t = 1", "n^2 - 1 = 0", "a(n) - 1 = 0",
+)
+SYNTAX_ALPHABET = (
+    "a(n)", "a(n-1)", "a(m)", "3/0", "^", "for n >= 2", "é", "٣", "−", "(", ")",
+    "+", "-", "*", "=", "2", "n", "t", "D", "x",
+)
+SYNTAX_TEXTS, SYNTAX_SEED = 3_000, 38
+
+
+def syntax_texts() -> list[str]:
+    """ERROR_TEXTS, then SYNTAX_TEXTS seeded random texts of one to eight SYNTAX_ALPHABET
+    tokens, each joined to the next with or without a space; two digits are always spaced,
+    so that no exponent grows past one digit."""
+    rng = random.Random(SYNTAX_SEED)
+    texts = list(ERROR_TEXTS)
+    for _ in range(SYNTAX_TEXTS):
+        text = ""
+        for _ in range(rng.randint(1, 8)):
+            token = rng.choice(SYNTAX_ALPHABET)
+            if text and (rng.random() < 0.5 or text[-1].isdigit() and token[0].isdigit()):
+                text += " "
+            text += token
+        texts.append(text)
+    return texts
+
+
+def syntax_tasks() -> list[list[str]]:
+    """``ode2rec`` and ``generate --rec ... --init 1 --to 3`` of each of ``syntax_texts``, most
+    of which exit 2 with the parser's message and position on stderr."""
+    return [task for text in syntax_texts() for task in (
+        ["ode2rec", "--", text], ["generate", f"--rec={text}", "--init", "1", "--to", "3"],
+    )]
+
+
 def child(src: Path) -> None:
     """Print [name, digest] per task of every workload and seed, with holoseq from ``src``."""
     sys.path.insert(0, str(src))
@@ -269,6 +313,8 @@ def child(src: Path) -> None:
         for i, argv in enumerate(combination_tasks(work)):
             shown = " ".join(argv).replace(str(work), MASK)
             results.append([f"combination task {i}: holoseq {shown}", task_digest(cli, argv, work)])
+        for i, argv in enumerate(syntax_tasks()):
+            results.append([f"syntax task {i}: holoseq {' '.join(argv)}", task_digest(cli, argv, work)])
     print(json.dumps(results))
 
 
@@ -305,7 +351,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     compared = " and ".join(f"{src} under {python}" for python, src in runs)
     verdict = f"{len(differ)} of {len(parent)} tasks differ" if differ else f"identical over {len(parent)} tasks"
     print(f"same_output: {compared}: {verdict} ({', '.join(WORKLOADS)}; seeds {', '.join(map(str, SEEDS))}; "
-          "error, rational, bridge and combination tasks)")
+          "error, rational, bridge, combination and syntax tasks)")
     return 1 if differ else 0
 
 

@@ -166,10 +166,11 @@ def guess_recurrence(
         product(range(r + 1), range(d + 1)), key=lambda p: ((p[0] + 1) * (p[1] + 1), p[0])
     )
 
-    def equations(r1: int, d1: int, count: int) -> list[list[int]]:
-        """The first ``count`` rows [n^j a(n-k) for k <= r1 for j <= d1], in the order of the
-        unknowns, for n = offset + r1, offset + r1 + 1, ...; a head's ncols + 1 rows are all
-        in the table, as the length check above makes sure."""
+    def equations(r1: int, d1: int) -> list[list[int]]:
+        """The pair's head: its ncols + 1 rows [n^j a(n-k) for k <= r1 for j <= d1], in the
+        order of the unknowns, for n = offset + r1 .. offset + r1 + ncols; they are all in the
+        table, as the length check above makes sure."""
+        count = (r1 + 1) * (d1 + 1) + 1
         powers = {i: [(offset + i) ** j for j in range(d1 + 1)] for i in range(r1, r1 + count)}
         return [[terms[i - k] * p for k in range(r1 + 1) for p in row] for i, row in powers.items()]
 
@@ -186,7 +187,7 @@ def guess_recurrence(
 
     for r1, d1 in pairs:
         ncols = (r1 + 1) * (d1 + 1)
-        head = equations(r1, d1, ncols + 1)
+        head = equations(r1, d1)
         if _full_column_rank_mod_p(head, ncols):
             continue
         # The table's nullspace N is {sum y_i b_i : sum y_i residuals(b_i) = 0} for the head's

@@ -11,6 +11,11 @@ grammars that differ only in their atoms:
 '*' may be omitted immediately before a(...) and D.  '/' is only allowed
 between integer literals.  A unicode minus is accepted anywhere '-' is.
 
+A token is a (text, position) pair, and the last one is ("", the text's
+length).  Its text tells its kind: ASCII digits are an integer, a leading
+letter makes a name, and the rest are symbols; a character that starts no
+token, such as a non-ASCII digit, is an "unexpected character".
+
 A parsed value maps (atom, power of the variable) to its coefficient.  The
 atom is j for D^j (0 for the plain part) in an operator, the shift s of
 a(n+s) (None for the plain part) in a recurrence, and None in a polynomial.
@@ -39,22 +44,19 @@ class OperatorSyntaxError(ValueError):
         super().__init__(f"{message} (at position {position})")
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z]\w*)|(?P<sym>>=|[-+*/^()=])|(?P<bad>\S))"
-)
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+|[A-Za-z]\w*|>=|[-+*/^()=])|(\S))")
 
 _Value = dict[tuple[Optional[int], int], RationalLike]
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple[str, int]]:
     source = _normalize_minus(text)
-    tokens: list[tuple[str, str, int]] = []
+    tokens: list[tuple[str, int]] = []
     for match in _TOKEN_RE.finditer(source):
-        kind = str(match.lastgroup)
-        if kind == "bad":
-            raise OperatorSyntaxError(f"unexpected character {match[kind]!r}", match.start(kind))
-        tokens.append((kind, match[kind], match.start(kind)))
-    tokens.append(("end", "", len(source)))
+        if match[2]:
+            raise OperatorSyntaxError(f"unexpected character {match[2]!r}", match.start(2))
+        tokens.append((match[1], match.start(1)))
+    tokens.append(("", len(source)))
     return tokens
 
 
@@ -62,30 +64,41 @@ class _Parser:
     def __init__(self, text: str, mode: str, var: str):
         self.mode = mode
         self.plain: Optional[int] = 0 if mode == "ode" else None
+        self.atom = {"ode": "D", "rec": "a"}.get(mode)  # the name that may follow without '*'
         self.var = var
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def _peek(self) -> tuple[str, str, int]:
+    def _peek(self) -> tuple[str, int]:
         return self.tokens[self.i]
 
-    def _take(self) -> tuple[str, str, int]:
+    def _take(self) -> tuple[str, int]:
         token = self.tokens[self.i]
         self.i += 1
         return token
 
-    def _match(self, kind: str, value: Optional[str] = None) -> bool:
-        k, v, _ = self._peek()
-        if k != kind or (value is not None and v != value):
+    def _match(self, text: str) -> bool:
+        if self.tokens[self.i][0] != text:
             return False
         self.i += 1
         return True
 
-    def _expect(self, kind: str, value: str) -> None:
-        k, v, pos = self._peek()
-        if k != kind or v != value:
-            raise OperatorSyntaxError(f"expected {value!r}, found {v or 'end'!r}", pos)
+    def _expect(self, text: str) -> None:
+        found, pos = self._peek()
+        if found != text:
+            raise OperatorSyntaxError(f"expected {text!r}, found {found or 'end'!r}", pos)
         self.i += 1
+
+    def _integer(self, what: str) -> int:
+        text, pos = self._take()
+        if not text.isdigit():
+            raise OperatorSyntaxError(f"expected an integer {what}", pos)
+        return int(text)
+
+    def _variable(self, where: str) -> None:
+        text, pos = self._take()
+        if text != self.var:
+            raise OperatorSyntaxError(f"expected {self.var!r} {where}", pos)
 
     # value algebra ------------------------------------------------------
 
@@ -116,127 +129,90 @@ class _Parser:
         """The expression less the one right of '=' (rec mode); too deep nesting is a syntax error."""
         try:
             value = self.parse_expression()
-            if self.mode == "rec" and self._match("sym", "="):
+            if self.mode == "rec" and self._match("="):
                 value = self._add(value, self.parse_expression(), -1)
         except RecursionError:
-            raise OperatorSyntaxError("expression nested too deeply", self._peek()[2]) from None
+            raise OperatorSyntaxError("expression nested too deeply", self._peek()[1]) from None
         return value
 
     def parse_expression(self) -> _Value:
         sign = 1
-        while True:
-            if self._match("sym", "-"):
+        while self._peek()[0] in ("+", "-"):
+            if self._take()[0] == "-":
                 sign = -sign
-            elif self._match("sym", "+"):
-                pass
-            else:
-                break
         value = self.parse_term()
         if sign < 0:
             value = self._add({}, value, -1)
-        while True:
-            if self._match("sym", "+"):
-                value = self._add(value, self.parse_term(), 1)
-            elif self._match("sym", "-"):
-                value = self._add(value, self.parse_term(), -1)
-            else:
-                return value
-
-    def _starts_implicit_factor(self) -> bool:
-        kind, name, _ = self._peek()
-        if kind != "name":
-            return False
-        return (self.mode == "ode" and name == "D") or (
-            self.mode == "rec" and name == "a"
-        )
+        while self._peek()[0] in ("+", "-"):
+            sign = 1 if self._take()[0] == "+" else -1
+            value = self._add(value, self.parse_term(), sign)
+        return value
 
     def parse_term(self) -> _Value:
         value = self.parse_factor()
         while True:
-            _, _, pos = self._peek()
-            if self._match("sym", "*"):
-                value = self._mul(value, self.parse_factor(), pos)
-            elif self._starts_implicit_factor():
-                value = self._mul(value, self.parse_factor(), pos)
-            else:
+            text, pos = self._peek()
+            if text == "*":
+                self.i += 1
+            elif text != self.atom:
                 return value
+            value = self._mul(value, self.parse_factor(), pos)
 
     def parse_factor(self) -> _Value:
         value = self.parse_primary()
-        _, _, pos = self._peek()
-        if self._match("sym", "^"):
-            kind, digits, epos = self._peek()
-            if kind != "int":
-                raise OperatorSyntaxError("expected an integer exponent", epos)
-            self._take()
-            exponent = int(digits)
-            result: _Value = {(self.plain, 0): 1}
-            for _ in range(exponent):
-                result = self._mul(result, value, pos)
-            return result
-        return value
+        pos = self._peek()[1]
+        if not self._match("^"):
+            return value
+        result: _Value = {(self.plain, 0): 1}
+        for _ in range(self._integer("exponent")):
+            result = self._mul(result, value, pos)
+        return result
 
     def parse_primary(self) -> _Value:
-        kind, text, pos = self._take()
-        if kind == "int":
-            numerator = int(text)
-            if self._match("sym", "/"):
-                dkind, dtext, dpos = self._take()
-                if dkind != "int":
-                    raise OperatorSyntaxError("expected an integer denominator", dpos)
-                if int(dtext) == 0:
-                    raise OperatorSyntaxError("zero denominator", dpos)
-                return {(self.plain, 0): Fraction(numerator, int(dtext))}
-            return {(self.plain, 0): numerator}
-        if kind == "sym" and text == "(":
+        text, pos = self._take()
+        if text.isdigit():
+            if not self._match("/"):
+                return {(self.plain, 0): int(text)}
+            dpos = self._peek()[1]
+            denominator = self._integer("denominator")
+            if denominator == 0:
+                raise OperatorSyntaxError("zero denominator", dpos)
+            return {(self.plain, 0): Fraction(int(text), denominator)}
+        if text == "(":
             value = self.parse_expression()
-            self._expect("sym", ")")
+            self._expect(")")
             return value
-        if kind == "name":
-            if text == self.var:
-                return {(self.plain, 1): 1}
-            if self.mode == "ode" and text == "D":
-                return {(1, 0): 1}
-            if self.mode == "rec" and text == "a":
-                return self._parse_sequence_atom(pos)
-            raise OperatorSyntaxError(f"unknown symbol {text!r}", pos)
-        raise OperatorSyntaxError(
-            f"expected a value, found {text or 'end'!r}", pos
-        )
+        if not text[:1].isalpha():
+            raise OperatorSyntaxError(f"expected a value, found {text or 'end'!r}", pos)
+        if text == self.var:
+            return {(self.plain, 1): 1}
+        if text == self.atom:
+            return {(1, 0): 1} if self.mode == "ode" else self._parse_sequence_atom()
+        raise OperatorSyntaxError(f"unknown symbol {text!r}", pos)
 
-    def _parse_sequence_atom(self, pos: int) -> _Value:
-        self._expect("sym", "(")
-        kind, name, npos = self._take()
-        if kind != "name" or name != self.var:
-            raise OperatorSyntaxError(f"expected {self.var!r} inside a(...)", npos)
-        shift = 0
-        if not self._match("sym", ")"):
-            skind, sym, spos = self._take()
-            if skind != "sym" or sym not in "+-":
-                raise OperatorSyntaxError("expected '+', '-' or ')' in a(...)", spos)
-            okind, digits, opos = self._take()
-            if okind != "int":
-                raise OperatorSyntaxError("expected an integer shift in a(...)", opos)
-            shift = int(digits) if sym == "+" else -int(digits)
-            self._expect("sym", ")")
-        return {(shift, 0): 1}
+    def _parse_sequence_atom(self) -> _Value:
+        self._expect("(")
+        self._variable("inside a(...)")
+        if self._match(")"):
+            return {(0, 0): 1}
+        sign, pos = self._take()
+        if sign not in ("+", "-"):
+            raise OperatorSyntaxError("expected '+', '-' or ')' in a(...)", pos)
+        shift = self._integer("shift in a(...)")
+        self._expect(")")
+        return {(shift if sign == "+" else -shift, 0): 1}
 
     def parse_validity_clause(self) -> Optional[int]:
-        if not self._match("name", "for"):
+        if not self._match("for"):
             return None
-        kind, name, pos = self._take()
-        if kind != "name" or name != self.var:
-            raise OperatorSyntaxError(f"expected {self.var!r} after 'for'", pos)
-        self._expect("sym", ">=")
-        sign = -1 if self._match("sym", "-") else 1
-        kind, digits, pos = self._take()
-        if kind != "int":
-            raise OperatorSyntaxError("expected an integer bound", pos)
-        return sign * int(digits)
+        self._variable("after 'for'")
+        self._expect(">=")
+        sign = -1 if self._match("-") else 1
+        return sign * self._integer("bound")
 
     def expect_end(self) -> None:
-        kind, text, pos = self._peek()
-        if kind != "end":
+        text, pos = self._peek()
+        if text:
             raise OperatorSyntaxError(f"unexpected trailing {text!r}", pos)
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -590,44 +591,60 @@ def _apery(count):
     return SequenceTable(0, tuple(sum((comb(n, k) * comb(n + k, k)) ** 2 for k in range(n + 1)) for n in range(count)))
 
 
-def _count_full_systems(monkeypatch):
-    """The row counts of the tall matrices a guess eliminates: the nullspace calls on more
-    rows than a head's ncols + 1, the residual matrices of heads whose basis fails on the
-    table.  The tables here are longer than their bounds need, so each such matrix, one row
-    per n >= offset + r', is taller than its head."""
-    calls = []
+def _spied_guess(monkeypatch):
+    """``guess_recurrence`` that also returns the row counts of the residual matrices it solves.
+    A pair's first ``nullspace`` call is its head, k the size of the head's basis; a residual
+    matrix comes after it, with one row per n >= offset + r' and at most k columns."""
+    pair = {}
+
+    def filtered(rows, ncols):
+        r1, d1 = next(pair["untried"])
+        assert ncols == (r1 + 1) * (d1 + 1)
+        pair.update(rows=pair["length"] - r1, k=None)
+        return full_column_rank_mod_p(rows, ncols)
 
     def counted(matrix):
-        if len(matrix) > len(matrix[0]) + 1:
-            calls.append(len(matrix))
-        return nullspace(matrix)
+        basis = nullspace(matrix)
+        if pair["k"] is None:
+            pair["k"] = len(basis)
+        elif len(matrix) == pair["rows"] and len(matrix[0]) <= pair["k"]:
+            pair["solves"].append(len(matrix))
+        return basis
 
+    def guess(table, r, d):
+        untried = sorted(product(range(r + 1), range(d + 1)), key=lambda p: ((p[0] + 1) * (p[1] + 1), p[0]))
+        pair.update(untried=iter(untried), length=len(table), solves=[])
+        return guess_recurrence(table, r, d), pair["solves"]
+
+    full_column_rank_mod_p = guessing._full_column_rank_mod_p
+    monkeypatch.setattr(guessing, "_full_column_rank_mod_p", filtered)
     monkeypatch.setattr(guessing, "nullspace", counted)
-    return calls
+    return guess
 
 
 def _fallback_tables():
     """Tables where a head solution fails on the table: a(n) = 0 fits the head of a table
     that opens with three zeros, whose (1, 0) head holds only p_0 = 0; and A214615's last
-    term changed, where a(n) - a(n-1) + (n-1)^2 a(n-2) fails only at the last index."""
+    term changed, where a(n) - a(n-1) + (n-1)^2 a(n-2) fails only at the last index, once
+    in a table exactly as long as its bounds need (20 terms at (3, 3))."""
     zeros = SequenceTable(0, (0, 0, 0) + tuple(factorial(k) for k in range(27)))
     a = a214615_terms(150).terms[1:]
     changed = SequenceTable(1, a[:-1] + (a[-1] + 1,))
-    return [(zeros, 0, 0), (zeros, 1, 0), (zeros, 2, 2), (changed, 2, 2), (changed, 3, 3)]
+    needed = SequenceTable(1, a[:19] + (a[19] + 1,))
+    return [(zeros, 0, 0), (zeros, 1, 0), (zeros, 2, 2), (changed, 2, 2), (changed, 3, 3), (needed, 3, 3)]
 
 
-@pytest.mark.parametrize("case", range(5))
-def test_guess_falls_back_to_the_whole_system_where_a_head_solution_fails(monkeypatch, case):
+@pytest.mark.parametrize("case", range(6))
+def test_guess_solves_the_residuals_where_a_head_solution_fails(monkeypatch, case):
     table, r, d = _fallback_tables()[case]
-    calls = _count_full_systems(monkeypatch)
-    got = guess_recurrence(table, r, d)
-    assert calls  # the head's basis was not trusted
+    got, solves = _spied_guess(monkeypatch)(table, r, d)
+    assert solves  # the head's basis was not trusted
     expected = oracles.minimal_fits(list(table.terms), table.offset, r, d)
     assert [(_direction(p.coeffs for p in c.coeffs), c.n_min) for c in got] == [
         (_direction(rows), n_min) for rows, n_min in expected
     ]
-    assert bool(got) == (case in (2, 4))  # (n-3) a(n) = (n-3)^2 a(n-1); the degree-3 fit
-    if case == 4:
+    assert bool(got) == (case in (2, 4, 5))  # (n-3) a(n) = (n-3)^2 a(n-1); the degree-3 fits
+    if case in (4, 5):
         assert got[0].order == 2 and got[0].degree == 3
 
 
@@ -651,18 +668,18 @@ def _guess_fit_tables(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_guess_certifies_the_head_basis_on_the_guess_fit_tables(monkeypatch, seed):
-    # Each fit is certified by its recurrence walk, so no whole system is eliminated.
-    calls = _count_full_systems(monkeypatch)
+    # Each head basis holds on its table, so no residual matrix is solved.
+    guess = _spied_guess(monkeypatch)
     tables = _guess_fit_tables(seed)
     if seed:  # the fixed tables need one pass only
         tables = {"order3": tables["order3"]}
     for name, (table, (order, degree), bounds) in tables.items():
         for r, d in bounds:
-            got = guess_recurrence(table, r, d)
+            got, solves = guess(table, r, d)
             fits = order <= r and degree <= d
             assert [(c.order, c.degree) for c in got] == ([(order, degree)] if fits else []), (name, r, d)
             assert all(c.verify(table).passed for c in got)
-    assert calls == []
+            assert solves == [], (name, r, d)
 
 
 def test_full_column_rank_mod_p_implies_an_empty_rational_nullspace():

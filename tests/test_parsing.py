@@ -157,6 +157,22 @@ PARSE_ERRORS = [
     (parse_recurrence, "a(n+k) = 0", "expected an integer shift in a(...)", 4),
     (parse_recurrence, "a(n) = a(n-1) for m >= 2", "expected 'n' after 'for'", 18),
     (parse_recurrence, "a(n) = a(n-1) for n >= x", "expected an integer bound", 23),
+    (parse_polynomial, "1 + é", "unexpected character 'é'", 4),
+    (parse_polynomial, "1 + ٣", "unexpected character '٣'", 4),
+    (parse_differential_operator, "(1+t^2*D", "expected ')', found 'end'", 8),
+    (parse_recurrence, "a n", "expected '(', found 'n'", 2),
+    (parse_recurrence, "a(n) = a(n-1) for n 2", "expected '>=', found '2'", 20),
+    (parse_recurrence, "a(n)*a(n-1) = 0", "nonlinear product of a(...) terms", 4),
+    (parse_differential_operator, "D*t", "polynomial coefficients must be written to the left of D", 1),
+    (parse_differential_operator, "D^2*(t+D)", "polynomial coefficients must be written to the left of D", 3),
+    (parse_polynomial, "1 + x", "unknown symbol 'x'", 4),
+    (parse_differential_operator, "a(n)", "unknown symbol 'a'", 0),
+    (parse_recurrence, "a(n) = ", "expected a value, found 'end'", 7),
+    (parse_recurrence, "a(n) + + a(n-1) = 0", "expected a value, found '+'", 7),
+    (parse_differential_operator, "D 1", "unexpected trailing '1'", 2),
+    (parse_polynomial, "t = 1", "unexpected trailing '='", 2),
+    (parse_recurrence, "n^2 - 1 = 0", "no a(...) terms in recurrence", 0),
+    (parse_recurrence, "a(n) - 1 = 0", "inhomogeneous recurrences are not supported (nonzero polynomial part)", 0),
 ]
 
 
