@@ -29,7 +29,10 @@ which must have order k; such a row also holds the sha256 of the recurrence's
 text.  It times ``to_recurrence`` of 100 seeded many_small-style operators
 (perfbench's ``random_operator``), ``to_text`` of their 100 recurrences, which
 must hash the same, ``parse_differential_operator`` of the 100 operator texts
-with ``parse_recurrence`` of the 100 recurrences' texts (``parse_small``), and
+with ``parse_recurrence`` of the 100 recurrences' texts (``parse_small``), 100
+in-process ``holoseq.cli.main`` calls (``cli_small``): ``ode2rec --json`` of the first
+33 operator texts, 33 ``series --to 0 --text``, ``generate --rec ... --to 2`` of the first
+33 recurrences' texts and one usage error, ``ode2rec D --bogus``, and
 100 calls of ``Series.to_text`` of ``build_egf(-3/4, N)`` at N = 30 and 250;
 such a row holds the sha256 of its results' texts, one per line.  It times 100
 calls of ``build_egf(-3/4, 30)``, the size of EGF that each ``series --to 30``
@@ -85,6 +88,7 @@ import argparse
 import compileall
 import hashlib
 import importlib.util
+import io
 import json
 import platform
 import random
@@ -93,6 +97,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -119,6 +124,8 @@ CORRUPT_FROM_END = 10
 TO_RECURRENCE_POWERS = (50, 100, 200)
 SMALL_OPERATORS = 100
 SMALL_OPERATOR_SEED = 2023
+CLI_SMALL_EACH = 33  # ode2rec, series and generate calls each, then one usage error: 100 calls
+CLI_SMALL_USAGE_ERROR = ["ode2rec", "D", "--bogus"]
 TEXT_SIZES = (30, 250)
 TEXT_X0 = Fraction(-3, 4)
 TEXT_CALLS = 100
@@ -397,6 +404,15 @@ def layer_rows(packages: list[ModuleType], rows: list[list[dict]]) -> None:
              + [p.parse_recurrence(text) for text in rec_texts] for p in packages]
     digest, runs = measure(calls, lambda parsed: joined_sha256(value.to_text() for value in parsed))
     add_rows(rows, "parse_small", SMALL_OPERATORS, runs, text_sha256=digest)
+    clis = [importlib.import_module(f"{p.__name__}.cli") for p in packages]
+    argvs = [argv for text, rec in zip(texts, recurrences[0][:CLI_SMALL_EACH]) for argv in (
+        ["ode2rec", text, "--json"],
+        ["series", "--to", "0", "--text"],
+        ["generate", "--rec", rec.to_text(), "--init", ",".join(["1"] * max(rec.order, rec.n_min)), "--to", "2"],
+    )] + [CLI_SMALL_USAGE_ERROR]
+    calls = [lambda cli=cli: [cli_output(cli, argv) for argv in argvs] for cli in clis]
+    digest, runs = measure(calls, joined_sha256)
+    add_rows(rows, "cli_small", len(argvs), runs, text_sha256=digest)
     for n in TEXT_SIZES:
         egfs = [p.build_egf(TEXT_X0, n) for p in packages]
         calls = [lambda egf=egf: [egf.to_text() for _ in range(TEXT_CALLS)] for egf in egfs]
@@ -425,6 +441,14 @@ def layer_rows(packages: list[ModuleType], rows: list[list[dict]]) -> None:
             if digest != texts:
                 raise SystemExit(f"bench: BFileReader's text terms of {n} terms differ from the file's")
             add_rows(rows, "bfile_read_text", n, runs, bfile_bytes=path.stat().st_size, text_sha256=digest)
+
+
+def cli_output(cli: ModuleType, argv: list[str]) -> str:
+    """The exit code, stdout and stderr of one in-process ``holoseq argv``, as JSON."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return json.dumps([code, out.getvalue(), err.getvalue()])
 
 
 def fields(series) -> tuple:

@@ -33,7 +33,11 @@ two basis vectors of its pair's nullspace (trees from before sums were tried ret
 there, so these tasks differ from them), and last the 6,050 tasks of ``syntax_tasks``:
 ``ode2rec`` and ``generate --rec ... --init 1 --to 3`` of the texts of the parser-error
 table in ``tests/test_parsing.py`` and of 3,000 seeded random texts over a token alphabet,
-most of which exit 2 with the parser's message and position.  Per task it
+most of which exit 2 with the parser's message and position, and last the 29 tasks of
+``usage_tasks``, which end in argument parsing on each route of ``main``: the whole
+parser's (no argv, ``-h``, an unknown name), a subcommand parser's (``-h``, a missing
+required option) and the whole parser's after a subcommand parser leaves an unknown option
+or an extra positional.  Per task it
 hashes the argv, the exit code, stdout, stderr and, for a task with
 ``--bfile``, the bytes of
 that file as the task leaves it (or "absent"), with the work directory's path
@@ -282,6 +286,24 @@ def syntax_tasks() -> list[list[str]]:
     )]
 
 
+def usage_tasks() -> list[list[str]]:
+    """Calls that end in argument parsing, on each route of ``main``: no argv, ``-h``, ``--``
+    before a name, an unknown name, a name's prefix and an option before the name (the whole
+    parser reads them); each subcommand with ``-h``, and a valid call of it with an unknown
+    option and with an extra positional (its parser leaves them to the whole parser); and
+    ``generate`` without ``--init`` (its parser refuses it)."""
+    calls = {
+        "selfcheck": [], "generate": ["--rec", "a(n) = 0", "--init", "1", "--to", "3"],
+        "verify": ["--rec", "a(n) = 0", "--bfile", "b.txt"], "ode2rec": ["D"],
+        "guess": ["--bfile", "b.txt"], "series": [], "fetch": ["nope"],
+    }
+    return [[], ["-h"], ["--", "series"], ["frobnicate"], ["ode"], ["--json", "series"],
+            ["generate", "--rec", "a(n) = 0", "--to", "3"], ["ode2rec", "D", "D"]] + [
+        task for name, rest in calls.items()
+        for task in ([name, "-h"], [name, *rest, "--bogus"], [name, *rest, "extra"])
+    ]
+
+
 def child(src: Path) -> None:
     """Print [name, digest] per task of every workload and seed, with holoseq from ``src``."""
     sys.path.insert(0, str(src))
@@ -315,6 +337,8 @@ def child(src: Path) -> None:
             results.append([f"combination task {i}: holoseq {shown}", task_digest(cli, argv, work)])
         for i, argv in enumerate(syntax_tasks()):
             results.append([f"syntax task {i}: holoseq {' '.join(argv)}", task_digest(cli, argv, work)])
+        for i, argv in enumerate(usage_tasks()):
+            results.append([f"usage task {i}: holoseq {' '.join(argv)}", task_digest(cli, argv, work)])
     print(json.dumps(results))
 
 
@@ -351,7 +375,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     compared = " and ".join(f"{src} under {python}" for python, src in runs)
     verdict = f"{len(differ)} of {len(parent)} tasks differ" if differ else f"identical over {len(parent)} tasks"
     print(f"same_output: {compared}: {verdict} ({', '.join(WORKLOADS)}; seeds {', '.join(map(str, SEEDS))}; "
-          "error, rational, bridge, combination and syntax tasks)")
+          "error, rational, bridge, combination, syntax and usage tasks)")
     return 1 if differ else 0
 
 

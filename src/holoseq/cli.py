@@ -44,6 +44,8 @@ class _Parser(argparse.ArgumentParser):
     option string, so ``--x0 -3/4`` and ``ode2rec -t*D+1`` parse; argparse itself reads such a
     token as an option unless it is a number or holds a space.  Subparsers share the class."""
 
+    commands: dict[str, argparse.ArgumentParser]  # the whole parser's subparsers, by name
+
     def _parse_optional(self, arg_string: str):
         one_dash = arg_string.startswith("-") and not arg_string.startswith("--")
         if one_dash and arg_string not in self._option_string_actions:
@@ -52,13 +54,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once; each subcommand sets its ``handler``."""
+def build_parser() -> _Parser:
+    """The argument parser, built once; each subcommand sets its ``handler``.
+
+    Its ``commands`` maps each subcommand's name to that subcommand's parser.  ``main``
+    parses an argv that opens with such a name by that parser alone; the whole parser is
+    the route for every other argv and for a call that leaves arguments unrecognized.
+    """
     parser = _Parser(
         prog="holoseq",
         description="Exact tools for P-recursive integer sequences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
     rec_or_ode = argparse.ArgumentParser(add_help=False)
     group = rec_or_ode.add_mutually_exclusive_group(required=True)
     group.add_argument("--rec", metavar="TEXT")
@@ -319,9 +327,24 @@ _EXIT_CODES = {ArithmeticError: 1, ValueError: 2, FetchError: 3, OSError: 3}
 
 @_lift_digit_cap
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one CLI call (``sys.argv[1:]`` if argv is None) and return its exit code.
+
+    An argv that opens with a subcommand's name is parsed once, by that subcommand's parser,
+    into the Namespace the whole parser builds: ``command`` and the subcommand's arguments.
+    An argv that opens with anything else (nothing, ``-h``, ``--``, an unknown name), and a
+    call whose subcommand parser leaves arguments unrecognized, goes through the whole parser,
+    which prints argparse's own help, or its usage and error.
+    """
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        unrecognized = True
+        if command is not None:
+            namespace = argparse.Namespace(command=argv[0])
+            args, unrecognized = command.parse_known_args(argv[1:], namespace)
+        if unrecognized:
+            args = parser.parse_args(argv)
     except SystemExit as exit_:
         code = exit_.code
         return code if isinstance(code, int) else 2

@@ -15,7 +15,8 @@ import pytest
 import holoseq
 from holoseq.bfile import BFileDocument, format_bfile, write_bfile
 from holoseq.sequences import SequenceTable
-from holoseq.cli import _report_json, main
+from holoseq import cli
+from holoseq.cli import _report_json, build_parser, main
 from holoseq.operators import RecurrenceOperator
 from holoseq.parsing import parse_recurrence
 from holoseq.polynomials import Polynomial
@@ -957,8 +958,101 @@ def test_parse_error_exit_code(capsys):
     assert "position" in capsys.readouterr().err
 
 
-def test_unknown_subcommand_exit_code(capsys):
-    assert main(["frobnicate"]) == 2
+# Argvs that open with a subcommand's name: every subcommand, "--opt value" and "--opt=value",
+# values that start with "-", --json before and after the values, and a "--" separator.
+DISPATCHED = [
+    ["selfcheck"],
+    ["selfcheck", "--max-n", "40", "--series-order=12", "--against", "b.txt", "--json"],
+    ["generate", "--rec", REC_TEXT, "--init", "1,1", "--to", "11"],
+    ["generate", "--json", "--ode=-D+1", "--init", "-1,2", "--to=5", "--bfile", "out.txt"],
+    ["verify", "--rec", REC_TEXT, "--bfile", "b.txt"],
+    ["verify", "--json", "--ode", ODE_TEXT, "--bfile=b.txt"],
+    ["ode2rec", ODE_TEXT],
+    ["ode2rec", "-t*D+1", "--json"],
+    ["ode2rec", "--json", "--", "-t*D+1"],
+    ["guess", "--bfile", "b.txt", "--max-order", "2", "--max-degree", "2", "--json"],
+    ["guess", "--bfile=b.txt", "--max-order=-1"],
+    ["series"],
+    ["series", "--x0", "-3/4", "--to", "30", "--text"],
+    ["series", "--json", "--x0=-3/4", "--to=0"],
+    ["fetch", "A214615", "--cache-dir", "cache"],
+    ["fetch", "--json", "--", "A214615"],
+]
+
+
+@pytest.fixture
+def handed(monkeypatch):
+    """The Namespaces that main hands its handler, and the number of argv parses it made: each
+    subcommand's handler records its Namespace and returns 0 until the test ends."""
+    commands = list(build_parser().commands.values())
+    handlers = [command.get_default("handler") for command in commands]
+    seen, parses = [], []
+    parse_known_args = cli._Parser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parses.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_known_args", counted)
+    for command in commands:
+        command.set_defaults(handler=lambda args: seen.append(args) or 0)
+    yield seen, parses
+    for command, handler in zip(commands, handlers):
+        command.set_defaults(handler=handler)
+
+
+@pytest.mark.parametrize("argv", DISPATCHED, ids=[" ".join(argv) for argv in DISPATCHED])
+def test_main_parses_once_into_the_namespace_of_the_whole_parse(handed, argv):
+    seen, parses = handed
+    assert main(argv) == 0
+    assert parses == [f"holoseq {argv[0]}"]  # the subcommand's parser alone, once
+    assert seen == [build_parser().parse_args(argv)]
+    assert seen[0].command == argv[0]
+
+
+# (argv, exit code, how the output stream opens, the last line of stderr or None): argvs that
+# the whole parser reads (none, -h, an unknown name, a name's prefix, "--" before a name), and
+# ones that a subcommand's parser refuses or leaves arguments of, or prints help for.
+USAGE = [
+    (["ode2rec", "D", "--bogus"], 2, "usage: holoseq [-h]", "holoseq: error: unrecognized arguments: --bogus"),
+    (["ode2rec", "D", "D"], 2, "usage: holoseq [-h]", "holoseq: error: unrecognized arguments: D"),
+    (["series", "--json", "--to", "3", "--bogus=1", "x"], 2, "usage: holoseq [-h]",
+     "holoseq: error: unrecognized arguments: --bogus=1 x"),
+    (["generate", "--rec", REC_TEXT, "--to", "3"], 2, "usage: holoseq generate [-h]",
+     "holoseq generate: error: the following arguments are required: --init"),
+    (["generate", "--bogus"], 2, "usage: holoseq generate [-h]",
+     "holoseq generate: error: the following arguments are required: --init, --to"),
+    ([], 2, "usage: holoseq [-h]", "holoseq: error: the following arguments are required: command"),
+    (["frobnicate"], 2, "usage: holoseq [-h]", "holoseq: error: argument command: invalid choice: 'frobnicate'"),
+    (["ode"], 2, "usage: holoseq [-h]", "holoseq: error: argument command: invalid choice: 'ode'"),
+    (["--", "series"], 2, "usage: holoseq [-h]", "holoseq: error: argument command: invalid choice: '--'"),
+    (["-h"], 0, "usage: holoseq [-h]", None),
+    (["series", "-h"], 0, "usage: holoseq series [-h]", None),
+]
+
+
+@pytest.mark.parametrize("argv, code, opens, last", USAGE, ids=[" ".join(row[0]) or "no argv" for row in USAGE])
+def test_usage_errors_and_help_print_what_the_whole_parse_prints(capsys, argv, code, opens, last):
+    with pytest.raises(SystemExit) as stopped:
+        build_parser().parse_args(argv)
+    expected = (stopped.value.code, capsys.readouterr())
+    assert (main(argv), capsys.readouterr()) == expected
+    out, err = expected[1]
+    assert expected[0] == code
+    if last is None:  # help goes to stdout
+        assert out.startswith(opens) and err == ""
+    else:
+        assert out == "" and err.startswith(opens)
+        assert err.endswith("\n") and err.splitlines()[-1].startswith(last)
+
+
+def test_usage_error_of_a_process_reads_sys_argv():
+    result = subprocess.run(
+        [sys.executable, "-m", "holoseq.cli", "ode2rec", "D", "--bogus"], capture_output=True, text=True
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("usage: holoseq [-h]")
+    assert result.stderr.splitlines()[-1] == "holoseq: error: unrecognized arguments: --bogus"
 
 
 INTEGER_OPTIONS = [
