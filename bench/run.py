@@ -50,10 +50,11 @@ runs ``holoseq selfcheck --max-n N --series-order 20`` at N = 5000 and
 be the b-file lines of the direct terms, then
 ``holoseq generate --bfile`` of the first N terms of A214615 and
 ``holoseq verify --bfile`` of that file at N = 300 and 5000, ``holoseq verify
---bfile`` at N = 5000 of a copy with one digit of a(N - 10) changed, which must
-exit 1 and name that index as the first failure, ``holoseq selfcheck --max-n
-N --series-order 20 --against`` each of those two files at N = 5000, which must
-pass and must exit 1 with "terms differ" respectively, and
+--bfile`` at N = 5000 of a copy with one digit of a(N - 10) changed and of one
+with one digit of a(10) changed, each of which must exit 1 and name that index as
+the first failure, ``holoseq selfcheck --max-n
+N --series-order 20 --against`` the file and its a(N - 10) copy at N = 5000, which
+must pass and must exit 1 with "terms differ" respectively, and
 ``holoseq ode2rec '(1+t)^100*D + 1'``, ``holoseq ode2rec --json`` of a small
 operator and ``holoseq series --x0=-3/4 --to 30 --text``, each run in a
 fresh interpreter, one after another, and times the whole child process; such
@@ -121,6 +122,7 @@ SERIES_SIZES = (250, 400, 800)
 BFILE_SIZES = (300, 5_000)
 PARSE_SIZES = (2_500, 5_000)
 CORRUPT_FROM_END = 10
+EARLY_INDEX = 10
 TO_RECURRENCE_POWERS = (50, 100, 200)
 SMALL_OPERATORS = 100
 SMALL_OPERATOR_SEED = 2023
@@ -513,24 +515,25 @@ def main(argv: Optional[list[str]] = None) -> int:
                 _, results = cli_case(trees, argv, written)
                 for tree_rows, (runs, peak) in zip(rows, results):
                     tree_rows.append(row(name, n, runs, bfile_bytes=path.stat().st_size, peak_rss_mib=peak))
-            if n == BFILE_SIZES[-1]:  # the same file with the last digit of one term changed
-                lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-                at = len(lines) - CORRUPT_FROM_END
-                digit = lines[at][-2]
-                lines[at] = lines[at][:-2] + str((int(digit) + 1) % 10) + "\n"
-                corrupt = Path(work) / f"b{n}_corrupt.txt"
-                corrupt.write_text("".join(lines), encoding="utf-8")
-                argv = ["verify", "--rec", rec, "--bfile", str(corrupt)]
-                printed, results = cli_case(trees, argv, exit_code=1)
-                if f"first failure at n = {n - CORRUPT_FROM_END} " not in printed:
-                    raise SystemExit(f"bench: verify of the corrupted b-file printed {printed!r}")
-                for tree_rows, (runs, peak) in zip(rows, results):
-                    tree_rows.append(row("verify_bfile_corrupt", n, runs, corrupted_index=n - CORRUPT_FROM_END,
-                                         bfile_bytes=corrupt.stat().st_size, peak_rss_mib=peak))
+            if n == BFILE_SIZES[-1]:  # copies of the file, each with the last digit of one term changed
+                copies = {}
+                for name, at in (("verify_bfile_corrupt", n - CORRUPT_FROM_END), ("verify_bfile_early", EARLY_INDEX)):
+                    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+                    digit = lines[at][-2]
+                    lines[at] = lines[at][:-2] + str((int(digit) + 1) % 10) + "\n"
+                    copies[name] = corrupt = Path(work) / f"b{n}_{name}.txt"
+                    corrupt.write_text("".join(lines), encoding="utf-8")
+                    argv = ["verify", "--rec", rec, "--bfile", str(corrupt)]
+                    printed, results = cli_case(trees, argv, exit_code=1)
+                    if f"first failure at n = {at} " not in printed:
+                        raise SystemExit(f"bench: verify of {corrupt.name} printed {printed!r}")
+                    for tree_rows, (runs, peak) in zip(rows, results):
+                        tree_rows.append(row(name, n, runs, corrupted_index=at,
+                                             bfile_bytes=corrupt.stat().st_size, peak_rss_mib=peak))
                 selfcheck = ["selfcheck", "--max-n", str(n), "--series-order", str(SELFCHECK_ORDER), "--against"]
                 for name, against, exit_code, verdict in (
                     ("selfcheck_against", path, 0, f"holds for n = 2..{n - 1}: PASS"),
-                    ("selfcheck_against_corrupt", corrupt, 1, "terms differ from computed a(n): FAIL"),
+                    ("selfcheck_against_corrupt", copies["verify_bfile_corrupt"], 1, "terms differ from computed a(n): FAIL"),
                 ):
                     printed, results = cli_case(trees, [*selfcheck, str(against)], exit_code=exit_code)
                     if f"b-file check: {against} {verdict}" not in printed:

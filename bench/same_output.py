@@ -33,11 +33,13 @@ two basis vectors of its pair's nullspace (trees from before sums were tried ret
 there, so these tasks differ from them), and last the 6,050 tasks of ``syntax_tasks``:
 ``ode2rec`` and ``generate --rec ... --init 1 --to 3`` of the texts of the parser-error
 table in ``tests/test_parsing.py`` and of 3,000 seeded random texts over a token alphabet,
-most of which exit 2 with the parser's message and position, and last the 29 tasks of
+most of which exit 2 with the parser's message and position, then the 29 tasks of
 ``usage_tasks``, which end in argument parsing on each route of ``main``: the whole
 parser's (no argv, ``-h``, an unknown name), a subcommand parser's (``-h``, a missing
 required option) and the whole parser's after a subcommand parser leaves an unknown option
-or an extra positional.  Per task it
+or an extra positional, and last the 22 tasks of ``shape_tasks``, whose canonical
+recurrences print every shape of coefficient text: ``generate --rec ... --to 3 --json``
+of ten recurrences and ``ode2rec`` of twelve operators.  Per task it
 hashes the argv, the exit code, stdout, stderr and, for a task with
 ``--bfile``, the bytes of
 that file as the task leaves it (or "absent"), with the work directory's path
@@ -304,6 +306,36 @@ def usage_tasks() -> list[list[str]]:
     ]
 
 
+# Recurrences, with the initial terms of their ``generate`` tasks, and operators, whose
+# canonical recurrences print each shape of coefficient text.
+SHAPE_RECURRENCES = (
+    ("a(n) - a(n-1) = 0 for n >= 1", "1"),  # unit constants of both signs
+    ("-2*a(n) + 3*a(n-1) - 5*a(n-2) = 0 for n >= 2", "0,0"),  # non-unit constants, sign flipped
+    ("n*a(n) - n^2*a(n-1) = 0 for n >= 1", "1"),
+    ("2*n*a(n) - 3*n^2*a(n-1) = 0 for n >= 1", "0"),
+    ("3*(n+2)^2*a(n) + 5/2*(n-1)^3*a(n-1) = 0 for n >= 1", "0"),  # c*(n+b)^e over two denominators
+    ("3*(n+2)^2*a(n) - 5*(n-1)^3*a(n-1) = 0 for n >= 1", "0"),
+    ("(n+1)*a(n) - (n-3)*a(n-1) = 0 for n >= 1", "0"),  # (n+b) at e = 1: "(1+n)", "(3-n)"
+    ("a(n) + (1+2*n-n^2)*a(n-1) - (3-n^2)*a(n-2) = 0 for n >= 2", "1,1"),  # negative leading terms
+    ("a(n) - n*a(n-3) = 0 for n >= 3", "1,2,3"),  # zero coefficients between orders
+    ("a(n) + 0*a(n-1) - a(n-2) = 0 for n >= 2", "1,2"),
+)
+SHAPE_OPERATORS = (
+    "D - 1", "2*D^2 - 3*D + 5", "t*D + t", "t^2*D^2 + t*D - 2*t", "(2+3*t^2)*D^2 + 3*t*D",
+    "2*D^4 - 3*D + 5*t^3*D^3 + 15*t^2*D^2 + 5*t*D", "-3*t^2*D^2 - 3*t*D + 7*t^3",
+    "(1+t)*D - 2", "t*D - 1", "t^2*D^2 - D", "D^3 - t", "3/2*(t-1)^2*D^2 - t*D + 1/3",
+)
+
+
+def shape_tasks() -> list[list[str]]:
+    """``generate --rec ... --to 3 --json`` of SHAPE_RECURRENCES and ``ode2rec`` of
+    SHAPE_OPERATORS: together their canonical recurrences print unit and non-unit constants
+    of both signs, n and n^2, c*(n+b)^e with e >= 2 and c other than 1, (n+b) at e = 1,
+    polynomials with a negative leading term, and zero coefficients between orders."""
+    return [["generate", "--rec", text, "--init", init, "--to", "3", "--json"]
+            for text, init in SHAPE_RECURRENCES] + [["ode2rec", op] for op in SHAPE_OPERATORS]
+
+
 def child(src: Path) -> None:
     """Print [name, digest] per task of every workload and seed, with holoseq from ``src``."""
     sys.path.insert(0, str(src))
@@ -339,6 +371,8 @@ def child(src: Path) -> None:
             results.append([f"syntax task {i}: holoseq {' '.join(argv)}", task_digest(cli, argv, work)])
         for i, argv in enumerate(usage_tasks()):
             results.append([f"usage task {i}: holoseq {' '.join(argv)}", task_digest(cli, argv, work)])
+        for i, argv in enumerate(shape_tasks()):
+            results.append([f"shape task {i}: holoseq {' '.join(argv)}", task_digest(cli, argv, work)])
     print(json.dumps(results))
 
 
@@ -375,7 +409,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     compared = " and ".join(f"{src} under {python}" for python, src in runs)
     verdict = f"{len(differ)} of {len(parent)} tasks differ" if differ else f"identical over {len(parent)} tasks"
     print(f"same_output: {compared}: {verdict} ({', '.join(WORKLOADS)}; seeds {', '.join(map(str, SEEDS))}; "
-          "error, rational, bridge, combination, syntax and usage tasks)")
+          "error, rational, bridge, combination, syntax, usage and shape tasks)")
     return 1 if differ else 0
 
 

@@ -15,9 +15,16 @@ sum_k p_k(m) a(m-k) = 0 with p_k(m) = w_{s_max-k}(m - s_max).  Both steps run
 on plain int rows: each monomial adds c * fall(n, a) into its shift's row of
 integer numerators, and one reindexing routine, which ``from_shift_weights``
 shares, Taylor-shifts each row and builds the operator once; its constructor
-is the one canonicalization.  No ``Polynomial`` is built per monomial.
+is the one canonicalization.  No ``Polynomial`` is built per monomial.  That
+constructor, ``from_shift_weights`` and ``to_recurrence`` clear their coefficients
+to integer rows over one denominator by one helper, ``_cleared``.
+
 Coefficient text is formatted from the same stored integers, with no Fraction
-per coefficient.
+per coefficient, by one shape rule: a shifted power c*(var+b)^e, a constant
+being e = 0, prints as "c*(n-1)^2", its magnitude left out when it is 1 and
+something follows it; any other coefficient, (var+b) itself among them, prints
+as its parenthesized polynomial, "(1+n)".  Both ``to_text`` methods join their
+signed parts in one loop, ``_signed_text``.
 
 Index convention: a(m) is taken to be 0 for m below the table offset.  That
 convention is sound for extracted recurrences because any term reaching below
@@ -137,48 +144,56 @@ def _steps(
         yield n, p0, 0 if s is None else s
 
 
-def _trailer_product(
-    poly: Polynomial, var: str, trailer: str
-) -> tuple[bool, str]:
-    """Render poly * trailer as (is_negative, unsigned_text).
+def _cleared(values: Iterable[Union[Polynomial, RationalLike]]) -> list[Sequence[int]]:
+    """The values as integer rows over their least common denominator, lowest power first.
 
-    Recognizes constants and shifted powers c*(var+b)^e with integer b so
-    that coefficients print as "(n-1)^2" rather than "(1-2*n+n^2)"; anything
-    else falls back to the parenthesized polynomial with its spaces dropped.
+    Polynomials give their numerators, ints and Fractions a row of one (anything else is a
+    TypeError); each row is scaled to the one denominator, which is then dropped.  A row that
+    needs no scaling is the value's own tuple.
     """
-    nums, den = poly._nums, poly._den
-    if len(nums) <= 1:
-        c = nums[0] if nums else 0
-        mag = _ratio_text(abs(c), den)
-        if not trailer:
-            return c < 0, mag
-        return c < 0, trailer if abs(c) == den else f"{mag}*{trailer}"
+    parts = [(v._nums, v._den) if isinstance(v, Polynomial) else _lowest_terms((v,)) for v in values]
+    den = lcm(*[d for _, d in parts])
+    return [nums if d == den else [c * (den // d) for c in nums] for nums, d in parts]
+
+
+def _signed_text(pairs: Iterable[tuple[Polynomial, str]], var: str) -> str:
+    """Canonical text of the sum of coefficient * trailer over (coefficient, trailer) pairs,
+    zero coefficients skipped."""
+    return _join_signed([_trailer_product(p, var, trailer) for p, trailer in pairs if p._nums])
+
+
+def _trailer_product(poly: Polynomial, var: str, trailer: str) -> tuple[bool, str]:
+    """Render poly * trailer as (is_negative, unsigned_text), for a nonzero poly.
+
+    A shifted power c*(var+b)^e, constants (e = 0) included, prints as "c*(n-1)^2", the
+    magnitude left out when it is 1 and something follows it; anything else, (var+b) itself
+    among it, falls back to the parenthesized polynomial with its spaces dropped, "(1+n)".
+    """
     shifted = _as_shifted_power(poly)
-    if shifted is not None and (shifted[2] >= 2 or shifted[1] == 0):
+    if shifted is None or shifted[2] == 1 and shifted[1]:
+        negative = next(c for c in poly._nums if c) < 0
+        text = f"({(-poly if negative else poly).to_text(var).replace(' ', '')})"
+    else:
         c, b, e = shifted
-        if b == 0:
-            base = var if e == 1 else f"{var}^{e}"
-        else:
-            inner = f"{var}+{b}" if b > 0 else f"{var}-{-b}"
-            base = f"({inner})" if e == 1 else f"({inner})^{e}"
-        text = base if abs(c) == den else f"{_ratio_text(abs(c), den)}*{base}"
-        if trailer:
-            text = f"{text}*{trailer}"
-        return c < 0, text
-    negative = next(c for c in nums if c) < 0
-    body = (-poly if negative else poly).to_text(var).replace(" ", "")
-    text = f"({body})"
+        negative, den = c < 0, poly._den
+        text = "" if e == 0 else var if b == 0 else f"({var}+{b})" if b > 0 else f"({var}-{-b})"
+        if e > 1:
+            text = f"{text}^{e}"
+        if abs(c) != den or not (text or trailer):
+            mag = _ratio_text(abs(c), den)
+            text = f"{mag}*{text}" if text else mag
     if trailer:
-        text = f"{text}*{trailer}"
+        text = f"{text}*{trailer}" if text else trailer
     return negative, text
 
 
 def _as_shifted_power(poly: Polynomial) -> Optional[tuple[int, int, int]]:
-    """(c, b, e) with poly = c / poly._den * (x + b)^e, integer b and e >= 1, if possible."""
+    """(c, b, e) with poly = c / poly._den * (x + b)^e and integer b, if possible, for a nonzero
+    poly; a constant c is (c, 0, 0)."""
     nums = poly._nums
     deg = len(nums) - 1
-    if deg < 1:
-        return None
+    if deg == 0:
+        return nums[0], 0, 0
     b, rest = divmod(nums[deg - 1], nums[-1] * deg)
     if rest:
         return None
@@ -186,16 +201,6 @@ def _as_shifted_power(poly: Polynomial) -> Optional[tuple[int, int, int]]:
     if not any(_taylor_shift(list(nums), -b)[:-1]):
         return nums[-1], b, deg
     return None
-
-
-def _as_polynomials(
-    values: Iterable[Union[Polynomial, RationalLike]]
-) -> tuple[Polynomial, ...]:
-    """The values as Polynomials, constants lifted, trailing zeros trimmed."""
-    cs = [v if isinstance(v, Polynomial) else Polynomial.constant(v) for v in values]
-    while cs and cs[-1].is_zero:
-        cs.pop()
-    return tuple(cs)
 
 
 class DifferentialOperator(_Frozen):
@@ -208,10 +213,12 @@ class DifferentialOperator(_Frozen):
     _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Union[Polynomial, RationalLike]]) -> None:
-        cs = _as_polynomials(coeffs)
+        cs = [v if isinstance(v, Polynomial) else Polynomial.constant(v) for v in coeffs]
+        while cs and cs[-1].is_zero:
+            cs.pop()
         if not cs:
             raise ValueError("the zero operator has no order; refusing to build it")
-        self._store(cs)
+        self._store(tuple(cs))
 
     @property
     def order(self) -> int:
@@ -220,11 +227,8 @@ class DifferentialOperator(_Frozen):
     def __add__(self, other: DifferentialOperator) -> DifferentialOperator:
         if not isinstance(other, DifferentialOperator):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        merged = tuple(a[j] + b[j] if j < len(b) else a[j] for j in range(len(a)))
-        return DifferentialOperator(merged)
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=Polynomial())
+        return DifferentialOperator(a + b for a, b in pairs)
 
     def apply(self, f: Series) -> Series:
         """Apply to a truncated series.
@@ -258,12 +262,9 @@ class DifferentialOperator(_Frozen):
         (D^2 - D, which kills 5 + e^t, gives a(n) = a(n-1) only for n >= 2).
         """
         rows: dict[int, list[int]] = {}
-        den = lcm(*(q._den for q in self.coeffs))  # a common scale leaves the recurrence as it is
-        for b, q in enumerate(self.coeffs):
-            scale = den // q._den
-            for a, c in enumerate(q._nums):
+        for b, q in enumerate(_cleared(self.coeffs)):  # a common scale leaves the recurrence as it is
+            for a, c in enumerate(q):
                 if c:
-                    c *= scale
                     row = zip_longest(rows.get(b - a, ()), _falling_factorial(a), fillvalue=0)
                     rows[b - a] = [v + c * w for v, w in row]
         return _reindexed(rows, max(0, -min(rows)))
@@ -271,14 +272,9 @@ class DifferentialOperator(_Frozen):
     @_lift_digit_cap
     def to_text(self) -> str:
         """Canonical text, highest derivative first: "(1+t^2)*D - (1-t)"."""
-        parts: list[tuple[bool, str]] = []
-        for j in range(self.order, -1, -1):
-            q = self.coeffs[j]
-            if q.is_zero:
-                continue
-            trailer = "" if j == 0 else ("D" if j == 1 else f"D^{j}")
-            parts.append(_trailer_product(q, "t", trailer))
-        return _join_signed(parts)
+        cs = self.coeffs
+        pairs = ((cs[j], f"D^{j}" if j > 1 else "D" if j else "") for j in range(len(cs) - 1, -1, -1))
+        return _signed_text(pairs, "t")
 
 
 class VerifyReport(_Frozen):
@@ -313,12 +309,14 @@ class RecurrenceOperator(_Frozen):
 
     def __init__(self, coeffs: Iterable[Union[Polynomial, RationalLike]], n_min: int) -> None:
         _check_int("n_min", n_min)
-        cs = _as_polynomials(coeffs)
-        if not cs or cs[0].is_zero:
+        rows = _cleared(coeffs)
+        while rows and not any(rows[-1]):
+            rows.pop()
+        if not rows or not any(rows[0]):
             raise ValueError("the coefficient p_0 of a(n) must be nonzero")
-        den = lcm(*(p._den for p in cs)) * (1 if cs[0]._nums[-1] > 0 else -1)
-        flat = iter(_primitive([c * (den // p._den) for p in cs for c in p._nums]))
-        self._store(tuple(Polynomial([next(flat) for _ in p._nums]) for p in cs), n_min)
+        sign = 1 if rows[0][-1] > 0 else -1
+        flat = iter(_primitive([sign * c for row in rows for c in row]))
+        self._store(tuple(Polynomial([next(flat) for _ in row]) for row in rows), n_min)
 
     @classmethod
     def from_shift_weights(
@@ -341,11 +339,8 @@ class RecurrenceOperator(_Frozen):
             _check_int(f"shift {s!r}", s)
         if valid_from is not None:
             _check_int("valid_from", valid_from)
-        parts = {s: (w._nums, w._den) if isinstance(w, Polynomial) else _lowest_terms((w,))
-                 for s, w in weights.items()}
-        den = lcm(*(d for _, d in parts.values()))
-        return _reindexed({s: [c * (den // d) for c in nums] for s, (nums, d) in parts.items()},
-                          valid_from)
+        rows = {s: list(row) for s, row in zip(weights, _cleared(weights.values()))}
+        return _reindexed(rows, valid_from)
 
     @property
     def order(self) -> int:
@@ -423,7 +418,8 @@ class RecurrenceOperator(_Frozen):
         each a(n) is the checked text of an integer literal.  At a checked n where s(n)/p_0(n)
         is an integer q whose ``str`` is that text, a(n) is q, unconverted; every other text is
         ``_value`` of it.  Equal text is an equal value, so the report is the one of the
-        converted terms."""
+        converted terms.  After the first failure such text is only read: each later entry gets
+        its index check, with no conversion and no window append."""
         entries = iter(entries)
         offset, _ = first = next(entries, (None, None))
         if offset is None:
@@ -435,6 +431,8 @@ class RecurrenceOperator(_Frozen):
             if n != last + 1:
                 raise ValueError(f"index {n} does not follow {last}")
             last = n
+            if failure is not None and _value is not None:
+                continue  # checked text after a failure is only read
             _, lead, s = next(steps) if n >= start and failure is None else (None,) * 3
             if _value is not None:
                 q, r = (s, 0) if lead == 1 else divmod(s, lead) if lead else (None, 1)
@@ -455,10 +453,5 @@ class RecurrenceOperator(_Frozen):
     @_lift_digit_cap
     def to_text(self) -> str:
         """Canonical text: "a(n) - a(n-1) + (n-1)^2*a(n-2) = 0 for n >= 2"."""
-        parts: list[tuple[bool, str]] = []
-        for k, p in enumerate(self.coeffs):
-            if p.is_zero:
-                continue
-            trailer = "a(n)" if k == 0 else f"a(n-{k})"
-            parts.append(_trailer_product(p, "n", trailer))
-        return f"{_join_signed(parts)} = 0 for n >= {self.n_min}"
+        pairs = ((p, f"a(n-{k})" if k else "a(n)") for k, p in enumerate(self.coeffs))
+        return f"{_signed_text(pairs, 'n')} = 0 for n >= {self.n_min}"

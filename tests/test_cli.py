@@ -811,7 +811,8 @@ def spy_on_conversions(monkeypatch):
 
 def test_verify_converts_only_the_terms_it_cannot_read_as_solved(tmp_path, capsys, monkeypatch):
     """On a generate-written A214615 file, verify converts a(0) and a(1), which come before the
-    first checked index, and no other term; after a failure it converts every term."""
+    first checked index, and no other term; of the terms from a failure on it converts the
+    failing one alone, and only reads the rest."""
     path = tmp_path / "b.txt"
     argv = ["generate", "--rec", REC_TEXT, "--init", "1,1", "--to", "2499", "--bfile", str(path)]
     assert main(argv) == 0
@@ -825,7 +826,7 @@ def test_verify_converts_only_the_terms_it_cannot_read_as_solved(tmp_path, capsy
     converted.clear()
     assert main(["verify", "--rec", REC_TEXT, "--bfile", str(path)]) == 1
     assert "first failure at n = 2000 (residual " in capsys.readouterr().out
-    assert len(converted) == 2 + 500
+    assert len(converted) == 2 + 1
 
 
 def test_selfcheck_against_reads_an_offset_bfile_to_its_end(tmp_path, capsys):
@@ -907,7 +908,8 @@ def test_selfcheck_against_converts_only_the_terms_it_cannot_read_as_solved(
     tmp_path, capsys, monkeypatch
 ):
     """--against walks the file as verify does: on a generate-written A214615 file it converts
-    a(0) and a(1), and no other term; after a failure it converts every term."""
+    a(0) and a(1), and no other term; of the terms from a failure on it converts the failing
+    one alone, and only reads the rest."""
     path = tmp_path / "b.txt"
     argv = ["generate", "--rec", REC_TEXT, "--init", "1,1", "--to", "2499", "--bfile", str(path)]
     assert main(argv) == 0
@@ -922,7 +924,7 @@ def test_selfcheck_against_converts_only_the_terms_it_cannot_read_as_solved(
     converted.clear()
     assert main(argv) == 1
     assert f"b-file check: {path} terms differ from computed a(n): FAIL" in capsys.readouterr().out
-    assert len(converted) == 2 + 500
+    assert len(converted) == 2 + 1
 
 
 def test_fetch_warm_cache(tmp_path, capsys):

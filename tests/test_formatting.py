@@ -12,11 +12,13 @@ import sys
 from fractions import Fraction
 from math import comb
 
+import pytest
+
 from holoseq.cli import main
 from holoseq.meixner import build_egf
 from holoseq.operators import DifferentialOperator, RecurrenceOperator
 from holoseq.parsing import parse_differential_operator
-from holoseq.polynomials import Polynomial, format_rational
+from holoseq.polynomials import Polynomial, X, format_rational
 from holoseq.series import Series
 
 HUGE = Fraction(10**4400 + 7, 3)  # a numerator past CPython's default cap of 4300 digits
@@ -173,3 +175,27 @@ def test_json_coefficient_lists_match_fraction_renderings(default_digit_cap, cap
         expected = uncapped(lambda: [[str(c) for c in p.coeffs] for p in rec.coeffs])
         assert payload["coefficients"] == expected
         assert payload["text"] == uncapped(recurrence_text, rec)
+
+
+def power(c, b, e):
+    """c*(t+b)^e as a Polynomial."""
+    return X.shifted(b) ** e * c
+
+
+@pytest.mark.parametrize("coeffs, text", [
+    ((-1, 1), "D - 1"),  # unit constants of both signs, with and without a trailer
+    ((1, -1), "-D + 1"),
+    ((5, -3, 2), "2*D^2 - 3*D + 5"),  # non-unit constants of both signs
+    ((Fraction(-3, 4), Fraction(1, 2)), "1/2*D - 3/4"),
+    ((X, X * X), "t^2*D + t"),
+    ((-X, X * X * 2), "2*t^2*D - t"),
+    ((power(-5, -1, 3), power(3, 2, 2)), "3*(t+2)^2*D - 5*(t-1)^3"),
+    ((power(Fraction(3, 5), -1, 2), 0, power(Fraction(3, 5), -1, 2)), "3/5*(t-1)^2*D^2 + 3/5*(t-1)^2"),
+    ((power(-1, 2, 2), power(1, -3, 4)), "(t-3)^4*D - (t+2)^2"),
+    ((power(1, 1, 1), power(1, -1, 1)), "-(1-t)*D + (1+t)"),  # (t+b) at e = 1: the fallback
+    ((Polynomial((1, 2, -1)), Polynomial((-2, 0, -3))), "-(2+3*t^2)*D + (1+2*t-t^2)"),
+    ((1, 0, 0, 1), "D^3 + 1"),  # zero coefficients between orders
+])
+def test_differential_operator_text_of_each_shape(coeffs, text):
+    assert DifferentialOperator(coeffs).to_text() == text
+    assert parse_differential_operator(text).to_text() == text

@@ -390,6 +390,16 @@ def test_bools_are_rejected_where_ints_are_stored_and_printed():
         RecurrenceOperator((ONE, -ONE), 1).verify(iter([(0, 1), (1, False)]))
 
 
+def test_verify_checks_the_type_of_int_stream_terms_after_a_failure():
+    rec = RecurrenceOperator((ONE, -ONE), 1)
+    report = rec.verify(iter([(0, 1), (1, 2), (2, 2), (3, 2)]))
+    assert report.first_failure == (1, 1) and report.n_last_checked == 1
+    with pytest.raises(TypeError, match=r"^sequence terms must be ints, got 2\.5$"):
+        rec.verify(iter([(0, 1), (1, 2), (2, 2.5)]))
+    with pytest.raises(TypeError, match=r"^sequence terms must be ints, got '3'$"):
+        rec.verify(iter([(0, 1), (1, 2), (2, 2), (3, "3")]))
+
+
 def test_trailing_zero_polynomials_trimmed():
     rec = RecurrenceOperator((ONE, -ONE, Polynomial()), 1)
     assert rec.order == 1
@@ -676,6 +686,22 @@ def test_operator_text_variants():
     assert second.to_text() == "t^2*D^2 + 1"
     eq10 = A214615_RECURRENCE.with_n_min(1)
     assert eq10.to_text() == "a(n) - a(n-1) + (n-1)^2*a(n-2) = 0 for n >= 1"
+
+
+def test_differential_operator_sum():
+    first = DifferentialOperator((ONE, X))
+    second = DifferentialOperator((X, Polynomial.constant(2), Polynomial((0, 0, 3))))
+    expected = DifferentialOperator((Polynomial((1, 1)), Polynomial((2, 1)), Polynomial((0, 0, 3))))
+    assert first + second == expected and second + first == expected  # of different lengths
+    cancelled = second + DifferentialOperator((ONE, ONE, Polynomial((0, 0, -3))))
+    assert cancelled == DifferentialOperator((Polynomial((1, 1)), Polynomial.constant(3)))
+    assert cancelled.order == 1
+    with pytest.raises(ValueError, match=r"^the zero operator has no order; refusing to build it$"):
+        second + DifferentialOperator((-X, Polynomial.constant(-2), Polynomial((0, 0, -3))))
+    with pytest.raises(TypeError):
+        first + ONE
+    with pytest.raises(TypeError):
+        first + 1
 
 
 def test_zero_differential_operator_rejected():
