@@ -141,7 +141,7 @@ def _recurrence_json(rec: RecurrenceOperator) -> dict:
         "order": rec.order,
         "degree": rec.degree,
         "n_min": rec.n_min,
-        "coefficients": [[_ratio_text(c, p._den) for c in p._nums] for p in rec.coeffs],
+        "coefficients": [list(map(str, row)) for row in rec._rows],
     }
 
 

@@ -27,7 +27,7 @@ from operator import add, mul
 from typing import Iterable, Iterator, Sequence, Union
 
 from .operators import RecurrenceOperator, _steps
-from .polynomials import Polynomial, _check_int, _primitive
+from .polynomials import _check_int, _primitive
 from .sequences import SequenceTable
 
 
@@ -209,5 +209,5 @@ def guess_recurrence(
         last = [v for v in basis if any(v[-d1 - 1 :])]  # p_r1 != 0
         fits = [v for v in first if v in last] or [tuple(map(add, *vw)) for vw in zip(first, last)][:1]
         if fits:
-            return [RecurrenceOperator(map(Polynomial, split(v, d1)), offset + r1) for v in fits]
+            return [RecurrenceOperator._from_rows(split(v, d1), offset + r1) for v in fits]
     return []

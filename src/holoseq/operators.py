@@ -2,8 +2,10 @@
 
 ``DifferentialOperator`` is sum_j q_j(t) D^j with polynomial coefficients,
 acting on truncated series.  ``RecurrenceOperator`` is
-sum_k p_k(n) a(n-k) = 0 for n >= n_min, with integer polynomial coefficients
-in canonical form.  The bridge is coefficient extraction on exponential
+sum_k p_k(n) a(n-k) = 0 for n >= n_min, stored as its canonical integer rows:
+``_rows[k]`` holds the integer coefficients of p_k, lowest power first, and all
+the rows together have content 1.  Its ``coeffs`` are Polynomials built from the
+rows only when asked.  The bridge is coefficient extraction on exponential
 generating functions: if F(t) = sum a(n) t^n / n! then
 
     [t^n / n!]  t^a F^(b)(t)  =  n (n-1) ... (n-a+1) * a(n - a + b),
@@ -14,13 +16,16 @@ m = n + s_max turns an annihilating operator into a recurrence
 sum_k p_k(m) a(m-k) = 0 with p_k(m) = w_{s_max-k}(m - s_max).  Both steps run
 on plain int rows: each monomial adds c * fall(n, a) into its shift's row of
 integer numerators, and one reindexing routine, which ``from_shift_weights``
-shares, Taylor-shifts each row and builds the operator once; its constructor
-is the one canonicalization.  No ``Polynomial`` is built per monomial.  That
-constructor, ``from_shift_weights`` and ``to_recurrence`` clear their coefficients
-to integer rows over one denominator by one helper, ``_cleared``.
+shares, Taylor-shifts each row and hands the rows to the operator.  No
+``Polynomial`` is built on the way.  One routine, ``_canonicalize``, turns
+integer rows into the stored form; the constructor, the reindexing,
+``guess_recurrence`` and ``with_n_min`` all build through it.  The constructor,
+``from_shift_weights`` and ``to_recurrence`` clear their coefficients to integer
+rows over one denominator by one helper, ``_cleared``.
 
-Coefficient text is formatted from the same stored integers, with no Fraction
-per coefficient, by one shape rule: a shifted power c*(var+b)^e, a constant
+Coefficient text is formatted from the stored integers, the rows of a
+recurrence and the numerators and denominator of each q_j, with no Fraction or
+Polynomial per coefficient, by one shape rule: a shifted power c*(var+b)^e, a constant
 being e = 0, prints as "c*(n-1)^2", its magnitude left out when it is 1 and
 something follows it; any other coefficient, (var+b) itself among them, prints
 as its parenthesized polynomial, "(1+n)".  Both ``to_text`` methods join their
@@ -48,12 +53,13 @@ from collections import deque
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import chain, count, islice, zip_longest
-from math import lcm
+from math import comb, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .polynomials import (
     _EXACT, Polynomial, RationalLike, _check_int, _falling_factorial, _Frozen, _join_signed,
-    _lift_digit_cap, _lowest_terms, _primitive, _ratio_text, _taylor_shift, format_rational,
+    _lift_digit_cap, _lowest_terms, _polynomial_text, _primitive, _ratio_text, _taylor_shift,
+    _without_trailing_zeros, format_rational,
 )
 from .sequences import SequenceTable
 from .series import Series
@@ -96,19 +102,18 @@ def _reindexed(rows: Mapping[int, list[int]], valid_from: Optional[int]) -> Recu
     """The recurrence of sum_s w_s(n) a(n+s) = 0 for n >= valid_from, where ``rows[s]`` holds
     the integer coefficients of w_s, lowest first; the rows are shifted in place.
 
-    Zero rows are dropped.  Each other row goes to k = s_max - s and is Taylor-shifted to
+    The recurrence spans the shifts s_min..s_max of the nonzero rows: the row of each such s,
+    an empty one where ``rows`` has none, goes to k = s_max - s and is Taylor-shifted to
     p_k(m) = w_s(m - s_max), and the operator is built once from the p_k.  n_min is
-    valid_from + s_max, or the order when ``valid_from`` is None.
+    valid_from + s_max, or the order s_max - s_min when ``valid_from`` is None.
     """
-    rows = {s: row for s, row in rows.items() if any(row)}
-    if not rows:
+    shifts = [s for s, row in rows.items() if any(row)]
+    if not shifts:
         raise ValueError("all shift weights are zero; no recurrence to build")
-    s_max = max(rows)
-    coeffs: list[list[int]] = [[]] * (s_max - min(rows) + 1)
-    for s, row in rows.items():
-        coeffs[s_max - s] = _taylor_shift(row, -s_max)
-    n_min = len(coeffs) - 1 if valid_from is None else valid_from + s_max
-    return RecurrenceOperator(map(Polynomial, coeffs), n_min)
+    s_max, s_min = max(shifts), min(shifts)
+    coeffs = [_taylor_shift(rows.get(s, []), -s_max) for s in range(s_max, s_min - 1, -1)]
+    n_min = s_max - s_min if valid_from is None else valid_from + s_max
+    return RecurrenceOperator._from_rows(coeffs, n_min)
 
 
 def _steps(
@@ -156,26 +161,30 @@ def _cleared(values: Iterable[Union[Polynomial, RationalLike]]) -> list[Sequence
     return [nums if d == den else [c * (den // d) for c in nums] for nums, d in parts]
 
 
-def _signed_text(pairs: Iterable[tuple[Polynomial, str]], var: str) -> str:
-    """Canonical text of the sum of coefficient * trailer over (coefficient, trailer) pairs,
-    zero coefficients skipped."""
-    return _join_signed([_trailer_product(p, var, trailer) for p, trailer in pairs if p._nums])
+def _signed_text(triples: Iterable[tuple[Sequence[int], int, str]], var: str) -> str:
+    """Canonical text of the sum of nums / den * trailer over (nums, den, trailer) triples, where
+    nums holds a coefficient's integer numerators, lowest power first; zero ones are skipped."""
+    return _join_signed([_trailer_product(*triple, var) for triple in triples if triple[0]])
 
 
-def _trailer_product(poly: Polynomial, var: str, trailer: str) -> tuple[bool, str]:
-    """Render poly * trailer as (is_negative, unsigned_text), for a nonzero poly.
+def _trailer_product(nums: Sequence[int], den: int, trailer: str, var: str) -> tuple[bool, str]:
+    """Render nums / den * trailer as (is_negative, unsigned_text), for nonzero trimmed nums.
 
-    A shifted power c*(var+b)^e, constants (e = 0) included, prints as "c*(n-1)^2", the
-    magnitude left out when it is 1 and something follows it; anything else, (var+b) itself
-    among it, falls back to the parenthesized polynomial with its spaces dropped, "(1+n)".
+    A shifted power c*(var+b)^e with integer b, constants (e = 0) included, prints as
+    "c*(n-1)^2", the magnitude left out when it is 1 and something follows it.  c is the
+    leading numerator and e the degree; the next numerator, c * e * b, gives b, and the
+    expansion c * C(e, k) * b^(e-k) decides.  Anything else, (var+b) itself among it, falls
+    back to the parenthesized polynomial with its spaces dropped, "(1+n)", printed from the
+    negated numerators where the lowest nonzero one is negative.
     """
-    shifted = _as_shifted_power(poly)
-    if shifted is None or shifted[2] == 1 and shifted[1]:
-        negative = next(c for c in poly._nums if c) < 0
-        text = f"({(-poly if negative else poly).to_text(var).replace(' ', '')})"
+    e, c = len(nums) - 1, nums[-1]
+    b, rest = divmod(nums[e - 1], c * e) if e else (0, 0)
+    if rest or e == 1 and b or any(v != c * comb(e, k) * b ** (e - k) for k, v in enumerate(nums)):
+        negative = next(v for v in nums if v) < 0
+        shown = _polynomial_text([-v for v in nums] if negative else nums, den, var)
+        text = f"({shown.replace(' ', '')})"
     else:
-        c, b, e = shifted
-        negative, den = c < 0, poly._den
+        negative = c < 0
         text = "" if e == 0 else var if b == 0 else f"({var}+{b})" if b > 0 else f"({var}-{-b})"
         if e > 1:
             text = f"{text}^{e}"
@@ -185,22 +194,6 @@ def _trailer_product(poly: Polynomial, var: str, trailer: str) -> tuple[bool, st
     if trailer:
         text = f"{text}*{trailer}" if text else trailer
     return negative, text
-
-
-def _as_shifted_power(poly: Polynomial) -> Optional[tuple[int, int, int]]:
-    """(c, b, e) with poly = c / poly._den * (x + b)^e and integer b, if possible, for a nonzero
-    poly; a constant c is (c, 0, 0)."""
-    nums = poly._nums
-    deg = len(nums) - 1
-    if deg == 0:
-        return nums[0], 0, 0
-    b, rest = divmod(nums[deg - 1], nums[-1] * deg)
-    if rest:
-        return None
-    # p = c*(x+b)^e exactly when p(x-b) is the monomial c*x^e
-    if not any(_taylor_shift(list(nums), -b)[:-1]):
-        return nums[-1], b, deg
-    return None
 
 
 class DifferentialOperator(_Frozen):
@@ -272,9 +265,9 @@ class DifferentialOperator(_Frozen):
     @_lift_digit_cap
     def to_text(self) -> str:
         """Canonical text, highest derivative first: "(1+t^2)*D - (1-t)"."""
-        cs = self.coeffs
-        pairs = ((cs[j], f"D^{j}" if j > 1 else "D" if j else "") for j in range(len(cs) - 1, -1, -1))
-        return _signed_text(pairs, "t")
+        triples = [(q._nums, q._den, f"D^{j}" if j > 1 else "D" if j else "")
+                   for j, q in enumerate(self.coeffs)]
+        return _signed_text(reversed(triples), "t")
 
 
 class VerifyReport(_Frozen):
@@ -299,24 +292,37 @@ class VerifyReport(_Frozen):
 class RecurrenceOperator(_Frozen):
     """sum_k coeffs[k](n) * a(n-k) = 0 for all n >= n_min.
 
-    Canonical form, enforced on construction: integer coefficients with
-    overall content 1, no trailing zero polynomial, p_0 nonzero, and the
-    leading coefficient of p_0 positive.  Equality of two operators is
-    structural equality of the canonical form plus the n_min bound.
+    Stored as its canonical integer rows, ``_rows[k]`` the coefficients of p_k, lowest power
+    first, with no trailing zero in a row and no trailing zero row, p_0 nonzero, the leading
+    coefficient of p_0 positive and overall content 1; ``coeffs`` builds the Polynomials only
+    when asked.  Equality of two operators is structural equality of the rows plus the n_min
+    bound.
     """
 
-    _fields = ("coeffs", "n_min")
+    _fields = ("_rows", "n_min")
 
     def __init__(self, coeffs: Iterable[Union[Polynomial, RationalLike]], n_min: int) -> None:
+        self._canonicalize(_cleared(coeffs), n_min)
+
+    @classmethod
+    def _from_rows(cls, rows: Sequence[Sequence[int]], n_min: int) -> RecurrenceOperator:
+        """The operator of integer rows p_0, p_1, ..., lowest power first, with no Polynomial
+        built: how ``_reindexed``, ``guess_recurrence`` and ``with_n_min`` build one."""
+        return cls.__new__(cls)._canonicalize(rows, n_min)
+
+    def _canonicalize(self, rows: Sequence[Sequence[int]], n_min: int) -> RecurrenceOperator:
+        """Store the canonical form of integer rows p_0, p_1, ... and n_min, and return self: the
+        one canonicalization.  Trailing zeros and zero rows are trimmed, p_0 = 0 is a ValueError,
+        and the rows, flattened and signed so that p_0 leads positive, are divided by their
+        content.  An n_min that is a bool or not an int is a TypeError."""
         _check_int("n_min", n_min)
-        rows = _cleared(coeffs)
-        while rows and not any(rows[-1]):
-            rows.pop()
-        if not rows or not any(rows[0]):
+        rows = _without_trailing_zeros([_without_trailing_zeros(row) for row in rows])
+        if not rows or not rows[0]:
             raise ValueError("the coefficient p_0 of a(n) must be nonzero")
         sign = 1 if rows[0][-1] > 0 else -1
         flat = iter(_primitive([sign * c for row in rows for c in row]))
-        self._store(tuple(Polynomial([next(flat) for _ in row]) for row in rows), n_min)
+        self._store(tuple(tuple(islice(flat, len(row))) for row in rows), n_min)
+        return self
 
     @classmethod
     def from_shift_weights(
@@ -343,16 +349,21 @@ class RecurrenceOperator(_Frozen):
         return _reindexed(rows, valid_from)
 
     @property
+    def coeffs(self) -> tuple[Polynomial, ...]:
+        """p_0, p_1, ... as Polynomials, built on each call."""
+        return tuple(map(Polynomial, self._rows))
+
+    @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._rows) - 1
 
     @property
     def degree(self) -> int:
-        return max(p.degree for p in self.coeffs if not p.is_zero)
+        return max(map(len, self._rows)) - 1
 
     def with_n_min(self, n_min: int) -> RecurrenceOperator:
         """The same relation with a different stated validity bound."""
-        return RecurrenceOperator(self.coeffs, n_min)
+        return RecurrenceOperator._from_rows(self._rows, n_min)
 
     def _unrolled(self, initial: Iterable[int], offset: int) -> Iterator[tuple[int, int]]:
         """(n, a(n)) for n >= offset without end: the ``initial`` terms, then the solved ones;
@@ -369,7 +380,7 @@ class RecurrenceOperator(_Frozen):
                 f"initial terms end at {start - 1} but the recurrence "
                 f"only holds for n >= {self.n_min}"
             )
-        for n, lead, s in _steps([p._nums for p in self.coeffs], before, start):
+        for n, lead, s in _steps(self._rows, before, start):
             if lead == 0:
                 raise SingularRecurrenceError(n)
             quotient, remainder = (s, 0) if lead == 1 else divmod(s, lead)
@@ -426,7 +437,7 @@ class RecurrenceOperator(_Frozen):
             raise ValueError("a sequence table needs at least one term")
         start, last, failure = max(self.n_min, offset), offset - 1, None
         before: deque[int] = deque(maxlen=self.order)
-        steps = _steps([p._nums for p in self.coeffs], before, start)
+        steps = _steps(self._rows, before, start)
         for n, a in chain([first], entries):
             if n != last + 1:
                 raise ValueError(f"index {n} does not follow {last}")
@@ -453,5 +464,5 @@ class RecurrenceOperator(_Frozen):
     @_lift_digit_cap
     def to_text(self) -> str:
         """Canonical text: "a(n) - a(n-1) + (n-1)^2*a(n-2) = 0 for n >= 2"."""
-        pairs = ((p, f"a(n-{k})" if k else "a(n)") for k, p in enumerate(self.coeffs))
-        return f"{_signed_text(pairs, 'n')} = 0 for n >= {self.n_min}"
+        triples = ((row, 1, f"a(n-{k})" if k else "a(n)") for k, row in enumerate(self._rows))
+        return f"{_signed_text(triples, 'n')} = 0 for n >= {self.n_min}"

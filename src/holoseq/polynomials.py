@@ -5,11 +5,12 @@ always in lowest terms with a positive denominator, and they raise
 ``ZeroDivisionError`` on a zero denominator.  The helpers here only add
 strict decimal parsing and canonical formatting on top.
 
-``Polynomial`` is the coefficient type used everywhere else: recurrence
-coefficients p_k(n), differential-operator coefficients q_j(t), and the
-falling-factorial weights that connect the two.  It shares its stored form,
-integer numerators over one denominator, and its sums, negation and scalar
-products with ``series.Series`` through the private base class ``_Rationals``.
+``Polynomial`` is the coefficient type used everywhere else: differential-operator
+coefficients q_j(t), the falling-factorial weights of ``egf_shift_weight``, and
+the ``coeffs`` view of a recurrence, whose p_k(n) are stored as integer rows.  It
+shares its stored form, integer numerators over one denominator, and its sums,
+negation and scalar products with ``series.Series`` through the private base
+class ``_Rationals``.
 Every immutable value of holoseq, ``_Rationals`` among them, gets its equality,
 hash, repr and refusal of assignment from the private base class ``_Frozen``.
 """
@@ -22,12 +23,12 @@ import re
 import sys
 import threading
 from fractions import Fraction
-from itertools import zip_longest
-from math import gcd, lcm
-from typing import Callable, Iterable, TypeVar, Union
+from itertools import repeat, zip_longest
+from math import gcd, lcm, prod
+from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 RationalLike = Union[int, Fraction]
-_Coefficients = TypeVar("_Coefficients", list[int], tuple[int, ...])
+_Trimmed = TypeVar("_Trimmed", list, tuple)
 _R = TypeVar("_R", bound="_Rationals")
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
@@ -56,10 +57,11 @@ def _lift_digit_cap(func: Callable) -> Callable:
     lifted, and importing holoseq changes no interpreter-wide state.  Only these are wrapped:
     the CLI's ``main``, the b-file reader (per piece), ``format_bfile`` and ``write_bfile``, the
     text parsers, ``format_rational``, the four ``to_text`` methods (``Polynomial``, ``Series``
-    and the two operators, which format each coefficient with ``_ratio_text`` so that the cap
-    is lifted once per text), ``RecurrenceOperator._verify_entries``, ``series._decimal_mul``,
-    whose base-10 packing puts each coefficient of a long product through ``str`` and reads
-    each back with ``int``, and ``_Frozen.__repr__``.
+    and the two operators, which format each coefficient with ``_ratio_text`` and
+    ``_polynomial_text``, both unlifted, so that the cap is lifted once per text),
+    ``RecurrenceOperator._verify_entries``, ``series._decimal_mul``, whose base-10 packing
+    puts each coefficient of a long product through ``str`` and reads each back with ``int``,
+    and ``_Frozen.__repr__``.
     Wrap no generator function: its body runs after the call has returned.
     Decimal arithmetic is exact only in ``_EXACT``: ``cli.main`` and ``RecurrenceOperator.verify``
     enter it as the thread's context, and ``_decimal_mul`` calls its methods directly.
@@ -135,7 +137,9 @@ def _check_int(name: str, value: object) -> None:
         raise TypeError(f"{name} must be an int")
 
 
-def _without_trailing_zeros(values: _Coefficients) -> _Coefficients:
+def _without_trailing_zeros(values: _Trimmed) -> _Trimmed:
+    """``values`` up to its last true item: a row of ints without its trailing zeros, or a list
+    of rows without its trailing empty ones."""
     end = len(values)
     while end and not values[end - 1]:
         end -= 1
@@ -180,6 +184,23 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(cleaned)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational literal: {text!r}") from None
+
+
+def _polynomial_text(nums: Sequence[int], den: int, var: str) -> str:
+    """Canonical ascending-power text of sum_k nums[k] / den * var^k, "0" when every nums[k]
+    is 0; the one polynomial formatter, unlifted: callers lift the digit cap."""
+    parts: list[tuple[bool, str]] = []
+    for k, c in enumerate(nums):
+        if c == 0:
+            continue
+        mag = _ratio_text(abs(c), den)
+        if k == 0:
+            body = mag
+        else:
+            head = "" if abs(c) == den else f"{mag}*"
+            body = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
+        parts.append((c < 0, body))
+    return _join_signed(parts) if parts else "0"
 
 
 def _ratio_text(num: int, den: int) -> str:
@@ -322,7 +343,9 @@ class Polynomial(_Rationals):
 
     @classmethod
     def falling_factorial(cls, length: int) -> Polynomial:
-        """x(x-1)...(x-length+1); the empty product (length 0) is 1."""
+        """x(x-1)...(x-length+1); the empty product (length 0) is 1.  A length that is a bool
+        or not an int is a TypeError."""
+        _check_int("length", length)
         if length < 0:
             raise ValueError("falling factorial length must be >= 0")
         return cls(_falling_factorial(length))
@@ -350,12 +373,10 @@ class Polynomial(_Rationals):
         return Polynomial(out, self._den * other._den)
 
     def __pow__(self, exponent: int) -> Polynomial:
-        if not isinstance(exponent, int) or exponent < 0:
+        _check_int("exponent", exponent)
+        if exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        out = Polynomial.constant(1)
-        for _ in range(exponent):
-            out = out * self
-        return out
+        return prod(repeat(self, exponent), start=Polynomial.constant(1))
 
     def shifted(self, offset: RationalLike) -> Polynomial:
         """p(x + offset), expanded by the Taylor shift in place, on integers.
@@ -371,20 +392,7 @@ class Polynomial(_Rationals):
     @_lift_digit_cap
     def to_text(self, var: str = "t") -> str:
         """Canonical ascending-power text, e.g. "1 - t" or "n^2 - 2*n + 1"."""
-        if self.is_zero:
-            return "0"
-        parts: list[tuple[bool, str]] = []
-        for k, c in enumerate(self._nums):
-            if c == 0:
-                continue
-            mag = _ratio_text(abs(c), self._den)
-            if k == 0:
-                body = mag
-            else:
-                head = "" if abs(c) == self._den else f"{mag}*"
-                body = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
-            parts.append((c < 0, body))
-        return _join_signed(parts)
+        return _polynomial_text(self._nums, self._den, var)
 
 
 #: The identity polynomial x, for building coefficients like (x - 1)^2.

@@ -40,8 +40,8 @@ from math import lcm, prod
 from typing import Iterable, Sequence, Union
 
 from .polynomials import (
-    _EXACT, Polynomial, RationalLike, _join_signed, _lift_digit_cap, _lowest_terms, _ratio_text,
-    _Rationals, _without_trailing_zeros, format_rational,
+    _EXACT, Polynomial, RationalLike, _check_int, _join_signed, _lift_digit_cap, _lowest_terms,
+    _ratio_text, _Rationals, _without_trailing_zeros, format_rational,
 )
 from .sequences import SequenceTable
 
@@ -176,7 +176,8 @@ class Series(_Rationals):
 
     ``Series(coeffs)`` takes ints and Fractions, at least one; the kernels pass integer
     numerators and their private ``_den``.  The stored form and the sums, negation and scalar
-    products are those of ``polynomials._Rationals``; a sum checks the orders first.
+    products are those of ``polynomials._Rationals``; a sum checks the orders first.  An order
+    or a coefficient index that is a bool or not an int is a TypeError.
     """
 
     def __init__(self, coeffs: Iterable[RationalLike], _den: int = 1) -> None:
@@ -187,15 +188,16 @@ class Series(_Rationals):
 
     @classmethod
     def zero(cls, order: int) -> Series:
-        return cls((0,) * (order + 1))
+        return cls.from_polynomial(Polynomial(), order)
 
     @classmethod
     def one(cls, order: int) -> Series:
-        return cls((1,) + (0,) * order)
+        return cls.from_polynomial(Polynomial.constant(1), order)
 
     @classmethod
     def from_polynomial(cls, poly: Polynomial, order: int) -> Series:
         """The polynomial read mod t^(order+1); high-degree terms drop off."""
+        _check_int("order", order)
         return cls((poly._nums + (0,) * (order + 1))[: order + 1], poly._den)
 
     @property
@@ -203,12 +205,14 @@ class Series(_Rationals):
         return len(self._nums) - 1
 
     def coefficient(self, k: int) -> Fraction:
+        _check_int("k", k)
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient index {k} outside truncation order {self.order}")
         return Fraction(self._nums[k], self._den)
 
     def truncated(self, order: int) -> Series:
         """Drop coefficients above ``order``; never extends."""
+        _check_int("order", order)
         if order > self.order:
             raise OrderMismatchError(
                 f"cannot extend truncation order {self.order} to {order}"

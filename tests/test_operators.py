@@ -13,6 +13,8 @@ from holoseq.operators import (
     SingularRecurrenceError,
     egf_shift_weight,
 )
+from holoseq.guessing import guess_recurrence
+from holoseq.parsing import parse_recurrence
 from holoseq.polynomials import Polynomial, X
 from holoseq.sequences import SequenceTable
 from holoseq.series import Series
@@ -282,9 +284,10 @@ def test_to_recurrence_equals_from_shift_weights_of_the_per_monomial_weights():
                       for seen in (True, False)}
 
 
-def test_to_recurrence_builds_two_polynomials_per_recurrence_coefficient(monkeypatch):
-    # one per p_k from the integer rows, one per p_k in the constructor's canonical form;
-    # none per monomial or per shift weight
+def test_recurrence_producers_build_no_polynomial_per_recurrence_coefficient(monkeypatch):
+    # to_recurrence, guess_recurrence and the reindexing hand their integer rows to the one
+    # canonicalization; parse_recurrence builds one Polynomial per atom of its text: each
+    # a(n+s) and the polynomial part, the "0" on the right
     rng = random.Random(3602)
     operators = [random_rational_operator(rng, rng.randint(0, 3), 4) for _ in range(100)]
     operators += [operator_with_every_b_above_a(rng, 3),
@@ -297,11 +300,23 @@ def test_to_recurrence_builds_two_polynomials_per_recurrence_coefficient(monkeyp
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Polynomial, "__init__", counted)
+    recs = []
     for operator in operators:
         built.clear()
-        rec = operator.to_recurrence()
-        assert len(built) == 2 * (rec.order + 1)
-    assert rec.order == 60
+        recs.append(operator.to_recurrence())
+        assert built == []
+    assert recs[-1].order == 60
+    built.clear()
+    assert guess_recurrence(a214615_terms(40), 2, 2) == [A214615_RECURRENCE]
+    assert built == []
+    for rec in recs[:-1]:
+        text = rec.to_text()
+        built.clear()
+        assert parse_recurrence(text) == rec
+        assert len(built) == text.count("a(") + 1
+    built.clear()
+    assert A214615_RECURRENCE.with_n_min(5).n_min == 5
+    assert built == []
 
 
 def test_bridge_integer_inputs_reject_bools_and_non_ints():
@@ -360,6 +375,39 @@ def test_normalization_clears_denominators_content_and_sign():
         tuple(p * 4 for p in A214615_RECURRENCE.coeffs), 2
     )
     assert doubled == A214615_RECURRENCE
+
+
+def test_stored_rows_are_the_primitive_flat_values_with_p0_leading_positive():
+    # the one canonicalization, reached from Polynomials, ints and Fractions and from int rows
+    rng = random.Random(4101)
+    shapes = set()
+    for _ in range(300):
+        rows = [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 10)))
+                 for _ in range(rng.randint(0, 4))] for _ in range(rng.randint(1, 4))]
+        rows[0].append(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 4))))
+        rows += [[]] * rng.randint(0, 2)
+        given = [Polynomial(row) if len(row) > 1 or rng.random() < 0.3
+                 else row[0] if row and row[0].denominator > 1 else int(row[0]) if row else 0
+                 for row in rows]
+        rec = RecurrenceOperator(given, 3)
+        trimmed = [Polynomial(row).coeffs for row in rows]
+        while not trimmed[-1]:
+            trimmed.pop()
+        flat = oracles.primitive([c for row in trimmed for c in row])
+        sign = 1 if flat[len(trimmed[0]) - 1] > 0 else -1
+        flat = iter(flat)
+        assert rec._rows == tuple(tuple(sign * next(flat) for _ in row) for row in trimmed)
+        assert all(type(c) is int for row in rec._rows for c in row)
+        scale = rng.choice((-6, -1, 1, 35)) * lcm(*(c.denominator for row in rows for c in row))
+        int_rows = [[int(c * scale) for c in row] + [0] * rng.randint(0, 2) for row in rows]
+        built = RecurrenceOperator._from_rows(int_rows, 3)
+        assert built == rec and hash(built) == hash(rec)
+        assert rec.with_n_min(0)._rows == rec._rows and rec.with_n_min(0).n_min == 0
+        shapes.add(("p_0 leads negative", rows[0][-1] < 0))
+        shapes.add(("trailing zero rows", len(trimmed) < len(rows)))
+        shapes.add(("sign flipped", sign < 0))
+    assert shapes == {(shape, seen) for seen in (True, False)
+                      for shape in ("p_0 leads negative", "trailing zero rows", "sign flipped")}
 
 
 def test_equality_includes_n_min():

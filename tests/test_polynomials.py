@@ -1,4 +1,5 @@
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -262,6 +263,48 @@ def test_falling_factorial():
         Polynomial.falling_factorial(-1)
     with pytest.raises(ValueError, match=r"^polynomial exponent must be a nonnegative integer$"):
         X ** -1
+
+
+# (call, exception, message): a bool or a non-int is a TypeError, a negative int keeps its error
+INTEGER_ARGUMENTS = [
+    pytest.param(lambda: X ** True, TypeError, "exponent must be an int", id="X ** True"),
+    pytest.param(lambda: X ** 2.0, TypeError, "exponent must be an int", id="X ** 2.0"),
+    pytest.param(lambda: X ** -1, ValueError,
+                 "polynomial exponent must be a nonnegative integer", id="X ** -1"),
+    pytest.param(lambda: Polynomial.falling_factorial(True), TypeError,
+                 "length must be an int", id="Polynomial.falling_factorial(True)"),
+    pytest.param(lambda: Polynomial.falling_factorial(Fraction(2)), TypeError,
+                 "length must be an int", id="Polynomial.falling_factorial(Fraction(2))"),
+    pytest.param(lambda: Polynomial.falling_factorial(-1), ValueError,
+                 "falling factorial length must be >= 0", id="Polynomial.falling_factorial(-1)"),
+    pytest.param(lambda: Series.zero(2.5), TypeError,
+                 "order must be an int", id="Series.zero(2.5)"),
+    pytest.param(lambda: Series.zero(-1), ValueError,
+                 "a truncated series needs at least the constant term", id="Series.zero(-1)"),
+    pytest.param(lambda: Series.one(True), TypeError,
+                 "order must be an int", id="Series.one(True)"),
+    pytest.param(lambda: Series.one(-1), ValueError,
+                 "a truncated series needs at least the constant term", id="Series.one(-1)"),
+    pytest.param(lambda: Series.from_polynomial(X, False), TypeError,
+                 "order must be an int", id="Series.from_polynomial(X, False)"),
+    pytest.param(lambda: Series((1, 2)).truncated(True), TypeError,
+                 "order must be an int", id="Series((1, 2)).truncated(True)"),
+    pytest.param(lambda: Series((1, 2)).truncated(-1), ValueError,
+                 "truncation order must be >= 0", id="Series((1, 2)).truncated(-1)"),
+    pytest.param(lambda: Series((1, 2)).coefficient(True), TypeError,
+                 "k must be an int", id="Series((1, 2)).coefficient(True)"),
+    pytest.param(lambda: Series((1, 2)).coefficient(1.0), TypeError,
+                 "k must be an int", id="Series((1, 2)).coefficient(1.0)"),
+    pytest.param(lambda: Series((1, 2)).coefficient(-1), IndexError,
+                 "coefficient index -1 outside truncation order 1", id="Series((1, 2)).coefficient(-1)"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", INTEGER_ARGUMENTS)
+def test_integer_arguments_reject_bools_and_non_ints(call, error, message):
+    # a bool is an int subclass: X ** True was X, Series((1, 2)).coefficient(True) was 2
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_polynomial_text():

@@ -37,8 +37,8 @@ VALUES = [
                  f"DifferentialOperator(coeffs=(Polynomial(_nums=(1, 0, 1), _den=1), {P_MINUS_ONE}))",
                  ("coeffs",), id="DifferentialOperator"),
     pytest.param(lambda: RecurrenceOperator((Polynomial((-2,)), 2), 1),
-                 f"RecurrenceOperator(coeffs=({P_ONE}, {P_MINUS_ONE}), n_min=1)",
-                 ("coeffs", "n_min"), id="RecurrenceOperator"),
+                 "RecurrenceOperator(_rows=((1,), (-1,)), n_min=1)",
+                 ("_rows", "n_min"), id="RecurrenceOperator"),
     pytest.param(lambda: RecurrenceOperator((1, -1), 1).verify(SequenceTable(0, (1, 1, 2))),
                  "VerifyReport(n_first_checked=1, n_last_checked=2, first_failure=(2, 1))",
                  ("n_first_checked", "n_last_checked", "first_failure"), id="VerifyReport"),
